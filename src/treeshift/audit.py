@@ -33,6 +33,7 @@ from .shift import build_shift
 from .trees import DirectedTree, generate_binary, generate_path, generate_two_branch
 
 __all__ = [
+    "MAX_VERTICES",
     "random_tree",
     "random_weights",
     "two_branch_mirror_classes",
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 SQRT2 = float(np.sqrt(2.0))
+# Largest tree a cross-validation cell may yield (a depth-6 binary tree).
+MAX_VERTICES = 127
 
 
 def random_tree(rng: np.random.Generator, max_vertices: int = 15) -> DirectedTree:
@@ -257,8 +260,10 @@ def cross_validate(
             kappa = int(cell)
             params = {"kappa": kappa}
             tree = generate_binary(kappa)
-        if tree.n > 127:
-            raise ValueError(f"cell {params} yields a {tree.n}-vertex tree (cap 127)")
+        if tree.n > MAX_VERTICES:
+            raise ValueError(
+                f"cell {params} yields a {tree.n}-vertex tree (cap {MAX_VERTICES})"
+            )
         cell_weights = []
         for anchor in (anchors or {}).get(cell, []):
             if family == "two-branch":

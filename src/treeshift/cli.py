@@ -19,7 +19,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .audit import cross_validate
+from .audit import MAX_VERTICES, cross_validate
 from .broom import BroomSchedule, InfeasibleScheduleError, build_broom_conjugation, solve_h_sequence
 from .decider import DeciderOptions, decide_cs
 from .families import (
@@ -256,10 +256,10 @@ def cmd_crossval(args) -> int:
             (kappa, theta)
             for kappa in range(0, args.kappa_max + 1)
             for theta in range(1, args.theta_max + 1)
-            if generate_two_branch(kappa, theta).n <= 127
+            if generate_two_branch(kappa, theta).n <= MAX_VERTICES
         ]
     else:
-        cells = [k for k in range(2, args.kappa_max + 1) if 2 ** (k + 1) - 1 <= 127]
+        cells = [k for k in range(2, args.kappa_max + 1) if 2 ** (k + 1) - 1 <= MAX_VERTICES]
     if not cells:
         report = {
             "family": args.family, "cells": [], "samples": args.samples,

@@ -14,6 +14,12 @@ certificate:
    multi-start projected polar iteration looks for a unitary element, which
    is exactly a conjugation certificate.
 
+The Sylvester system is never formed densely.  It is assembled from the
+nonzeros of ``T`` and split into the blocks of unknowns that share an
+equation; for a tree shift, which raises depth by one, these refine the
+classes of vertex pairs with equal depth sum.  Each block is solved by its
+own SVD, and the space's basis comes out in block order.
+
 A verdict is ``cs`` only with a verified certificate, ``not_cs`` only with a
 witness that re-evaluates from the matrix alone with a wide margin, and
 ``undetermined`` otherwise.
@@ -147,48 +153,95 @@ def word_trace_obstruction(
     return None
 
 
-def _symmetric_basis_pairs(n: int):
-    for i in range(n):
-        for j in range(i, n):
-            yield i, j
-
-
 def _sylvester_nullspace(m: np.ndarray, rtol: float):
-    """SVD nullspace of the map A -> T A - A T^T on symmetric coefficients."""
+    """Null space of ``A -> T A - A T^T`` on symmetric ``A``, block by block.
+
+    The unknowns are the coefficients of the orthonormal symmetric basis
+    ``E_pp`` and ``(E_pq + E_qp) / sqrt 2`` (``p < q``).  Through the end
+    ``(x, y)`` of its pair, unknown ``(p, q)`` enters only the equations
+    ``(r, y)`` and ``(y, r)`` with ``T[r, x] != 0``, so the system splits
+    into blocks of unknowns joined by shared equations.  For a tree shift,
+    which raises depth by one, the blocks refine the classes of pairs with a
+    fixed depth sum.  Each block gets its own small SVD; all blocks are cut
+    at ``rtol`` times the largest singular value of any block, which is the
+    cut a dense SVD of the whole system applies.
+
+    Returns ``(basis, sigma)``: a ``(d, n, n)`` array whose slices are a
+    Frobenius-orthonormal basis of the null space in block order, and the
+    singular values of the whole system, descending and zero-padded to
+    ``n (n + 1) / 2``.
+    """
     n = m.shape[0]
-    pairs = list(_symmetric_basis_pairs(n))
-    cols = np.zeros((n * n, len(pairs)), dtype=complex)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for k, (i, j) in enumerate(pairs):
-        block = np.zeros((n, n), dtype=complex)
-        if i == j:
-            block[:, i] += m[:, i]
-            block[i, :] -= m[:, i]
-        else:
-            block[:, j] += m[:, i] * inv_sqrt2
-            block[:, i] += m[:, j] * inv_sqrt2
-            block[i, :] -= m[:, j] * inv_sqrt2
-            block[j, :] -= m[:, i] * inv_sqrt2
-        cols[:, k] = block.reshape(-1)
-    u, sigma, vh = np.linalg.svd(cols, full_matrices=True)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sigma > rtol * sigma[0]))
-    null_coeffs = vh[rank:, :].conj()
-    return pairs, null_coeffs, sigma
+    p_of, q_of = np.triu_indices(n)
+    npairs = p_of.size
+    unknown = np.empty((n, n), dtype=np.intp)
+    unknown[p_of, q_of] = unknown[q_of, p_of] = np.arange(npairs)
+    weight = np.full((n, n), 1.0 / np.sqrt(2.0))
+    np.fill_diagonal(weight, 1.0)
 
+    # one entry per (nonzero T[r, x], y): +t w in equation (r, y), -t w in (y, r)
+    r, x = np.nonzero(m)
+    y = np.arange(n)
+    cols = unknown[x[:, None], y].ravel()
+    vals = (m[r, x][:, None] * weight[x[:, None], y]).ravel()
+    eq_a = (r[:, None] * n + y).ravel()
+    eq_b = (y * n + r[:, None]).ravel()
+    cols = np.concatenate([cols, cols])
+    eqs = np.concatenate([eq_a, eq_b])
+    vals = np.concatenate([vals, -vals])
 
-def _coeffs_to_matrix(n: int, pairs, coeffs: np.ndarray) -> np.ndarray:
-    a = np.zeros((n, n), dtype=complex)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for c, (i, j) in zip(coeffs, pairs):
-        if i == j:
-            a[i, i] += c
-        else:
-            a[i, j] += c * inv_sqrt2
-            a[j, i] += c * inv_sqrt2
-    return a
+    # connected components of the unknown-equation graph: propagate the
+    # smallest node id, so each block is labelled by its first unknown
+    label = np.arange(npairs + n * n)
+    eq_nodes = npairs + eqs
+    while True:
+        low = np.minimum(label[cols], label[eq_nodes])
+        new = label.copy()
+        np.minimum.at(new, cols, low)
+        np.minimum.at(new, eq_nodes, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    block_of = label[cols]
+
+    order = np.argsort(block_of, kind="stable")
+    cols, eqs, vals, block_of = cols[order], eqs[order], vals[order], block_of[order]
+    starts = np.flatnonzero(np.r_[True, block_of[1:] != block_of[:-1]])
+    blocks = []
+    for lo, hi in zip(starts, np.r_[starts[1:], cols.size]):
+        unk, ci = np.unique(cols[lo:hi], return_inverse=True)
+        eq, ri = np.unique(eqs[lo:hi], return_inverse=True)
+        mat = np.zeros((eq.size, unk.size), dtype=complex)
+        np.add.at(mat, (ri, ci), vals[lo:hi])
+        _u, s, vh = np.linalg.svd(mat, full_matrices=True)
+        blocks.append((unk, s, vh))
+
+    sigma = np.zeros(npairs)
+    found = np.concatenate([s for _unk, s, _vh in blocks] or [np.zeros(0)])
+    sigma[: found.size] = np.sort(found)[::-1]
+    cut = rtol * sigma[0]
+
+    # unknowns in no equation are null directions of their own
+    touched = np.zeros(npairs, dtype=bool)
+    touched[cols] = True
+    free = np.flatnonzero(~touched)
+    vec_ids = [np.arange(free.size)]
+    unk_ids = [free]
+    coeffs = [np.ones(free.size, dtype=complex)]
+    dim = free.size
+    for unk, s, vh in blocks:
+        null = vh[np.count_nonzero(s > cut):].conj()
+        k = null.shape[0]
+        vec_ids.append(np.repeat(np.arange(dim, dim + k), unk.size))
+        unk_ids.append(np.tile(unk, k))
+        coeffs.append(null.ravel())
+        dim += k
+    vec_ids, unk_ids, coeffs = (np.concatenate(a) for a in (vec_ids, unk_ids, coeffs))
+    p, q = p_of[unk_ids], q_of[unk_ids]
+    basis = np.zeros((dim, n, n), dtype=complex)
+    basis[vec_ids, p, q] = basis[vec_ids, q, p] = coeffs * weight[p, q]
+    return basis, sigma
 
 
 def sylvester_space(t, rtol: float = 1e-10) -> list[np.ndarray]:
@@ -196,17 +249,23 @@ def sylvester_space(t, rtol: float = 1e-10) -> list[np.ndarray]:
 
     Parameterizing by symmetric coefficient matrices keeps every element
     exactly symmetric; the nullspace cut uses a relative singular value
-    threshold.  Basis order follows the SVD's ascending singular values, so
-    it is deterministic for a fixed input.
+    threshold.  The basis comes in block order (see the module docstring):
+    first the pairs that enter no equation, then each coupled block of the
+    system in turn, so it is deterministic for a fixed input.
     """
-    m = _as_matrix(t)
-    n = m.shape[0]
-    pairs, null_coeffs, _sigma = _sylvester_nullspace(m, rtol)
-    return [_coeffs_to_matrix(n, pairs, row) for row in null_coeffs]
+    basis, _sigma = _sylvester_nullspace(_as_matrix(t), rtol)
+    return list(basis)
 
 
 def _polar_factor(a: np.ndarray) -> np.ndarray:
-    u, _s, vh = np.linalg.svd(a)
+    try:
+        u, _s, vh = np.linalg.svd(a)
+    except np.linalg.LinAlgError:
+        # gesdd can fail to converge on tightly clustered singular values;
+        # with a = q r, the polar factor of a is q times that of r
+        q, r = np.linalg.qr(a)
+        u, _s, vh = np.linalg.svd(r)
+        return q @ (u @ vh)
     return u @ vh
 
 
@@ -228,20 +287,22 @@ def unitary_search(
     """
     if len(space) == 0:
         return None
-    basis = np.stack([np.asarray(b, dtype=complex) for b in space])
+    basis = np.asarray(space, dtype=complex)
     n = basis.shape[1]
+    flat = basis.reshape(basis.shape[0], n * n)
     sqrt_n = np.sqrt(n)
 
     def project(mat: np.ndarray) -> np.ndarray:
-        coeffs = np.tensordot(basis.conj(), mat, axes=([1, 2], [0, 1]))
-        return np.tensordot(coeffs, basis, axes=(0, 0))
+        # conj(B conj(v)) = conj(B) v, without a conjugated copy of B
+        coeffs = (flat @ mat.ravel().conj()).conj()
+        return (coeffs @ flat).reshape(n, n)
 
     rng = np.random.default_rng(seed)
-    d = basis.shape[0]
+    d = flat.shape[0]
     coeffs = rng.standard_normal((restarts, d)) + 1j * rng.standard_normal(
         (restarts, d)
     )
-    starts = [np.tensordot(c, basis, axes=(0, 0)) for c in coeffs]
+    starts = list((coeffs @ flat).reshape(restarts, n, n))
     flip = np.eye(n, dtype=complex)[::-1].copy()
     for idx, structured in enumerate((project(flip), project(np.eye(n)))):
         if idx < len(starts) and np.linalg.norm(structured) > 1e-8:
@@ -372,8 +433,8 @@ def decide_cs(
             residuals={"witness_margin": word["margin"]},
         )
 
-    pairs, null_coeffs, sigma = _sylvester_nullspace(m, opts.rank_rtol)
-    dim = null_coeffs.shape[0]
+    space, sigma = _sylvester_nullspace(m, opts.rank_rtol)
+    dim = space.shape[0]
     sigma_max = float(sigma[0]) if sigma.size else 0.0
     if dim == 0:
         sigma_min = float(sigma[-1]) if sigma.size else 0.0
@@ -398,7 +459,6 @@ def decide_cs(
             },
         )
 
-    space = [_coeffs_to_matrix(m.shape[0], pairs, row) for row in null_coeffs]
     found = unitary_search(
         space,
         seed=opts.seed,
@@ -458,9 +518,9 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
         threshold = 10.0 * opts.tol * max(1.0, float(np.linalg.norm(m)) ** len(letters))
         return margin > threshold, float(margin)
     if kind == "empty_sylvester_space":
-        _pairs, null_coeffs, sigma = _sylvester_nullspace(m, opts.rank_rtol)
+        space, sigma = _sylvester_nullspace(m, opts.rank_rtol)
         sigma_min = float(sigma[-1]) if sigma.size else 0.0
         sigma_max = float(sigma[0]) if sigma.size else 0.0
-        ok = null_coeffs.shape[0] == 0 and sigma_min > 10.0 * opts.rank_rtol * sigma_max
+        ok = space.shape[0] == 0 and sigma_min > 10.0 * opts.rank_rtol * sigma_max
         return ok, sigma_min
     raise ValueError(f"unknown obstruction kind {kind!r}")

@@ -29,12 +29,26 @@ def complex_to_pair(z: complex) -> list[float]:
 
 
 def pair_to_complex(value) -> complex:
+    """A finite complex number from a real number or an ``[re, im]`` pair.
+
+    Booleans are rejected although Python counts them as integers, and so
+    are NaN and infinite parts.
+    """
     if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        re, im = value
-        return complex(float(re), float(im))
-    raise ValueError(f"expected a number or an [re, im] pair, got {value!r}")
+        parts = (value, 0.0)
+    elif isinstance(value, (list, tuple)) and len(value) == 2:
+        parts = value
+    else:
+        raise ValueError(f"expected a number or an [re, im] pair, got {value!r}")
+    if any(isinstance(part, bool) for part in parts):
+        raise ValueError(f"expected numbers, got the boolean in {value!r}")
+    try:
+        z = complex(float(parts[0]), float(parts[1]))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"expected numbers, got {value!r}") from None
+    if not np.isfinite(z):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return z
 
 
 def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
@@ -53,7 +67,13 @@ def weights_to_doc(weights: dict) -> dict:
 def weights_from_doc(doc: dict) -> dict[str, complex]:
     if not isinstance(doc, dict):
         raise ValueError("weights document must be an object mapping labels to values")
-    return {str(label): pair_to_complex(value) for label, value in doc.items()}
+    weights = {}
+    for label, value in doc.items():
+        try:
+            weights[str(label)] = pair_to_complex(value)
+        except ValueError as exc:
+            raise ValueError(f"weight for vertex {label}: {exc}") from None
+    return weights
 
 
 def dump_json(obj, fp: Optional[IO[str]] = None) -> Optional[str]:

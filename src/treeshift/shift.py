@@ -28,7 +28,8 @@ __all__ = [
 
 
 class WeightError(ValueError):
-    """A weight assignment does not match the tree's non-root vertex set."""
+    """A weight assignment does not match the tree's non-root vertex set, or
+    carries a non-finite weight."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +51,16 @@ class ShiftMatrix:
 def build_shift(tree: DirectedTree, weights: dict) -> ShiftMatrix:
     """Assemble the dense matrix of the weighted shift.
 
-    Raises :class:`WeightError` if a non-root vertex has no weight, if the
-    root is given one, or if a weight references an unknown vertex.
+    Raises :class:`WeightError` if a non-root vertex has no weight or a
+    non-finite one, if the root is given one, or if a weight references an
+    unknown vertex.
     """
     nonroot = set(tree.nonroot_vertices())
     for v in sorted(nonroot):
         if v not in weights:
             raise WeightError(f"missing weight for vertex {v}")
+        if not np.isfinite(complex(weights[v])):
+            raise WeightError(f"non-finite weight {weights[v]!r} for vertex {v}")
     if tree.root in weights:
         raise WeightError(f"weight supplied for root {tree.root}")
     for label in sorted(weights):

@@ -1,11 +1,13 @@
 """Slow, independent re-implementations used to check the fast numpy paths.
 
-Everything here works over exact rationals or plain Python complex numbers
-and never imports the code under test, so agreement between the two sides
-is meaningful.
+Everything here works over exact rationals, plain Python complex numbers or
+one dense numpy SVD, and never imports the code under test, so agreement
+between the two sides is meaningful.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 
 def exact_rank(rows):
@@ -101,3 +103,43 @@ def shift_matrix_fraction(tree, weights):
 def fraction_transpose(a):
     n = len(a)
     return [[a[j][i] for j in range(n)] for i in range(n)]
+
+
+def dense_sylvester_nullspace(m, rtol):
+    """Null space of ``A -> T A - A T^T`` on symmetric ``A`` by one dense SVD.
+
+    Builds the full ``n^2 x n(n+1)/2`` system over the orthonormal symmetric
+    basis ``E_ii``, ``(E_ij + E_ji) / sqrt 2`` and cuts at
+    ``rtol * sigma_max``.  Returns ``(basis, sigma)``: a ``(d, n, n)`` array
+    of Frobenius-orthonormal symmetric matrices and the singular values in
+    descending order.
+    """
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    cols = np.zeros((n * n, len(pairs)), dtype=complex)
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for k, (i, j) in enumerate(pairs):
+        block = np.zeros((n, n), dtype=complex)
+        if i == j:
+            block[:, i] += m[:, i]
+            block[i, :] -= m[:, i]
+        else:
+            block[:, j] += m[:, i] * inv_sqrt2
+            block[:, i] += m[:, j] * inv_sqrt2
+            block[i, :] -= m[:, j] * inv_sqrt2
+            block[j, :] -= m[:, i] * inv_sqrt2
+        cols[:, k] = block.reshape(-1)
+    _u, sigma, vh = np.linalg.svd(cols, full_matrices=True)
+    if sigma[0] == 0.0:
+        rank = 0
+    else:
+        rank = int(np.count_nonzero(sigma > rtol * sigma[0]))
+    basis = np.zeros((len(pairs) - rank, n, n), dtype=complex)
+    for k, (i, j) in enumerate(pairs):
+        c = vh[rank:, k].conj()
+        if i == j:
+            basis[:, i, i] = c
+        else:
+            basis[:, i, j] = basis[:, j, i] = c * inv_sqrt2
+    return basis, sigma

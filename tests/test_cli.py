@@ -93,6 +93,20 @@ def test_check_missing_weight_exits_3(tmp_path, capsys):
     assert "error:" in err and "2,2" in err
 
 
+@pytest.mark.parametrize("literal", ["true", "[NaN, 0]", "[1, Infinity]"])
+def test_check_malformed_weight_exits_3_naming_vertex(tmp_path, capsys, literal):
+    # dump_json refuses NaN, so the document is written by hand
+    text = dump_json(branching_doc()).replace('"2,2": 1.4142135623730951', f'"2,2": {literal}')
+    assert literal in text
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "error:" in captured.err and "2,2" in captured.err
+
+
 def test_check_malformed_json_exits_3(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

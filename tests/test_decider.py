@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treeshift
 from treeshift import (
     DeciderOptions,
     build_shift,
@@ -8,8 +16,11 @@ from treeshift import (
     dump_json,
     generate_binary,
     generate_path,
+    generate_two_branch,
     kernel_obstruction,
     positivize_weights,
+    random_tree,
+    random_weights,
     reevaluate_obstruction,
     sylvester_space,
     unitary_search,
@@ -17,7 +28,11 @@ from treeshift import (
     word_trace_obstruction,
     word_value,
 )
+from treeshift.decider import _sylvester_nullspace
 from conftest import random_complex
+from oracles import dense_sylvester_nullspace
+
+DATA = Path(__file__).with_name("data")
 
 
 def path3_shift(lam1, lam2):
@@ -110,6 +125,81 @@ def test_sylvester_space_members_solve_the_equation(y_shift):
     for a in sylvester_space(y_shift.matrix):
         assert np.linalg.norm(y_shift.matrix @ a - a @ y_shift.matrix.T) <= 1e-10
         assert np.linalg.norm(a - a.T) <= 1e-12
+
+
+def sylvester_case(kind: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind.startswith("dense"):
+        n = int(kind[-1])
+        return random_complex(rng, (n, n))
+    if kind.startswith("ones"):
+        tree = generate_two_branch(*{"ones25": (2, 5), "ones36": (3, 6)}[kind])
+        return build_shift(tree, {v: 1.0 for v in tree.nonroot_vertices()}).matrix
+    if kind == "split":
+        # a direct sum whose second summand lies below the global rank cut
+        # but not below a cut taken relative to its own blocks
+        big, small = (sylvester_case("tree", s) for s in rng.integers(2**32, size=2))
+        m = np.zeros((len(big) + len(small),) * 2, dtype=complex)
+        m[: len(big), : len(big)] = big
+        m[len(big):, len(big):] = 1e-11 * small
+        return m
+    tree = random_tree(rng, max_vertices=12)
+    weights = random_weights(rng, tree)
+    if kind == "tree_zero":
+        labels = sorted(weights)
+        weights[labels[int(rng.integers(len(labels)))]] = 0.0
+    return build_shift(tree, weights).matrix
+
+
+def null_projector(basis: np.ndarray) -> np.ndarray:
+    flat = basis.reshape(basis.shape[0], -1)
+    return flat.T @ flat.conj()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(
+        ["tree", "tree_zero", "split", "ones25", "ones36", "dense4", "dense5"]
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_sylvester_solve_matches_dense_reference(kind, seed):
+    m = sylvester_case(kind, seed)
+    space, sigma = _sylvester_nullspace(m, 1e-10)
+    ref, ref_sigma = dense_sylvester_nullspace(m, 1e-10)
+    assert space.shape == ref.shape
+    assert sigma.shape == ref_sigma.shape
+    assert sigma[0] == pytest.approx(ref_sigma[0], rel=1e-12, abs=0.0)
+    if ref.shape[0] == 0:
+        assert sigma[-1] == pytest.approx(ref_sigma[-1], rel=1e-12, abs=0.0)
+    assert np.abs(null_projector(space) - null_projector(ref)).max() <= 1e-10
+
+
+def test_polar_factor_survives_gesdd_nonconvergence():
+    # LAPACK gesdd raises "SVD did not converge" on this 27x27 matrix, whose
+    # singular values are tightly clustered in [0.855, 1.154], when OpenBLAS
+    # runs on one thread.  It came from a mirror-violating (6, 10) two-branch
+    # tree during the unitary search.
+    script = (
+        "import sys, numpy as np\n"
+        "from treeshift.decider import _polar_factor\n"
+        "a = np.load(sys.argv[1])\n"
+        "p = _polar_factor(a)\n"
+        "h = p.conj().T @ a\n"
+        "print(np.linalg.norm(p @ p.conj().T - np.eye(a.shape[0])),"
+        " np.linalg.norm(h - h.conj().T) / np.linalg.norm(a))\n"
+    )
+    src = str(Path(treeshift.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(DATA / "polar_gesdd_nonconvergence.npy")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    unitary, hermitian = (float(x) for x in run.stdout.split())
+    assert unitary <= 1e-12
+    assert hermitian <= 1e-12
 
 
 def test_unitary_search_identity_direction():

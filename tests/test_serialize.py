@@ -35,6 +35,22 @@ def test_pair_rejects_bad_shape():
         pair_to_complex([1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize(
+    "value",
+    [True, False, [True, 0.0], [1.0, False], math.nan, [math.nan, 0.0],
+     [0.0, -math.inf], math.inf, [None, 0.0], pytest.param(10**400, id="huge-int")],
+)
+def test_pair_rejects_booleans_and_non_finite_parts(value):
+    with pytest.raises(ValueError):
+        pair_to_complex(value)
+
+
+@pytest.mark.parametrize("value", [True, [math.nan, 0.0], [1.0, math.inf]])
+def test_weights_doc_error_names_the_vertex(value):
+    with pytest.raises(ValueError, match="weight for vertex 2,1"):
+        weights_from_doc({"1,1": 1.0, "2,1": value})
+
+
 def test_matrix_round_trip(rng):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rows = matrix_to_pairs(m)

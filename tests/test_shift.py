@@ -60,6 +60,12 @@ def test_unknown_vertex_weight_rejected():
         build_shift(generate_path(2), {"1": 1.0, "9": 2.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_non_finite_weight_rejected_naming_vertex(bad):
+    with pytest.raises(WeightError, match="non-finite weight .* vertex 2"):
+        build_shift(generate_path(3), {"1": 1.0, "2": bad})
+
+
 def test_adjoint_matrix(y_shift):
     a = adjoint(y_shift)
     assert np.array_equal(a.matrix, y_shift.matrix.conj().T)
