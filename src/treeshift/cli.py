@@ -172,9 +172,8 @@ def cmd_check(args) -> int:
     if verdict.obstruction is not None:
         lines.append(f"obstruction: {verdict.obstruction['kind']}")
         witness = verdict.obstruction.get("witness", {})
-        for key in ("power", "dim_ker", "dim_ker_adjoint", "word"):
-            if key in witness:
-                lines.append(f"  {key}: {witness[key]}")
+        if "word" in witness:
+            lines.append(f"  word: {witness['word']}")
         for key in ("trace", "trace_reversed"):
             if key in witness:
                 lines.append(f"  {key}: {fmt(complex(*witness[key]) if isinstance(witness[key], list) else witness[key])}")
@@ -260,22 +259,10 @@ def cmd_crossval(args) -> int:
         ]
     else:
         cells = [k for k in range(2, args.kappa_max + 1) if 2 ** (k + 1) - 1 <= MAX_VERTICES]
-    if not cells:
-        report = {
-            "family": args.family, "cells": [], "samples": args.samples,
-            "seed": config.seed, "tol": config.tol,
-            "options": config.decider_options().to_doc(),
-            "instances": [], "summary": {
-                "instances": 0, "agreements": 0, "disagreements": [],
-                "all_disagreements_certified": True,
-                "agreement_matrix": {},
-            },
-        }
-    else:
-        report = cross_validate(
-            args.family, cells, samples=args.samples,
-            seed=config.seed, tol=max(config.tol, 1e-12),
-        )
+    report = cross_validate(
+        args.family, cells, samples=args.samples,
+        seed=config.seed, tol=max(config.tol, 1e-12),
+    )
     summary = report["summary"]
     text = (
         f"instances: {summary['instances']}\n"

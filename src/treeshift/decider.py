@@ -1,18 +1,20 @@
 """Decision pipeline for complex symmetry of a finite matrix.
 
-The pipeline tries to rule the matrix out cheaply before searching for a
-certificate:
+The pipeline has two stages, each able to decide:
 
-1. kernel dimensions of powers of ``T`` and ``T*`` (never differ in exact
-   arithmetic since ``rank M = rank M*``; kept as a guard against
-   inconsistent rank thresholds),
-2. traces of words in ``T`` and ``T*`` compared against their reversals
+1. traces of words in ``T`` and ``T*`` compared against their reversals
    (equal for any operator unitarily equivalent to its transpose, hence for
-   every complex symmetric one),
-3. the space of symmetric intertwiners ``{A : A = A^T, T A = A T^T}``; if it
-   is trivial the matrix cannot be complex symmetric, otherwise a seeded
-   multi-start projected polar iteration looks for a unitary element, which
-   is exactly a conjugation certificate.
+   every complex symmetric one); a gap is a ``not_cs`` witness,
+2. the space of symmetric intertwiners ``{A : A = A^T, T A = A T^T}``, in
+   which a seeded multi-start projected polar iteration looks for a unitary
+   element, which is exactly a conjugation certificate.
+
+Two tests that look like obstructions are left out because they cannot
+fire on a finite matrix: the kernel dimensions of ``T^m`` and ``T*^m``
+always agree (``rank M = rank M*``), and the symmetric intertwiner space is
+never ``{0}`` (every square matrix is similar to its transpose through a
+nonsingular symmetric matrix, Taussky-Zassenhaus 1959).  With a tight rank
+cut both would fire on rounding noise alone.
 
 The Sylvester system is never formed densely.  It is assembled from the
 nonzeros of ``T`` and split into the blocks of unknowns that share an
@@ -40,7 +42,7 @@ from .conjugation import (
     verify_c_symmetry,
 )
 from .serialize import complex_to_pair
-from .shift import ShiftMatrix, numerical_rank
+from .shift import ShiftMatrix, kernel_table
 
 __all__ = [
     "DeciderOptions",
@@ -79,36 +81,31 @@ def _as_matrix(t) -> np.ndarray:
 def kernel_obstruction(t, rtol: float = 1e-10) -> Optional[dict]:
     """First power where the numerical kernels of ``T^m`` and ``T*^m`` differ.
 
-    In exact arithmetic no such power exists for a finite square matrix
-    (``rank M = rank M*``), so a hit signals rank-threshold trouble rather
-    than genuine asymmetry; the decision pipeline treats it as an obstruction
-    per its contract but in practice it never fires on clean data.
+    No such power exists for a finite square matrix (``rank M = rank M*``),
+    so :func:`decide_cs` does not run this check; a hit only shows that the
+    rank cut ``rtol`` is below the rounding noise.
     """
-    m0 = _as_matrix(t)
-    n = m0.shape[0]
-    sigma = np.linalg.svd(m0, compute_uv=False)
-    scale = sigma[0] if sigma.size and sigma[0] > 0 else 1.0
-    tn = m0 / scale
-    power = np.eye(n, dtype=complex)
-    for m in range(1, n + 1):
-        power = power @ tn
-        dk = n - numerical_rank(power, rtol)
-        dka = n - numerical_rank(power.conj().T, rtol)
+    m = _as_matrix(t)
+    for power, dk, dka in kernel_table(m, m.shape[0], rtol).rows:
         if dk != dka:
-            return {"power": m, "dim_ker": dk, "dim_ker_adjoint": dka}
-        if dk == n:
-            break
+            return {"power": power, "dim_ker": dk, "dim_ker_adjoint": dka}
     return None
+
+
+def _letters(m: np.ndarray) -> dict:
+    return {"T": m, "T*": m.conj().T}
+
+
+def _word_trace(mats: dict, letters: Sequence[str]) -> complex:
+    acc = np.eye(mats["T"].shape[0], dtype=complex)
+    for letter in letters:
+        acc = mats[letter] @ acc
+    return complex(np.trace(acc))
 
 
 def word_value(t, letters: Sequence[str]) -> complex:
     """Trace of a word in ``T`` and ``T*``; the first letter acts first."""
-    m = _as_matrix(t)
-    mats = {"T": m, "T*": m.conj().T}
-    acc = np.eye(m.shape[0], dtype=complex)
-    for letter in letters:
-        acc = mats[letter] @ acc
-    return complex(np.trace(acc))
+    return _word_trace(_letters(_as_matrix(t)), letters)
 
 
 def _words_of_length(length: int):
@@ -126,7 +123,7 @@ def word_trace_obstruction(
     trace differs from the trace of the reversed word beyond
     ``10 * tol * max(1, ||T||_F ** len)``."""
     m = _as_matrix(t)
-    mats = {"T": m, "T*": m.conj().T}
+    mats = _letters(m)
     norm = float(np.linalg.norm(m))
     for length in range(2, max_len + 1):
         threshold = 10.0 * tol * max(1.0, norm**length)
@@ -134,13 +131,8 @@ def word_trace_obstruction(
             reverse = letters[::-1]
             if reverse <= letters:
                 continue
-            acc = np.eye(m.shape[0], dtype=complex)
-            acc_rev = np.eye(m.shape[0], dtype=complex)
-            for a, b in zip(letters, reverse):
-                acc = mats[a] @ acc
-                acc_rev = mats[b] @ acc_rev
-            tr = complex(np.trace(acc))
-            tr_rev = complex(np.trace(acc_rev))
+            tr = _word_trace(mats, letters)
+            tr_rev = _word_trace(mats, reverse)
             margin = abs(tr - tr_rev)
             if margin > threshold:
                 return {
@@ -403,7 +395,6 @@ def decide_cs(
             str(i) for i in range(m.shape[0])
         )
     basis = tuple(basis)
-    scale = max(1.0, float(np.linalg.norm(m)))
 
     def finish(kind, certificate=None, obstruction=None, residuals=None, diag=None):
         return Verdict(
@@ -417,14 +408,6 @@ def decide_cs(
             elapsed=time.perf_counter() - started,
         )
 
-    kernel = kernel_obstruction(m, rtol=opts.rank_rtol)
-    if kernel is not None:
-        return finish(
-            "not_cs",
-            obstruction={"kind": "kernel_dim", "witness": kernel},
-            residuals={"witness_margin": float(abs(kernel["dim_ker"] - kernel["dim_ker_adjoint"]))},
-        )
-
     word = word_trace_obstruction(m, max_len=opts.max_word_len, tol=opts.tol)
     if word is not None:
         return finish(
@@ -433,32 +416,8 @@ def decide_cs(
             residuals={"witness_margin": word["margin"]},
         )
 
-    space, sigma = _sylvester_nullspace(m, opts.rank_rtol)
+    space, _sigma = _sylvester_nullspace(m, opts.rank_rtol)
     dim = space.shape[0]
-    sigma_max = float(sigma[0]) if sigma.size else 0.0
-    if dim == 0:
-        sigma_min = float(sigma[-1]) if sigma.size else 0.0
-        if sigma_max > 0 and sigma_min > 10.0 * opts.rank_rtol * sigma_max:
-            return finish(
-                "not_cs",
-                obstruction={
-                    "kind": "empty_sylvester_space",
-                    "witness": {
-                        "dimension": 0,
-                        "smallest_singular_value": sigma_min,
-                        "largest_singular_value": sigma_max,
-                    },
-                },
-                residuals={"witness_margin": sigma_min},
-            )
-        return finish(
-            "undetermined",
-            diag={
-                "sylvester_dim": 0,
-                "borderline_singular_value": float(sigma[-1]) if sigma.size else 0.0,
-            },
-        )
-
     found = unitary_search(
         space,
         seed=opts.seed,
@@ -493,34 +452,18 @@ def decide_cs(
 def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOptions] = None) -> tuple[bool, float]:
     """Recompute a ``not_cs`` witness from the matrix alone.
 
-    Returns ``(still_violated, margin)`` where the margin is measured in the
-    same units the original detection used (kernel dimension gap, trace gap,
-    or smallest singular value).
+    Returns ``(still_violated, margin)`` where the margin is the trace gap,
+    computed exactly as the detection computed it.  ``word_trace`` is the
+    only kind :func:`decide_cs` produces; any other kind raises
+    :class:`ValueError`.
     """
     opts = options or DeciderOptions()
     m = _as_matrix(t)
     kind = obstruction["kind"]
-    witness = obstruction["witness"]
-    if kind == "kernel_dim":
-        power = int(witness["power"])
-        sigma = np.linalg.svd(m, compute_uv=False)
-        scale = sigma[0] if sigma.size and sigma[0] > 0 else 1.0
-        pw = np.linalg.matrix_power(m / scale, power)
-        n = m.shape[0]
-        dk = n - numerical_rank(pw, opts.rank_rtol)
-        dka = n - numerical_rank(pw.conj().T, opts.rank_rtol)
-        return dk != dka, float(abs(dk - dka))
-    if kind == "word_trace":
-        letters = list(witness["word"])
-        tr = word_value(m, letters)
-        tr_rev = word_value(m, letters[::-1])
-        margin = abs(tr - tr_rev)
-        threshold = 10.0 * opts.tol * max(1.0, float(np.linalg.norm(m)) ** len(letters))
-        return margin > threshold, float(margin)
-    if kind == "empty_sylvester_space":
-        space, sigma = _sylvester_nullspace(m, opts.rank_rtol)
-        sigma_min = float(sigma[-1]) if sigma.size else 0.0
-        sigma_max = float(sigma[0]) if sigma.size else 0.0
-        ok = space.shape[0] == 0 and sigma_min > 10.0 * opts.rank_rtol * sigma_max
-        return ok, sigma_min
-    raise ValueError(f"unknown obstruction kind {kind!r}")
+    if kind != "word_trace":
+        raise ValueError(f"unknown obstruction kind {kind!r}")
+    letters = list(obstruction["witness"]["word"])
+    mats = _letters(m)
+    margin = abs(_word_trace(mats, letters) - _word_trace(mats, letters[::-1]))
+    threshold = 10.0 * opts.tol * max(1.0, float(np.linalg.norm(m)) ** len(letters))
+    return margin > threshold, float(margin)

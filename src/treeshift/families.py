@@ -278,31 +278,6 @@ def two_branch_phase_sequences(
     return tuple(deltas), tuple(gammas)
 
 
-def _two_branch_symmetrized_columns(tree: DirectedTree, kappa: int, theta: int):
-    """Columns of the f/g basis change: trunk vectors, then sum vectors
-    f_1..f_theta, then difference vectors g_1..g_theta."""
-    n = tree.n
-    cols = np.zeros((n, n))
-    labels: list[str] = []
-    pos = 0
-    for l in range(-kappa, 1):
-        cols[tree.index_of(str(l)), pos] = 1.0
-        labels.append(f"f[{l}]")
-        pos += 1
-    for j in range(1, theta + 1):
-        i1, i2 = tree.index_of(f"1,{j}"), tree.index_of(f"2,{j}")
-        cols[i1, pos] = cols[i2, pos] = 1.0 / SQRT2
-        labels.append(f"f[{j}]")
-        pos += 1
-    for j in range(1, theta + 1):
-        i1, i2 = tree.index_of(f"1,{j}"), tree.index_of(f"2,{j}")
-        cols[i1, pos] = 1.0 / SQRT2
-        cols[i2, pos] = -1.0 / SQRT2
-        labels.append(f"g[{j}]")
-        pos += 1
-    return cols, labels
-
-
 def two_branch_conjugation(
     w: TwoBranchWeights, rtol: float = 1e-9, tol: float = 1e-10
 ) -> Conjugation:
@@ -325,14 +300,15 @@ def two_branch_conjugation(
     )
     deltas, gammas = two_branch_phase_sequences(w_pos, rtol=rtol)
 
-    cols, labels = _two_branch_symmetrized_columns(tree, kappa, theta)
+    # columns f[-kappa..theta] (trunk, then branch sums) sit at l + kappa,
+    # the branch differences g[1..theta] at kappa + theta + j
+    cols = decompose_equal_weight_tree(tree, positive).transform
     n = tree.n
     p = np.zeros((n, n), dtype=complex)
-    col_of = {label: i for i, label in enumerate(labels)}
-    for j in range(0, kappa + theta + 1):
-        p[col_of[f"f[{theta - j}]"], col_of[f"f[{-kappa + j}]"]] = gammas[j]
-    for j in range(0, theta):
-        p[col_of[f"g[{theta - j}]"], col_of[f"g[{1 + j}]"]] = deltas[j]
+    j = np.arange(kappa + theta + 1)
+    p[kappa + theta - j, j] = gammas
+    j = np.arange(theta)
+    p[kappa + 2 * theta - j, kappa + theta + 1 + j] = deltas
     a_pos = cols @ p @ cols.T
     d = np.array([gauge[v] for v in tree.vertices], dtype=complex)
     a = (d[:, None] * a_pos) * d[None, :]

@@ -347,3 +347,19 @@ def test_float_formatting_has_full_precision(tmp_path, capsys):
     out = capsys.readouterr().out
     # residuals are printed with repr-faithful precision, not rounded short
     assert "verdict" in out
+
+
+def test_crossval_empty_grid_has_the_library_report_shape(capsys):
+    # binary cells start at kappa 2, so --kappa-max 1 leaves the grid empty
+    code = main(["crossval", "--family", "binary", "--kappa-max", "1", "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["cells"] == [] and doc["instances"] == []
+    assert doc["summary"]["instances"] == 0
+    assert doc["summary"]["agreement_matrix"] == {
+        "printed_true_oracle_cs": 0,
+        "printed_true_oracle_not_cs": 0,
+        "printed_false_oracle_cs": 0,
+        "printed_false_oracle_not_cs": 0,
+        "oracle_undetermined": 0,
+    }

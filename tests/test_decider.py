@@ -330,13 +330,44 @@ def test_reevaluate_rejects_stale_witness(y_shift):
     assert margin <= 1e-10
 
 
-def test_reevaluate_kernel_kind(y_shift):
-    fabricated = {"kind": "kernel_dim", "witness": {"power": 2}}
-    ok, margin = reevaluate_obstruction(y_shift, fabricated)
-    assert not ok
-    assert margin == 0.0
-
-
 def test_reevaluate_unknown_kind(y_shift):
     with pytest.raises(ValueError, match="unknown obstruction"):
         reevaluate_obstruction(y_shift, {"kind": "nonsense", "witness": {}})
+
+
+RANK_CUTS_BELOW_NOISE = (1e-10, 1e-17, 0.0)
+
+
+def test_complex_symmetric_matrices_never_not_cs_at_any_rank_cut():
+    # T = T^T is certified by complex conjugation, so no rank cut, however
+    # far below the rounding noise, may turn it into a not_cs verdict
+    rng = np.random.default_rng(0)
+    mats = [np.array([[1, 2], [2, 3]], dtype=complex)]
+    for k in range(40):
+        a = random_complex(rng, (2 + k % 7,) * 2)
+        mats.append(a + a.T)
+    for rank_rtol in RANK_CUTS_BELOW_NOISE:
+        opts = DeciderOptions(rank_rtol=rank_rtol)
+        for i, t in enumerate(mats):
+            verdict = decide_cs(t, opts)
+            assert verdict.kind != "not_cs", (rank_rtol, i, verdict.obstruction)
+            if verdict.kind == "cs":
+                assert verify_c_symmetry(t, verdict.certificate).passed
+
+
+@pytest.mark.parametrize("rank_rtol", [1e-14, 1e-16])
+def test_not_cs_witnesses_replay_under_tight_rank_cuts(rank_rtol):
+    # Q N Q* with N strictly lower triangular is nilpotent up to rounding;
+    # a rank cut below that rounding must not yield a witness that fails to
+    # replay from the matrix
+    rng = np.random.default_rng(0)
+    opts = DeciderOptions(rank_rtol=rank_rtol)
+    for k in range(20):
+        n = 3 + k % 5
+        q, _r = np.linalg.qr(random_complex(rng, (n, n)))
+        t = q @ np.tril(random_complex(rng, (n, n)), -1) @ q.conj().T
+        verdict = decide_cs(t, opts)
+        if verdict.kind == "not_cs":
+            ok, margin = reevaluate_obstruction(t, verdict.obstruction, verdict.options)
+            assert ok, (k, verdict.obstruction)
+            assert margin == verdict.residuals["witness_margin"]
