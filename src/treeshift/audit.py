@@ -236,6 +236,8 @@ def cross_validate(
     seed: int = 0,
     tol: float = 1e-8,
     anchors: Optional[dict] = None,
+    restarts: int = DeciderOptions.restarts,
+    max_word_len: int = DeciderOptions.max_word_len,
 ) -> dict:
     """Audit printed criteria against certified verdicts over a grid.
 
@@ -243,13 +245,16 @@ def cross_validate(
     values for the binary family; ``samples`` random instances are drawn per
     cell, half aimed at satisfying moduli and half perturbed.  ``anchors``
     optionally maps a cell to explicit weight tuples audited ahead of the
-    random draws.  The report is the deliverable: disagreement entries carry
-    an independently re-checked certificate or obstruction.
+    random draws.  ``restarts`` and ``max_word_len`` go to the decider.  The
+    report is the deliverable: disagreement entries carry an independently
+    re-checked certificate or obstruction.
     """
     if family not in ("two-branch", "binary"):
         raise ValueError(f"unknown family {family!r}")
     rng = np.random.default_rng(seed)
-    opts = DeciderOptions(tol=tol, seed=seed)
+    opts = DeciderOptions(
+        tol=tol, seed=seed, restarts=restarts, max_word_len=max_word_len
+    )
     records = []
     for cell in cells:
         if family == "two-branch":

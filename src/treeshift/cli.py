@@ -262,6 +262,7 @@ def cmd_crossval(args) -> int:
     report = cross_validate(
         args.family, cells, samples=args.samples,
         seed=config.seed, tol=max(config.tol, 1e-12),
+        restarts=config.restarts, max_word_len=config.word_len,
     )
     summary = report["summary"]
     text = (

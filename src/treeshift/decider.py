@@ -16,6 +16,14 @@ never ``{0}`` (every square matrix is similar to its transpose through a
 nonsingular symmetric matrix, Taussky-Zassenhaus 1959).  With a tight rank
 cut both would fire on rounding noise alone.
 
+The word search screens all words of a length at once: the products of
+the words up to half the length bound are built by stacked matmuls, and the
+traces of all ``2^L`` words of length ``L`` come from one product of
+flattened head and tail products.  Pairs whose screened gap lies within a
+rounding bound of the threshold are confirmed in search order by the one
+sequential evaluator that the replay also uses, so the witness is exactly
+the one a sequential scan returns.
+
 The Sylvester system is never formed densely.  It is assembled from the
 nonzeros of ``T`` and split into the blocks of unknowns that share an
 equation; for a tree shift, which raises depth by one, these refine the
@@ -29,6 +37,7 @@ witness that re-evaluates from the matrix alone with a wide margin, and
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -82,8 +91,9 @@ def kernel_obstruction(t, rtol: float = 1e-10) -> Optional[dict]:
     """First power where the numerical kernels of ``T^m`` and ``T*^m`` differ.
 
     No such power exists for a finite square matrix (``rank M = rank M*``),
-    so :func:`decide_cs` does not run this check; a hit only shows that the
-    rank cut ``rtol`` is below the rounding noise.
+    so :func:`decide_cs` does not run this check, and since
+    :func:`~treeshift.shift.kernel_table` takes both columns from one SVD it
+    always returns ``None``.
     """
     m = _as_matrix(t)
     for power, dk, dka in kernel_table(m, m.shape[0], rtol).rows:
@@ -108,12 +118,35 @@ def word_value(t, letters: Sequence[str]) -> complex:
     return _word_trace(_letters(_as_matrix(t)), letters)
 
 
-def _words_of_length(length: int):
-    # lexicographic with T < T*, encoded as bits 0/1 read most significant first
-    for code in range(2**length):
-        yield tuple(
-            "T*" if (code >> (length - 1 - k)) & 1 else "T" for k in range(length)
-        )
+def _word_scale(norm: float, length: int) -> float:
+    """``max(1, norm ** length)``, with overflow read as ``inf``."""
+    try:
+        return max(1.0, norm**length)
+    except OverflowError:
+        return math.inf
+
+
+def _word_threshold(tol: float, norm: float, length: int) -> float:
+    """Trace gap a word of ``length`` letters must exceed to be a witness."""
+    return 10.0 * tol * _word_scale(norm, length)
+
+
+def _word_products(m: np.ndarray, length: int) -> list[np.ndarray]:
+    """Products of all words of up to ``length`` letters, by length.
+
+    Entry ``k`` is a ``(2^k, n, n)`` stack indexed by word code: letters are
+    bits (``T`` = 0, ``T*`` = 1) read most significant first, so code
+    ``2c + b`` is word ``c`` followed by letter ``b``, whose product is
+    ``M_b @ P(c)``.
+    """
+    n = m.shape[0]
+    prods = [np.eye(n, dtype=complex)[None]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(length):
+            prev = prods[-1]
+            step = np.stack([m @ prev, m.conj().T @ prev], axis=1)
+            prods.append(step.reshape(-1, n, n))
+    return prods
 
 
 def word_trace_obstruction(
@@ -121,18 +154,62 @@ def word_trace_obstruction(
 ) -> Optional[dict]:
     """First word (by length, then lexicographically with ``T < T*``) whose
     trace differs from the trace of the reversed word beyond
-    ``10 * tol * max(1, ||T||_F ** len)``."""
+    ``10 * tol * max(1, ||T||_F ** len)``.
+
+    The search is a batched screen followed by an exact confirmation.  The
+    products of all words up to ``ceil(max_len / 2)`` letters are built once;
+    the traces of all ``2^L`` words of length ``L`` then come from one matrix
+    product of flattened head and tail products, ``tr(P(tail) P(head)) =
+    sum_ij P(tail)_ij P(head)_ji``.  Every word paired with a lexicographically
+    larger reversal whose screened gap is within rounding of the threshold,
+    or not finite, is re-evaluated in order by the sequential evaluator that
+    :func:`word_value` and :func:`reevaluate_obstruction` share, and the
+    first confirmed gap is the witness.  The result is the word a sequential
+    scan of every pair would return, bit for bit.
+    """
     m = _as_matrix(t)
+    n = m.shape[0]
     mats = _letters(m)
     norm = float(np.linalg.norm(m))
+    prods = _word_products(m, (max_len + 1) // 2)
+    flat = [p.reshape(p.shape[0], n * n) for p in prods]
+    flat_t = [p.transpose(0, 2, 1).reshape(p.shape[0], n * n) for p in prods]
     for length in range(2, max_len + 1):
-        threshold = 10.0 * tol * max(1.0, norm**length)
-        for letters in _words_of_length(length):
-            reverse = letters[::-1]
-            if reverse <= letters:
-                continue
+        threshold = _word_threshold(tol, norm, length)
+        if not threshold < math.inf:
+            continue  # no gap exceeds an infinite or NaN threshold
+        # The slack bounds how far a screened gap can sit from the exact
+        # one.  With unit roundoff u = eps / 2, a complex matmul errs by at
+        # most sqrt(2) (n + 2) u ||A||_F ||B||_F, and an error made anywhere
+        # in a word's product grows to at most that times ||T||_F^L by the
+        # end.  So the L - 1 matmuls behind either evaluator's product, plus
+        # its closing trace (n terms) or head-tail dot product (n^2 terms),
+        # leave each trace within 3 sqrt(2) (L n + n^2) u ||T||_F^L.  Two
+        # traces per gap and two evaluators give four such errors, plus the
+        # rounding of the subtraction and the modulus: under
+        # 25 (L n + n^2) u ||T||_F^L, and the slack is five times that.  The
+        # max(1, .) in the scale is an absolute floor for underflowed
+        # products.  Where the scale nears the float range a product could
+        # overflow in one evaluator only, so there every pair is confirmed.
+        scale = _word_scale(norm, length)
+        slack = 64.0 * (length * n + n * n) * np.finfo(float).eps * scale
+        cut = threshold - slack if 16.0 * scale < math.inf else -math.inf
+        codes = np.arange(2**length)
+        reverse = np.zeros_like(codes)
+        for k in range(length):
+            reverse |= ((codes >> k) & 1) << (length - 1 - k)
+        pairs = reverse > codes
+        head = (length + 1) // 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = (flat_t[head] @ flat[length - head].T).ravel()
+            gaps = np.abs(traces[pairs] - traces[reverse[pairs]])
+        for code in codes[pairs][~(gaps <= cut)]:
+            letters = tuple(
+                "T*" if (code >> (length - 1 - k)) & 1 else "T"
+                for k in range(length)
+            )
             tr = _word_trace(mats, letters)
-            tr_rev = _word_trace(mats, reverse)
+            tr_rev = _word_trace(mats, letters[::-1])
             margin = abs(tr - tr_rev)
             if margin > threshold:
                 return {
@@ -156,7 +233,9 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     which raises depth by one, the blocks refine the classes of pairs with a
     fixed depth sum.  Each block gets its own small SVD; all blocks are cut
     at ``rtol`` times the largest singular value of any block, which is the
-    cut a dense SVD of the whole system applies.
+    cut a dense SVD of the whole system applies.  ``rtol`` is floored at
+    ``n^2 eps``, the rounding noise of that dense system (numpy's
+    ``matrix_rank`` default).
 
     Returns ``(basis, sigma)``: a ``(d, n, n)`` array whose slices are a
     Frobenius-orthonormal basis of the null space in block order, and the
@@ -212,7 +291,8 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     sigma = np.zeros(npairs)
     found = np.concatenate([s for _unk, s, _vh in blocks] or [np.zeros(0)])
     sigma[: found.size] = np.sort(found)[::-1]
-    cut = rtol * sigma[0]
+    # never cut below the rounding noise of the n^2-row system
+    cut = max(rtol, n * n * np.finfo(float).eps) * sigma[0]
 
     # unknowns in no equation are null directions of their own
     touched = np.zeros(npairs, dtype=bool)
@@ -465,5 +545,5 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     letters = list(obstruction["witness"]["word"])
     mats = _letters(m)
     margin = abs(_word_trace(mats, letters) - _word_trace(mats, letters[::-1]))
-    threshold = 10.0 * opts.tol * max(1.0, float(np.linalg.norm(m)) ** len(letters))
+    threshold = _word_threshold(opts.tol, float(np.linalg.norm(m)), len(letters))
     return margin > threshold, float(margin)

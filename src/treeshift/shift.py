@@ -81,13 +81,18 @@ def adjoint(s: ShiftMatrix) -> ShiftMatrix:
 
 
 def numerical_rank(m: np.ndarray, rtol: float = 1e-10) -> int:
-    """Rank by SVD with a relative threshold ``rtol * sigma_max``."""
+    """Rank by SVD with a relative threshold ``rtol * sigma_max``.
+
+    ``rtol`` is floored at ``max(rows, cols) * eps`` (numpy's
+    ``matrix_rank`` default), below which singular values are rounding noise.
+    """
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0
     sigma = np.linalg.svd(m, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
+    rtol = max(rtol, max(m.shape) * np.finfo(float).eps)
     return int(np.count_nonzero(sigma > rtol * sigma[0]))
 
 
@@ -110,7 +115,9 @@ def kernel_table(s, max_power: int, rtol: float = 1e-10) -> KernelTable:
     """Numerical kernel dimensions of the first ``max_power`` powers.
 
     Powers are accumulated on a spectrally normalized copy so that rank
-    decisions are scale-free.
+    decisions are scale-free.  ``(S*)^m = (S^m)*`` has the rank of ``S^m``,
+    so one SVD per power gives both columns; two SVDs could round a singular
+    value near the cut to opposite sides and report unequal dimensions.
     """
     t = s.matrix if isinstance(s, ShiftMatrix) else np.asarray(s, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -125,9 +132,8 @@ def kernel_table(s, max_power: int, rtol: float = 1e-10) -> KernelTable:
     power = np.eye(n, dtype=complex)
     for m in range(1, max_power + 1):
         power = power @ tn
-        rank = numerical_rank(power, rtol)
-        rank_adj = numerical_rank(power.conj().T, rtol)
-        rows.append((m, n - rank, n - rank_adj))
+        nullity = n - numerical_rank(power, rtol)
+        rows.append((m, nullity, nullity))
     return KernelTable(rows=tuple(rows))
 
 

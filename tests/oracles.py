@@ -5,6 +5,7 @@ one dense numpy SVD, and never imports the code under test, so agreement
 between the two sides is meaningful.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -143,3 +144,49 @@ def dense_sylvester_nullspace(m, rtol):
         else:
             basis[:, i, j] = basis[:, j, i] = c * inv_sqrt2
     return basis, sigma
+
+
+def sequential_word_trace_obstruction(m, max_len=8, tol=1e-10):
+    """Word-trace witness by a plain scan of every word pair.
+
+    Words run by length, then lexicographically with ``T < T*``; each word
+    whose reversal is larger is evaluated by left-multiplying from the
+    identity, first letter first, and the first gap beyond
+    ``10 * tol * max(1, ||T||_F ** len)`` (``inf`` on overflow) is returned.
+    """
+    m = np.asarray(m, dtype=complex)
+    mats = {"T": m, "T*": m.conj().T}
+
+    def trace(letters):
+        acc = np.eye(m.shape[0], dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for letter in letters:
+                acc = mats[letter] @ acc
+        return complex(np.trace(acc))
+
+    norm = float(np.linalg.norm(m))
+    for length in range(2, max_len + 1):
+        try:
+            power = norm**length
+        except OverflowError:
+            power = math.inf
+        threshold = 10.0 * tol * max(1.0, power)
+        for code in range(2**length):
+            letters = tuple(
+                "T*" if (code >> (length - 1 - k)) & 1 else "T"
+                for k in range(length)
+            )
+            reverse = letters[::-1]
+            if reverse <= letters:
+                continue
+            tr, tr_rev = trace(letters), trace(reverse)
+            margin = abs(tr - tr_rev)
+            if margin > threshold:
+                return {
+                    "word": list(letters),
+                    "trace": [tr.real, tr.imag],
+                    "trace_reversed": [tr_rev.real, tr_rev.imag],
+                    "margin": float(margin),
+                    "threshold": float(threshold),
+                }
+    return None

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import treeshift
 from treeshift import dump_json
 from treeshift.cli import main
 
@@ -283,6 +288,51 @@ def test_crossval_deterministic(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_crossval_passes_restarts_and_word_len(capsys):
+    code = main([
+        "crossval", "--family", "binary", "--kappa-max", "2",
+        "--restarts", "8", "--word-len", "4", "--json",
+    ])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["options"]["restarts"] == 8
+    assert doc["options"]["max_word_len"] == 4
+    verdicts = [rec["decider"] for rec in doc["instances"]]
+    assert verdicts
+    for verdict in verdicts:
+        assert verdict["options"]["restarts"] == 8
+        assert verdict["options"]["max_word_len"] == 4
+        if verdict["verdict"] == "not_cs":
+            assert len(verdict["obstruction"]["witness"]["word"]) <= 4
+        if verdict["verdict"] == "undetermined":
+            assert verdict["diagnostics"]["restarts"] == 8
+
+
+def test_check_survives_overflowing_word_powers(tmp_path):
+    # ||T||_F = 1e100 overflows ||T||_F^L from L = 4; the word stage used to
+    # raise OverflowError there
+    doc = {
+        "tree": {
+            "vertices": ["-1", "0", "1,1", "1,2", "2,1", "2,2"],
+            "edges": [["-1", "0"], ["0", "1,1"], ["1,1", "1,2"],
+                      ["0", "2,1"], ["2,1", "2,2"]],
+            "root": "-1",
+        },
+        "weights": {"0": 1.0, "1,1": 1e100, "1,2": 1.0, "2,1": 1.0, "2,2": 1.0},
+    }
+    path = write_doc(tmp_path, "overflow.json", doc)
+    src = str(Path(treeshift.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "treeshift.cli", "check", path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode in (0, 1), run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stdout.startswith("verdict: ")
 
 
 def test_broom_feasible(capsys):

@@ -30,7 +30,7 @@ from treeshift import (
 )
 from treeshift.decider import _sylvester_nullspace
 from conftest import random_complex
-from oracles import dense_sylvester_nullspace
+from oracles import dense_sylvester_nullspace, sequential_word_trace_obstruction
 
 DATA = Path(__file__).with_name("data")
 
@@ -101,6 +101,91 @@ def test_word_trace_minimal_length():
     # so capping the search below that must come back empty
     t = path3_shift(1.0, 2.0)
     assert word_trace_obstruction(t.matrix, max_len=5) is None
+
+
+def bitwise(doc):
+    # floats by their bits, so that 0.0 and -0.0 differ and NaN equals NaN
+    if isinstance(doc, float):
+        return doc.hex()
+    if isinstance(doc, dict):
+        return {k: bitwise(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [bitwise(v) for v in doc]
+    return doc
+
+
+def word_case(kind: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    if kind == "tree":
+        tree = random_tree(rng, max_vertices=10)
+        return build_shift(tree, random_weights(rng, tree)).matrix
+    if kind == "dense":
+        return random_complex(rng, (n, n))
+    if kind == "one":
+        return random_complex(rng, (1, 1))
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "symmetric":
+        a = random_complex(rng, (n, n))
+        return a + a.T
+    # Q N Q* with N strictly lower triangular: nilpotent up to rounding
+    q, _r = np.linalg.qr(random_complex(rng, (n, n)))
+    return q @ np.tril(random_complex(rng, (n, n)), -1) @ q.conj().T
+
+
+WORD_TOLS = (1e-10, 1e-14, 1e-16, 0.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["tree", "dense", "one", "zero", "symmetric", "nilpotent"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10),
+    st.sampled_from(WORD_TOLS),
+)
+def test_word_trace_screen_matches_sequential_search(kind, seed, max_len, tol):
+    m = word_case(kind, seed)
+    got = word_trace_obstruction(m, max_len=max_len, tol=tol)
+    want = sequential_word_trace_obstruction(m, max_len=max_len, tol=tol)
+    assert bitwise(got) == bitwise(want)
+
+
+@pytest.mark.parametrize("shift", [1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+@pytest.mark.parametrize("seed", range(6))
+def test_word_trace_screen_at_the_threshold(seed, shift):
+    # put the threshold within 1e-12 of a witness's margin, where the screened
+    # gap and the exact one can fall on opposite sides of it
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, max_vertices=10)
+    m = build_shift(tree, random_weights(rng, tree)).matrix
+    if seed % 2:
+        m = m + 1e-3 * random_complex(rng, m.shape)
+    witness = sequential_word_trace_obstruction(m)
+    assert witness is not None
+    length = len(witness["word"])
+    scale = max(1.0, float(np.linalg.norm(m)) ** length)
+    tol = witness["margin"] * shift / (10.0 * scale)
+    got = word_trace_obstruction(m, tol=tol)
+    want = sequential_word_trace_obstruction(m, tol=tol)
+    assert bitwise(got) == bitwise(want)
+    if shift < 1.0:
+        assert got["word"] == witness["word"]
+
+
+def test_word_stage_survives_overflowing_powers():
+    # ||T||_F^L overflows from L = 4: those thresholds are inf, not an error
+    tree = generate_two_branch(1, 2)
+    weights = {v: 1.0 for v in tree.nonroot_vertices()}
+    weights["1,1"] = 1e100
+    s = build_shift(tree, weights)
+    assert decide_cs(s).kind in ("cs", "not_cs", "undetermined")
+    got = word_trace_obstruction(s.matrix)
+    assert bitwise(got) == bitwise(sequential_word_trace_obstruction(s.matrix))
+    ok, _margin = reevaluate_obstruction(
+        s, {"kind": "word_trace", "witness": {"word": ["T", "T", "T*", "T*"]}}
+    )
+    assert not ok
 
 
 def test_sylvester_space_zero_operator():
@@ -338,21 +423,37 @@ def test_reevaluate_unknown_kind(y_shift):
 RANK_CUTS_BELOW_NOISE = (1e-10, 1e-17, 0.0)
 
 
-def test_complex_symmetric_matrices_never_not_cs_at_any_rank_cut():
-    # T = T^T is certified by complex conjugation, so no rank cut, however
-    # far below the rounding noise, may turn it into a not_cs verdict
+def complex_symmetric_matrices():
+    # [[1, 2], [2, 3]] plus 40 random A + A^T, n = 2..8
     rng = np.random.default_rng(0)
     mats = [np.array([[1, 2], [2, 3]], dtype=complex)]
     for k in range(40):
         a = random_complex(rng, (2 + k % 7,) * 2)
         mats.append(a + a.T)
+    return mats
+
+
+def test_complex_symmetric_matrices_never_not_cs_at_any_rank_cut():
+    # T = T^T is certified by complex conjugation, so no rank cut, however
+    # far below the rounding noise, may turn it into a not_cs verdict
     for rank_rtol in RANK_CUTS_BELOW_NOISE:
         opts = DeciderOptions(rank_rtol=rank_rtol)
-        for i, t in enumerate(mats):
+        for i, t in enumerate(complex_symmetric_matrices()):
             verdict = decide_cs(t, opts)
             assert verdict.kind != "not_cs", (rank_rtol, i, verdict.obstruction)
             if verdict.kind == "cs":
                 assert verify_c_symmetry(t, verdict.certificate).passed
+
+
+def test_complex_symmetric_matrices_certified_below_the_noise_floor():
+    # the rank cut is floored at the rounding noise, so the identity stays in
+    # the Sylvester space of T = T^T and the search still finds a certificate
+    for rank_rtol in (1e-17, 0.0):
+        opts = DeciderOptions(rank_rtol=rank_rtol)
+        for i, t in enumerate(complex_symmetric_matrices()):
+            verdict = decide_cs(t, opts)
+            assert verdict.kind == "cs", (rank_rtol, i)
+            assert verify_c_symmetry(t, verdict.certificate).passed
 
 
 @pytest.mark.parametrize("rank_rtol", [1e-14, 1e-16])

@@ -151,6 +151,27 @@ def test_numerical_rank_scale_invariance():
     assert numerical_rank(np.zeros((3, 3))) == 0
 
 
+def noisy_nilpotents(count):
+    # Q N Q* with N strictly lower triangular: one Jordan block, up to rounding
+    rng = np.random.default_rng(0)
+    for k in range(count):
+        n = 3 + k % 5
+        shape = (n, n)
+        q, _r = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        lower = np.tril(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), -1)
+        yield q @ lower @ q.conj().T
+
+
+@pytest.mark.parametrize("rtol", [1e-16, 0.0])
+def test_rank_cuts_below_the_noise_are_floored(rtol):
+    for t in noisy_nilpotents(20):
+        n = t.shape[0]
+        assert numerical_rank(t, rtol) == n - 1
+        table = kernel_table(t, max_power=n, rtol=rtol)
+        assert table.rows[0] == (1, 1, 1)
+        assert all(dim_ker == dim_ker_adj for _m, dim_ker, dim_ker_adj in table.rows)
+
+
 def test_positivize_path():
     s = build_shift(generate_path(3), {"1": 1j, "2": -2.0})
     positive, gauge = positivize_weights(s.tree, {"1": 1j, "2": -2.0})

@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -15,3 +18,17 @@ def test_perfbench_traced_functions_exist(monkeypatch):
         if not hasattr(module, attr)
     ]
     assert bench.TRACED and not missing
+
+
+def test_perfbench_smoke_run_is_correct():
+    # one untimed pass of the benchmark's checks: a package change that makes
+    # a verdict fail to replay or a known answer come back wrong fails here
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "binary_scale",
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
