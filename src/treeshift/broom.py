@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shift import build_shift
+from .shift import _rank_above_cut, build_shift
 from .trees import DirectedTree, generate_broom, generate_two_level_broom
 
 __all__ = [
@@ -93,7 +93,6 @@ class HSequence:
     coords: np.ndarray
     t_rows: tuple[tuple[float, ...], ...]
     s_squared: tuple[float, ...]
-    feasible_steps: tuple[bool, ...]
 
     @property
     def n(self) -> int:
@@ -137,7 +136,6 @@ class HSequence:
             "lambdas": [float(x) for x in self.schedule.lambdas],
             "t": [[float(x) for x in row] for row in self.t_rows],
             "s_squared": [float(x) for x in self.s_squared],
-            "feasible_steps": [bool(b) for b in self.feasible_steps],
             "gram_offdiag_residual": self.gram_offdiag_residual(),
             "norm_residual": self.norm_residual(),
         }
@@ -156,7 +154,6 @@ def solve_h_sequence(schedule: BroomSchedule) -> HSequence:
     coords = np.zeros((n, n))
     t_rows: list[tuple[float, ...]] = []
     s_squared: list[float] = []
-    feasible: list[bool] = []
     for step in range(n):
         if step == 0:
             t: np.ndarray = np.zeros(0)
@@ -177,13 +174,11 @@ def solve_h_sequence(schedule: BroomSchedule) -> HSequence:
         coords[step, step] = np.sqrt(s2)
         t_rows.append(tuple(float(x) for x in t))
         s_squared.append(s2)
-        feasible.append(True)
     return HSequence(
         schedule=schedule,
         coords=coords,
         t_rows=tuple(t_rows),
         s_squared=tuple(s_squared),
-        feasible_steps=tuple(feasible),
     )
 
 
@@ -324,19 +319,6 @@ def build_broom_conjugation(
     )
 
 
-def _orthonormal_columns(cols: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(cols)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.abs(r).max()))
-    return q[:, : int(np.count_nonzero(keep))]
-
-
-def _nullspace(matrix: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    u, sing, vh = np.linalg.svd(matrix)
-    cutoff = rtol * (sing[0] if sing.size else 0.0)
-    rank = int(np.sum(sing > cutoff))
-    return vh[rank:].conj().T
-
-
 def _subspace_distance(a: np.ndarray, b: np.ndarray) -> float:
     pa = a @ a.conj().T
     pb = b @ b.conj().T
@@ -354,8 +336,9 @@ def two_level_kernel_structure(
     (e_{1,j} to e_{2,j}), the kernel of S is H_2 = span{e_{2,j}} and the
     orthocomplement of ker S* is the line through
     f_1 = normalized sum of level1[j] e_{1,j} plus H_2.  Both statements are
-    verified as subspace distances between numerically computed kernels and
-    the predicted spans.
+    verified as subspace distances to the predicted spans.  All three
+    subspaces are read off one SVD of S, cut at ``tol`` by the rank rule of
+    :func:`~treeshift.shift.numerical_rank`.
     """
     level1 = [complex(x) for x in level1]
     level2 = [complex(x) for x in level2]
@@ -377,9 +360,13 @@ def two_level_kernel_structure(
     s = build_shift(tree, weights)
     dim = tree.n
 
-    ker_s = _nullspace(s.matrix, rtol=tol)
-    ker_s_star = _nullspace(s.matrix.conj().T, rtol=tol)
+    # with S = U diag(sigma) V* cut at rank r: ker S = V[:, r:], ker S* =
+    # U[:, r:] (so both have dimension dim - r) and (ker S*)^perp = U[:, :r]
+    u, sigma, vh = np.linalg.svd(s.matrix)
+    rank = _rank_above_cut(sigma, dim, tol, sigma[0])
+    nullity = dim - rank
 
+    # f1 lives on level 1 and H_2 on level 2, so [f1, H_2] is orthonormal
     h2 = np.zeros((dim, n), dtype=complex)
     for j in range(n):
         h2[tree.index_of(f"2,{j + 1}"), j] = 1.0
@@ -387,26 +374,19 @@ def two_level_kernel_structure(
     for j in range(n):
         f1[tree.index_of(f"1,{j + 1}"), 0] = level1[j]
     f1 /= np.linalg.norm(f1)
+    predicted_perp = np.hstack((f1, h2))
 
-    predicted_perp = _orthonormal_columns(np.hstack((f1, h2)))
-    ker_s_star_perp = _nullspace(ker_s_star.conj().T, rtol=tol) if ker_s_star.size else np.eye(dim, dtype=complex)
-
-    dist_ker_s = _subspace_distance(ker_s, h2)
-    dist_perp = _subspace_distance(ker_s_star_perp, predicted_perp)
+    dist_ker_s = _subspace_distance(vh[rank:].conj().T, h2)
+    dist_perp = _subspace_distance(u[:, :rank], predicted_perp)
     return {
         "n_teeth": n,
         "dim": dim,
-        "dim_ker_s": int(ker_s.shape[1]),
-        "dim_ker_s_star": int(ker_s_star.shape[1]),
+        "dim_ker_s": nullity,
+        "dim_ker_s_star": nullity,
         "expected_dim_ker_s": n,
         "expected_dim_ker_s_star": 1 + (n - 1),
         "distance_ker_s_vs_h2": dist_ker_s,
         "distance_ker_s_star_perp_vs_f1_plus_h2": dist_perp,
         "tol": float(tol),
-        "passed": bool(
-            ker_s.shape[1] == n
-            and ker_s_star.shape[1] == n
-            and dist_ker_s <= tol
-            and dist_perp <= tol
-        ),
+        "passed": bool(nullity == n and dist_ker_s <= tol and dist_perp <= tol),
     }

@@ -60,12 +60,12 @@ def fmt(x) -> str:
 class RunConfig:
     """Validated common options shared by the subcommands."""
 
-    tol: float = 1e-10
-    seed: int = 0
-    restarts: int = 64
-    word_len: int = 8
-    as_json: bool = False
-    out: str | None = None
+    tol: float
+    seed: int
+    restarts: int
+    word_len: int
+    as_json: bool
+    out: str | None
 
     def __post_init__(self) -> None:
         if not self.tol > 0:
@@ -327,21 +327,17 @@ def cmd_generate(args) -> int:
     else:
         weights = {v: 1.0 + 0.0j for v in tree.nonroot_vertices()}
     doc = {"tree": tree_to_doc(tree), "weights": weights_to_doc(weights)}
-    out = config.out
-    payload = dump_json(doc)
-    if out is not None:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(config, dump_json(doc), doc)
     return 0
 
 
 def _add_common(parser: argparse.ArgumentParser, with_out: bool = True) -> None:
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--restarts", type=int, default=64)
-    parser.add_argument("--word-len", type=int, default=8, dest="word_len")
+    parser.add_argument("--tol", type=float, default=DeciderOptions.tol)
+    parser.add_argument("--seed", type=int, default=DeciderOptions.seed)
+    parser.add_argument("--restarts", type=int, default=DeciderOptions.restarts)
+    parser.add_argument(
+        "--word-len", type=int, default=DeciderOptions.max_word_len, dest="word_len"
+    )
     parser.add_argument("--json", action="store_true")
     if with_out:
         parser.add_argument("--out", default=None)

@@ -28,7 +28,8 @@ The Sylvester system is never formed densely.  It is assembled from the
 nonzeros of ``T`` and split into the blocks of unknowns that share an
 equation; for a tree shift, which raises depth by one, these refine the
 classes of vertex pairs with equal depth sum.  Each block is solved by its
-own SVD, and the space's basis comes out in block order.
+own SVD, all cut by the rank rule of :func:`~treeshift.shift.numerical_rank`,
+and the space's basis comes out in block order.
 
 A verdict is ``cs`` only with a verified certificate, ``not_cs`` only with a
 witness that re-evaluates from the matrix alone with a wide margin, and
@@ -51,7 +52,7 @@ from .conjugation import (
     verify_c_symmetry,
 )
 from .serialize import complex_to_pair
-from .shift import ShiftMatrix, kernel_table
+from .shift import ShiftMatrix, _rank_above_cut, kernel_table
 
 __all__ = [
     "DeciderOptions",
@@ -232,10 +233,9 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     into blocks of unknowns joined by shared equations.  For a tree shift,
     which raises depth by one, the blocks refine the classes of pairs with a
     fixed depth sum.  Each block gets its own small SVD; all blocks are cut
-    at ``rtol`` times the largest singular value of any block, which is the
-    cut a dense SVD of the whole system applies.  ``rtol`` is floored at
-    ``n^2 eps``, the rounding noise of that dense system (numpy's
-    ``matrix_rank`` default).
+    by the rank rule of :func:`~treeshift.shift.numerical_rank` for the
+    whole ``n^2``-row system, ``max(rtol, n^2 eps)`` times the largest
+    singular value of any block, which is the cut a dense SVD applies.
 
     Returns ``(basis, sigma)``: a ``(d, n, n)`` array whose slices are a
     Frobenius-orthonormal basis of the null space in block order, and the
@@ -291,8 +291,6 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     sigma = np.zeros(npairs)
     found = np.concatenate([s for _unk, s, _vh in blocks] or [np.zeros(0)])
     sigma[: found.size] = np.sort(found)[::-1]
-    # never cut below the rounding noise of the n^2-row system
-    cut = max(rtol, n * n * np.finfo(float).eps) * sigma[0]
 
     # unknowns in no equation are null directions of their own
     touched = np.zeros(npairs, dtype=bool)
@@ -303,7 +301,8 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     coeffs = [np.ones(free.size, dtype=complex)]
     dim = free.size
     for unk, s, vh in blocks:
-        null = vh[np.count_nonzero(s > cut):].conj()
+        # the whole system is n^2 x n(n+1)/2, and sigma[0] its largest value
+        null = vh[_rank_above_cut(s, n * n, rtol, sigma[0]):].conj()
         k = null.shape[0]
         vec_ids.append(np.repeat(np.arange(dim, dim + k), unk.size))
         unk_ids.append(np.tile(unk, k))

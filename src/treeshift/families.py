@@ -6,7 +6,8 @@ on both branches; a binary tree has one weight per level.  The condition
 evaluators reproduce the published formulas exactly as printed, including
 their index sets; out-of-range weight references are recorded and skipped so
 the cross-validation audit can quantify the printed statements instead of
-silently repairing them.
+silently repairing them.  Moduli are compared relatively, so no answer
+depends on the weights' scale.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conjugation import Conjugation, conjugation_from_matrix, verify_c_symmetry
+from .conjugation import (
+    Conjugation, ConjugationError, conjugation_from_matrix, verify_c_symmetry,
+)
 from .serialize import complex_to_pair
 from .shift import ShiftMatrix, build_shift, positivize_weights
 from .trees import DirectedTree, generate_binary, generate_two_branch
@@ -145,7 +148,8 @@ class ConditionReport:
 
 
 def _close(lhs: float, rhs: float, rtol: float) -> bool:
-    return abs(lhs - rhs) <= rtol * max(1.0, abs(lhs), abs(rhs))
+    """Relative comparison: scaling both sides leaves the answer unchanged."""
+    return abs(lhs - rhs) <= rtol * max(abs(lhs), abs(rhs))
 
 
 def two_branch_cs_condition(w: TwoBranchWeights, rtol: float = 1e-9) -> ConditionReport:
@@ -287,6 +291,7 @@ def two_branch_conjugation(
     moduli (seeds 1), the conjugation is assembled in the symmetrized basis
     as ``C f_{-kappa+j} = gamma_j f_{theta-j}``, ``C g_{1+j} = delta_j g_{theta-j}``,
     gauged back to the original weights, and re-verified before returning.
+    Any failing step raises :class:`FamilyConditionError`.
     """
     kappa, theta = w.kappa, w.theta
     tree = generate_two_branch(kappa, theta)
@@ -309,17 +314,12 @@ def two_branch_conjugation(
     p[kappa + theta - j, j] = gammas
     j = np.arange(theta)
     p[kappa + 2 * theta - j, kappa + theta + 1 + j] = deltas
-    a_pos = cols @ p @ cols.T
-    d = np.array([gauge[v] for v in tree.vertices], dtype=complex)
-    a = (d[:, None] * a_pos) * d[None, :]
-    cert = conjugation_from_matrix(a, basis=tree.vertices, tol=tol)
-    s = build_shift(tree, assignment)
-    report = verify_c_symmetry(s, cert, tol=tol)
-    if not report.passed:
-        raise FamilyConditionError(
-            f"constructed conjugation fails intertwining: residual {report.residual:.3e}"
+    try:
+        return _verified_conjugation(
+            cols, p, gauge, tree.vertices, build_shift(tree, assignment), tol
         )
-    return cert
+    except ConjugationError as exc:
+        raise FamilyConditionError(str(exc)) from exc
 
 
 def classify_tree_family(tree: DirectedTree) -> Optional[tuple[str, dict]]:
@@ -555,7 +555,7 @@ def chain_pairing(
         if used[i]:
             continue
         used[i] = True
-        if all(_close(mi[p], mi[len(mi) - 1 - p], rtol) for p in range(len(mi) // 2)):
+        if is_palindromic(mi, rtol):
             partition.append({"kind": "palindrome", "blocks": [i]})
             continue
         partner = None
@@ -572,7 +572,11 @@ def chain_pairing(
     return partition
 
 
-def _pairing_matrix(chains: Sequence[Sequence[complex]], partition: list[dict]) -> np.ndarray:
+def _pairing_matrix(chains: Sequence[Sequence[complex]], rtol: float) -> Optional[np.ndarray]:
+    """The flip matrix of :func:`chain_pairing`'s partition, or ``None``."""
+    partition = chain_pairing(chains, rtol=rtol)
+    if partition is None:
+        return None
     sizes = [len(chain) + 1 for chain in chains]
     offsets = np.concatenate(([0], np.cumsum(sizes))).astype(int)
     n = int(offsets[-1])
@@ -592,6 +596,29 @@ def _pairing_matrix(chains: Sequence[Sequence[complex]], partition: list[dict]) 
     return p
 
 
+def _verified_conjugation(
+    cols: np.ndarray, p: np.ndarray, gauge, basis: Sequence[str], t, tol: float
+) -> Conjugation:
+    """Gauge a conjugation built in a chain basis back to ``t``, and verify it.
+
+    ``p`` acts on the real orthonormal chain basis ``cols`` of the positive
+    weights, so ``A = cols p cols^T``; with ``D`` the diagonal of ``gauge``
+    (see :func:`~treeshift.shift.positivize_weights`) over ``basis``, the
+    candidate is ``D A D``.  Raises :class:`ConjugationError` if it is not a
+    conjugation of ``t``.
+    """
+    a = cols @ p @ cols.T
+    d = np.array([gauge[v] for v in basis], dtype=complex)
+    a = (d[:, None] * a) * d[None, :]
+    cert = conjugation_from_matrix(a, basis=basis, tol=tol)
+    report = verify_c_symmetry(t, cert, tol=tol)
+    if not report.passed:
+        raise ConjugationError(
+            f"constructed conjugation fails intertwining: residual {report.residual:.3e}"
+        )
+    return cert
+
+
 def reversal_pairing_cs(
     decomposition: BlockDecomposition, rtol: float = 1e-9, tol: float = 1e-10
 ) -> Optional[Conjugation]:
@@ -601,20 +628,17 @@ def reversal_pairing_cs(
     The candidate is verified against the decomposition's matrix before being
     returned; ``None`` means no pairing partition exists.
     """
-    partition = chain_pairing(decomposition.chains, rtol=rtol)
-    if partition is None:
+    p = _pairing_matrix(decomposition.chains, rtol)
+    if p is None:
         return None
-    p = _pairing_matrix(decomposition.chains, partition)
-    u = decomposition.transform
-    a = u @ p @ u.T
+    basis = decomposition.basis
     try:
-        cert = conjugation_from_matrix(a, basis=decomposition.basis, tol=tol)
-    except Exception:
+        return _verified_conjugation(
+            decomposition.transform, p, dict.fromkeys(basis, 1.0), basis,
+            decomposition.matrix, tol,
+        )
+    except ConjugationError:
         return None
-    report = verify_c_symmetry(decomposition.matrix, cert, tol=tol)
-    if not report.passed:
-        return None
-    return cert
 
 
 def reversal_pairing_conjugation(
@@ -631,17 +655,13 @@ def reversal_pairing_conjugation(
         decomposition = decompose_equal_weight_tree(tree, positive, rtol=rtol)
     except ValueError:
         return None
-    base = reversal_pairing_cs(decomposition, rtol=rtol, tol=tol)
-    if base is None:
+    p = _pairing_matrix(decomposition.chains, rtol)
+    if p is None:
         return None
-    d = np.array([gauge[v] for v in tree.vertices], dtype=complex)
-    a = (d[:, None] * base.matrix) * d[None, :]
     try:
-        cert = conjugation_from_matrix(a, basis=tuple(tree.vertices), tol=tol)
-    except Exception:
+        return _verified_conjugation(
+            decomposition.transform, p, gauge, tuple(tree.vertices),
+            build_shift(tree, weights), tol,
+        )
+    except ConjugationError:
         return None
-    s = build_shift(tree, weights)
-    report = verify_c_symmetry(s, cert, tol=tol)
-    if not report.passed:
-        return None
-    return cert

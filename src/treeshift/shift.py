@@ -80,20 +80,23 @@ def adjoint(s: ShiftMatrix) -> ShiftMatrix:
     return ShiftMatrix(tree=s.tree, basis=s.basis, matrix=s.matrix.conj().T.copy())
 
 
-def numerical_rank(m: np.ndarray, rtol: float = 1e-10) -> int:
-    """Rank by SVD with a relative threshold ``rtol * sigma_max``.
+def _rank_above_cut(sigma: np.ndarray, size: int, rtol: float, sigma_ref: float) -> int:
+    """The one rank rule: the count of ``sigma`` above
+    ``max(rtol, size * eps) * sigma_ref``, where ``size`` is the matrix's
+    larger dimension (its rounding noise floors the cut, as numpy's
+    ``matrix_rank`` does) and ``sigma_ref`` its largest singular value."""
+    cut = max(rtol, size * np.finfo(float).eps) * sigma_ref
+    return int(np.count_nonzero(sigma > cut))
 
-    ``rtol`` is floored at ``max(rows, cols) * eps`` (numpy's
-    ``matrix_rank`` default), below which singular values are rounding noise.
-    """
+
+def numerical_rank(m: np.ndarray, rtol: float = 1e-10) -> int:
+    """Rank by SVD with the relative threshold ``rtol * sigma_max``, floored
+    at the rounding noise ``max(rows, cols) * eps``."""
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0
     sigma = np.linalg.svd(m, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    rtol = max(rtol, max(m.shape) * np.finfo(float).eps)
-    return int(np.count_nonzero(sigma > rtol * sigma[0]))
+    return _rank_above_cut(sigma, max(m.shape), rtol, sigma[0])
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import treeshift
-from treeshift import dump_json
-from treeshift.cli import main
+from treeshift import DeciderOptions, dump_json
+from treeshift.cli import build_parser, main
 
 SQRT2 = math.sqrt(2.0)
 
@@ -216,6 +216,18 @@ def test_conjugate_two_branch_failure(capsys):
     assert code == 1
 
 
+def test_conjugate_failing_the_certificate_check_is_a_negative_outcome(capsys):
+    # the phase recursion accepts these weights, the certificate check does not
+    code = main(
+        ["conjugate", "--family", "two-branch", "--kappa", "1", "--theta", "2",
+         "--weights", "1,1,1.0000000005"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.startswith("no conjugation: not a conjugation")
+    assert captured.err == ""
+
+
 def test_conjugate_binary_equal_weights(capsys):
     code = main(["conjugate", "--family", "binary", "--kappa", "2", "--weights", "1,1"])
     assert code == 0
@@ -339,7 +351,7 @@ def test_broom_feasible(capsys):
     code = main(["broom", "--weights", "0.5,0.25", "--json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert doc["h_sequence"]["feasible_steps"] == [True, True]
+    assert all(s2 > 0 for s2 in doc["h_sequence"]["s_squared"])
     assert doc["embedding"]["passed"]
 
 
@@ -375,6 +387,29 @@ def test_generate_with_level_weights(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["weights"]["1"] == [1.0, 0.0] or doc["weights"]["1"] == 1.0
+
+
+def test_generate_writes_the_same_bytes_to_every_output(tmp_path, capsys):
+    argv = ["generate", "--family", "two-branch", "--kappa", "1", "--theta", "2",
+            "--weights", "1,2,3"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == plain
+    path = tmp_path / "gen.json"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == plain
+
+
+def test_common_option_defaults_are_the_decider_defaults():
+    opts = DeciderOptions()
+    for argv in (["check", "doc.json"], ["kernels", "doc.json"],
+                 ["crossval", "--family", "binary"]):
+        args = build_parser().parse_args(argv)
+        assert (args.tol, args.seed, args.restarts, args.word_len) == (
+            opts.tol, opts.seed, opts.restarts, opts.max_word_len
+        )
 
 
 def test_generate_broom(capsys):

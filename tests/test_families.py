@@ -22,8 +22,11 @@ from treeshift import (
     generate_two_branch,
     generate_two_level_broom,
     is_palindromic,
+    positivize_weights,
     reversal_pairing_conjugation,
     reversal_pairing_cs,
+    sample_binary_weights,
+    sample_two_branch_weights,
     two_branch_conjugation,
     two_branch_cs_condition,
     two_branch_phase_sequences,
@@ -390,3 +393,66 @@ def test_reversal_pairing_agrees_with_decider(rng):
             assert verdict.kind == "cs"
         else:
             assert verdict.kind == "not_cs"
+
+
+def test_reversal_pairing_conjugation_gauges_back_the_positive_certificate(rng):
+    """The end-to-end oracle builds one certificate: the gauge ``D A D`` of
+    the positive-weight pairing ``A``, bit for bit."""
+    for kappa in (2, 3):
+        tree = generate_binary(kappa)
+        weights = sample_binary_weights(kappa, rng, satisfying=True).to_assignment()
+        positive, gauge = positivize_weights(tree, weights)
+        base = reversal_pairing_cs(decompose_equal_weight_tree(tree, positive))
+        conj = reversal_pairing_conjugation(tree, weights)
+        d = np.array([gauge[v] for v in tree.vertices])
+        assert np.array_equal(conj.matrix, (d[:, None] * base.matrix) * d[None, :])
+        assert conj.basis == tuple(tree.vertices)
+
+
+def test_two_branch_conjugation_failing_the_certificate_check_is_a_family_error():
+    # the phase recursion accepts these moduli within rtol = 1e-9, but the
+    # assembled matrix misses unitarity by 1.4e-9, beyond tol = 1e-10
+    with pytest.raises(FamilyConditionError, match="not a conjugation"):
+        two_branch_conjugation(tb(1, 2, (1.0,), (1.0, 1.0000000005)))
+
+
+def _chains(tree, weights):
+    positive, _gauge = positivize_weights(tree, weights)
+    return decompose_equal_weight_tree(tree, positive).chains
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_modulus_comparisons_do_not_depend_on_scale(scale):
+    """Scaling every weight changes neither printed criterion nor the chain
+    pairing; the comparisons used to turn absolute below modulus 1."""
+    rng = np.random.default_rng(0)
+    cases = []
+    for kappa in range(1, 4):
+        for theta in range(1, 6):
+            for satisfying in (True, False):
+                w = sample_two_branch_weights(kappa, theta, rng, satisfying)
+                scaled = tb(
+                    kappa, theta,
+                    [scale * x for x in w.trunk], [scale * x for x in w.branch],
+                )
+                tree = generate_two_branch(kappa, theta)
+                cases.append((tree, w, scaled, two_branch_cs_condition))
+    for kappa in range(2, 5):
+        for satisfying in (True, False):
+            w = sample_binary_weights(kappa, rng, satisfying)
+            scaled = BinaryWeights(kappa, tuple(scale * x for x in w.levels))
+            cases.append((generate_binary(kappa), w, scaled, binary_cs_condition))
+    for tree, w, scaled, condition in cases:
+        assert condition(scaled).satisfied == condition(w).satisfied
+        assert chain_pairing(_chains(tree, scaled.to_assignment())) == chain_pairing(
+            _chains(tree, w.to_assignment())
+        )
+
+
+def test_tiny_path_weights_get_no_pairing_certificate():
+    # (1, 2) is not palindromic at any scale; at 1e-12 an absolute modulus
+    # comparison and verify_c_symmetry's absolute floor both let it through
+    tree = generate_path(3)
+    assert not is_palindromic((1e-12, 2e-12))
+    assert reversal_pairing_conjugation(tree, {"1": 1.0, "2": 2.0}) is None
+    assert reversal_pairing_conjugation(tree, {"1": 1e-12, "2": 2e-12}) is None
