@@ -12,6 +12,7 @@ depends on the weights' scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -152,6 +153,44 @@ def _close(lhs: float, rhs: float, rtol: float) -> bool:
     return abs(lhs - rhs) <= rtol * max(abs(lhs), abs(rhs))
 
 
+class _Criterion:
+    """Clause collector for a printed criterion: each comparison
+    ``factor |lambda_lhs| = |lambda_rhs|`` is recorded as a clause, or as
+    skipped when it names a weight outside ``w``; ``key`` names the clause
+    index in both records."""
+
+    def __init__(self, w, key: str, rtol: float) -> None:
+        self.w, self.key, self.rtol = w, key, rtol
+        self.clauses: list[dict] = []
+        self.skipped: list[dict] = []
+
+    def compare(
+        self, clause: str, at: int, lhs_index: int, rhs_index: int, factor: float = 1.0
+    ) -> None:
+        missing = [i for i in (lhs_index, rhs_index) if not self.w.in_range(i)]
+        if missing:
+            self.skipped.append(
+                {"clause": clause, self.key: at, "out_of_range_indices": missing}
+            )
+            return
+        lhs = factor * abs(self.w.weight(lhs_index))
+        rhs = abs(self.w.weight(rhs_index))
+        self.clauses.append({
+            "clause": clause,
+            self.key: at,
+            "lhs": float(lhs),
+            "rhs": float(rhs),
+            "holds": _close(lhs, rhs, self.rtol),
+        })
+
+    def report(self) -> ConditionReport:
+        return ConditionReport(
+            satisfied=all(c["holds"] for c in self.clauses),
+            clauses=tuple(self.clauses),
+            skipped=tuple(self.skipped),
+        )
+
+
 def two_branch_cs_condition(w: TwoBranchWeights, rtol: float = 1e-9) -> ConditionReport:
     """Evaluate the printed two-branch criterion exactly as stated.
 
@@ -163,68 +202,32 @@ def two_branch_cs_condition(w: TwoBranchWeights, rtol: float = 1e-9) -> Conditio
     j = kappa (the exclusion is the printed one, reproduced as is).
     """
     kappa, theta = w.kappa, w.theta
-    clauses: list[dict] = []
-    skipped: list[dict] = []
-
-    def compare(clause: str, j: int, lhs_index: int, rhs_index: int, factor: float = 1.0):
-        missing = [i for i in (lhs_index, rhs_index) if not w.in_range(i)]
-        if missing:
-            skipped.append({
-                "clause": clause,
-                "j": j,
-                "out_of_range_indices": missing,
-            })
-            return
-        lhs = factor * abs(w.weight(lhs_index))
-        rhs = abs(w.weight(rhs_index))
-        clauses.append({
-            "clause": clause,
-            "j": j,
-            "lhs": float(lhs),
-            "rhs": float(rhs),
-            "holds": _close(lhs, rhs, rtol),
-        })
-
+    criterion = _Criterion(w, "j", rtol)
     for j in range(1, theta):
-        compare("i", j, 1 + j, theta + 1 - j)
+        criterion.compare("i", j, 1 + j, theta + 1 - j)
     if theta - kappa == 1:
         for j in range(1, kappa + theta + 1):
-            compare("ii", j, -kappa + j, theta - j + 1)
+            criterion.compare("ii", j, -kappa + j, theta - j + 1)
     else:
-        compare("iii", 0, 1, theta - kappa, factor=SQRT2)
+        criterion.compare("iii", 0, 1, theta - kappa, factor=SQRT2)
         for j in range(1, kappa + theta + 1):
             if j == kappa:
-                skipped.append({"clause": "iii", "j": j, "excluded_by_printed_set": True})
+                criterion.skipped.append(
+                    {"clause": "iii", "j": j, "excluded_by_printed_set": True}
+                )
                 continue
-            compare("iii", j, -kappa + j, theta - j + 1)
-    satisfied = all(c["holds"] for c in clauses)
-    return ConditionReport(satisfied=satisfied, clauses=tuple(clauses), skipped=tuple(skipped))
+            criterion.compare("iii", j, -kappa + j, theta - j + 1)
+    return criterion.report()
 
 
 def binary_cs_condition(w: BinaryWeights, rtol: float = 1e-9) -> ConditionReport:
     """Evaluate the printed binary criterion ``2|lambda_{l+1}| = |lambda_{kappa-l}|``
     for l = 0..kappa as stated; l values referencing the undefined weights
     ``lambda_0`` or ``lambda_{kappa+1}`` are recorded and skipped."""
-    kappa = w.kappa
-    clauses: list[dict] = []
-    skipped: list[dict] = []
-    for l in range(0, kappa + 1):
-        lhs_index, rhs_index = l + 1, kappa - l
-        missing = [i for i in (lhs_index, rhs_index) if not w.in_range(i)]
-        if missing:
-            skipped.append({"clause": "rita2", "l": l, "out_of_range_indices": missing})
-            continue
-        lhs = 2.0 * abs(w.weight(lhs_index))
-        rhs = abs(w.weight(rhs_index))
-        clauses.append({
-            "clause": "rita2",
-            "l": l,
-            "lhs": float(lhs),
-            "rhs": float(rhs),
-            "holds": _close(lhs, rhs, rtol),
-        })
-    satisfied = all(c["holds"] for c in clauses)
-    return ConditionReport(satisfied=satisfied, clauses=tuple(clauses), skipped=tuple(skipped))
+    criterion = _Criterion(w, "l", rtol)
+    for l in range(0, w.kappa + 1):
+        criterion.compare("rita2", l, l + 1, w.kappa - l, factor=2.0)
+    return criterion.report()
 
 
 def binary_pairing_moduli(kappa: int) -> list[dict]:
@@ -325,59 +328,34 @@ def two_branch_conjugation(
 def classify_tree_family(tree: DirectedTree) -> Optional[tuple[str, dict]]:
     """Structural detection of path / two-branch / binary shape.
 
-    Returns ``(family, info)`` with the data the decomposition needs, or
-    ``None`` when the tree fits none of the three shapes.  Detection is by
-    structure only; vertex labels play no role.
+    All three families are the trees whose vertices at each depth ``d`` have
+    the same number ``c_d`` of children, with every ``c_d`` in {1, 2}: no
+    level with ``c_d = 2`` is a path, exactly one such level ``kappa`` is a
+    two-branch tree with ``theta = depth - kappa``, and ``c_d = 2`` on every
+    level is a binary tree.  Returns ``(family, info)`` or ``None`` when the
+    tree fits none of the three shapes.  Detection is by structure only;
+    vertex labels play no role.
     """
-    branching = tree.branching_vertices()
+    levels = [tree.at_depth(d) for d in range(tree.depth + 1)]
+    if sum(len(level) for level in levels) != tree.n:
+        return None
+    # every vertex of a level has as many children as the next level holds
+    # per vertex of this one: that leaves no room for a second parent, a back
+    # edge or a leaf above the last level
+    for level, below in zip(levels, levels[1:] + [()]):
+        if {len(tree.children_of(v)) * len(level) for v in level} != {len(below)}:
+            return None
+    profile = [len(below) // len(level) for level, below in zip(levels, levels[1:])]
+    if not set(profile) <= {1, 2}:
+        return None
+    branching = [d for d, count in enumerate(profile) if count == 2]
     if not branching:
-        order = tree.path_from_root(tree.leaves()[0]) if tree.n else ()
-        if len(order) == tree.n:
-            return "path", {"order": order}
-        return None
+        return "path", {"order": tuple(v for level in levels for v in level)}
     if len(branching) == 1:
-        b = branching[0]
-        kids = tree.children_of(b)
-        if len(kids) != 2:
-            return None
-        trunk = tree.path_from_root(b)
-        arms = []
-        for child in kids:
-            arm = [child]
-            while True:
-                nxt = tree.children_of(arm[-1])
-                if len(nxt) == 0:
-                    break
-                if len(nxt) > 1:
-                    return None
-                arm.append(nxt[0])
-            arms.append(tuple(arm))
-        if len(arms[0]) != len(arms[1]):
-            return None
-        if len(trunk) + len(arms[0]) + len(arms[1]) != tree.n:
-            return None
-        return "two_branch", {
-            "kappa": len(trunk) - 1,
-            "theta": len(arms[0]),
-            "trunk": tuple(trunk),
-            "arms": tuple(arms),
-        }
-    # candidate binary: every non-leaf has exactly two children, leaves level
-    leaf_depths = {tree.depth_of(v) for v in tree.leaves()}
-    if len(leaf_depths) != 1:
-        return None
-    kappa = leaf_depths.pop()
-    if kappa < 1:
-        return None
-    for v in tree.vertices:
-        kids = tree.children_of(v)
-        if len(kids) not in (0, 2):
-            return None
-        if len(kids) == 0 and tree.depth_of(v) != kappa:
-            return None
-    if tree.n != 2 ** (kappa + 1) - 1:
-        return None
-    return "binary", {"kappa": kappa}
+        return "two_branch", {"kappa": branching[0], "theta": tree.depth - branching[0]}
+    if len(branching) == len(profile):
+        return "binary", {"kappa": tree.depth}
+    return None
 
 
 def _generation_values(tree: DirectedTree, weights: dict, rtol: float) -> list[complex]:
@@ -387,7 +365,8 @@ def _generation_values(tree: DirectedTree, weights: dict, rtol: float) -> list[c
         generation = tree.at_depth(d)
         first = complex(weights[generation[0]])
         for v in generation[1:]:
-            if abs(complex(weights[v]) - first) > rtol * max(1.0, abs(first)):
+            w = complex(weights[v])
+            if abs(w - first) > rtol * max(abs(w), abs(first)):
                 raise ValueError(
                     f"weights are not generation-constant at depth {d} "
                     f"(vertex {v} differs)"
@@ -408,7 +387,6 @@ class BlockDecomposition:
 
     transform: np.ndarray
     chains: tuple[tuple[complex, ...], ...]
-    chain_labels: tuple[str, ...]
     basis: tuple[str, ...]
     matrix: np.ndarray
     residual: float
@@ -416,7 +394,6 @@ class BlockDecomposition:
     def to_doc(self) -> dict:
         return {
             "chains": [[complex_to_pair(c) for c in chain] for chain in self.chains],
-            "chain_labels": list(self.chain_labels),
             "residual": float(self.residual),
         }
 
@@ -439,100 +416,61 @@ def decompose_equal_weight_tree(
 ) -> BlockDecomposition:
     """Orthogonal decomposition of a generation-constant shift into chains.
 
-    Two-branch trees split into the chain
-    ``(lambda_{-kappa+1},..,lambda_0, sqrt(2) lambda_1, lambda_2,..,lambda_theta)``
-    along the symmetrized sum vectors plus the difference chain
-    ``(lambda_2,..,lambda_theta)``; binary trees split into the aggregate
-    chain ``(sqrt(2) lambda_1,..,sqrt(2) lambda_kappa)`` plus one chain
-    ``(sqrt(2) lambda_{k+2},..,sqrt(2) lambda_kappa)`` per level-k branching
-    vertex; paths are returned unchanged.
+    On a family tree (see :func:`classify_tree_family`) the shift maps level
+    ``d`` onto level ``d+1`` as ``sqrt(c_d) lambda_{d+1}`` times an isometry,
+    so one rule covers all three families.  The first chain runs down the
+    level sums (entries ``1/sqrt(len(level))``) with links
+    ``sqrt(c_d) lambda_{d+1}``; then, depth by depth and in vertex order,
+    each branching vertex at depth ``k`` adds the difference chain of its two
+    subtrees, level by level (entries ``+-1/sqrt(m)`` on the ``m`` descendants
+    at that depth), with the links ``sqrt(c_d) lambda_{d+1}`` for
+    ``d = k+1..depth-1``.  Two-branch
+    trees give ``(lambda_{-kappa+1},..,lambda_0, sqrt(2) lambda_1,
+    lambda_2,..,lambda_theta)`` and ``(lambda_2,..,lambda_theta)``; binary
+    trees ``(sqrt(2) lambda_1,..,sqrt(2) lambda_kappa)`` and one
+    ``(sqrt(2) lambda_{k+2},..,sqrt(2) lambda_kappa)`` per level-k vertex;
+    paths come back as one chain of their weights.
     """
-    detected = classify_tree_family(tree)
-    if detected is None:
+    if classify_tree_family(tree) is None:
         raise ValueError("tree is not a path, two-branch, or binary family tree")
-    family, info = detected
     values = _generation_values(tree, weights, rtol)
+    levels = [tree.at_depth(d) for d in range(tree.depth + 1)]
+    branches = [len(tree.children_of(level[0])) == 2 for level in levels]
+    links = [SQRT2 * value if branches[d] else value for d, value in enumerate(values)]
     n = tree.n
     s = build_shift(tree, weights)
-
     cols = np.zeros((n, n))
-    chains: list[tuple[complex, ...]] = []
-    chain_labels: list[str] = []
-    pos = 0
 
-    if family == "path":
-        for v in info["order"]:
-            cols[tree.index_of(v), pos] = 1.0
-            pos += 1
-        chains.append(tuple(values))
-        chain_labels.append("path")
-    elif family == "two_branch":
-        kappa, theta = info["kappa"], info["theta"]
-        trunk, arms = info["trunk"], info["arms"]
-        for v in trunk:
-            cols[tree.index_of(v), pos] = 1.0
-            pos += 1
-        for j in range(theta):
-            cols[tree.index_of(arms[0][j]), pos] = 1.0 / SQRT2
-            cols[tree.index_of(arms[1][j]), pos] = 1.0 / SQRT2
-            pos += 1
-        main = list(values[:kappa]) + [SQRT2 * values[kappa]] + list(values[kappa + 1 :])
-        chains.append(tuple(main))
-        chain_labels.append("sum")
-        for j in range(theta):
-            cols[tree.index_of(arms[0][j]), pos] = 1.0 / SQRT2
-            cols[tree.index_of(arms[1][j]), pos] = -1.0 / SQRT2
-            pos += 1
-        chains.append(tuple(values[kappa + 1 :]))
-        chain_labels.append("difference")
-    else:
-        kappa = info["kappa"]
-        # aggregate chain over full levels
-        for k in range(kappa + 1):
-            level = tree.at_depth(k)
-            for v in level:
-                cols[tree.index_of(v), pos] = 1.0 / np.sqrt(len(level))
-            pos += 1
-        chains.append(tuple(SQRT2 * values[k] for k in range(kappa)))
-        chain_labels.append("aggregate")
-        # one difference chain per branching vertex, level by level
-        descendants_cache: dict[str, dict[int, list[str]]] = {}
+    def fill(vertices, pos: int, entry: float) -> None:
+        for v in vertices:
+            cols[tree.index_of(v), pos] = entry
 
-        def level_descendants(v: str, depth: int) -> list[str]:
-            per_vertex = descendants_cache.setdefault(v, {})
-            if depth in per_vertex:
-                return per_vertex[depth]
-            if tree.depth_of(v) == depth:
-                result = [v]
-            else:
-                result = []
-                for c in tree.children_of(v):
-                    result.extend(level_descendants(c, depth))
-            per_vertex[depth] = result
-            return result
-
-        for k in range(kappa):
-            for v in tree.at_depth(k):
-                left, right = tree.children_of(v)
-                for m in range(k + 1, kappa + 1):
-                    scale = 1.0 / np.sqrt(2 ** (m - k))
-                    for u in level_descendants(left, m):
-                        cols[tree.index_of(u), pos] = scale
-                    for u in level_descendants(right, m):
-                        cols[tree.index_of(u), pos] = -scale
-                    pos += 1
-                chains.append(tuple(SQRT2 * values[m] for m in range(k + 1, kappa)))
-                chain_labels.append(f"difference@depth{k}:{v}")
+    chains: list[tuple[complex, ...]] = [tuple(links)]
+    for pos, level in enumerate(levels):
+        fill(level, pos, 1.0 / math.sqrt(len(level)))
+    pos = len(levels)
+    for d, level in enumerate(levels):
+        if not branches[d]:
+            continue
+        for v in level:
+            first, second = tree.children_of(v)
+            left, right = [first], [second]
+            while left:
+                scale = 1.0 / math.sqrt(len(left) + len(right))
+                fill(left, pos, scale)
+                fill(right, pos, -scale)
+                pos += 1
+                left = [c for u in left for c in tree.children_of(u)]
+                right = [c for u in right for c in tree.children_of(u)]
+            chains.append(tuple(links[d + 1 :]))
 
     block = chains_to_matrix(chains)
     residual = float(np.linalg.norm(cols.T @ s.matrix @ cols - block))
-    scale = max(1.0, float(np.linalg.norm(s.matrix)))
-    if residual > 1e-12 * scale:
+    if residual > 1e-12 * float(np.linalg.norm(s.matrix)):
         raise ValueError(f"decomposition residual {residual:.3e} exceeds tolerance")
     return BlockDecomposition(
         transform=cols,
         chains=tuple(chains),
-        chain_labels=tuple(chain_labels),
         basis=tuple(tree.vertices),
         matrix=s.matrix,
         residual=residual,
@@ -648,8 +586,6 @@ def reversal_pairing_conjugation(
     weights on a supported tree: positivize, decompose, pair, gauge back,
     verify against the original shift.  ``None`` when inapplicable or no
     pairing exists."""
-    if classify_tree_family(tree) is None:
-        return None
     try:
         positive, gauge = positivize_weights(tree, weights)
         decomposition = decompose_equal_weight_tree(tree, positive, rtol=rtol)

@@ -162,6 +162,8 @@ def positivize_weights(
         nxt = []
         for u in frontier:
             for v in tree.children_of(u):
+                if v in gauge:  # reached twice: the edges are no tree; do not loop
+                    continue
                 w = complex(weights[v])
                 positive[v] = abs(w)
                 gauge[v] = w * gauge[u] / abs(w)

@@ -45,6 +45,7 @@ class DirectedTree:
     _children: dict = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
     _depth: dict = field(init=False, repr=False, compare=False)
+    _levels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -70,10 +71,17 @@ class DirectedTree:
                             depth[c] = depth[v] + 1
                             nxt.append(c)
                 frontier = nxt
+        # levels[d] holds the vertices at depth d, in vertex order
+        n_levels = max(depth.values(), default=-1) + 1
+        levels: list[list[str]] = [[] for _ in range(n_levels)]
+        for v in self.vertices:
+            if v in depth:
+                levels[depth[v]].append(v)
         object.__setattr__(self, "_parent", parent)
         object.__setattr__(self, "_children", sorted_children)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_depth", depth)
+        object.__setattr__(self, "_levels", tuple(tuple(level) for level in levels))
 
     @classmethod
     def from_edges(
@@ -108,7 +116,7 @@ class DirectedTree:
 
     @property
     def depth(self) -> int:
-        return max(self._depth.values(), default=0)
+        return max(len(self._levels) - 1, 0)
 
     def index_of(self, v: str) -> int:
         return self._index[v]
@@ -132,7 +140,7 @@ class DirectedTree:
         return tuple(v for v in self.vertices if len(self.children_of(v)) >= 2)
 
     def at_depth(self, d: int) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if self._depth.get(v) == d)
+        return self._levels[d] if 0 <= d < len(self._levels) else ()
 
     def path_from_root(self, v: str) -> tuple[str, ...]:
         path = [v]

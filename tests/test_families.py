@@ -240,6 +240,40 @@ def test_classify_unbalanced_arms_rejected():
     assert classify_tree_family(DirectedTree.from_edges(edges, root="0")) is None
 
 
+def _edges_tree(*edges):
+    return DirectedTree.from_edges(edges, root="r")
+
+
+@pytest.mark.parametrize(
+    "tree, expected",
+    [
+        # profile [2, 1, 2]: two branching levels, but not every level
+        (_edges_tree(("r", "a"), ("r", "b"), ("a", "c"), ("b", "d"), ("c", "e"),
+                     ("c", "f"), ("d", "g"), ("d", "h")), None),
+        # profile [1, 2, 2]
+        (_edges_tree(("r", "a"), ("a", "b"), ("a", "c"), ("b", "d"), ("b", "e"),
+                     ("c", "f"), ("c", "g")), None),
+        (DirectedTree(vertices=("r",), edges=(), root="r"), ("path", {"order": ("r",)})),
+        (generate_broom(2), ("two_branch", {"kappa": 0, "theta": 1})),
+        (generate_broom(3), None),
+        (generate_two_level_broom(2), ("two_branch", {"kappa": 0, "theta": 2})),
+        # not trees: a vertex with two parents, and a back edge
+        (_edges_tree(("r", "a"), ("r", "b"), ("a", "c"), ("b", "c")), None),
+        (_edges_tree(("r", "a"), ("a", "b"), ("b", "a")), None),
+    ],
+    ids=["profile-2-1-2", "profile-1-2-2", "single-vertex", "root-two-leaves",
+         "broom-3", "two-level-broom-2", "two-parents", "back-edge"],
+)
+def test_classify_by_level_profile(tree, expected):
+    result = classify_tree_family(tree)
+    if expected is None:
+        assert result is None
+    else:
+        family, info = result
+        assert family == expected[0]
+        assert {key: info[key] for key in expected[1]} == expected[1]
+
+
 # ------------------------------------------------------- decompositions
 
 
@@ -308,6 +342,43 @@ def test_decompose_rejects_unsupported_shape():
     tree = generate_broom(3)
     with pytest.raises(ValueError, match="family"):
         decompose_equal_weight_tree(tree, {v: 1.0 for v in tree.nonroot_vertices()})
+
+
+def _closed_form_cases(rng):
+    """(tree, weights, chains) with the chains the decomposition's docstring
+    states, for seeded complex generation weights."""
+
+    def draw(count):
+        return [complex(rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(-np.pi, np.pi)))
+                for _ in range(count)]
+
+    for kappa in range(0, 5):
+        for theta in range(1, 7):
+            w = tb(kappa, theta, draw(kappa), draw(theta))
+            branch = [w.weight(j) for j in range(2, theta + 1)]
+            chains = [tuple(w.trunk) + (SQRT2 * w.weight(1),) + tuple(branch), tuple(branch)]
+            yield generate_two_branch(kappa, theta), w.to_assignment(), chains
+    for kappa in range(2, 6):
+        w = BinaryWeights(kappa, tuple(draw(kappa)))
+        links = [SQRT2 * w.weight(level) for level in range(1, kappa + 1)]
+        chains = [tuple(links)]
+        for k in range(kappa):
+            chains += [tuple(links[k + 1 :])] * 2**k
+        yield generate_binary(kappa), w.to_assignment(), chains
+    for n in range(1, 9):
+        values = draw(n - 1)
+        yield generate_path(n), {str(i + 1): x for i, x in enumerate(values)}, [tuple(values)]
+
+
+def test_decompose_gives_the_closed_form_chains(rng):
+    for tree, weights, chains in _closed_form_cases(rng):
+        dec = decompose_equal_weight_tree(tree, weights)
+        assert [tuple(chain) for chain in dec.chains] == chains
+        u = dec.transform
+        assert np.linalg.norm(u.T @ u - np.eye(tree.n)) <= 1e-13
+        scale = np.linalg.norm(build_shift(tree, weights).matrix)
+        assert dec.residual <= 1e-12 * scale
+        assert np.linalg.norm(u.T @ dec.matrix @ u - chains_to_matrix(chains)) <= 1e-12 * scale
 
 
 def test_chains_to_matrix_blocks():
@@ -456,3 +527,35 @@ def test_tiny_path_weights_get_no_pairing_certificate():
     assert not is_palindromic((1e-12, 2e-12))
     assert reversal_pairing_conjugation(tree, {"1": 1.0, "2": 2.0}) is None
     assert reversal_pairing_conjugation(tree, {"1": 1e-12, "2": 2e-12}) is None
+
+
+def test_pairing_oracle_answer_does_not_depend_on_scale():
+    """Bumping one weight breaks generation constancy at every scale; the
+    generation check and the decomposition residual used to be absolute
+    below modulus 1, so at 1e-13 the bumped tree got a certificate."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for kappa in range(2, 5):
+        w = sample_binary_weights(kappa, rng, satisfying=True)
+        cases.append((generate_binary(kappa), w.to_assignment(), f"{kappa},{2**kappa}"))
+    for kappa in range(0, 3):
+        for theta in range(1, 4):
+            w = sample_two_branch_weights(kappa, theta, rng, satisfying=True)
+            cases.append((generate_two_branch(kappa, theta), w.to_assignment(), f"2,{theta}"))
+    for tree, weights, bumped in cases:
+        for bump in (1.0, 2.0):
+            base = dict(weights, **{bumped: bump * weights[bumped]})
+            expected = reversal_pairing_conjugation(tree, base) is None
+            assert expected == (bump != 1.0)
+            for c in (1e-13, 1e13):
+                scaled = {v: c * x for v, x in base.items()}
+                assert (reversal_pairing_conjugation(tree, scaled) is None) == expected
+
+
+def test_pairing_oracle_terminates_on_a_graph_with_a_cycle():
+    # the oracle positivizes before the decomposition checks the shape, so
+    # the gauge walk must not follow the back edge forever
+    tree = DirectedTree(
+        vertices=("r", "a", "b"), edges=(("r", "a"), ("a", "b"), ("b", "a")), root="r"
+    )
+    assert reversal_pairing_conjugation(tree, {"a": 1.0, "b": 1.0}) is None

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -20,11 +22,14 @@ def test_perfbench_traced_functions_exist(monkeypatch):
     assert bench.TRACED and not missing
 
 
-def test_perfbench_smoke_run_is_correct():
+# audit_mix also runs the pairing oracle and the printed criteria on all
+# three family shapes
+@pytest.mark.parametrize("workload", ["binary_scale", "audit_mix"])
+def test_perfbench_smoke_run_is_correct(workload):
     # one untimed pass of the benchmark's checks: a package change that makes
     # a verdict fail to replay or a known answer come back wrong fails here
     run = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "binary_scale",
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0", "--trace", "0"],
         cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
     )
