@@ -174,7 +174,7 @@ def cmd_check(args) -> int:
         witness = verdict.obstruction.get("witness", {})
         if "word" in witness:
             lines.append(f"  word: {witness['word']}")
-        for key in ("trace", "trace_reversed"):
+        for key in ("trace", "trace_reversed", "dim", "spread"):
             if key in witness:
                 lines.append(f"  {key}: {fmt(complex(*witness[key]) if isinstance(witness[key], list) else witness[key])}")
     _emit(config, "\n".join(lines), doc)

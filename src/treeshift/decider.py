@@ -5,16 +5,29 @@ The pipeline has two stages, each able to decide:
 1. traces of words in ``T`` and ``T*`` compared against their reversals
    (equal for any operator unitarily equivalent to its transpose, hence for
    every complex symmetric one); a gap is a ``not_cs`` witness,
-2. the space of symmetric intertwiners ``{A : A = A^T, T A = A T^T}``, in
-   which a seeded multi-start projected polar iteration looks for a unitary
-   element, which is exactly a conjugation certificate.
+2. the joint space ``W = {A = A^T : T A = A T^T, T* A = A conj(T)}``.
 
-Two tests that look like obstructions are left out because they cannot
-fire on a finite matrix: the kernel dimensions of ``T^m`` and ``T*^m``
-always agree (``rank M = rank M*``), and the symmetric intertwiner space is
-never ``{0}`` (every square matrix is similar to its transpose through a
-nonsingular symmetric matrix, Taussky-Zassenhaus 1959).  With a tight rank
-cut both would fire on rounding noise alone.
+``T`` is complex symmetric exactly when some symmetric unitary ``U``
+satisfies ``T U = U T^T``.  Taking the adjoint of ``U* T U = T^T`` gives
+``T* U = U conj(T)``, so every certificate lies in ``W``, the symmetric
+part of the space of unitary equivalences of ``T`` to its transpose
+(Garcia-Tener 2012).  When ``dim W <= 1`` the stage decides outright:
+``W = {0}`` holds no certificate, and on a line spanned by ``A`` the only
+candidate is ``sqrt(n) A / ||A||_F``, a certificate when it verifies and
+excluded when the spread ``sigma_min(A) / sigma_max(A)`` is below 1/2.
+A ``not_cs`` needs the rank cut to sit in a wide singular value gap, so
+that no element of ``W`` hides below it; the witness (kind ``structure``)
+records ``dim W``, the spread and the singular values either side of the
+cut, and the replay solves ``W`` again.  When ``dim W >= 2``, or the gap
+is narrow, a seeded multi-start projected polar iteration looks for a
+unitary element of ``W``.
+
+The kernel dimensions of ``T^m`` and ``T*^m`` are not compared: they
+always agree (``rank M = rank M*``), and with a tight rank cut the test
+would fire on rounding noise alone.  Nor is the space
+``{A = A^T : T A = A T^T}`` of ``T`` alone ever ``{0}`` (every square
+matrix is similar to its transpose through a nonsingular symmetric matrix,
+Taussky-Zassenhaus 1959); ``W`` can be.
 
 The word search screens all words of a length at once: the products of
 the words up to half the length bound are built by stacked matmuls, and the
@@ -24,12 +37,14 @@ rounding bound of the threshold are confirmed in search order by the one
 sequential evaluator that the replay also uses, so the witness is exactly
 the one a sequential scan returns.
 
-The Sylvester system is never formed densely.  It is assembled from the
-nonzeros of ``T`` and split into the blocks of unknowns that share an
-equation; for a tree shift, which raises depth by one, these refine the
-classes of vertex pairs with equal depth sum.  Each block is solved by its
-own SVD, all cut by the rank rule of :func:`~treeshift.shift.numerical_rank`,
-and the space's basis comes out in block order.
+The Sylvester system is never formed densely.  The equation of ``T*`` is
+that of ``T`` for ``M = T*``, since ``M^T = conj(T)``, so ``W`` stacks the
+two systems.  They are assembled from the nonzeros of ``T`` and split into
+the blocks of unknowns that share an equation; for a tree shift, which
+raises depth by one, these refine the classes of vertex pairs with equal
+depth sum.  Each block is solved by its own SVD, all cut by the rank rule
+of :func:`~treeshift.shift.numerical_rank`, and the space's basis comes out
+in block order.
 
 A verdict is ``cs`` only with a verified certificate, ``not_cs`` only with a
 witness that re-evaluates from the matrix alone with a wide margin, and
@@ -223,19 +238,25 @@ def word_trace_obstruction(
     return None
 
 
-def _sylvester_nullspace(m: np.ndarray, rtol: float):
+def _sylvester_nullspace(m: np.ndarray, rtol: float, joint: bool = False):
     """Null space of ``A -> T A - A T^T`` on symmetric ``A``, block by block.
+
+    With ``joint`` the equations of ``T* A - A conj(T)`` are stacked below
+    those of ``T``, rows offset by ``n^2``: it is the same equation for
+    ``M = T*``, since ``M^T = conj(T)``, and the null space is the joint
+    space ``W`` of the module docstring.
 
     The unknowns are the coefficients of the orthonormal symmetric basis
     ``E_pp`` and ``(E_pq + E_qp) / sqrt 2`` (``p < q``).  Through the end
     ``(x, y)`` of its pair, unknown ``(p, q)`` enters only the equations
-    ``(r, y)`` and ``(y, r)`` with ``T[r, x] != 0``, so the system splits
+    ``(r, y)`` and ``(y, r)`` with ``M[r, x] != 0``, so the system splits
     into blocks of unknowns joined by shared equations.  For a tree shift,
     which raises depth by one, the blocks refine the classes of pairs with a
     fixed depth sum.  Each block gets its own small SVD; all blocks are cut
     by the rank rule of :func:`~treeshift.shift.numerical_rank` for the
-    whole ``n^2``-row system, ``max(rtol, n^2 eps)`` times the largest
-    singular value of any block, which is the cut a dense SVD applies.
+    whole system of ``size`` rows (``n^2``, or ``2 n^2`` with ``joint``),
+    ``max(rtol, size eps)`` times the largest singular value of any block,
+    which is the cut a dense SVD applies.
 
     Returns ``(basis, sigma)``: a ``(d, n, n)`` array whose slices are a
     Frobenius-orthonormal basis of the null space in block order, and the
@@ -250,20 +271,24 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     weight = np.full((n, n), 1.0 / np.sqrt(2.0))
     np.fill_diagonal(weight, 1.0)
 
-    # one entry per (nonzero T[r, x], y): +t w in equation (r, y), -t w in (y, r)
-    r, x = np.nonzero(m)
+    # one entry per (nonzero M[r, x], y): +t w in equation (r, y), -t w in (y, r)
+    mats = (m, m.conj().T) if joint else (m,)
+    size = len(mats) * n * n
     y = np.arange(n)
-    cols = unknown[x[:, None], y].ravel()
-    vals = (m[r, x][:, None] * weight[x[:, None], y]).ravel()
-    eq_a = (r[:, None] * n + y).ravel()
-    eq_b = (y * n + r[:, None]).ravel()
-    cols = np.concatenate([cols, cols])
-    eqs = np.concatenate([eq_a, eq_b])
-    vals = np.concatenate([vals, -vals])
+    cols, eqs, vals = [], [], []
+    for k, mat in enumerate(mats):
+        r, x = np.nonzero(mat)
+        col = unknown[x[:, None], y].ravel()
+        val = (mat[r, x][:, None] * weight[x[:, None], y]).ravel()
+        cols += [col, col]
+        eqs += [(k * n * n + r[:, None] * n + y).ravel(),
+                (k * n * n + y * n + r[:, None]).ravel()]
+        vals += [val, -val]
+    cols, eqs, vals = (np.concatenate(a) for a in (cols, eqs, vals))
 
     # connected components of the unknown-equation graph: propagate the
     # smallest node id, so each block is labelled by its first unknown
-    label = np.arange(npairs + n * n)
+    label = np.arange(npairs + size)
     eq_nodes = npairs + eqs
     while True:
         low = np.minimum(label[cols], label[eq_nodes])
@@ -285,7 +310,8 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
         eq, ri = np.unique(eqs[lo:hi], return_inverse=True)
         mat = np.zeros((eq.size, unk.size), dtype=complex)
         np.add.at(mat, (ri, ci), vals[lo:hi])
-        _u, s, vh = np.linalg.svd(mat, full_matrices=True)
+        # with at least as many rows as unknowns the economy vh is complete
+        _u, s, vh = np.linalg.svd(mat, full_matrices=eq.size < unk.size)
         blocks.append((unk, s, vh))
 
     sigma = np.zeros(npairs)
@@ -301,8 +327,7 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     coeffs = [np.ones(free.size, dtype=complex)]
     dim = free.size
     for unk, s, vh in blocks:
-        # the whole system is n^2 x n(n+1)/2, and sigma[0] its largest value
-        null = vh[_rank_above_cut(s, n * n, rtol, sigma[0]):].conj()
+        null = vh[_rank_above_cut(s, size, rtol, sigma[0]):].conj()
         k = null.shape[0]
         vec_ids.append(np.repeat(np.arange(dim, dim + k), unk.size))
         unk_ids.append(np.tile(unk, k))
@@ -326,6 +351,44 @@ def sylvester_space(t, rtol: float = 1e-10) -> list[np.ndarray]:
     """
     basis, _sigma = _sylvester_nullspace(_as_matrix(t), rtol)
     return list(basis)
+
+
+def _joint_structure(m: np.ndarray, rtol: float) -> tuple[np.ndarray, dict, bool]:
+    """The joint space ``W`` of ``m``, and whether it excludes a certificate.
+
+    Returns ``(basis, witness, excluded)``.  The witness records ``dim W``;
+    the ``spread`` ``sigma_min / sigma_max`` of its element when
+    ``dim W = 1`` (else 0); and, relative to the largest singular value of
+    the system, ``sigma_kept`` and ``sigma_cut``, the singular values just
+    above and just below the rank cut.  ``W`` excludes a certificate when
+    it is ``{0}``, or a line whose element is far from any unitary
+    (``spread < 1/2``), and the cut sits in a wide gap: ``sigma_kept`` at
+    least ``1e3`` times the cut and ``1e6`` times ``sigma_cut``, so that no
+    element of ``W`` can hide below it.
+    """
+    n = m.shape[0]
+    basis, sigma = _sylvester_nullspace(m, rtol, joint=True)
+    dim = basis.shape[0]
+    rank = sigma.size - dim
+    kept = sigma[rank - 1] if rank else 0.0
+    below = sigma[rank] if dim else 0.0
+    spread = 0.0
+    if dim == 1:
+        s = np.linalg.svd(basis[0], compute_uv=False)
+        spread = s[-1] / s[0]
+    wide = (
+        rank > 0
+        and _rank_above_cut(sigma, 2 * n * n, rtol, 1e3 * sigma[0]) == rank
+        and kept >= 1e6 * below
+    )
+    ref = sigma[0] if sigma[0] > 0 else 1.0
+    witness = {
+        "dim": int(dim),
+        "spread": float(spread),
+        "sigma_kept": float(kept / ref),
+        "sigma_cut": float(below / ref),
+    }
+    return basis, witness, bool(wide and dim <= 1 and spread < 0.5)
 
 
 def _polar_factor(a: np.ndarray) -> np.ndarray:
@@ -495,33 +558,54 @@ def decide_cs(
             residuals={"witness_margin": word["margin"]},
         )
 
-    space, _sigma = _sylvester_nullspace(m, opts.rank_rtol)
+    space, structure, excluded = _joint_structure(m, opts.rank_rtol)
     dim = space.shape[0]
-    found = unitary_search(
-        space,
-        seed=opts.seed,
-        restarts=opts.restarts,
-        tol=opts.tol,
-        max_iter=opts.max_iter,
-    )
-    if found is not None:
+
+    def certified(found):
+        if found is None:
+            return None
         try:
             cert = conjugation_from_matrix(found, basis=basis, tol=opts.tol)
         except ConjugationError:
-            cert = None
-        if cert is not None:
-            report = verify_c_symmetry(m, cert, tol=opts.tol)
-            if report.passed:
-                return finish(
-                    "cs",
-                    certificate=cert,
-                    residuals={
-                        "unitary": cert.residual_unitary,
-                        "symmetric": cert.residual_symmetric,
-                        "intertwining": report.residual,
-                    },
-                    diag={"sylvester_dim": dim},
-                )
+            return None
+        report = verify_c_symmetry(m, cert, tol=opts.tol)
+        if not report.passed:
+            return None
+        return finish(
+            "cs",
+            certificate=cert,
+            residuals={
+                "unitary": cert.residual_unitary,
+                "symmetric": cert.residual_symmetric,
+                "intertwining": report.residual,
+            },
+            diag={"sylvester_dim": dim},
+        )
+
+    if dim == 1:
+        # every certificate is a multiple of the one basis element
+        a = space[0]
+        verdict = certified(a * (math.sqrt(m.shape[0]) / np.linalg.norm(a)))
+        if verdict is not None:
+            return verdict
+    if excluded:
+        return finish(
+            "not_cs",
+            obstruction={"kind": "structure", "witness": structure},
+            residuals={"witness_margin": 1.0 - structure["spread"]},
+            diag={"sylvester_dim": dim},
+        )
+    verdict = certified(
+        unitary_search(
+            space,
+            seed=opts.seed,
+            restarts=opts.restarts,
+            tol=opts.tol,
+            max_iter=opts.max_iter,
+        )
+    )
+    if verdict is not None:
+        return verdict
     return finish(
         "undetermined",
         diag={"sylvester_dim": dim, "restarts": opts.restarts},
@@ -531,14 +615,20 @@ def decide_cs(
 def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOptions] = None) -> tuple[bool, float]:
     """Recompute a ``not_cs`` witness from the matrix alone.
 
-    Returns ``(still_violated, margin)`` where the margin is the trace gap,
-    computed exactly as the detection computed it.  ``word_trace`` is the
-    only kind :func:`decide_cs` produces; any other kind raises
+    Returns ``(still_violated, margin)``.  For ``word_trace`` the margin is
+    the trace gap, computed exactly as the detection computed it.  For
+    ``structure`` the joint space ``W`` is solved again; the witness holds
+    when ``W`` has the recorded dimension and still excludes a certificate,
+    and the margin is ``1 - spread``.  Any other kind raises
     :class:`ValueError`.
     """
     opts = options or DeciderOptions()
     m = _as_matrix(t)
     kind = obstruction["kind"]
+    if kind == "structure":
+        _space, again, excluded = _joint_structure(m, opts.rank_rtol)
+        held = excluded and again["dim"] == obstruction["witness"]["dim"]
+        return held, 1.0 - again["spread"]
     if kind != "word_trace":
         raise ValueError(f"unknown obstruction kind {kind!r}")
     letters = list(obstruction["witness"]["word"])

@@ -11,34 +11,47 @@ from fractions import Fraction
 import numpy as np
 
 
-def exact_rank(rows):
-    """Rank of a matrix with Fraction entries, by Gaussian elimination."""
+def _row_echelon(rows, n_cols):
+    """Reduced row echelon form of a Fraction matrix: ``(rows, pivot columns)``."""
     m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    row = 0
+    pivots = []
     for col in range(n_cols):
-        pivot = None
-        for r in range(row, n_rows):
-            if m[r][col] != 0:
-                pivot = r
-                break
+        row = len(pivots)
+        if row == len(m):
+            break
+        pivot = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
         if pivot is None:
             continue
         m[row], m[pivot] = m[pivot], m[row]
         inv = Fraction(1, 1) / m[row][col]
         m[row] = [x * inv for x in m[row]]
-        for r in range(n_rows):
+        for r in range(len(m)):
             if r != row and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
+        pivots.append(col)
+    return m, pivots
+
+
+def exact_rank(rows):
+    """Rank of a matrix with Fraction entries, by Gaussian elimination."""
+    if not rows:
+        return 0
+    return len(_row_echelon(rows, len(rows[0]))[1])
+
+
+def exact_nullspace(rows, n_cols):
+    """Basis of the null space of a Fraction matrix, one vector per free
+    column of its reduced row echelon form."""
+    m, pivots = _row_echelon(rows, n_cols)
+    basis = []
+    for free in sorted(set(range(n_cols)) - set(pivots)):
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -m[r][free]
+        basis.append(vec)
+    return basis
 
 
 def exact_matmul(a, b):
@@ -106,31 +119,78 @@ def fraction_transpose(a):
     return [[a[j][i] for j in range(n)] for i in range(n)]
 
 
-def dense_sylvester_nullspace(m, rtol):
-    """Null space of ``A -> T A - A T^T`` on symmetric ``A`` by one dense SVD.
+def exact_joint_sylvester_space(tree, weights):
+    """The joint space ``{A = A^T : T A = A T^T, T* A = A conj(T)}`` of a
+    tree shift with rational real weights, by exact elimination.
 
-    Builds the full ``n^2 x n(n+1)/2`` system over the orthonormal symmetric
-    basis ``E_ii``, ``(E_ij + E_ji) / sqrt 2`` and cuts at
-    ``rtol * sigma_max``.  Returns ``(basis, sigma)``: a ``(d, n, n)`` array
-    of Frobenius-orthonormal symmetric matrices and the singular values in
-    descending order.
+    The unknowns are the coefficients of the integer basis ``E_pp``,
+    ``E_pq + E_qp``.  ``T`` raises depth by one and ``T* = T^T`` lowers it,
+    so an equation only joins unknowns ``(p, q)`` of one depth sum
+    ``depth(p) + depth(q)``; each depth sum is eliminated on its own.
+    Returns a list of Fraction matrices spanning the space.
     """
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
+    t = shift_matrix_fraction(tree, weights)
+    n = len(t)
+    mats = (t, fraction_transpose(t))
+    depth = {}
+
+    def depth_of(v):
+        if v not in depth:
+            depth[v] = 0 if v == tree.root else depth_of(tree.parent_of(v)) + 1
+        return depth[v]
+
+    level = [depth_of(v) for v in tree.vertices]
+    classes = {}
+    for p in range(n):
+        for q in range(p, n):
+            classes.setdefault(level[p] + level[q], []).append((p, q))
+    space = []
+    for pairs in classes.values():
+        cols = []
+        for p, q in pairs:
+            entries = {(p, q), (q, p)}
+            col = {}
+            for k, mat in enumerate(mats):
+                for s, c in entries:  # M E_sc = sum_r M[r][s] E_rc
+                    for r in range(n):
+                        if mat[r][s]:
+                            col[k, r, c] = col.get((k, r, c), 0) + mat[r][s]
+                for r, s in entries:  # E_rs M^T = sum_c M[c][s] E_rc
+                    for c in range(n):
+                        if mat[c][s]:
+                            col[k, r, c] = col.get((k, r, c), 0) - mat[c][s]
+            cols.append(col)
+        keys = sorted(set().union(*cols))
+        rows = [[col.get(key, Fraction(0)) for col in cols] for key in keys]
+        for vec in exact_nullspace(rows, len(pairs)):
+            a = [[Fraction(0)] * n for _ in range(n)]
+            for (p, q), x in zip(pairs, vec):
+                a[p][q] = a[q][p] = x
+            space.append(a)
+    return space
+
+
+def _dense_symmetric_nullspace(mats, rtol):
+    """Common null space of ``A -> M A - A M^T`` over ``M`` in ``mats``, on
+    symmetric ``A``, by one dense SVD of the stacked ``k n^2``-row system."""
+    n = mats[0].shape[0]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    cols = np.zeros((n * n, len(pairs)), dtype=complex)
+    cols = np.zeros((len(mats) * n * n, len(pairs)), dtype=complex)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for k, (i, j) in enumerate(pairs):
-        block = np.zeros((n, n), dtype=complex)
-        if i == j:
-            block[:, i] += m[:, i]
-            block[i, :] -= m[:, i]
-        else:
-            block[:, j] += m[:, i] * inv_sqrt2
-            block[:, i] += m[:, j] * inv_sqrt2
-            block[i, :] -= m[:, j] * inv_sqrt2
-            block[j, :] -= m[:, i] * inv_sqrt2
-        cols[:, k] = block.reshape(-1)
+        blocks = []
+        for m in mats:
+            block = np.zeros((n, n), dtype=complex)
+            if i == j:
+                block[:, i] += m[:, i]
+                block[i, :] -= m[:, i]
+            else:
+                block[:, j] += m[:, i] * inv_sqrt2
+                block[:, i] += m[:, j] * inv_sqrt2
+                block[i, :] -= m[:, j] * inv_sqrt2
+                block[j, :] -= m[:, i] * inv_sqrt2
+            blocks.append(block.reshape(-1))
+        cols[:, k] = np.concatenate(blocks)
     _u, sigma, vh = np.linalg.svd(cols, full_matrices=True)
     if sigma[0] == 0.0:
         rank = 0
@@ -144,6 +204,28 @@ def dense_sylvester_nullspace(m, rtol):
         else:
             basis[:, i, j] = basis[:, j, i] = c * inv_sqrt2
     return basis, sigma
+
+
+def dense_sylvester_nullspace(m, rtol):
+    """Null space of ``A -> T A - A T^T`` on symmetric ``A`` by one dense SVD.
+
+    Builds the full ``n^2 x n(n+1)/2`` system over the orthonormal symmetric
+    basis ``E_ii``, ``(E_ij + E_ji) / sqrt 2`` and cuts at
+    ``rtol * sigma_max``.  Returns ``(basis, sigma)``: a ``(d, n, n)`` array
+    of Frobenius-orthonormal symmetric matrices and the singular values in
+    descending order.
+    """
+    return _dense_symmetric_nullspace([np.asarray(m, dtype=complex)], rtol)
+
+
+def dense_joint_sylvester_nullspace(m, rtol):
+    """The joint space ``{A = A^T : T A = A T^T, T* A = A conj(T)}`` by one
+    dense SVD of the ``2 n^2 x n(n+1)/2`` system: the rows of ``T`` above
+    those of ``T*``, cut at ``rtol * sigma_max``.  Returns ``(basis, sigma)``
+    as :func:`dense_sylvester_nullspace` does.
+    """
+    m = np.asarray(m, dtype=complex)
+    return _dense_symmetric_nullspace([m, m.conj().T], rtol)
 
 
 def sequential_word_trace_obstruction(m, max_len=8, tol=1e-10):

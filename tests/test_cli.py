@@ -347,6 +347,23 @@ def test_check_survives_overflowing_word_powers(tmp_path):
     assert run.stdout.startswith("verdict: ")
 
 
+def test_check_prints_a_structure_witness(tmp_path, capsys):
+    # no word of up to 8 letters separates the all-ones (2, 5) tree; its
+    # joint space W is one line of singular matrices
+    tree = treeshift.generate_two_branch(2, 5)
+    doc = {
+        "tree": treeshift.tree_to_doc(tree),
+        "weights": {v: 1.0 for v in tree.nonroot_vertices()},
+    }
+    code = main(["check", write_doc(tmp_path, "ones25.json", doc)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "verdict: not_cs" in out
+    assert "obstruction: structure" in out
+    assert "  dim: 1" in out
+    assert "  spread: " in out
+
+
 def test_broom_feasible(capsys):
     code = main(["broom", "--weights", "0.5,0.25", "--json"])
     doc = json.loads(capsys.readouterr().out)

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from treeshift import (
     generate_path,
     generate_two_branch,
     kernel_obstruction,
+    numerical_rank,
     positivize_weights,
     random_tree,
     random_weights,
@@ -30,7 +33,13 @@ from treeshift import (
 )
 from treeshift.decider import _sylvester_nullspace
 from conftest import random_complex
-from oracles import dense_sylvester_nullspace, sequential_word_trace_obstruction
+from oracles import (
+    dense_joint_sylvester_nullspace,
+    dense_sylvester_nullspace,
+    exact_joint_sylvester_space,
+    exact_rank,
+    sequential_word_trace_obstruction,
+)
 
 DATA = Path(__file__).with_name("data")
 
@@ -217,8 +226,13 @@ def sylvester_case(kind: str, seed: int) -> np.ndarray:
     if kind.startswith("dense"):
         n = int(kind[-1])
         return random_complex(rng, (n, n))
+    if kind == "symmetric":
+        a = random_complex(rng, (int(rng.integers(2, 7)),) * 2)
+        return a + a.T
     if kind.startswith("ones"):
-        tree = generate_two_branch(*{"ones25": (2, 5), "ones36": (3, 6)}[kind])
+        tree = generate_two_branch(
+            *{"ones25": (2, 5), "ones33": (3, 3), "ones36": (3, 6)}[kind]
+        )
         return build_shift(tree, {v: 1.0 for v in tree.nonroot_vertices()}).matrix
     if kind == "split":
         # a direct sum whose second summand lies below the global rank cut
@@ -237,7 +251,7 @@ def sylvester_case(kind: str, seed: int) -> np.ndarray:
 
 
 def null_projector(basis: np.ndarray) -> np.ndarray:
-    flat = basis.reshape(basis.shape[0], -1)
+    flat = basis.reshape(basis.shape[0], basis.shape[1] * basis.shape[2])
     return flat.T @ flat.conj()
 
 
@@ -252,6 +266,25 @@ def test_block_sylvester_solve_matches_dense_reference(kind, seed):
     m = sylvester_case(kind, seed)
     space, sigma = _sylvester_nullspace(m, 1e-10)
     ref, ref_sigma = dense_sylvester_nullspace(m, 1e-10)
+    assert space.shape == ref.shape
+    assert sigma.shape == ref_sigma.shape
+    assert sigma[0] == pytest.approx(ref_sigma[0], rel=1e-12, abs=0.0)
+    if ref.shape[0] == 0:
+        assert sigma[-1] == pytest.approx(ref_sigma[-1], rel=1e-12, abs=0.0)
+    assert np.abs(null_projector(space) - null_projector(ref)).max() <= 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(
+        ["tree", "split", "ones25", "ones33", "symmetric", "dense4", "dense5"]
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_block_joint_solve_matches_dense_reference(kind, seed):
+    m = sylvester_case(kind, seed)
+    space, sigma = _sylvester_nullspace(m, 1e-10, joint=True)
+    ref, ref_sigma = dense_joint_sylvester_nullspace(m, 1e-10)
     assert space.shape == ref.shape
     assert sigma.shape == ref_sigma.shape
     assert sigma[0] == pytest.approx(ref_sigma[0], rel=1e-12, abs=0.0)
@@ -472,3 +505,126 @@ def test_not_cs_witnesses_replay_under_tight_rank_cuts(rank_rtol):
             ok, margin = reevaluate_obstruction(t, verdict.obstruction, verdict.options)
             assert ok, (k, verdict.obstruction)
             assert margin == verdict.residuals["witness_margin"]
+
+
+def ones_two_branch(kappa, theta, bump=None):
+    """All-ones two-branch tree and its rational weights, one optionally
+    changed to ``bump = (vertex, value)``."""
+    tree = generate_two_branch(kappa, theta)
+    weights = {v: Fraction(1) for v in tree.nonroot_vertices()}
+    if bump is not None:
+        weights[bump[0]] = Fraction(bump[1])
+    return tree, weights
+
+
+# no word of up to 8 letters separates these; each W is one singular line
+STRUCTURE_CASES = [(3, 3, None), (2, 4, None), (2, 5, None), (2, 4, ("1,1", 2))]
+
+
+@pytest.mark.parametrize("kappa, theta, bump", STRUCTURE_CASES)
+def test_structure_witness_matches_exact_rational_oracle(kappa, theta, bump):
+    tree, weights = ones_two_branch(kappa, theta, bump)
+    exact = exact_joint_sylvester_space(tree, weights)
+    assert len(exact) == 1
+    element = exact[0]
+    assert exact_rank(element) < tree.n
+    s = build_shift(tree, {v: float(w) for v, w in weights.items()})
+    verdict = decide_cs(s)
+    assert verdict.kind == "not_cs"
+    assert verdict.obstruction["kind"] == "structure"
+    witness = verdict.obstruction["witness"]
+    assert witness["dim"] == len(exact)
+    assert witness["spread"] <= 1e-12  # the exact element is singular
+    assert verdict.diagnostics["sylvester_dim"] == 1
+    # the computed element spans the exact line and has its rank
+    space, _sigma = _sylvester_nullspace(s.matrix, 1e-10, joint=True)
+    b = np.array(element, dtype=float)
+    assert abs(np.vdot(b, space[0])) / np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
+    assert numerical_rank(space[0]) == exact_rank(element)
+
+
+def random_tree_matrices(count=60, seed=5, max_vertices=10):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(count):
+        tree = random_tree(rng, max_vertices=max_vertices)
+        mats.append(build_shift(tree, random_weights(rng, tree)).matrix)
+    return mats
+
+
+def structure_witnesses():
+    # all-ones and bumped two-branch trees at scale 1, and random trees at
+    # 1e-8, where no word gap clears the threshold's absolute floor
+    for kappa, theta, bump in STRUCTURE_CASES:
+        tree, weights = ones_two_branch(kappa, theta, bump)
+        yield build_shift(tree, {v: float(w) for v, w in weights.items()}).matrix
+    for m in random_tree_matrices():
+        yield 1e-8 * m
+
+
+def test_structure_witnesses_replay_and_fail_on_a_cs_matrix():
+    dims = set()
+    for m in structure_witnesses():
+        verdict = decide_cs(m)
+        if verdict.kind != "not_cs":
+            continue
+        assert verdict.obstruction["kind"] == "structure"
+        dims.add(verdict.obstruction["witness"]["dim"])
+        ok, margin = reevaluate_obstruction(m, verdict.obstruction, verdict.options)
+        assert ok and math.isfinite(margin)
+        assert margin == verdict.residuals["witness_margin"]
+        # the equal-weight path of the same size is complex symmetric
+        path = generate_path(m.shape[0])
+        cs = build_shift(path, {v: 1.0 for v in path.nonroot_vertices()})
+        ok, margin = reevaluate_obstruction(cs, verdict.obstruction, verdict.options)
+        assert not ok and math.isfinite(margin)
+    assert dims == {0, 1}
+
+
+SCALES = (1e-150, 1e-8, 1.0, 1e8, 1e150)
+
+
+def verdict_key(verdict):
+    # kind and, for a structure witness, the dimension of W
+    obstruction = verdict.obstruction or {}
+    return verdict.kind, obstruction.get("kind"), obstruction.get("witness", {}).get("dim")
+
+
+def test_structure_verdicts_do_not_depend_on_scale():
+    # at c = 1 the random trees go to the word stage first; at the other
+    # scales a word gap rarely clears its threshold (an absolute floor below,
+    # an overflowing power above) and the structure stage decides
+    for kappa, theta, bump in STRUCTURE_CASES:
+        tree, weights = ones_two_branch(kappa, theta, bump)
+        m = build_shift(tree, {v: float(w) for v, w in weights.items()}).matrix
+        keys = {verdict_key(decide_cs(c * m)) for c in SCALES}
+        assert keys == {("not_cs", "structure", 1)}
+    recovered = 0
+    for m in random_tree_matrices():
+        kinds = {c: verdict_key(decide_cs(c * m)) for c in SCALES}
+        structure = {k for k in kinds.values() if k[1] == "structure"}
+        if structure:
+            assert kinds[1.0][0] == "not_cs"
+            assert len(structure) == 1
+            assert all(kinds[c] in structure for c in (1e-150, 1e-8, 1e150))
+            recovered += 1
+        assert {k[0] for k in kinds.values()} <= {kinds[1.0][0], "undetermined"}
+    # the parent of this stage returned undetermined on all of these at 1e-8
+    assert recovered >= 40
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-8])
+def test_structure_stage_leaves_a_narrow_gap_undetermined(eps):
+    # T0 = A + A^T is complex symmetric; T0 + eps E has dim W = 0 here, but
+    # its smallest kept singular value is only ~eps, under 1e3 times the cut,
+    # so W = {0} is not a witness
+    rng = np.random.default_rng(0)
+    for k in range(8):
+        n = 3 + k % 4
+        a = random_complex(rng, (n, n))
+        t0 = a + a.T
+        e = random_complex(rng, (n, n))
+        t = t0 + eps * np.linalg.norm(t0) * e / np.linalg.norm(e)
+        verdict = decide_cs(t)
+        assert verdict.kind == "undetermined", (k, verdict.obstruction)
+        assert verdict.diagnostics["sylvester_dim"] <= 1
