@@ -11,16 +11,15 @@ The pipeline has two stages, each able to decide:
 satisfies ``T U = U T^T``.  Taking the adjoint of ``U* T U = T^T`` gives
 ``T* U = U conj(T)``, so every certificate lies in ``W``, the symmetric
 part of the space of unitary equivalences of ``T`` to its transpose
-(Garcia-Tener 2012).  When ``dim W <= 1`` the stage decides outright:
-``W = {0}`` holds no certificate, and on a line spanned by ``A`` the only
-candidate is ``sqrt(n) A / ||A||_F``, a certificate when it verifies and
-excluded when the spread ``sigma_min(A) / sigma_max(A)`` is below 1/2.
-A ``not_cs`` needs the rank cut to sit in a wide singular value gap, so
-that no element of ``W`` hides below it; the witness (kind ``structure``)
-records ``dim W``, the spread and the singular values either side of the
-cut, and the replay solves ``W`` again.  When ``dim W >= 2``, or the gap
-is narrow, a seeded multi-start projected polar iteration looks for a
-unitary element of ``W``.
+(Garcia-Tener 2012).  ``W = {0}`` holds no certificate, nor does a line
+spanned by ``A`` when the spread ``sigma_min(A) / sigma_max(A)`` is below
+1/2, since every element of the line has that spread.  Either is a
+``not_cs`` when the rank cut sits in a wide singular value gap, so that no
+element of ``W`` hides below it; the witness (kind ``structure``) records
+``dim W``, the spread and the singular values either side of the cut, and
+the replay solves ``W`` again.  Otherwise a seeded multi-start projected
+polar iteration looks for a unitary element of ``W``; on a line spanned by
+a multiple of a unitary its first start is already a fixed point.
 
 The kernel dimensions of ``T^m`` and ``T*^m`` are not compared: they
 always agree (``rank M = rank M*``), and with a tight rank cut the test
@@ -238,13 +237,14 @@ def word_trace_obstruction(
     return None
 
 
-def _sylvester_nullspace(m: np.ndarray, rtol: float, joint: bool = False):
-    """Null space of ``A -> T A - A T^T`` on symmetric ``A``, block by block.
+def _sylvester_nullspace(mats: Sequence[np.ndarray], rtol: float):
+    """Common null space of ``A -> M A - A M^T`` on symmetric ``A`` over
+    ``M`` in ``mats``, block by block.
 
-    With ``joint`` the equations of ``T* A - A conj(T)`` are stacked below
-    those of ``T``, rows offset by ``n^2``: it is the same equation for
-    ``M = T*``, since ``M^T = conj(T)``, and the null space is the joint
-    space ``W`` of the module docstring.
+    The equations of each ``M`` are stacked below those of the one before,
+    rows offset by ``n^2``.  ``(T,)`` gives the Sylvester space of ``T``;
+    ``(T, T*)`` gives the joint space ``W`` of the module docstring, since
+    ``T* A = A conj(T)`` is the equation for ``M = T*`` (``M^T = conj(T)``).
 
     The unknowns are the coefficients of the orthonormal symmetric basis
     ``E_pp`` and ``(E_pq + E_qp) / sqrt 2`` (``p < q``).  Through the end
@@ -254,16 +254,17 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float, joint: bool = False):
     which raises depth by one, the blocks refine the classes of pairs with a
     fixed depth sum.  Each block gets its own small SVD; all blocks are cut
     by the rank rule of :func:`~treeshift.shift.numerical_rank` for the
-    whole system of ``size`` rows (``n^2``, or ``2 n^2`` with ``joint``),
-    ``max(rtol, size eps)`` times the largest singular value of any block,
-    which is the cut a dense SVD applies.
+    whole system of ``size = len(mats) n^2`` rows, ``max(rtol, size eps)``
+    times the largest singular value of any block, which is the cut a dense
+    SVD applies.
 
     Returns ``(basis, sigma)``: a ``(d, n, n)`` array whose slices are a
     Frobenius-orthonormal basis of the null space in block order, and the
     singular values of the whole system, descending and zero-padded to
     ``n (n + 1) / 2``.
     """
-    n = m.shape[0]
+    n = mats[0].shape[0]
+    size = len(mats) * n * n
     p_of, q_of = np.triu_indices(n)
     npairs = p_of.size
     unknown = np.empty((n, n), dtype=np.intp)
@@ -272,8 +273,6 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float, joint: bool = False):
     np.fill_diagonal(weight, 1.0)
 
     # one entry per (nonzero M[r, x], y): +t w in equation (r, y), -t w in (y, r)
-    mats = (m, m.conj().T) if joint else (m,)
-    size = len(mats) * n * n
     y = np.arange(n)
     cols, eqs, vals = [], [], []
     for k, mat in enumerate(mats):
@@ -349,7 +348,7 @@ def sylvester_space(t, rtol: float = 1e-10) -> list[np.ndarray]:
     first the pairs that enter no equation, then each coupled block of the
     system in turn, so it is deterministic for a fixed input.
     """
-    basis, _sigma = _sylvester_nullspace(_as_matrix(t), rtol)
+    basis, _sigma = _sylvester_nullspace((_as_matrix(t),), rtol)
     return list(basis)
 
 
@@ -366,8 +365,8 @@ def _joint_structure(m: np.ndarray, rtol: float) -> tuple[np.ndarray, dict, bool
     least ``1e3`` times the cut and ``1e6`` times ``sigma_cut``, so that no
     element of ``W`` can hide below it.
     """
-    n = m.shape[0]
-    basis, sigma = _sylvester_nullspace(m, rtol, joint=True)
+    mats = (m, m.conj().T)
+    basis, sigma = _sylvester_nullspace(mats, rtol)
     dim = basis.shape[0]
     rank = sigma.size - dim
     kept = sigma[rank - 1] if rank else 0.0
@@ -378,7 +377,7 @@ def _joint_structure(m: np.ndarray, rtol: float) -> tuple[np.ndarray, dict, bool
         spread = s[-1] / s[0]
     wide = (
         rank > 0
-        and _rank_above_cut(sigma, 2 * n * n, rtol, 1e3 * sigma[0]) == rank
+        and _rank_above_cut(sigma, len(mats) * m.size, rtol, 1e3 * sigma[0]) == rank
         and kept >= 1e6 * below
     )
     ref = sigma[0] if sigma[0] > 0 else 1.0
@@ -560,34 +559,6 @@ def decide_cs(
 
     space, structure, excluded = _joint_structure(m, opts.rank_rtol)
     dim = space.shape[0]
-
-    def certified(found):
-        if found is None:
-            return None
-        try:
-            cert = conjugation_from_matrix(found, basis=basis, tol=opts.tol)
-        except ConjugationError:
-            return None
-        report = verify_c_symmetry(m, cert, tol=opts.tol)
-        if not report.passed:
-            return None
-        return finish(
-            "cs",
-            certificate=cert,
-            residuals={
-                "unitary": cert.residual_unitary,
-                "symmetric": cert.residual_symmetric,
-                "intertwining": report.residual,
-            },
-            diag={"sylvester_dim": dim},
-        )
-
-    if dim == 1:
-        # every certificate is a multiple of the one basis element
-        a = space[0]
-        verdict = certified(a * (math.sqrt(m.shape[0]) / np.linalg.norm(a)))
-        if verdict is not None:
-            return verdict
     if excluded:
         return finish(
             "not_cs",
@@ -595,17 +566,31 @@ def decide_cs(
             residuals={"witness_margin": 1.0 - structure["spread"]},
             diag={"sylvester_dim": dim},
         )
-    verdict = certified(
-        unitary_search(
-            space,
-            seed=opts.seed,
-            restarts=opts.restarts,
-            tol=opts.tol,
-            max_iter=opts.max_iter,
-        )
+    found = unitary_search(
+        space,
+        seed=opts.seed,
+        restarts=opts.restarts,
+        tol=opts.tol,
+        max_iter=opts.max_iter,
     )
-    if verdict is not None:
-        return verdict
+    if found is not None:
+        try:
+            cert = conjugation_from_matrix(found, basis=basis, tol=opts.tol)
+        except ConjugationError:
+            cert = None
+        if cert is not None:
+            report = verify_c_symmetry(m, cert, tol=opts.tol)
+            if report.passed:
+                return finish(
+                    "cs",
+                    certificate=cert,
+                    residuals={
+                        "unitary": cert.residual_unitary,
+                        "symmetric": cert.residual_symmetric,
+                        "intertwining": report.residual,
+                    },
+                    diag={"sylvester_dim": dim},
+                )
     return finish(
         "undetermined",
         diag={"sylvester_dim": dim, "restarts": opts.restarts},
