@@ -62,7 +62,6 @@ class RunConfig:
 
     tol: float
     seed: int
-    restarts: int
     word_len: int
     as_json: bool
     out: str | None
@@ -70,8 +69,6 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
         if self.word_len < 2:
             raise ValueError(f"word-len must be at least 2, got {self.word_len}")
 
@@ -79,7 +76,6 @@ class RunConfig:
         return DeciderOptions(
             tol=self.tol,
             max_word_len=self.word_len,
-            restarts=self.restarts,
             seed=self.seed,
         )
 
@@ -88,7 +84,6 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         tol=args.tol,
         seed=args.seed,
-        restarts=args.restarts,
         word_len=args.word_len,
         as_json=getattr(args, "json", False),
         out=getattr(args, "out", None),
@@ -262,7 +257,7 @@ def cmd_crossval(args) -> int:
     report = cross_validate(
         args.family, cells, samples=args.samples,
         seed=config.seed, tol=max(config.tol, 1e-12),
-        restarts=config.restarts, max_word_len=config.word_len,
+        max_word_len=config.word_len,
     )
     summary = report["summary"]
     text = (
@@ -334,7 +329,6 @@ def cmd_generate(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, with_out: bool = True) -> None:
     parser.add_argument("--tol", type=float, default=DeciderOptions.tol)
     parser.add_argument("--seed", type=int, default=DeciderOptions.seed)
-    parser.add_argument("--restarts", type=int, default=DeciderOptions.restarts)
     parser.add_argument(
         "--word-len", type=int, default=DeciderOptions.max_word_len, dest="word_len"
     )

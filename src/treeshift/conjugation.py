@@ -21,6 +21,7 @@ __all__ = [
     "ConjugationError",
     "conjugation_from_matrix",
     "conjugation_from_images",
+    "gauged_conjugation",
     "CSymmetryReport",
     "verify_c_symmetry",
 ]
@@ -144,11 +145,37 @@ class CSymmetryReport:
         }
 
 
+def gauged_conjugation(
+    a: np.ndarray, d: Optional[np.ndarray], t, basis: Sequence[str], tol: float
+) -> tuple[Conjugation, CSymmetryReport]:
+    """Gauge a conjugation found for ``D* t D`` back to ``t``, and verify it.
+
+    With ``D = diag(d)`` unitary, ``a`` intertwines ``D* t D`` with its
+    transpose exactly when ``D a D^T`` intertwines ``t``; ``d = None`` is
+    the identity gauge.  Returns the conjugation of ``t`` and its
+    :class:`CSymmetryReport`, or raises :class:`ConjugationError` when the
+    candidate is not a symmetric unitary or fails the intertwining check.
+    """
+    if d is not None:
+        a = (d[:, None] * a) * d[None, :]
+    cert = conjugation_from_matrix(a, basis=basis, tol=tol)
+    report = verify_c_symmetry(t, cert, tol=tol)
+    if not report.passed:
+        raise ConjugationError(
+            f"constructed conjugation fails intertwining: residual {report.residual:.3e}"
+        )
+    return cert, report
+
+
 def verify_c_symmetry(t, conj: Conjugation, tol: float = 1e-10) -> CSymmetryReport:
     """Check ``T = C T* C`` through the residual ``||T A - A T^T||_F``.
 
-    The reported tolerance is scale-aware: the test passes when the residual
-    is at most ``tol * max(1, ||T||_F)``.
+    The test is relative: it passes when the residual is at most
+    ``tol * ||T||_F``, so that no weight scale makes it vacuous (under an
+    absolute floor, any symmetric unitary would pass for a small enough
+    ``T``), and ``T = 0`` passes with a zero residual.  A residual or scale
+    that is not finite (an overflowed norm, a NaN) fails, since no bound on
+    it is one.
     """
     m = t.matrix if isinstance(t, ShiftMatrix) else np.asarray(t, dtype=complex)
     basis = conj.basis
@@ -161,10 +188,10 @@ def verify_c_symmetry(t, conj: Conjugation, tol: float = 1e-10) -> CSymmetryRepo
     residual = float(np.linalg.norm(defect))
     column_norms = np.linalg.norm(defect, axis=0)
     worst = basis[int(np.argmax(column_norms))] if len(basis) else ""
-    scale = max(1.0, float(np.linalg.norm(m)))
+    scale = float(np.linalg.norm(m))
     return CSymmetryReport(
         residual=residual,
-        passed=residual <= tol * scale,
+        passed=bool(residual <= tol * scale < np.inf),
         tol=tol,
         worst_basis_vector=worst,
     )

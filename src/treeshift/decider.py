@@ -7,19 +7,35 @@ The pipeline has two stages, each able to decide:
    every complex symmetric one); a gap is a ``not_cs`` witness,
 2. the joint space ``W = {A = A^T : T A = A T^T, T* A = A conj(T)}``.
 
+A tree shift is decided in real arithmetic.  When each row of ``T`` has at
+most one nonzero and the parent pointers these define close no cycle, a
+diagonal unitary ``D``, read off the matrix alone
+(:func:`~treeshift.shift.tree_gauge`), gives ``D* T D = |T|``, the shift
+with weights ``|lambda_v|``.  Complex symmetry, word traces and the
+dimension of ``W`` are unchanged by that equivalence, so both stages run on
+the real ``|T|`` and only the certificate is gauged back, once, as
+``D U D^T``.  Any other matrix runs as it is, in complex arithmetic.
+
 ``T`` is complex symmetric exactly when some symmetric unitary ``U``
 satisfies ``T U = U T^T``.  Taking the adjoint of ``U* T U = T^T`` gives
 ``T* U = U conj(T)``, so every certificate lies in ``W``, the symmetric
-part of the space of unitary equivalences of ``T`` to its transpose
+part of the space ``V`` of unitary equivalences of ``T`` to its transpose
 (Garcia-Tener 2012).  ``W = {0}`` holds no certificate, nor does a line
 spanned by ``A`` when the spread ``sigma_min(A) / sigma_max(A)`` is below
 1/2, since every element of the line has that spread.  Either is a
 ``not_cs`` when the rank cut sits in a wide singular value gap, so that no
 element of ``W`` hides below it; the witness (kind ``structure``) records
 ``dim W``, the spread and the singular values either side of the cut, and
-the replay solves ``W`` again.  Otherwise a seeded multi-start projected
-polar iteration looks for a unitary element of ``W``; on a line spanned by
-a multiple of a unitary its first start is already a fixed point.
+the replay solves ``W`` again.
+
+Otherwise the certificate is the polar factor of one generic element ``X``
+of ``W``, a seeded real Gaussian combination of its basis.  For ``X``
+invertible, ``X* X`` commutes with ``T^T`` and ``conj(T)``, so the polar
+factor ``X (X* X)^(-1/2)`` lies in ``V``; by Takagi, ``X = Q S Q^T`` makes
+it ``Q Q^T``, which is symmetric.  So ``T`` is complex symmetric iff ``W``
+has an invertible element, and a random element is invertible with
+probability 1 when one is.  The candidate is checked against ``T``; when it
+fails, one more element is drawn, and then the verdict is ``undetermined``.
 
 The kernel dimensions of ``T^m`` and ``T*^m`` are not compared: they
 always agree (``rank M = rank M*``), and with a tight rank cut the test
@@ -41,8 +57,9 @@ that of ``T`` for ``M = T*``, since ``M^T = conj(T)``, so ``W`` stacks the
 two systems.  They are assembled from the nonzeros of ``T`` and split into
 the blocks of unknowns that share an equation; for a tree shift, which
 raises depth by one, these refine the classes of vertex pairs with equal
-depth sum.  Each block is solved by its own SVD, all cut by the rank rule
-of :func:`~treeshift.shift.numerical_rank`, and the space's basis comes out
+depth sum.  One scatter fills every block, one stacked SVD solves all
+blocks of a shape, all are cut by the rank rule of
+:func:`~treeshift.shift.numerical_rank`, and the space's basis comes out
 in block order.
 
 A verdict is ``cs`` only with a verified certificate, ``not_cs`` only with a
@@ -59,14 +76,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conjugation import (
+# conjugation_from_matrix and verify_c_symmetry are re-exported for the
+# benchmark, which traces them by name in this module
+from .conjugation import (  # noqa: F401
     Conjugation,
     ConjugationError,
+    CSymmetryReport,
     conjugation_from_matrix,
+    gauged_conjugation,
     verify_c_symmetry,
 )
 from .serialize import complex_to_pair
-from .shift import ShiftMatrix, _rank_above_cut, kernel_table
+from .shift import ShiftMatrix, _rank_above_cut, kernel_table, tree_gauge
 
 __all__ = [
     "DeciderOptions",
@@ -86,17 +107,18 @@ class DeciderOptions:
     tol: float = 1e-10
     rank_rtol: float = 1e-10
     max_word_len: int = 8
-    restarts: int = 64
     seed: int = 0
-    max_iter: int = 500
 
     def to_doc(self) -> dict:
         return asdict(self)
 
 
 def _as_matrix(t) -> np.ndarray:
-    m = t.matrix if isinstance(t, ShiftMatrix) else np.asarray(t, dtype=complex)
-    m = np.asarray(m, dtype=complex)
+    """The matrix of ``t``; a real (float64) one stays real, in which case
+    the word and Sylvester stages run in real arithmetic."""
+    m = t.matrix if isinstance(t, ShiftMatrix) else np.asarray(t)
+    if m.dtype != np.float64:
+        m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
     return m
@@ -122,7 +144,7 @@ def _letters(m: np.ndarray) -> dict:
 
 
 def _word_trace(mats: dict, letters: Sequence[str]) -> complex:
-    acc = np.eye(mats["T"].shape[0], dtype=complex)
+    acc = np.eye(mats["T"].shape[0], dtype=mats["T"].dtype)
     for letter in letters:
         acc = mats[letter] @ acc
     return complex(np.trace(acc))
@@ -155,7 +177,7 @@ def _word_products(m: np.ndarray, length: int) -> list[np.ndarray]:
     ``M_b @ P(c)``.
     """
     n = m.shape[0]
-    prods = [np.eye(n, dtype=complex)[None]]
+    prods = [np.eye(n, dtype=m.dtype)[None]]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(length):
             prev = prods[-1]
@@ -245,6 +267,7 @@ def _sylvester_nullspace(mats: Sequence[np.ndarray], rtol: float):
     rows offset by ``n^2``.  ``(T,)`` gives the Sylvester space of ``T``;
     ``(T, T*)`` gives the joint space ``W`` of the module docstring, since
     ``T* A = A conj(T)`` is the equation for ``M = T*`` (``M^T = conj(T)``).
+    The arithmetic follows the matrices: real ones give a real basis.
 
     The unknowns are the coefficients of the orthonormal symmetric basis
     ``E_pp`` and ``(E_pq + E_qp) / sqrt 2`` (``p < q``).  Through the end
@@ -252,11 +275,13 @@ def _sylvester_nullspace(mats: Sequence[np.ndarray], rtol: float):
     ``(r, y)`` and ``(y, r)`` with ``M[r, x] != 0``, so the system splits
     into blocks of unknowns joined by shared equations.  For a tree shift,
     which raises depth by one, the blocks refine the classes of pairs with a
-    fixed depth sum.  Each block gets its own small SVD; all blocks are cut
-    by the rank rule of :func:`~treeshift.shift.numerical_rank` for the
-    whole system of ``size = len(mats) n^2`` rows, ``max(rtol, size eps)``
-    times the largest singular value of any block, which is the cut a dense
-    SVD applies.
+    fixed depth sum.  Each block's rows are its equations and its columns
+    its unknowns, both in increasing order.  One scatter fills every block,
+    laid out one after another and grouped by shape, and one stacked SVD
+    solves each group.  All blocks are cut by the rank rule of
+    :func:`~treeshift.shift.numerical_rank` for the whole system of
+    ``size = len(mats) n^2`` rows, ``max(rtol, size eps)`` times the largest
+    singular value of any block, which is the cut a dense SVD applies.
 
     Returns ``(basis, sigma)``: a ``(d, n, n)`` array whose slices are a
     Frobenius-orthonormal basis of the null space in block order, and the
@@ -264,6 +289,7 @@ def _sylvester_nullspace(mats: Sequence[np.ndarray], rtol: float):
     ``n (n + 1) / 2``.
     """
     n = mats[0].shape[0]
+    dtype = np.result_type(*mats)
     size = len(mats) * n * n
     p_of, q_of = np.triu_indices(n)
     npairs = p_of.size
@@ -298,23 +324,58 @@ def _sylvester_nullspace(mats: Sequence[np.ndarray], rtol: float):
         if np.array_equal(new, label):
             break
         label = new
-    block_of = label[cols]
 
-    order = np.argsort(block_of, kind="stable")
-    cols, eqs, vals, block_of = cols[order], eqs[order], vals[order], block_of[order]
-    starts = np.flatnonzero(np.r_[True, block_of[1:] != block_of[:-1]])
-    blocks = []
-    for lo, hi in zip(starts, np.r_[starts[1:], cols.size]):
-        unk, ci = np.unique(cols[lo:hi], return_inverse=True)
-        eq, ri = np.unique(eqs[lo:hi], return_inverse=True)
-        mat = np.zeros((eq.size, unk.size), dtype=complex)
-        np.add.at(mat, (ri, ci), vals[lo:hi])
+    # number the blocks by label, and the unknowns and equations of each
+    # block by id, from 0
+    def local_numbers(ids, labels):
+        order = np.argsort(labels, kind="stable")  # ids ascend within a label
+        blocks, first, counts = np.unique(
+            labels[order], return_index=True, return_counts=True
+        )
+        local = np.empty(ids.size, dtype=np.intp)
+        local[order] = np.arange(ids.size) - np.repeat(first, counts)
+        return blocks, ids[order], counts, local
+
+    unk = np.unique(cols)
+    eq = np.unique(eqs)
+    blocks, unk_sorted, ncols, unk_local = local_numbers(unk, label[unk])
+    _blocks, _eq_sorted, nrows, eq_local = local_numbers(eq, label[npairs + eq])
+    col_at = np.zeros(npairs, dtype=np.intp)
+    col_at[unk] = unk_local
+    row_at = np.zeros(size, dtype=np.intp)
+    row_at[eq] = eq_local
+
+    # lay the blocks out grouped by shape, in label order within a group, and
+    # scatter every entry at once; bincount adds repeated entries in order
+    layout = np.lexsort((ncols, nrows))
+    offset = np.empty(blocks.size, dtype=np.intp)
+    offset[layout] = np.cumsum(nrows[layout] * ncols[layout]) - (nrows * ncols)[layout]
+    block = np.searchsorted(blocks, label[cols])
+    flat = offset[block] + row_at[eqs] * ncols[block] + col_at[cols]
+    total = int((nrows * ncols).sum())
+    cells = np.zeros(total, dtype=dtype)
+    cells.real = np.bincount(flat, vals.real, total)
+    if dtype == complex:
+        cells.imag = np.bincount(flat, vals.imag, total)
+
+    solved = [None] * blocks.size
+    found = [np.zeros(0)]
+    new_shape = (np.diff(nrows[layout]) != 0) | (np.diff(ncols[layout]) != 0)
+    shape_starts = np.flatnonzero(np.r_[layout.size > 0, new_shape])
+    for lo, hi in zip(shape_starts, np.r_[shape_starts[1:], layout.size]):
+        group = layout[lo:hi]
+        rows, width = int(nrows[group[0]]), int(ncols[group[0]])
+        stack = cells[offset[group[0]]:offset[group[0]] + group.size * rows * width]
         # with at least as many rows as unknowns the economy vh is complete
-        _u, s, vh = np.linalg.svd(mat, full_matrices=eq.size < unk.size)
-        blocks.append((unk, s, vh))
+        _u, s, vh = np.linalg.svd(
+            stack.reshape(group.size, rows, width), full_matrices=rows < width
+        )
+        found.append(s.ravel())
+        for b, sb, vhb in zip(group, s, vh):
+            solved[b] = (sb, vhb)
 
     sigma = np.zeros(npairs)
-    found = np.concatenate([s for _unk, s, _vh in blocks] or [np.zeros(0)])
+    found = np.concatenate(found)
     sigma[: found.size] = np.sort(found)[::-1]
 
     # unknowns in no equation are null directions of their own
@@ -323,18 +384,19 @@ def _sylvester_nullspace(mats: Sequence[np.ndarray], rtol: float):
     free = np.flatnonzero(~touched)
     vec_ids = [np.arange(free.size)]
     unk_ids = [free]
-    coeffs = [np.ones(free.size, dtype=complex)]
+    coeffs = [np.ones(free.size, dtype=dtype)]
     dim = free.size
-    for unk, s, vh in blocks:
+    unk_start = np.cumsum(ncols) - ncols
+    for b, (s, vh) in enumerate(solved):
         null = vh[_rank_above_cut(s, size, rtol, sigma[0]):].conj()
         k = null.shape[0]
-        vec_ids.append(np.repeat(np.arange(dim, dim + k), unk.size))
-        unk_ids.append(np.tile(unk, k))
+        vec_ids.append(np.repeat(np.arange(dim, dim + k), ncols[b]))
+        unk_ids.append(np.tile(unk_sorted[unk_start[b]:unk_start[b] + ncols[b]], k))
         coeffs.append(null.ravel())
         dim += k
     vec_ids, unk_ids, coeffs = (np.concatenate(a) for a in (vec_ids, unk_ids, coeffs))
     p, q = p_of[unk_ids], q_of[unk_ids]
-    basis = np.zeros((dim, n, n), dtype=complex)
+    basis = np.zeros((dim, n, n), dtype=dtype)
     basis[vec_ids, p, q] = basis[vec_ids, q, p] = coeffs * weight[p, q]
     return basis, sigma
 
@@ -390,16 +452,58 @@ def _joint_structure(m: np.ndarray, rtol: float) -> tuple[np.ndarray, dict, bool
     return basis, witness, bool(wide and dim <= 1 and spread < 0.5)
 
 
-def _polar_factor(a: np.ndarray) -> np.ndarray:
+def _polar_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unitary polar factor ``u vh`` of ``a`` and its singular values."""
     try:
-        u, _s, vh = np.linalg.svd(a)
+        u, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError:
         # gesdd can fail to converge on tightly clustered singular values;
         # with a = q r, the polar factor of a is q times that of r
         q, r = np.linalg.qr(a)
-        u, _s, vh = np.linalg.svd(r)
-        return q @ (u @ vh)
-    return u @ vh
+        u, s, vh = np.linalg.svd(r)
+        return q @ (u @ vh), s
+    return u @ vh, s
+
+
+def _gauged(m: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The matrix the stages run on, and the gauge ``d`` back to ``m``.
+
+    A tree shift runs on the real ``|m| = D* m D`` (see
+    :func:`~treeshift.shift.tree_gauge`); any other matrix runs as it is,
+    in complex arithmetic, with ``d = None``.  The gauge comes from the
+    matrix alone, so a shift and its bare matrix decide alike.
+    """
+    d = tree_gauge(m)
+    if d is None:
+        return np.asarray(m, dtype=complex), None
+    return np.abs(m), d
+
+
+def _one_shot_certificate(
+    space: np.ndarray, d: Optional[np.ndarray], m: np.ndarray,
+    basis: Sequence[str], seed: int, tol: float,
+) -> tuple[Optional[Conjugation], Optional[CSymmetryReport], float]:
+    """A certificate from the polar factor of one generic element of ``W``.
+
+    The element is a seeded real Gaussian combination of the basis ``space``
+    of ``W``, solved for the gauged matrix; its polar factor, gauged back by
+    ``d``, is checked against ``m``.  When the check fails, one more draw
+    is made.  Returns ``(certificate, report, spread)``, the first two
+    ``None`` when no draw verifies, and ``spread`` the
+    ``sigma_min / sigma_max`` of the last element drawn (0 if none).
+    """
+    rng = np.random.default_rng(seed)
+    spread = 0.0
+    for _draw in range(2 if len(space) else 0):
+        element = np.tensordot(rng.standard_normal(len(space)), space, axes=1)
+        polar, sigma = _polar_factor(element)
+        spread = float(sigma[-1] / sigma[0]) if sigma[0] > 0 else 0.0
+        try:
+            cert, report = gauged_conjugation(polar, d, m, basis, tol)
+        except ConjugationError:
+            continue
+        return cert, report, spread
+    return None, None, spread
 
 
 def unitary_search(
@@ -411,9 +515,11 @@ def unitary_search(
 ) -> Optional[np.ndarray]:
     """Search the given subspace for a unitary element.
 
-    Runs projected gradient descent with unit step on the squared distance to
-    the unitary group, which reduces to alternating a polar projection with
-    the orthogonal projection onto the subspace.  Restarts are seeded and
+    :func:`decide_cs` does not call this search; it serves as the reference
+    that its one-shot certificate is tested against.  Runs projected
+    gradient descent with unit step on the squared distance to the unitary
+    group, which reduces to alternating a polar projection with the
+    orthogonal projection onto the subspace.  Restarts are seeded and
     scanned in order, so the result is deterministic for fixed
     ``(seed, restarts)``; the first two starts are structured (projections of
     the antidiagonal flip and of the identity), the rest random.
@@ -452,14 +558,14 @@ def unitary_search(
         prev = np.inf
         stall = 0
         for _ in range(max_iter):
-            a = project(_polar_factor(a))
+            a = project(_polar_factor(a)[0])
             res = residual_of(a)
             if res <= tol:
                 # converged; keep iterating while it still helps to land well
                 # below the acceptance threshold
                 best, best_res = a, res
                 for _ in range(30):
-                    a = project(_polar_factor(a))
+                    a = project(_polar_factor(a)[0])
                     res = residual_of(a)
                     if res < best_res:
                         best, best_res = a, res
@@ -518,7 +624,8 @@ def decide_cs(
     t:
         Square complex matrix or :class:`~treeshift.shift.ShiftMatrix`.
     options:
-        Tolerances, word length bound, restart budget, and seed.
+        Tolerances, word length bound, and the seed of the certificate's
+        random element.
     basis:
         Labels for certificate serialization; inferred from a shift matrix.
 
@@ -549,7 +656,8 @@ def decide_cs(
             elapsed=time.perf_counter() - started,
         )
 
-    word = word_trace_obstruction(m, max_len=opts.max_word_len, tol=opts.tol)
+    work, gauge = _gauged(m)
+    word = word_trace_obstruction(work, max_len=opts.max_word_len, tol=opts.tol)
     if word is not None:
         return finish(
             "not_cs",
@@ -557,7 +665,7 @@ def decide_cs(
             residuals={"witness_margin": word["margin"]},
         )
 
-    space, structure, excluded = _joint_structure(m, opts.rank_rtol)
+    space, structure, excluded = _joint_structure(work, opts.rank_rtol)
     dim = space.shape[0]
     if excluded:
         return finish(
@@ -566,41 +674,30 @@ def decide_cs(
             residuals={"witness_margin": 1.0 - structure["spread"]},
             diag={"sylvester_dim": dim},
         )
-    found = unitary_search(
-        space,
-        seed=opts.seed,
-        restarts=opts.restarts,
-        tol=opts.tol,
-        max_iter=opts.max_iter,
+    cert, report, spread = _one_shot_certificate(
+        space, gauge, m, basis, opts.seed, opts.tol
     )
-    if found is not None:
-        try:
-            cert = conjugation_from_matrix(found, basis=basis, tol=opts.tol)
-        except ConjugationError:
-            cert = None
-        if cert is not None:
-            report = verify_c_symmetry(m, cert, tol=opts.tol)
-            if report.passed:
-                return finish(
-                    "cs",
-                    certificate=cert,
-                    residuals={
-                        "unitary": cert.residual_unitary,
-                        "symmetric": cert.residual_symmetric,
-                        "intertwining": report.residual,
-                    },
-                    diag={"sylvester_dim": dim},
-                )
+    diag = {"sylvester_dim": dim, "spread": spread}
+    if cert is None:
+        return finish("undetermined", diag=diag)
     return finish(
-        "undetermined",
-        diag={"sylvester_dim": dim, "restarts": opts.restarts},
+        "cs",
+        certificate=cert,
+        residuals={
+            "unitary": cert.residual_unitary,
+            "symmetric": cert.residual_symmetric,
+            "intertwining": report.residual,
+        },
+        diag=diag,
     )
 
 
 def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOptions] = None) -> tuple[bool, float]:
     """Recompute a ``not_cs`` witness from the matrix alone.
 
-    Returns ``(still_violated, margin)``.  For ``word_trace`` the margin is
+    The witness is recomputed on the matrix :func:`decide_cs` ran its stages
+    on: ``|T|`` for a tree shift, ``T`` otherwise.  Returns
+    ``(still_violated, margin)``.  For ``word_trace`` the margin is
     the trace gap, computed exactly as the detection computed it.  For
     ``structure`` the joint space ``W`` is solved again; the witness holds
     when ``W`` has the recorded dimension and still excludes a certificate,
@@ -608,7 +705,7 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     :class:`ValueError`.
     """
     opts = options or DeciderOptions()
-    m = _as_matrix(t)
+    m, _gauge = _gauged(_as_matrix(t))
     kind = obstruction["kind"]
     if kind == "structure":
         _space, again, excluded = _joint_structure(m, opts.rank_rtol)

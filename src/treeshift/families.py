@@ -18,9 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conjugation import (
-    Conjugation, ConjugationError, conjugation_from_matrix, verify_c_symmetry,
-)
+from .conjugation import Conjugation, ConjugationError, gauged_conjugation
 from .serialize import complex_to_pair
 from .shift import ShiftMatrix, build_shift, positivize_weights
 from .trees import DirectedTree, generate_binary, generate_two_branch
@@ -545,16 +543,8 @@ def _verified_conjugation(
     candidate is ``D A D``.  Raises :class:`ConjugationError` if it is not a
     conjugation of ``t``.
     """
-    a = cols @ p @ cols.T
     d = np.array([gauge[v] for v in basis], dtype=complex)
-    a = (d[:, None] * a) * d[None, :]
-    cert = conjugation_from_matrix(a, basis=basis, tol=tol)
-    report = verify_c_symmetry(t, cert, tol=tol)
-    if not report.passed:
-        raise ConjugationError(
-            f"constructed conjugation fails intertwining: residual {report.residual:.3e}"
-        )
-    return cert
+    return gauged_conjugation(cols @ p @ cols.T, d, t, basis, tol)[0]
 
 
 def reversal_pairing_cs(

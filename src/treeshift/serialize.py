@@ -52,8 +52,9 @@ def pair_to_complex(value) -> complex:
 
 
 def matrix_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
+    """Row-major ``[re, im]`` pairs, the floats :func:`complex_to_pair` gives."""
     m = np.asarray(m, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def pairs_to_matrix(rows) -> np.ndarray:

@@ -10,6 +10,7 @@ basis vectors of its children: column ``u`` of the matrix has entry
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "kernel_table",
     "numerical_rank",
     "positivize_weights",
+    "tree_gauge",
 ]
 
 
@@ -170,3 +172,34 @@ def positivize_weights(
                 nxt.append(v)
         frontier = nxt
     return positive, gauge
+
+
+def tree_gauge(m: np.ndarray) -> Optional[np.ndarray]:
+    """The gauge of :func:`positivize_weights`, read off a matrix alone.
+
+    ``m`` is the matrix of a tree shift (a forest, in general) when each row
+    has at most one nonzero, in the column of the row's parent, and the
+    parent pointers close no cycle; a nonzero diagonal entry is a cycle of
+    length one.  Returns the unimodular ``d`` with ``d_v = 1`` at a vertex
+    whose row is zero and ``d_v = m[v, p] d_p / |m[v, p]|`` at a vertex with
+    parent ``p``, so that ``conj(d_v) m[v, p] d_p = |m[v, p]|`` and
+    ``D* m D = |m|``; or ``None`` when ``m`` is no tree shift.  A zero weight
+    leaves a zero row, which the matrix cannot tell from a root, so its
+    vertex starts afresh at phase 1.
+    """
+    nonzero = m != 0
+    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
+        return None
+    parent = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
+    d = np.ones(m.shape[0], dtype=complex)
+    known = parent < 0
+    todo = np.flatnonzero(~known)
+    while todo.size:
+        ready = todo[known[parent[todo]]]
+        if not ready.size:
+            return None  # the remaining parent pointers run in a cycle
+        w = m[ready, parent[ready]]
+        d[ready] = w * d[parent[ready]] / np.abs(w)
+        known[ready] = True
+        todo = todo[~known[todo]]
+    return d

@@ -228,6 +228,89 @@ def dense_joint_sylvester_nullspace(m, rtol):
     return _dense_symmetric_nullspace([m, m.conj().T], rtol)
 
 
+def reference_sylvester_nullspace(mats, rtol):
+    """``treeshift.decider._sylvester_nullspace`` as one SVD per block.
+
+    The same system, split into the same blocks by the same min-label
+    propagation, but each block assembled with ``np.unique`` and
+    ``np.add.at`` and solved by its own SVD, in block order.  On complex
+    matrices the stacked solver must return this basis and these singular
+    values bit for bit.  The rank rule is written out:
+    ``max(rtol, size eps) sigma_ref``, ``size = len(mats) n^2`` rows.
+    """
+    mats = [np.asarray(m, dtype=complex) for m in mats]
+    n = mats[0].shape[0]
+    size = len(mats) * n * n
+    p_of, q_of = np.triu_indices(n)
+    npairs = p_of.size
+    unknown = np.empty((n, n), dtype=np.intp)
+    unknown[p_of, q_of] = unknown[q_of, p_of] = np.arange(npairs)
+    weight = np.full((n, n), 1.0 / np.sqrt(2.0))
+    np.fill_diagonal(weight, 1.0)
+
+    y = np.arange(n)
+    cols, eqs, vals = [], [], []
+    for k, mat in enumerate(mats):
+        r, x = np.nonzero(mat)
+        col = unknown[x[:, None], y].ravel()
+        val = (mat[r, x][:, None] * weight[x[:, None], y]).ravel()
+        cols += [col, col]
+        eqs += [(k * n * n + r[:, None] * n + y).ravel(),
+                (k * n * n + y * n + r[:, None]).ravel()]
+        vals += [val, -val]
+    cols, eqs, vals = (np.concatenate(a) for a in (cols, eqs, vals))
+
+    label = np.arange(npairs + size)
+    eq_nodes = npairs + eqs
+    while True:
+        low = np.minimum(label[cols], label[eq_nodes])
+        new = label.copy()
+        np.minimum.at(new, cols, low)
+        np.minimum.at(new, eq_nodes, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    block_of = label[cols]
+
+    order = np.argsort(block_of, kind="stable")
+    cols, eqs, vals, block_of = cols[order], eqs[order], vals[order], block_of[order]
+    starts = np.flatnonzero(np.r_[True, block_of[1:] != block_of[:-1]])
+    blocks = []
+    for lo, hi in zip(starts, np.r_[starts[1:], cols.size]):
+        unk, ci = np.unique(cols[lo:hi], return_inverse=True)
+        eq, ri = np.unique(eqs[lo:hi], return_inverse=True)
+        mat = np.zeros((eq.size, unk.size), dtype=complex)
+        np.add.at(mat, (ri, ci), vals[lo:hi])
+        _u, s, vh = np.linalg.svd(mat, full_matrices=eq.size < unk.size)
+        blocks.append((unk, s, vh))
+
+    sigma = np.zeros(npairs)
+    found = np.concatenate([s for _unk, s, _vh in blocks] or [np.zeros(0)])
+    sigma[: found.size] = np.sort(found)[::-1]
+    cut = max(rtol, size * np.finfo(float).eps) * sigma[0]
+
+    touched = np.zeros(npairs, dtype=bool)
+    touched[cols] = True
+    free = np.flatnonzero(~touched)
+    vec_ids = [np.arange(free.size)]
+    unk_ids = [free]
+    coeffs = [np.ones(free.size, dtype=complex)]
+    dim = free.size
+    for unk, s, vh in blocks:
+        null = vh[int(np.count_nonzero(s > cut)):].conj()
+        k = null.shape[0]
+        vec_ids.append(np.repeat(np.arange(dim, dim + k), unk.size))
+        unk_ids.append(np.tile(unk, k))
+        coeffs.append(null.ravel())
+        dim += k
+    vec_ids, unk_ids, coeffs = (np.concatenate(a) for a in (vec_ids, unk_ids, coeffs))
+    p, q = p_of[unk_ids], q_of[unk_ids]
+    basis = np.zeros((dim, n, n), dtype=complex)
+    basis[vec_ids, p, q] = basis[vec_ids, q, p] = coeffs * weight[p, q]
+    return basis, sigma
+
+
 def sequential_word_trace_obstruction(m, max_len=8, tol=1e-10):
     """Word-trace witness by a plain scan of every word pair.
 

@@ -134,9 +134,10 @@ def test_check_rejects_bad_tolerance(capsys):
     assert "tol" in capsys.readouterr().err
 
 
-def test_check_rejects_bad_restarts(capsys):
-    code = main(["check", "--restarts", "0", "nonexistent.json"])
+def test_check_rejects_bad_word_len(capsys):
+    code = main(["check", "--word-len", "1", "nonexistent.json"])
     assert code == 3
+    assert "word-len" in capsys.readouterr().err
 
 
 def test_classify_satisfied(capsys):
@@ -302,24 +303,22 @@ def test_crossval_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_crossval_passes_restarts_and_word_len(capsys):
+def test_crossval_passes_seed_and_word_len(capsys):
     code = main([
         "crossval", "--family", "binary", "--kappa-max", "2",
-        "--restarts", "8", "--word-len", "4", "--json",
+        "--seed", "8", "--word-len", "4", "--json",
     ])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert doc["options"]["restarts"] == 8
+    assert doc["options"]["seed"] == 8
     assert doc["options"]["max_word_len"] == 4
     verdicts = [rec["decider"] for rec in doc["instances"]]
     assert verdicts
     for verdict in verdicts:
-        assert verdict["options"]["restarts"] == 8
+        assert verdict["seed"] == verdict["options"]["seed"] == 8
         assert verdict["options"]["max_word_len"] == 4
         if verdict["verdict"] == "not_cs":
             assert len(verdict["obstruction"]["witness"]["word"]) <= 4
-        if verdict["verdict"] == "undetermined":
-            assert verdict["diagnostics"]["restarts"] == 8
 
 
 def test_check_survives_overflowing_word_powers(tmp_path):
@@ -424,8 +423,8 @@ def test_common_option_defaults_are_the_decider_defaults():
     for argv in (["check", "doc.json"], ["kernels", "doc.json"],
                  ["crossval", "--family", "binary"]):
         args = build_parser().parse_args(argv)
-        assert (args.tol, args.seed, args.restarts, args.word_len) == (
-            opts.tol, opts.seed, opts.restarts, opts.max_word_len
+        assert (args.tol, args.seed, args.word_len) == (
+            opts.tol, opts.seed, opts.max_word_len
         )
 
 

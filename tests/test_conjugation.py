@@ -160,3 +160,25 @@ def test_from_doc_rejects_corrupt_matrix(y_shift):
     doc["matrix"][0][1] = [5.0, 0.0]
     with pytest.raises(ConjugationError):
         Conjugation.from_doc(doc)
+
+
+def test_verify_fails_when_the_norm_overflows():
+    # ||T||_F overflows at weights 1e200 and 3e200, so the residual of the
+    # identity and the scale of the bound are both inf; the path (1, 3) is
+    # not complex symmetric at any scale
+    from treeshift import build_shift, decide_cs, generate_path
+
+    s = build_shift(generate_path(3), {"1": 1e200, "2": 3e200})
+    with np.errstate(over="ignore"):
+        report = verify_c_symmetry(s, conjugation_from_matrix(np.eye(3, dtype=complex)))
+        assert decide_cs(s).kind == "not_cs"
+    assert report.residual == math.inf
+    assert not report.passed
+
+
+def test_verify_is_relative_at_small_scale(trunked_y_shift):
+    # the identity fails on the trunked branching at every scale; an absolute
+    # floor of tol would let it pass once ||T||_F is below tol
+    conj = conjugation_from_matrix(np.eye(5, dtype=complex))
+    for c in (1.0, 1e-12, 1e-150):
+        assert not verify_c_symmetry(c * trunked_y_shift.matrix, conj).passed

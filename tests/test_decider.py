@@ -31,13 +31,15 @@ from treeshift import (
     word_trace_obstruction,
     word_value,
 )
-from treeshift.decider import _sylvester_nullspace
+from treeshift import decider
+from treeshift.decider import _gauged, _one_shot_certificate, _sylvester_nullspace
 from conftest import random_complex
 from oracles import (
     dense_joint_sylvester_nullspace,
     dense_sylvester_nullspace,
     exact_joint_sylvester_space,
     exact_rank,
+    reference_sylvester_nullspace,
     sequential_word_trace_obstruction,
 )
 
@@ -53,7 +55,7 @@ def test_options_doc_round_trip():
     doc = opts.to_doc()
     assert doc["tol"] == 1e-9
     assert doc["seed"] == 3
-    assert set(doc) == {"tol", "rank_rtol", "max_word_len", "restarts", "seed", "max_iter"}
+    assert set(doc) == {"tol", "rank_rtol", "max_word_len", "seed"}
 
 
 def test_kernel_obstruction_never_fires_on_shifts(y_shift, trunked_y_shift):
@@ -293,6 +295,52 @@ def test_block_joint_solve_matches_dense_reference(kind, seed):
     assert np.abs(null_projector(space) - null_projector(ref)).max() <= 1e-10
 
 
+def bits(a: np.ndarray) -> tuple:
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def solver_case(kind: str, seed: int) -> np.ndarray:
+    """Inputs of the stacked solver: a tree shift with random phases or with
+    a zero weight, a dense matrix, or the real ``|T|`` of a tree shift."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return random_complex(rng, (int(rng.integers(2, 7)),) * 2)
+    if kind == "real_dense":
+        return rng.standard_normal((int(rng.integers(2, 7)),) * 2)
+    if kind == "ones":
+        tree = random_tree(rng, max_vertices=12)
+        m = build_shift(tree, {v: 1.0 for v in tree.nonroot_vertices()}).matrix
+    else:
+        m = sylvester_case("tree_zero" if kind.endswith("zero") else "tree", seed)
+    return np.abs(m) if kind.startswith("real") or kind == "ones" else m
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(
+        ["tree", "tree_zero", "dense", "real_tree", "real_tree_zero", "ones", "real_dense"]
+    ),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_stacked_solve_matches_the_per_block_reference(kind, seed, joint):
+    # complex systems: bit for bit the basis and singular values of one SVD
+    # per block; real ones: the dimension of the dense kron oracles
+    m = solver_case(kind, seed)
+    mats = (m, m.conj().T) if joint else (m,)
+    space, sigma = _sylvester_nullspace(mats, 1e-10)
+    if m.dtype == complex:
+        ref, ref_sigma = reference_sylvester_nullspace(mats, 1e-10)
+        assert bits(space) == bits(ref)
+        assert bits(sigma) == bits(ref_sigma)
+    else:
+        assert space.dtype == np.float64
+        dense = dense_joint_sylvester_nullspace if joint else dense_sylvester_nullspace
+        ref, _ref_sigma = dense(m, 1e-10)
+        assert space.shape == ref.shape
+        assert np.abs(null_projector(space) - null_projector(ref)).max() <= 1e-10
+
+
 def test_polar_factor_survives_gesdd_nonconvergence():
     # LAPACK gesdd raises "SVD did not converge" on this 27x27 matrix, whose
     # singular values are tightly clustered in [0.855, 1.154], when OpenBLAS
@@ -302,7 +350,7 @@ def test_polar_factor_survives_gesdd_nonconvergence():
         "import sys, numpy as np\n"
         "from treeshift.decider import _polar_factor\n"
         "a = np.load(sys.argv[1])\n"
-        "p = _polar_factor(a)\n"
+        "p, _s = _polar_factor(a)\n"
         "h = p.conj().T @ a\n"
         "print(np.linalg.norm(p @ p.conj().T - np.eye(a.shape[0])),"
         " np.linalg.norm(h - h.conj().T) / np.linalg.norm(a))\n"
@@ -413,6 +461,45 @@ def test_decide_cs_gauge_invariant(rng):
     positive, _gauge = positivize_weights(tree, weights)
     s_pos = build_shift(tree, positive)
     assert decide_cs(s).kind == decide_cs(s_pos).kind
+
+
+def phased_tree_shifts(count=30, seed=7):
+    """Random trees with random phases; every third has one zero weight."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        tree = random_tree(rng, max_vertices=10)
+        weights = random_weights(rng, tree)
+        if rng.random() < 0.5:  # equal moduli: complex symmetric more often
+            weights = {v: w / abs(w) for v, w in weights.items()}
+        if k % 3 == 2:
+            weights[sorted(weights)[int(rng.integers(len(weights)))]] = 0.0
+        yield build_shift(tree, weights)
+
+
+def test_a_shift_and_its_bare_matrix_give_the_same_report():
+    kinds = set()
+    for s in phased_tree_shifts():
+        doc = dump_json(decide_cs(s).to_doc())
+        assert dump_json(decide_cs(s.matrix, basis=s.basis).to_doc()) == doc
+        kinds.add(decide_cs(s).kind)
+    assert kinds == {"cs", "not_cs"}
+
+
+def test_verdict_kind_does_not_depend_on_phases_or_arithmetic(monkeypatch):
+    # the phases gauge away, a zero weight included; and the real path on |T|
+    # decides as the complex path on T does
+    shifts = list(phased_tree_shifts())
+    real = [decide_cs(s) for s in shifts]
+    for s, verdict in zip(shifts, real):
+        assert decide_cs(np.abs(s.matrix)).kind == verdict.kind
+        if verdict.kind == "cs":
+            assert verify_c_symmetry(s, verdict.certificate).passed
+        else:
+            ok, _margin = reevaluate_obstruction(s, verdict.obstruction)
+            assert ok
+    monkeypatch.setattr(decider, "tree_gauge", lambda m: None)
+    for s, verdict in zip(shifts, real):
+        assert decide_cs(s).kind == verdict.kind
 
 
 def test_verdict_doc_shape(y_shift):
@@ -554,11 +641,6 @@ def random_tree_matrices(count=60, seed=5, max_vertices=10):
     return mats
 
 
-# the structure stage runs before the unitary search, so the tests of its
-# verdicts need few restarts on the inputs it leaves to the search
-FEW_RESTARTS = DeciderOptions(restarts=4)
-
-
 def structure_witnesses():
     # all-ones and bumped two-branch trees at scale 1, and random trees at
     # 1e-8, where no word gap clears the threshold's absolute floor
@@ -572,7 +654,7 @@ def structure_witnesses():
 def test_structure_witnesses_replay_and_fail_on_a_cs_matrix():
     dims = set()
     for m in structure_witnesses():
-        verdict = decide_cs(m, FEW_RESTARTS)
+        verdict = decide_cs(m)
         if verdict.kind != "not_cs":
             continue
         assert verdict.obstruction["kind"] == "structure"
@@ -604,12 +686,12 @@ def test_structure_verdicts_do_not_depend_on_scale():
     for kappa, theta, bump in STRUCTURE_CASES:
         tree, weights = ones_two_branch(kappa, theta, bump)
         m = build_shift(tree, {v: float(w) for v, w in weights.items()}).matrix
-        keys = {verdict_key(decide_cs(c * m, FEW_RESTARTS)) for c in SCALES}
+        keys = {verdict_key(decide_cs(c * m)) for c in SCALES}
         assert keys == {("not_cs", "structure", 1)}
     recovered = 0
     for m in random_tree_matrices():
         kinds = {
-            c: verdict_key(decide_cs(c * m, FEW_RESTARTS)) for c in SCALES
+            c: verdict_key(decide_cs(c * m)) for c in SCALES
         }
         structure = {k for k in kinds.values() if k[1] == "structure"}
         if structure:
@@ -620,6 +702,26 @@ def test_structure_verdicts_do_not_depend_on_scale():
         assert {k[0] for k in kinds.values()} <= {kinds[1.0][0], "undetermined"}
     # the parent of this stage returned undetermined on all of these at 1e-8
     assert recovered >= 40
+
+
+def test_one_shot_certificate_exists_iff_the_search_finds_one():
+    # the polar factor of one generic element of W against the reference
+    # multi-start search, on the same basis of W(|T|)
+    mats = [s.matrix for s in phased_tree_shifts(count=24, seed=11)]
+    for kappa, theta, bump in STRUCTURE_CASES:
+        tree, weights = ones_two_branch(kappa, theta, bump)
+        mats.append(build_shift(tree, {v: float(w) for v, w in weights.items()}).matrix)
+    found = set()
+    for m in mats:
+        work, gauge = _gauged(m)
+        assert gauge is not None
+        space, _sigma = _sylvester_nullspace((work, work.T), 1e-10)
+        basis = tuple(str(i) for i in range(m.shape[0]))
+        cert, _report, _spread = _one_shot_certificate(space, gauge, m, basis, 0, 1e-10)
+        searched = unitary_search(space, seed=0)
+        assert (cert is not None) == (searched is not None)
+        found.add(cert is not None)
+    assert found == {True, False}
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-8])

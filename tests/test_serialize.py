@@ -91,3 +91,32 @@ def test_dump_json_writes_to_fp(tmp_path):
     with open(path, "w") as fp:
         assert dump_json({"x": 1}, fp) is None
     assert json.loads(path.read_text()) == {"x": 1}
+
+
+# finite floats, -0.0 and subnormals included
+edge_floats = st.one_of(
+    finite, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.tuples(edge_floats, edge_floats), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )
+    )
+)
+def test_matrix_to_pairs_matches_per_entry_conversion(rows):
+    m = np.array(
+        [[complex(re, im) for re, im in row] for row in rows], dtype=complex
+    ).reshape(len(rows), len(rows))
+    fast = matrix_to_pairs(m)
+    slow = [[complex_to_pair(z) for z in row] for row in m]
+    assert dump_json(fast) == dump_json(slow)
+    flat = [x for row in fast for pair in row for x in pair]
+    assert all(type(x) is float for x in flat)
+    assert [x.hex() for x in flat] == [
+        x.hex() for row in slow for pair in row for x in pair
+    ]

@@ -16,6 +16,7 @@ from treeshift import (
     numerical_rank,
     positivize_weights,
 )
+from treeshift.shift import tree_gauge
 
 from oracles import exact_kernel_dim, shift_matrix_fraction
 
@@ -215,3 +216,37 @@ def test_positivize_random_gauge_is_unimodular(rng):
 def test_positivize_rejects_zero_weight():
     with pytest.raises(WeightError, match="zero"):
         positivize_weights(generate_path(2), {"1": 0.0})
+
+
+def test_tree_gauge_makes_every_weight_its_modulus(rng):
+    tree = generate_two_branch(2, 3)
+    weights = {
+        v: complex(rng.standard_normal(), rng.standard_normal())
+        for v in tree.nonroot_vertices()
+    }
+    s = build_shift(tree, weights)
+    d = tree_gauge(s.matrix)
+    assert np.allclose(np.abs(d), 1.0, rtol=0.0, atol=1e-15)
+    gauged = d.conj()[:, None] * s.matrix * d[None, :]
+    assert np.abs(gauged - np.abs(s.matrix)).max() <= 1e-14 * np.abs(s.matrix).max()
+    # the same phases as positivize_weights, for nonzero weights
+    _positive, gauge = positivize_weights(tree, weights)
+    assert np.abs(d - [gauge[v] for v in s.basis]).max() <= 1e-15
+
+
+def test_tree_gauge_starts_afresh_below_a_zero_weight():
+    s = build_shift(generate_path(4), {"1": 1j, "2": 0.0, "3": -1.0})
+    assert np.array_equal(tree_gauge(s.matrix), [1.0, 1j, 1.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.array([[0, 0], [1, 1]]),  # two nonzeros in a row
+        np.array([[1.0]]),  # a nonzero diagonal entry
+        np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]),  # a cycle of two
+        np.ones((3, 3)),
+    ],
+)
+def test_tree_gauge_rejects_what_is_no_tree_shift(m):
+    assert tree_gauge(m) is None

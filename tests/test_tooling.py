@@ -23,8 +23,8 @@ def test_perfbench_traced_functions_exist(monkeypatch):
 
 
 # audit_mix also runs the pairing oracle and the printed criteria on all
-# three family shapes
-@pytest.mark.parametrize("workload", ["binary_scale", "audit_mix"])
+# three family shapes; hard_two_branch replays structure witnesses
+@pytest.mark.parametrize("workload", ["binary_scale", "audit_mix", "hard_two_branch"])
 def test_perfbench_smoke_run_is_correct(workload):
     # one untimed pass of the benchmark's checks: a package change that makes
     # a verdict fail to replay or a known answer come back wrong fails here
