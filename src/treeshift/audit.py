@@ -210,9 +210,9 @@ def _instance_record(
     certified = False
     certification: dict = {}
     if verdict.kind == "cs":
-        residual = verify_c_symmetry(s, verdict.certificate, tol=tol).residual
-        certified = residual <= tol
-        certification = {"kind": "certificate", "residual": float(residual)}
+        report = verify_c_symmetry(s, verdict.certificate, tol=tol)
+        certified = report.passed
+        certification = {"kind": "certificate", "residual": float(report.residual)}
     elif verdict.kind == "not_cs":
         ok, margin = reevaluate_obstruction(s, verdict.obstruction, verdict.options)
         certified = bool(ok)
@@ -388,11 +388,11 @@ def soundness_fuzz(
             "verdict": verdict.kind,
         }
         if verdict.kind == "cs":
-            residual = verify_c_symmetry(s, verdict.certificate, tol=tol).residual
-            worst_certificate_residual = max(worst_certificate_residual, residual)
-            if residual > tol:
+            report = verify_c_symmetry(s, verdict.certificate, tol=tol)
+            worst_certificate_residual = max(worst_certificate_residual, report.residual)
+            if not report.passed:
                 failed_certificates += 1
-            entry["certificate_residual"] = float(residual)
+            entry["certificate_residual"] = float(report.residual)
         elif verdict.kind == "not_cs":
             ok, margin = reevaluate_obstruction(s, verdict.obstruction, verdict.options)
             if not ok:

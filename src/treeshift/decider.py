@@ -34,8 +34,9 @@ invertible, ``X* X`` commutes with ``T^T`` and ``conj(T)``, so the polar
 factor ``X (X* X)^(-1/2)`` lies in ``V``; by Takagi, ``X = Q S Q^T`` makes
 it ``Q Q^T``, which is symmetric.  So ``T`` is complex symmetric iff ``W``
 has an invertible element, and a random element is invertible with
-probability 1 when one is.  The candidate is checked against ``T``; when it
-fails, one more element is drawn, and then the verdict is ``undetermined``.
+probability 1 when one is.  The same element, through the same SVD, gives
+the spread of the structure witness at ``dim W = 1``.  The candidate is
+checked against ``T``; when it fails, the verdict is ``undetermined``.
 
 The kernel dimensions of ``T^m`` and ``T*^m`` are not compared: they
 always agree (``rank M = rank M*``), and with a tight rank cut the test
@@ -81,7 +82,6 @@ import numpy as np
 from .conjugation import (  # noqa: F401
     Conjugation,
     ConjugationError,
-    CSymmetryReport,
     conjugation_from_matrix,
     gauged_conjugation,
     verify_c_symmetry,
@@ -96,7 +96,6 @@ __all__ = [
     "kernel_obstruction",
     "word_trace_obstruction",
     "word_value",
-    "sylvester_space",
     "unitary_search",
     "reevaluate_obstruction",
 ]
@@ -121,6 +120,10 @@ def _as_matrix(t) -> np.ndarray:
         m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError("expected a nonempty square matrix")
+    finite = np.isfinite(m)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"matrix entry ({row}, {col}) is not finite: {m[row, col]}")
     return m
 
 
@@ -259,15 +262,15 @@ def word_trace_obstruction(
     return None
 
 
-def _sylvester_nullspace(mats: Sequence[np.ndarray], rtol: float):
-    """Common null space of ``A -> M A - A M^T`` on symmetric ``A`` over
-    ``M`` in ``mats``, block by block.
+def _sylvester_nullspace(m: np.ndarray, rtol: float):
+    """The joint space ``W`` of ``m`` (see the module docstring), block by
+    block: the common null space of ``A -> M A - A M^T`` on symmetric ``A``
+    for ``M = m`` and ``M = m*``.
 
-    The equations of each ``M`` are stacked below those of the one before,
-    rows offset by ``n^2``.  ``(T,)`` gives the Sylvester space of ``T``;
-    ``(T, T*)`` gives the joint space ``W`` of the module docstring, since
-    ``T* A = A conj(T)`` is the equation for ``M = T*`` (``M^T = conj(T)``).
-    The arithmetic follows the matrices: real ones give a real basis.
+    ``T* A = A conj(T)`` is the equation for ``M = T*`` (``M^T = conj(T)``),
+    so the equations of ``m*`` are stacked below those of ``m``, rows
+    offset by ``n^2``.  The arithmetic follows ``m``: a real one gives a
+    real basis.
 
     The unknowns are the coefficients of the orthonormal symmetric basis
     ``E_pp`` and ``(E_pq + E_qp) / sqrt 2`` (``p < q``).  Through the end
@@ -280,17 +283,18 @@ def _sylvester_nullspace(mats: Sequence[np.ndarray], rtol: float):
     laid out one after another and grouped by shape, and one stacked SVD
     solves each group.  All blocks are cut by the rank rule of
     :func:`~treeshift.shift.numerical_rank` for the whole system of
-    ``size = len(mats) n^2`` rows, ``max(rtol, size eps)`` times the largest
+    ``size = 2 n^2`` rows, ``max(rtol, size eps)`` times the largest
     singular value of any block, which is the cut a dense SVD applies.
 
     Returns ``(basis, sigma)``: a ``(d, n, n)`` array whose slices are a
-    Frobenius-orthonormal basis of the null space in block order, and the
-    singular values of the whole system, descending and zero-padded to
+    Frobenius-orthonormal basis of ``W`` in block order, and the singular
+    values of the whole system, descending and zero-padded to
     ``n (n + 1) / 2``.
     """
-    n = mats[0].shape[0]
-    dtype = np.result_type(*mats)
-    size = len(mats) * n * n
+    n = m.shape[0]
+    dtype = m.dtype
+    mats = (m, m.conj().T)
+    size = 2 * n * n
     p_of, q_of = np.triu_indices(n)
     npairs = p_of.size
     unknown = np.empty((n, n), dtype=np.intp)
@@ -401,45 +405,39 @@ def _sylvester_nullspace(mats: Sequence[np.ndarray], rtol: float):
     return basis, sigma
 
 
-def sylvester_space(t, rtol: float = 1e-10) -> list[np.ndarray]:
-    """Orthonormal basis (Frobenius) of ``{A symmetric : T A = A T^T}``.
+def _joint_space(
+    m: np.ndarray, rtol: float, seed: int
+) -> tuple[Optional[np.ndarray], dict, bool]:
+    """Solve the joint space ``W`` of ``m`` and take one generic element.
 
-    Parameterizing by symmetric coefficient matrices keeps every element
-    exactly symmetric; the nullspace cut uses a relative singular value
-    threshold.  The basis comes in block order (see the module docstring):
-    first the pairs that enter no equation, then each coupled block of the
-    system in turn, so it is deterministic for a fixed input.
-    """
-    basis, _sigma = _sylvester_nullspace((_as_matrix(t),), rtol)
-    return list(basis)
-
-
-def _joint_structure(m: np.ndarray, rtol: float) -> tuple[np.ndarray, dict, bool]:
-    """The joint space ``W`` of ``m``, and whether it excludes a certificate.
-
-    Returns ``(basis, witness, excluded)``.  The witness records ``dim W``;
-    the ``spread`` ``sigma_min / sigma_max`` of its element when
-    ``dim W = 1`` (else 0); and, relative to the largest singular value of
-    the system, ``sigma_kept`` and ``sigma_cut``, the singular values just
-    above and just below the rank cut.  ``W`` excludes a certificate when
-    it is ``{0}``, or a line whose element is far from any unitary
-    (``spread < 1/2``), and the cut sits in a wide gap: ``sigma_kept`` at
-    least ``1e3`` times the cut and ``1e6`` times ``sigma_cut``, so that no
+    The element ``X`` is a seeded real Gaussian combination of the basis of
+    ``W``.  Returns ``(polar, witness, excluded)``: the unitary polar factor
+    of ``X``, ``None`` when ``W = {0}``; the structure witness; and whether
+    ``W`` excludes a certificate.  The witness records ``dim W``; the
+    ``spread`` ``sigma_min / sigma_max`` of ``X`` (0 when ``W = {0}``); and,
+    relative to the largest singular value of the system, ``sigma_kept``
+    and ``sigma_cut``, the singular values just above and just below the
+    rank cut.  ``W`` excludes a certificate when it is ``{0}``, or a line
+    whose elements are far from any unitary (``spread < 1/2``; at
+    ``dim W = 1``, ``X`` is a nonzero multiple of the basis vector and has
+    its spread), and the cut sits in a wide gap: ``sigma_kept`` at least
+    ``1e3`` times the cut and ``1e6`` times ``sigma_cut``, so that no
     element of ``W`` can hide below it.
     """
-    mats = (m, m.conj().T)
-    basis, sigma = _sylvester_nullspace(mats, rtol)
-    dim = basis.shape[0]
+    space, sigma = _sylvester_nullspace(m, rtol)
+    dim = space.shape[0]
     rank = sigma.size - dim
     kept = sigma[rank - 1] if rank else 0.0
     below = sigma[rank] if dim else 0.0
-    spread = 0.0
-    if dim == 1:
-        s = np.linalg.svd(basis[0], compute_uv=False)
-        spread = s[-1] / s[0]
+    polar, spread = None, 0.0
+    if dim:
+        rng = np.random.default_rng(seed)
+        element = np.tensordot(rng.standard_normal(dim), space, axes=1)
+        polar, s = _polar_factor(element)
+        spread = s[-1] / s[0] if s[0] > 0 else 0.0
     wide = (
         rank > 0
-        and _rank_above_cut(sigma, len(mats) * m.size, rtol, 1e3 * sigma[0]) == rank
+        and _rank_above_cut(sigma, 2 * m.size, rtol, 1e3 * sigma[0]) == rank
         and kept >= 1e6 * below
     )
     ref = sigma[0] if sigma[0] > 0 else 1.0
@@ -449,7 +447,7 @@ def _joint_structure(m: np.ndarray, rtol: float) -> tuple[np.ndarray, dict, bool
         "sigma_kept": float(kept / ref),
         "sigma_cut": float(below / ref),
     }
-    return basis, witness, bool(wide and dim <= 1 and spread < 0.5)
+    return polar, witness, bool(wide and dim <= 1 and spread < 0.5)
 
 
 def _polar_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -477,33 +475,6 @@ def _gauged(m: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
     if d is None:
         return np.asarray(m, dtype=complex), None
     return np.abs(m), d
-
-
-def _one_shot_certificate(
-    space: np.ndarray, d: Optional[np.ndarray], m: np.ndarray,
-    basis: Sequence[str], seed: int, tol: float,
-) -> tuple[Optional[Conjugation], Optional[CSymmetryReport], float]:
-    """A certificate from the polar factor of one generic element of ``W``.
-
-    The element is a seeded real Gaussian combination of the basis ``space``
-    of ``W``, solved for the gauged matrix; its polar factor, gauged back by
-    ``d``, is checked against ``m``.  When the check fails, one more draw
-    is made.  Returns ``(certificate, report, spread)``, the first two
-    ``None`` when no draw verifies, and ``spread`` the
-    ``sigma_min / sigma_max`` of the last element drawn (0 if none).
-    """
-    rng = np.random.default_rng(seed)
-    spread = 0.0
-    for _draw in range(2 if len(space) else 0):
-        element = np.tensordot(rng.standard_normal(len(space)), space, axes=1)
-        polar, sigma = _polar_factor(element)
-        spread = float(sigma[-1] / sigma[0]) if sigma[0] > 0 else 0.0
-        try:
-            cert, report = gauged_conjugation(polar, d, m, basis, tol)
-        except ConjugationError:
-            continue
-        return cert, report, spread
-    return None, None, spread
 
 
 def unitary_search(
@@ -665,20 +636,21 @@ def decide_cs(
             residuals={"witness_margin": word["margin"]},
         )
 
-    space, structure, excluded = _joint_structure(work, opts.rank_rtol)
-    dim = space.shape[0]
+    polar, structure, excluded = _joint_space(work, opts.rank_rtol, opts.seed)
+    diag = {"sylvester_dim": structure["dim"]}
     if excluded:
         return finish(
             "not_cs",
             obstruction={"kind": "structure", "witness": structure},
             residuals={"witness_margin": 1.0 - structure["spread"]},
-            diag={"sylvester_dim": dim},
+            diag=diag,
         )
-    cert, report, spread = _one_shot_certificate(
-        space, gauge, m, basis, opts.seed, opts.tol
-    )
-    diag = {"sylvester_dim": dim, "spread": spread}
-    if cert is None:
+    diag["spread"] = structure["spread"]
+    if polar is None:
+        return finish("undetermined", diag=diag)
+    try:
+        cert, report = gauged_conjugation(polar, gauge, m, basis, opts.tol)
+    except ConjugationError:
         return finish("undetermined", diag=diag)
     return finish(
         "cs",
@@ -708,7 +680,7 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     m, _gauge = _gauged(_as_matrix(t))
     kind = obstruction["kind"]
     if kind == "structure":
-        _space, again, excluded = _joint_structure(m, opts.rank_rtol)
+        _polar, again, excluded = _joint_space(m, opts.rank_rtol, opts.seed)
         held = excluded and again["dim"] == obstruction["witness"]["dim"]
         return held, 1.0 - again["spread"]
     if kind != "word_trace":

@@ -228,19 +228,20 @@ def dense_joint_sylvester_nullspace(m, rtol):
     return _dense_symmetric_nullspace([m, m.conj().T], rtol)
 
 
-def reference_sylvester_nullspace(mats, rtol):
+def reference_sylvester_nullspace(m, rtol):
     """``treeshift.decider._sylvester_nullspace`` as one SVD per block.
 
-    The same system, split into the same blocks by the same min-label
-    propagation, but each block assembled with ``np.unique`` and
-    ``np.add.at`` and solved by its own SVD, in block order.  On complex
-    matrices the stacked solver must return this basis and these singular
-    values bit for bit.  The rank rule is written out:
-    ``max(rtol, size eps) sigma_ref``, ``size = len(mats) n^2`` rows.
+    The same joint system of ``m`` and ``m*``, split into the same blocks by
+    the same min-label propagation, but each block assembled with
+    ``np.unique`` and ``np.add.at`` and solved by its own SVD, in block
+    order.  On complex matrices the stacked solver must return this basis
+    and these singular values bit for bit.  The rank rule is written out:
+    ``max(rtol, size eps) sigma_ref``, ``size = 2 n^2`` rows.
     """
-    mats = [np.asarray(m, dtype=complex) for m in mats]
-    n = mats[0].shape[0]
-    size = len(mats) * n * n
+    m = np.asarray(m, dtype=complex)
+    mats = [m, m.conj().T]
+    n = m.shape[0]
+    size = 2 * n * n
     p_of, q_of = np.triu_indices(n)
     npairs = p_of.size
     unknown = np.empty((n, n), dtype=np.intp)

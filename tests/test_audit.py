@@ -152,6 +152,16 @@ def test_cross_validate_anchors_are_included():
     assert report["summary"]["all_disagreements_certified"]
 
 
+def test_large_weight_certificate_is_recorded_as_certified():
+    # at weights 1e9 the certificate's residual (~5e-6) is far above tol in
+    # absolute terms but within tol ||T||_F, the bound verify_c_symmetry uses
+    report = cross_validate("binary", [2], samples=0, anchors={2: [(1e9, 1e9)]})
+    (record,) = report["instances"]
+    assert record["decider"]["verdict"] == "cs"
+    assert record["certification"]["residual"] > report["tol"]
+    assert record["certified"] is True
+
+
 def test_soundness_fuzz_small_run():
     report = soundness_fuzz(instances=40, seed=11, max_vertices=10)
     counts = report["counts"]

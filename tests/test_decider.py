@@ -25,14 +25,13 @@ from treeshift import (
     random_tree,
     random_weights,
     reevaluate_obstruction,
-    sylvester_space,
     unitary_search,
     verify_c_symmetry,
     word_trace_obstruction,
     word_value,
 )
 from treeshift import decider
-from treeshift.decider import _gauged, _one_shot_certificate, _sylvester_nullspace
+from treeshift.decider import _gauged, _joint_space, _sylvester_nullspace
 from conftest import random_complex
 from oracles import (
     dense_joint_sylvester_nullspace,
@@ -74,6 +73,19 @@ def test_word_value_anchors():
     word = ["T", "T", "T*", "T", "T*", "T*"]
     assert word_value(t.matrix, word) == pytest.approx(16.0, abs=1e-12)
     assert word_value(t.matrix, word[::-1]) == pytest.approx(4.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrices_are_rejected_up_front(bad):
+    m = np.array([[0, 0], [bad, 0]])
+    witness = {"kind": "structure", "witness": {"dim": 0}}
+    for call in (
+        lambda: decide_cs(m),
+        lambda: word_value(m, ["T", "T*"]),
+        lambda: reevaluate_obstruction(m, witness),
+    ):
+        with pytest.raises(ValueError, match=r"entry \(1, 0\) is not finite"):
+            call()
 
 
 def test_word_value_matches_pure_python(rng):
@@ -199,30 +211,6 @@ def test_word_stage_survives_overflowing_powers():
     assert not ok
 
 
-def test_sylvester_space_zero_operator():
-    space = sylvester_space(np.zeros((2, 2), dtype=complex))
-    assert len(space) == 3
-    for i, a in enumerate(space):
-        assert np.linalg.norm(a - a.T) <= 1e-12
-        for j, b in enumerate(space):
-            inner = np.vdot(a, b)
-            assert abs(inner - (1.0 if i == j else 0.0)) <= 1e-10
-
-
-def test_sylvester_space_path2():
-    t = build_shift(generate_path(2), {"1": 1.0})
-    space = sylvester_space(t.matrix)
-    assert len(space) == 2
-    for a in space:
-        assert np.linalg.norm(t.matrix @ a - a @ t.matrix.T) <= 1e-10
-
-
-def test_sylvester_space_members_solve_the_equation(y_shift):
-    for a in sylvester_space(y_shift.matrix):
-        assert np.linalg.norm(y_shift.matrix @ a - a @ y_shift.matrix.T) <= 1e-10
-        assert np.linalg.norm(a - a.T) <= 1e-12
-
-
 def sylvester_case(kind: str, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind.startswith("dense"):
@@ -260,32 +248,14 @@ def null_projector(basis: np.ndarray) -> np.ndarray:
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(
-        ["tree", "tree_zero", "split", "ones25", "ones36", "dense4", "dense5"]
-    ),
-    st.integers(0, 2**32 - 1),
-)
-def test_block_sylvester_solve_matches_dense_reference(kind, seed):
-    m = sylvester_case(kind, seed)
-    space, sigma = _sylvester_nullspace((m,), 1e-10)
-    ref, ref_sigma = dense_sylvester_nullspace(m, 1e-10)
-    assert space.shape == ref.shape
-    assert sigma.shape == ref_sigma.shape
-    assert sigma[0] == pytest.approx(ref_sigma[0], rel=1e-12, abs=0.0)
-    if ref.shape[0] == 0:
-        assert sigma[-1] == pytest.approx(ref_sigma[-1], rel=1e-12, abs=0.0)
-    assert np.abs(null_projector(space) - null_projector(ref)).max() <= 1e-10
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from(
-        ["tree", "split", "ones25", "ones33", "symmetric", "dense4", "dense5"]
+        ["tree", "tree_zero", "split", "ones25", "ones33", "ones36", "symmetric",
+         "dense4", "dense5"]
     ),
     st.integers(0, 2**32 - 1),
 )
 def test_block_joint_solve_matches_dense_reference(kind, seed):
     m = sylvester_case(kind, seed)
-    space, sigma = _sylvester_nullspace((m, m.conj().T), 1e-10)
+    space, sigma = _sylvester_nullspace(m, 1e-10)
     ref, ref_sigma = dense_joint_sylvester_nullspace(m, 1e-10)
     assert space.shape == ref.shape
     assert sigma.shape == ref_sigma.shape
@@ -321,22 +291,19 @@ def solver_case(kind: str, seed: int) -> np.ndarray:
         ["tree", "tree_zero", "dense", "real_tree", "real_tree_zero", "ones", "real_dense"]
     ),
     st.integers(0, 2**32 - 1),
-    st.booleans(),
 )
-def test_stacked_solve_matches_the_per_block_reference(kind, seed, joint):
+def test_stacked_solve_matches_the_per_block_reference(kind, seed):
     # complex systems: bit for bit the basis and singular values of one SVD
-    # per block; real ones: the dimension of the dense kron oracles
+    # per block; real ones: the dimension of the dense kron oracle
     m = solver_case(kind, seed)
-    mats = (m, m.conj().T) if joint else (m,)
-    space, sigma = _sylvester_nullspace(mats, 1e-10)
+    space, sigma = _sylvester_nullspace(m, 1e-10)
     if m.dtype == complex:
-        ref, ref_sigma = reference_sylvester_nullspace(mats, 1e-10)
+        ref, ref_sigma = reference_sylvester_nullspace(m, 1e-10)
         assert bits(space) == bits(ref)
         assert bits(sigma) == bits(ref_sigma)
     else:
         assert space.dtype == np.float64
-        dense = dense_joint_sylvester_nullspace if joint else dense_sylvester_nullspace
-        ref, _ref_sigma = dense(m, 1e-10)
+        ref, _ref_sigma = dense_joint_sylvester_nullspace(m, 1e-10)
         assert space.shape == ref.shape
         assert np.abs(null_projector(space) - null_projector(ref)).max() <= 1e-10
 
@@ -382,7 +349,7 @@ def test_unitary_search_identity_direction():
 
 def test_unitary_search_finds_exchange():
     t = build_shift(generate_path(2), {"1": 1.0})
-    space = sylvester_space(t.matrix)
+    space, _sigma = dense_sylvester_nullspace(t.matrix, 1e-10)
     found = unitary_search(space, seed=0)
     assert found is not None
     assert np.linalg.norm(found @ found.conj().T - np.eye(2)) <= 1e-8
@@ -396,7 +363,8 @@ def test_unitary_search_empty_on_skew_space():
     e11[0, 0] = 1.0
     assert unitary_search([e11 * 0.0], seed=0) is None
     t = path3_shift(1.0, 2.0)
-    assert unitary_search(sylvester_space(t.matrix), seed=0) is None
+    space, _sigma = dense_sylvester_nullspace(t.matrix, 1e-10)
+    assert unitary_search(space, seed=0) is None
 
 
 def test_decide_cs_branching_example(y_shift):
@@ -624,9 +592,7 @@ def test_structure_witness_matches_exact_rational_oracle(kappa, theta, bump):
     assert witness["spread"] <= 1e-12  # the exact element is singular
     assert verdict.diagnostics["sylvester_dim"] == 1
     # the computed element spans the exact line and has its rank
-    space, _sigma = _sylvester_nullspace(
-        (s.matrix, s.matrix.conj().T), 1e-10
-    )
+    space, _sigma = _sylvester_nullspace(s.matrix, 1e-10)
     b = np.array(element, dtype=float)
     assert abs(np.vdot(b, space[0])) / np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
     assert numerical_rank(space[0]) == exact_rank(element)
@@ -641,12 +607,17 @@ def random_tree_matrices(count=60, seed=5, max_vertices=10):
     return mats
 
 
-def structure_witnesses():
-    # all-ones and bumped two-branch trees at scale 1, and random trees at
-    # 1e-8, where no word gap clears the threshold's absolute floor
+def structure_case_matrices():
+    """The ``STRUCTURE_CASES`` as float matrices."""
     for kappa, theta, bump in STRUCTURE_CASES:
         tree, weights = ones_two_branch(kappa, theta, bump)
         yield build_shift(tree, {v: float(w) for v, w in weights.items()}).matrix
+
+
+def structure_witnesses():
+    # all-ones and bumped two-branch trees at scale 1, and random trees at
+    # 1e-8, where no word gap clears the threshold's absolute floor
+    yield from structure_case_matrices()
     for m in random_tree_matrices():
         yield 1e-8 * m
 
@@ -705,23 +676,38 @@ def test_structure_verdicts_do_not_depend_on_scale():
 
 
 def test_one_shot_certificate_exists_iff_the_search_finds_one():
-    # the polar factor of one generic element of W against the reference
-    # multi-start search, on the same basis of W(|T|)
+    # decide_cs certifies exactly when the reference multi-start search finds
+    # a unitary in the same basis of W(|T|)
     mats = [s.matrix for s in phased_tree_shifts(count=24, seed=11)]
-    for kappa, theta, bump in STRUCTURE_CASES:
-        tree, weights = ones_two_branch(kappa, theta, bump)
-        mats.append(build_shift(tree, {v: float(w) for v, w in weights.items()}).matrix)
+    mats += structure_case_matrices()
     found = set()
     for m in mats:
         work, gauge = _gauged(m)
         assert gauge is not None
-        space, _sigma = _sylvester_nullspace((work, work.T), 1e-10)
-        basis = tuple(str(i) for i in range(m.shape[0]))
-        cert, _report, _spread = _one_shot_certificate(space, gauge, m, basis, 0, 1e-10)
-        searched = unitary_search(space, seed=0)
-        assert (cert is not None) == (searched is not None)
-        found.add(cert is not None)
+        space, _sigma = _sylvester_nullspace(work, 1e-10)
+        cs = decide_cs(m).kind == "cs"
+        assert cs == (unitary_search(space, seed=0) is not None)
+        found.add(cs)
     assert found == {True, False}
+
+
+def test_line_spread_is_that_of_the_dense_oracle_basis_vector():
+    # at dim W = 1 the spread comes from the drawn element, a multiple of the
+    # basis vector; it must fall on the same side of 1/2 as the spread of the
+    # dense joint oracle's basis vector
+    sides = set()
+    for m in [s.matrix for s in phased_tree_shifts()] + list(structure_case_matrices()):
+        work, _gauge = _gauged(m)
+        polar, witness, _excluded = _joint_space(work, 1e-10, 0)
+        if witness["dim"] != 1:
+            continue
+        ref, _sigma = dense_joint_sylvester_nullspace(work, 1e-10)
+        assert ref.shape[0] == 1 and polar is not None
+        s = np.linalg.svd(ref[0], compute_uv=False)
+        assert (witness["spread"] < 0.5) == (s[-1] / s[0] < 0.5)
+        assert witness["spread"] == pytest.approx(s[-1] / s[0], abs=1e-8)
+        sides.add(witness["spread"] < 0.5)
+    assert sides == {True, False}
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-8])

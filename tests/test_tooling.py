@@ -1,9 +1,13 @@
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import treeshift
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -22,18 +26,48 @@ def test_perfbench_traced_functions_exist(monkeypatch):
     assert bench.TRACED and not missing
 
 
+def perfbench_result(*args: str) -> dict:
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), *args],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.strip().splitlines()[-1])
+
+
 # audit_mix also runs the pairing oracle and the printed criteria on all
 # three family shapes; hard_two_branch replays structure witnesses
 @pytest.mark.parametrize("workload", ["binary_scale", "audit_mix", "hard_two_branch"])
 def test_perfbench_smoke_run_is_correct(workload):
     # one untimed pass of the benchmark's checks: a package change that makes
     # a verdict fail to replay or a known answer come back wrong fails here
-    run = subprocess.run(
-        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "0", "--trace", "0"],
-        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+    result = perfbench_result(
+        "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "0"
     )
-    assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_perfbench_traced_run_is_correct():
+    # an untraced and a traced pass; correct needs equal verdict digests, so
+    # the wrappers the trace puts on the package change no verdict
+    result = perfbench_result(
+        "--workload", "binary_scale", "--seed", "1", "--seconds", "0", "--trace", "1"
+    )
+    assert result["correct"] is True
+    assert result["failed"] == 0
+
+
+def test_every_exported_name_exists():
+    modules = [treeshift] + [
+        importlib.import_module(f"treeshift.{info.name}")
+        for info in pkgutil.iter_modules(treeshift.__path__)
+        if not info.name.startswith("_")
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert len(modules) > 1 and not missing
