@@ -53,15 +53,20 @@ rounding bound of the threshold are confirmed in search order by the one
 sequential evaluator that the replay also uses, so the witness is exactly
 the one a sequential scan returns.
 
-The Sylvester system is never formed densely.  The equation of ``T*`` is
-that of ``T`` for ``M = T*``, since ``M^T = conj(T)``, so ``W`` stacks the
-two systems.  They are assembled from the nonzeros of ``T`` and split into
-the blocks of unknowns that share an equation; for a tree shift, which
-raises depth by one, these refine the classes of vertex pairs with equal
-depth sum.  One scatter fills every block, one stacked SVD solves all
-blocks of a shape, all are cut by the rank rule of
-:func:`~treeshift.shift.numerical_rank`, and the space's basis comes out
-in block order.
+The Sylvester system is never formed densely, nor is a basis of ``W``.
+The equation of ``T*`` is that of ``T`` for ``M = T*``, since
+``M^T = conj(T)``, so ``W`` stacks the two systems.  ``A -> M A - A M^T``
+maps a symmetric ``A`` to a skew matrix, so only the equations above the
+diagonal are assembled, each scaled by ``sqrt 2``: they are the image's
+coordinates in the orthonormal skew basis, and the singular values are
+those of the full system.  The equations are assembled from the nonzeros
+of ``T`` and split into the blocks of unknowns that share an equation; for
+a tree shift, which raises depth by one, these refine the classes of vertex
+pairs with equal depth sum.  One scatter fills the blocks of a shape, one
+stacked SVD solves them, and all are cut by the rank rule of
+:func:`~treeshift.shift.numerical_rank`.  The solver keeps each block's
+null vectors, and the generic element of ``W`` is scattered from them
+straight into one ``n x n`` matrix.
 
 A verdict is ``cs`` only with a verified certificate, ``not_cs`` only with a
 witness that re-evaluates from the matrix alone with a wide margin, and
@@ -153,9 +158,19 @@ def _word_trace(mats: dict, letters: Sequence[str]) -> complex:
     return complex(np.trace(acc))
 
 
+def _checked_word(letters: Sequence[str]) -> list[str]:
+    """``letters`` as a list, or :class:`ValueError` naming the first letter
+    other than ``"T"`` or ``"T*"``."""
+    letters = list(letters)
+    for letter in letters:
+        if letter not in ("T", "T*"):
+            raise ValueError(f"word letter {letter!r} is neither 'T' nor 'T*'")
+    return letters
+
+
 def word_value(t, letters: Sequence[str]) -> complex:
     """Trace of a word in ``T`` and ``T*``; the first letter acts first."""
-    return _word_trace(_letters(_as_matrix(t)), letters)
+    return _word_trace(_letters(_as_matrix(t)), _checked_word(letters))
 
 
 def _word_scale(norm: float, length: int) -> float:
@@ -269,27 +284,38 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
 
     ``T* A = A conj(T)`` is the equation for ``M = T*`` (``M^T = conj(T)``),
     so the equations of ``m*`` are stacked below those of ``m``, rows
-    offset by ``n^2``.  The arithmetic follows ``m``: a real one gives a
-    real basis.
+    offset by ``n^2``.  The arithmetic follows ``m``: a real one gives real
+    null vectors.
 
     The unknowns are the coefficients of the orthonormal symmetric basis
-    ``E_pp`` and ``(E_pq + E_qp) / sqrt 2`` (``p < q``).  Through the end
-    ``(x, y)`` of its pair, unknown ``(p, q)`` enters only the equations
-    ``(r, y)`` and ``(y, r)`` with ``M[r, x] != 0``, so the system splits
-    into blocks of unknowns joined by shared equations.  For a tree shift,
-    which raises depth by one, the blocks refine the classes of pairs with a
-    fixed depth sum.  Each block's rows are its equations and its columns
-    its unknowns, both in increasing order.  One scatter fills every block,
-    laid out one after another and grouped by shape, and one stacked SVD
-    solves each group.  All blocks are cut by the rank rule of
+    ``E_pp`` and ``(E_pq + E_qp) / sqrt 2`` (``p < q``).  The map sends a
+    symmetric ``A`` to a skew matrix, whose equation ``(y, r)`` is minus
+    equation ``(r, y)`` and whose diagonal equations vanish.  So only the
+    equations ``(r, y)`` with ``r < y`` are assembled, each scaled by
+    ``sqrt 2``: they are the coordinates of the image in the orthonormal
+    skew basis ``(E_ry - E_yr) / sqrt 2``, and the singular values are
+    those of all ``2 n^2`` equations.  Through the end ``(x, y)`` of its
+    pair, unknown ``(p, q)`` enters only the equations ``{r, y}`` with
+    ``M[r, x] != 0`` and ``r != y``, so the system splits into blocks of
+    unknowns joined by shared equations.  For a tree shift, which raises
+    depth by one, the blocks refine the classes of pairs with a fixed depth
+    sum.  Each block's rows are its equations and its columns its unknowns,
+    both in increasing order.  The blocks are grouped by shape; one scatter
+    fills a group and one stacked SVD solves it, so only one group's cells
+    are held at a time.  All blocks are cut by the rank rule of
     :func:`~treeshift.shift.numerical_rank` for the whole system of
     ``size = 2 n^2`` rows, ``max(rtol, size eps)`` times the largest
     singular value of any block, which is the cut a dense SVD applies.
 
-    Returns ``(basis, sigma)``: a ``(d, n, n)`` array whose slices are a
-    Frobenius-orthonormal basis of ``W`` in block order, and the singular
-    values of the whole system, descending and zero-padded to
-    ``n (n + 1) / 2``.
+    Returns ``(dim, sigma, null)``: ``dim W``; the singular values of the
+    whole system, descending and zero-padded to ``n (n + 1) / 2``; and
+    ``null = (n, dtype, free, blocks)``, which :func:`_scatter` combines
+    into elements of ``W`` without forming a basis.  ``free`` holds the
+    unknowns in no equation, numbered as the pairs of ``np.triu_indices``,
+    and ``blocks`` the ``(unknowns, null vectors)`` of each block that has
+    a null vector, in block order.  The Frobenius-orthonormal basis of
+    ``W`` they describe has the free unknowns first, then the null vectors
+    block by block.
     """
     n = m.shape[0]
     dtype = m.dtype
@@ -299,20 +325,22 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     npairs = p_of.size
     unknown = np.empty((n, n), dtype=np.intp)
     unknown[p_of, q_of] = unknown[q_of, p_of] = np.arange(npairs)
-    weight = np.full((n, n), 1.0 / np.sqrt(2.0))
-    np.fill_diagonal(weight, 1.0)
+    # the unknown's basis weight times the equation's sqrt 2
+    scale = np.ones((n, n))
+    np.fill_diagonal(scale, np.sqrt(2.0))
 
-    # one entry per (nonzero M[r, x], y): +t w in equation (r, y), -t w in (y, r)
+    # one entry per (nonzero M[r, x], y != r): +t in equation (r, y) when
+    # r < y, else -t in equation (y, r)
     y = np.arange(n)
     cols, eqs, vals = [], [], []
     for k, mat in enumerate(mats):
         r, x = np.nonzero(mat)
-        col = unknown[x[:, None], y].ravel()
-        val = (mat[r, x][:, None] * weight[x[:, None], y]).ravel()
-        cols += [col, col]
-        eqs += [(k * n * n + r[:, None] * n + y).ravel(),
-                (k * n * n + y * n + r[:, None]).ravel()]
-        vals += [val, -val]
+        r = r[:, None]
+        keep = r != y
+        val = mat[r, x[:, None]] * scale[x[:, None], y]
+        cols.append(unknown[x[:, None], y][keep])
+        eqs.append((k * n * n + np.minimum(r, y) * n + np.maximum(r, y))[keep])
+        vals.append(np.where(r < y, val, -val)[keep])
     cols, eqs, vals = (np.concatenate(a) for a in (cols, eqs, vals))
 
     # connected components of the unknown-equation graph: propagate the
@@ -349,18 +377,16 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     row_at = np.zeros(size, dtype=np.intp)
     row_at[eq] = eq_local
 
-    # lay the blocks out grouped by shape, in label order within a group, and
-    # scatter every entry at once; bincount adds repeated entries in order
+    # lay the blocks out grouped by shape, in label order within a group,
+    # and sort the entries by their place in that layout; a stable sort
+    # keeps repeated entries in order, and bincount adds them in order
     layout = np.lexsort((ncols, nrows))
     offset = np.empty(blocks.size, dtype=np.intp)
     offset[layout] = np.cumsum(nrows[layout] * ncols[layout]) - (nrows * ncols)[layout]
     block = np.searchsorted(blocks, label[cols])
     flat = offset[block] + row_at[eqs] * ncols[block] + col_at[cols]
-    total = int((nrows * ncols).sum())
-    cells = np.zeros(total, dtype=dtype)
-    cells.real = np.bincount(flat, vals.real, total)
-    if dtype == complex:
-        cells.imag = np.bincount(flat, vals.imag, total)
+    order = np.argsort(flat, kind="stable")
+    flat, vals = flat[order], vals[order]
 
     solved = [None] * blocks.size
     found = [np.zeros(0)]
@@ -369,10 +395,16 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     for lo, hi in zip(shape_starts, np.r_[shape_starts[1:], layout.size]):
         group = layout[lo:hi]
         rows, width = int(nrows[group[0]]), int(ncols[group[0]])
-        stack = cells[offset[group[0]]:offset[group[0]] + group.size * rows * width]
+        # scatter the group's entries only, so one group's cells are held
+        start, total = offset[group[0]], group.size * rows * width
+        a, b = np.searchsorted(flat, (start, start + total))
+        at = flat[a:b] - start
+        cells = np.bincount(at, vals[a:b].real, total).astype(dtype, copy=False)
+        if dtype == complex:
+            cells.imag = np.bincount(at, vals[a:b].imag, total)
         # with at least as many rows as unknowns the economy vh is complete
         _u, s, vh = np.linalg.svd(
-            stack.reshape(group.size, rows, width), full_matrices=rows < width
+            cells.reshape(group.size, rows, width), full_matrices=rows < width
         )
         found.append(s.ravel())
         for b, sb, vhb in zip(group, s, vh):
@@ -386,23 +418,39 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     touched = np.zeros(npairs, dtype=bool)
     touched[cols] = True
     free = np.flatnonzero(~touched)
-    vec_ids = [np.arange(free.size)]
-    unk_ids = [free]
-    coeffs = [np.ones(free.size, dtype=dtype)]
-    dim = free.size
     unk_start = np.cumsum(ncols) - ncols
+    null = []
     for b, (s, vh) in enumerate(solved):
-        null = vh[_rank_above_cut(s, size, rtol, sigma[0]):].conj()
-        k = null.shape[0]
-        vec_ids.append(np.repeat(np.arange(dim, dim + k), ncols[b]))
-        unk_ids.append(np.tile(unk_sorted[unk_start[b]:unk_start[b] + ncols[b]], k))
-        coeffs.append(null.ravel())
-        dim += k
-    vec_ids, unk_ids, coeffs = (np.concatenate(a) for a in (vec_ids, unk_ids, coeffs))
-    p, q = p_of[unk_ids], q_of[unk_ids]
-    basis = np.zeros((dim, n, n), dtype=dtype)
-    basis[vec_ids, p, q] = basis[vec_ids, q, p] = coeffs * weight[p, q]
-    return basis, sigma
+        vectors = vh[_rank_above_cut(s, size, rtol, sigma[0]):].conj()
+        if vectors.shape[0]:
+            null.append((unk_sorted[unk_start[b]:unk_start[b] + ncols[b]], vectors))
+    dim = free.size + sum(vectors.shape[0] for _unk, vectors in null)
+    return dim, sigma, (n, dtype, free, null)
+
+
+def _scatter(null, coeffs: np.ndarray) -> np.ndarray:
+    """``sum_i coeffs[..., i] B_i`` over the basis ``B`` of ``W`` that
+    ``null``, from :func:`_sylvester_nullspace`, describes, scattered
+    straight into ``(..., n, n)`` matrices.
+
+    Each block's share is one product of its coefficients with its null
+    vectors; a ``(dim W, n, n)`` basis is formed only when asked for, by
+    ``coeffs = eye(dim W)``.
+    """
+    n, dtype, free, blocks = null
+    coeffs = np.asarray(coeffs)
+    unknowns, values = [free], [coeffs[..., : free.size]]
+    start = free.size
+    for unk, vectors in blocks:
+        unknowns.append(unk)
+        values.append(coeffs[..., start:start + vectors.shape[0]] @ vectors)
+        start += vectors.shape[0]
+    unk = np.concatenate(unknowns)
+    p, q = (idx[unk] for idx in np.triu_indices(n))
+    value = np.concatenate(values, axis=-1) * np.where(p == q, 1.0, 1.0 / np.sqrt(2.0))
+    out = np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.result_type(value, dtype))
+    out[..., p, q] = out[..., q, p] = value
+    return out
 
 
 def _joint_space(
@@ -411,7 +459,8 @@ def _joint_space(
     """Solve the joint space ``W`` of ``m`` and take one generic element.
 
     The element ``X`` is a seeded real Gaussian combination of the basis of
-    ``W``.  Returns ``(polar, witness, excluded)``: the unitary polar factor
+    ``W``, scattered from the solver's null vectors by :func:`_scatter`.
+    Returns ``(polar, witness, excluded)``: the unitary polar factor
     of ``X``, ``None`` when ``W = {0}``; the structure witness; and whether
     ``W`` excludes a certificate.  The witness records ``dim W``; the
     ``spread`` ``sigma_min / sigma_max`` of ``X`` (0 when ``W = {0}``); and,
@@ -424,15 +473,14 @@ def _joint_space(
     ``1e3`` times the cut and ``1e6`` times ``sigma_cut``, so that no
     element of ``W`` can hide below it.
     """
-    space, sigma = _sylvester_nullspace(m, rtol)
-    dim = space.shape[0]
+    dim, sigma, null = _sylvester_nullspace(m, rtol)
     rank = sigma.size - dim
     kept = sigma[rank - 1] if rank else 0.0
     below = sigma[rank] if dim else 0.0
     polar, spread = None, 0.0
     if dim:
         rng = np.random.default_rng(seed)
-        element = np.tensordot(rng.standard_normal(dim), space, axes=1)
+        element = _scatter(null, rng.standard_normal(dim))
         polar, s = _polar_factor(element)
         spread = s[-1] / s[0] if s[0] > 0 else 0.0
     wide = (
@@ -598,7 +646,9 @@ def decide_cs(
         Tolerances, word length bound, and the seed of the certificate's
         random element.
     basis:
-        Labels for certificate serialization; inferred from a shift matrix.
+        Labels for certificate serialization, one per row; inferred from a
+        shift matrix.  Any other count raises :class:`ValueError` before
+        any stage runs.
 
     Returns
     -------
@@ -614,6 +664,10 @@ def decide_cs(
             str(i) for i in range(m.shape[0])
         )
     basis = tuple(basis)
+    if len(basis) != m.shape[0]:
+        raise ValueError(
+            f"basis has {len(basis)} labels for a matrix of size {m.shape[0]}"
+        )
 
     def finish(kind, certificate=None, obstruction=None, residuals=None, diag=None):
         return Verdict(
@@ -673,8 +727,8 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     the trace gap, computed exactly as the detection computed it.  For
     ``structure`` the joint space ``W`` is solved again; the witness holds
     when ``W`` has the recorded dimension and still excludes a certificate,
-    and the margin is ``1 - spread``.  Any other kind raises
-    :class:`ValueError`.
+    and the margin is ``1 - spread``.  Any other kind, and a word letter
+    other than ``"T"`` or ``"T*"``, raises :class:`ValueError`.
     """
     opts = options or DeciderOptions()
     m, _gauge = _gauged(_as_matrix(t))
@@ -685,7 +739,7 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
         return held, 1.0 - again["spread"]
     if kind != "word_trace":
         raise ValueError(f"unknown obstruction kind {kind!r}")
-    letters = list(obstruction["witness"]["word"])
+    letters = _checked_word(obstruction["witness"]["word"])
     mats = _letters(m)
     margin = abs(_word_trace(mats, letters) - _word_trace(mats, letters[::-1]))
     threshold = _word_threshold(opts.tol, float(np.linalg.norm(m)), len(letters))

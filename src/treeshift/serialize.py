@@ -3,11 +3,19 @@
 Complex scalars travel as [re, im] pairs and complex matrices as row-major
 nested lists of pairs.  Floats are emitted through ``repr`` (shortest
 round-trip form), so a report rebuilt from the same inputs is byte-identical.
+
+:func:`dump_json` writes the layout of ``json.dumps(indent=2)`` itself, in
+one pass: with ``indent`` set, the json module falls back to its
+pure-Python encoder.  A rectangular nested list of floats, such as a
+certificate matrix, is filled into one ``%``-template from one
+``map(float.__repr__, ...)``; strings go through the json module's C
+``encode_basestring_ascii``.
 """
 
 from __future__ import annotations
 
-import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import IO, Optional
 
 import numpy as np
@@ -77,10 +85,104 @@ def weights_from_doc(doc: dict) -> dict[str, complex]:
     return weights
 
 
+def _float_repr(x: float) -> str:
+    text = float.__repr__(x)
+    if "n" in text:  # nan, inf, -inf
+        raise ValueError(f"Out of range float values are not JSON compliant: {text}")
+    return text
+
+
+def _grid_template(shape: tuple[int, ...], indent: int) -> str:
+    """The layout of a rectangular nested list of ``shape`` whose opening
+    bracket sits at ``indent``, with a ``%s`` for each float.  Each level
+    is built once and repeated, so this costs little next to the floats'
+    ``repr``."""
+    inner = "\n" + " " * (indent + 2)
+    item = _grid_template(shape[1:], indent + 2) if len(shape) > 1 else "%s"
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + " " * indent + "]"
+
+
+def _float_grid(value: list) -> Optional[tuple[tuple[int, ...], list]]:
+    """``(shape, floats)`` of a rectangular nested list of floats, the floats
+    in row-major order, or ``None`` for any other list."""
+    shape, level = [], [value]
+    while True:
+        kinds = set(map(type, level))
+        if kinds != {list}:
+            return (tuple(shape), level) if kinds == {float} else None
+        lengths = set(map(len, level))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+
+
+def _write(value, indent: int, put) -> None:
+    """Append the text of ``value``, whose first line sits at ``indent``,
+    to a chunk list through its ``put``.  A module-level function: a
+    nested one that calls itself is a reference cycle, which would keep
+    each document's chunks alive until the next garbage collection."""
+    kind = type(value)
+    if kind is str:
+        put(encode_basestring_ascii(value))
+    elif kind is float:
+        put(_float_repr(value))
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is bool:
+        put("true" if value else "false")
+    elif value is None:
+        put("null")
+    elif kind is list or kind is dict:
+        if not value:
+            put("[]" if kind is list else "{}")
+            return
+        grid = _float_grid(value) if kind is list else None
+        if grid is not None:
+            shape, floats = grid
+            text = _grid_template(shape, indent) % tuple(map(float.__repr__, floats))
+            if "n" in text:  # the layout itself holds no letter
+                for x in floats:
+                    _float_repr(x)
+            put(text)
+            return
+        inner = "\n" + " " * (indent + 2)
+        sep = inner
+        if kind is list:
+            put("[")
+            for item in value:
+                put(sep)
+                _write(item, indent + 2, put)
+                sep = "," + inner
+            put("\n" + " " * indent + "]")
+            return
+        put("{")
+        for key, item in value.items():
+            put(sep)
+            put(encode_basestring_ascii(key))
+            put(": ")
+            _write(item, indent + 2, put)
+            sep = "," + inner
+        put("\n" + " " * indent + "}")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def dump_json(obj, fp: Optional[IO[str]] = None) -> Optional[str]:
-    """Serialize with a fixed layout (indent 2, keys in insertion order)."""
-    text = json.dumps(obj, indent=2, allow_nan=False)
+    """Serialize with a fixed layout (indent 2, keys in insertion order).
+
+    The text is that of ``json.dumps(obj, indent=2, allow_nan=False)`` and
+    a newline, byte for byte, for documents built from ``dict`` with
+    ``str`` keys, ``list``, ``str``, ``int``, ``float``, ``bool`` and
+    ``None``; NaN and infinite floats raise :class:`ValueError`, and any
+    other type, tuples and non-string keys included, raises
+    :class:`TypeError`.
+    """
+    chunks = []
+    _write(obj, 0, chunks.append)
+    chunks.append("\n")
+    text = "".join(chunks)
     if fp is None:
-        return text + "\n"
-    fp.write(text + "\n")
+        return text
+    fp.write(text)
     return None

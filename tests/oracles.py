@@ -231,12 +231,20 @@ def dense_joint_sylvester_nullspace(m, rtol):
 def reference_sylvester_nullspace(m, rtol):
     """``treeshift.decider._sylvester_nullspace`` as one SVD per block.
 
-    The same joint system of ``m`` and ``m*``, split into the same blocks by
-    the same min-label propagation, but each block assembled with
-    ``np.unique`` and ``np.add.at`` and solved by its own SVD, in block
-    order.  On complex matrices the stacked solver must return this basis
-    and these singular values bit for bit.  The rank rule is written out:
+    The same joint system of ``m`` and ``m*``, reduced to the equations
+    ``(r, y)`` with ``r < y`` scaled by ``sqrt 2`` (the image of a symmetric
+    ``A`` is skew), split into the same blocks by the same min-label
+    propagation, but each block assembled with ``np.unique`` and
+    ``np.add.at`` and solved by its own SVD, in block order.  On complex
+    matrices the stacked solver must return these singular values and null
+    vectors bit for bit.  The rank rule is written out:
     ``max(rtol, size eps) sigma_ref``, ``size = 2 n^2`` rows.
+
+    Returns ``(dim, sigma, free, blocks)``: the dimension of the space, the
+    singular values descending and zero-padded to ``n (n + 1) / 2``, the
+    unknowns in no equation, and the ``(unknowns, null vectors)`` of each
+    block with a null vector.  Unknown ``k`` is the ``k``-th pair
+    ``(p, q)``, ``p <= q``, in row-major order.
     """
     m = np.asarray(m, dtype=complex)
     mats = [m, m.conj().T]
@@ -246,20 +254,23 @@ def reference_sylvester_nullspace(m, rtol):
     npairs = p_of.size
     unknown = np.empty((n, n), dtype=np.intp)
     unknown[p_of, q_of] = unknown[q_of, p_of] = np.arange(npairs)
-    weight = np.full((n, n), 1.0 / np.sqrt(2.0))
-    np.fill_diagonal(weight, 1.0)
+    # basis weight 1/sqrt 2 off the diagonal, times the row's sqrt 2
+    scale = np.ones((n, n))
+    np.fill_diagonal(scale, np.sqrt(2.0))
 
-    y = np.arange(n)
     cols, eqs, vals = [], [], []
     for k, mat in enumerate(mats):
-        r, x = np.nonzero(mat)
-        col = unknown[x[:, None], y].ravel()
-        val = (mat[r, x][:, None] * weight[x[:, None], y]).ravel()
-        cols += [col, col]
-        eqs += [(k * n * n + r[:, None] * n + y).ravel(),
-                (k * n * n + y * n + r[:, None]).ravel()]
-        vals += [val, -val]
-    cols, eqs, vals = (np.concatenate(a) for a in (cols, eqs, vals))
+        for r, x in zip(*np.nonzero(mat)):
+            for y in range(n):
+                if r == y:
+                    continue
+                cols.append(unknown[x, y])
+                eqs.append(k * n * n + min(r, y) * n + max(r, y))
+                val = mat[r, x] * scale[x, y]
+                vals.append(val if r < y else -val)
+    cols = np.array(cols, dtype=np.intp)
+    eqs = np.array(eqs, dtype=np.intp)
+    vals = np.array(vals, dtype=complex)
 
     label = np.arange(npairs + size)
     eq_nodes = npairs + eqs
@@ -276,40 +287,31 @@ def reference_sylvester_nullspace(m, rtol):
 
     order = np.argsort(block_of, kind="stable")
     cols, eqs, vals, block_of = cols[order], eqs[order], vals[order], block_of[order]
-    starts = np.flatnonzero(np.r_[True, block_of[1:] != block_of[:-1]])
-    blocks = []
+    starts = np.flatnonzero(np.r_[cols.size > 0, block_of[1:] != block_of[:-1]])
+    solved = []
     for lo, hi in zip(starts, np.r_[starts[1:], cols.size]):
         unk, ci = np.unique(cols[lo:hi], return_inverse=True)
         eq, ri = np.unique(eqs[lo:hi], return_inverse=True)
         mat = np.zeros((eq.size, unk.size), dtype=complex)
         np.add.at(mat, (ri, ci), vals[lo:hi])
         _u, s, vh = np.linalg.svd(mat, full_matrices=eq.size < unk.size)
-        blocks.append((unk, s, vh))
+        solved.append((unk, s, vh))
 
     sigma = np.zeros(npairs)
-    found = np.concatenate([s for _unk, s, _vh in blocks] or [np.zeros(0)])
+    found = np.concatenate([s for _unk, s, _vh in solved] or [np.zeros(0)])
     sigma[: found.size] = np.sort(found)[::-1]
     cut = max(rtol, size * np.finfo(float).eps) * sigma[0]
 
     touched = np.zeros(npairs, dtype=bool)
     touched[cols] = True
     free = np.flatnonzero(~touched)
-    vec_ids = [np.arange(free.size)]
-    unk_ids = [free]
-    coeffs = [np.ones(free.size, dtype=complex)]
-    dim = free.size
-    for unk, s, vh in blocks:
+    blocks = []
+    for unk, s, vh in solved:
         null = vh[int(np.count_nonzero(s > cut)):].conj()
-        k = null.shape[0]
-        vec_ids.append(np.repeat(np.arange(dim, dim + k), unk.size))
-        unk_ids.append(np.tile(unk, k))
-        coeffs.append(null.ravel())
-        dim += k
-    vec_ids, unk_ids, coeffs = (np.concatenate(a) for a in (vec_ids, unk_ids, coeffs))
-    p, q = p_of[unk_ids], q_of[unk_ids]
-    basis = np.zeros((dim, n, n), dtype=complex)
-    basis[vec_ids, p, q] = basis[vec_ids, q, p] = coeffs * weight[p, q]
-    return basis, sigma
+        if null.shape[0]:
+            blocks.append((unk, null))
+    dim = free.size + sum(null.shape[0] for _unk, null in blocks)
+    return dim, sigma, free, blocks
 
 
 def sequential_word_trace_obstruction(m, max_len=8, tol=1e-10):

@@ -464,3 +464,24 @@ def test_crossval_empty_grid_has_the_library_report_shape(capsys):
         "printed_false_oracle_not_cs": 0,
         "oracle_undetermined": 0,
     }
+
+
+def binary_equal_moduli_doc(capsys):
+    assert main(["generate", "--family", "binary", "--kappa", "3",
+                 "--weights", "1.5,1.5,1.5"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("case", ["binary_cs", "word_trace"])
+def test_check_json_is_the_json_module_layout(tmp_path, capsys, case):
+    doc = binary_equal_moduli_doc(capsys) if case == "binary_cs" else trunked_doc()
+    path = write_doc(tmp_path, "doc.json", doc)
+    code = main(["check", "--json", path])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, allow_nan=False) + "\n"
+    if case == "binary_cs":
+        assert code == 0 and report["verdict"] == "cs"
+        assert len(report["certificate"]["matrix"]) == 15
+    else:
+        assert code == 1 and report["obstruction"]["kind"] == "word_trace"

@@ -1,7 +1,9 @@
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from treeshift import (
     word_value,
 )
 from treeshift import decider
-from treeshift.decider import _gauged, _joint_space, _sylvester_nullspace
+from treeshift.decider import _gauged, _joint_space, _scatter, _sylvester_nullspace
 from conftest import random_complex
 from oracles import (
     dense_joint_sylvester_nullspace,
@@ -245,6 +247,13 @@ def null_projector(basis: np.ndarray) -> np.ndarray:
     return flat.T @ flat.conj()
 
 
+def solved_basis(m: np.ndarray, rtol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """The solver's basis of ``W``, scattered with unit coefficients, and
+    its singular values."""
+    dim, sigma, null = _sylvester_nullspace(m, rtol)
+    return _scatter(null, np.eye(dim)), sigma
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(
@@ -255,7 +264,7 @@ def null_projector(basis: np.ndarray) -> np.ndarray:
 )
 def test_block_joint_solve_matches_dense_reference(kind, seed):
     m = sylvester_case(kind, seed)
-    space, sigma = _sylvester_nullspace(m, 1e-10)
+    space, sigma = solved_basis(m)
     ref, ref_sigma = dense_joint_sylvester_nullspace(m, 1e-10)
     assert space.shape == ref.shape
     assert sigma.shape == ref_sigma.shape
@@ -293,19 +302,42 @@ def solver_case(kind: str, seed: int) -> np.ndarray:
     st.integers(0, 2**32 - 1),
 )
 def test_stacked_solve_matches_the_per_block_reference(kind, seed):
-    # complex systems: bit for bit the basis and singular values of one SVD
-    # per block; real ones: the dimension of the dense kron oracle
+    # complex systems: bit for bit the singular values and null vectors of
+    # one SVD per block; real ones: the dimension of the dense kron oracle
     m = solver_case(kind, seed)
-    space, sigma = _sylvester_nullspace(m, 1e-10)
+    dim, sigma, (_n, dtype, free, blocks) = _sylvester_nullspace(m, 1e-10)
     if m.dtype == complex:
-        ref, ref_sigma = reference_sylvester_nullspace(m, 1e-10)
-        assert bits(space) == bits(ref)
+        ref_dim, ref_sigma, ref_free, ref_blocks = reference_sylvester_nullspace(m, 1e-10)
+        assert dim == ref_dim
         assert bits(sigma) == bits(ref_sigma)
+        assert bits(free) == bits(ref_free)
+        assert len(blocks) == len(ref_blocks)
+        for (unk, vectors), (ref_unk, ref_vectors) in zip(blocks, ref_blocks):
+            assert bits(unk) == bits(ref_unk)
+            assert bits(vectors) == bits(ref_vectors)
     else:
-        assert space.dtype == np.float64
+        space, _sigma = solved_basis(m)
+        assert dtype == space.dtype == np.float64
         ref, _ref_sigma = dense_joint_sylvester_nullspace(m, 1e-10)
         assert space.shape == ref.shape
         assert np.abs(null_projector(space) - null_projector(ref)).max() <= 1e-10
+
+
+def test_joint_space_never_forms_the_dense_basis():
+    # all-ones binary kappa = 6: n = 127 and dim W = 715, so a dense
+    # (dim W, n, n) basis alone would take dim n^2 8 bytes
+    tree = generate_binary(6)
+    m = build_shift(tree, {v: 1.0 for v in tree.nonroot_vertices()}).matrix
+    work, _gauge = _gauged(m)
+    tracemalloc.start()
+    try:
+        polar, witness, _excluded = _joint_space(work, 1e-10, 0)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dim, n = witness["dim"], work.shape[0]
+    assert (dim, n) == (715, 127) and polar is not None
+    assert peak < dim * n * n * 8
 
 
 def test_polar_factor_survives_gesdd_nonconvergence():
@@ -508,6 +540,31 @@ def test_reevaluate_unknown_kind(y_shift):
         reevaluate_obstruction(y_shift, {"kind": "nonsense", "witness": {}})
 
 
+@pytest.mark.parametrize("bad", ["X", "t", "T**", None, ["T"]])
+def test_replayed_word_names_a_bad_letter(y_shift, bad):
+    word = ["T", bad, "T*"]
+    match = f"word letter {bad!r} is neither"
+    with pytest.raises(ValueError, match=re.escape(match)):
+        word_value(y_shift.matrix, word)
+    witness = {"kind": "word_trace", "witness": {"word": word}}
+    with pytest.raises(ValueError, match=re.escape(match)):
+        reevaluate_obstruction(y_shift, witness)
+
+
+@pytest.mark.parametrize("labels", [("a", "b"), ()])
+def test_wrong_length_basis_fails_before_any_stage(labels):
+    # a two-branch tree that is complex symmetric at all-ones weights, and
+    # one that is not: neither may turn a bad basis into a verdict
+    tree = generate_two_branch(1, 2)
+    ones = build_shift(tree, {v: 1.0 for v in tree.nonroot_vertices()})
+    assert decide_cs(ones).kind == "cs"
+    skewed = path3_shift(1.0, 2.0)
+    assert decide_cs(skewed).kind == "not_cs"
+    for s in (ones, skewed):
+        with pytest.raises(ValueError, match=f"basis has {len(labels)} labels"):
+            decide_cs(s, basis=labels)
+
+
 RANK_CUTS_BELOW_NOISE = (1e-10, 1e-17, 0.0)
 
 
@@ -592,7 +649,7 @@ def test_structure_witness_matches_exact_rational_oracle(kappa, theta, bump):
     assert witness["spread"] <= 1e-12  # the exact element is singular
     assert verdict.diagnostics["sylvester_dim"] == 1
     # the computed element spans the exact line and has its rank
-    space, _sigma = _sylvester_nullspace(s.matrix, 1e-10)
+    space, _sigma = solved_basis(s.matrix)
     b = np.array(element, dtype=float)
     assert abs(np.vdot(b, space[0])) / np.linalg.norm(b) == pytest.approx(1.0, abs=1e-12)
     assert numerical_rank(space[0]) == exact_rank(element)
@@ -684,7 +741,7 @@ def test_one_shot_certificate_exists_iff_the_search_finds_one():
     for m in mats:
         work, gauge = _gauged(m)
         assert gauge is not None
-        space, _sigma = _sylvester_nullspace(work, 1e-10)
+        space, _sigma = solved_basis(work)
         cs = decide_cs(m).kind == "cs"
         assert cs == (unitary_search(space, seed=0) is not None)
         found.add(cs)

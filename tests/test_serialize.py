@@ -120,3 +120,109 @@ def test_matrix_to_pairs_matches_per_entry_conversion(rows):
     assert [x.hex() for x in flat] == [
         x.hex() for row in slow for pair in row for x in pair
     ]
+
+
+def json_reference(doc) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+json_floats = st.one_of(
+    finite,
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+         1.7976931348623157e308, 0.1, 1e16, 1e-7]
+    ),
+)
+json_ints = st.one_of(st.integers(), st.integers(-(10**300), 10**300))
+json_text = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\x00\x1f\x7f", "é 😀", '"\\/', "\ud800", "\n\t\r\b\f"]),
+)
+json_scalars = st.one_of(st.none(), st.booleans(), json_ints, json_floats, json_text)
+
+
+def float_grid(shape):
+    grid = json_floats
+    for size in reversed(shape):
+        grid = st.lists(grid, min_size=size, max_size=size)
+    return grid
+
+
+# rectangular float lists take the writer's template path; everything else,
+# ragged, empty or mixed with ints, takes the walk
+float_grids = st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(float_grid)
+json_documents = st.recursive(
+    st.one_of(json_scalars, float_grids),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(json_text, kids, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_documents)
+def test_dump_json_is_json_dumps_with_indent_2(doc):
+    assert dump_json(doc) == json_reference(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[1.0, 2], [3.0, 4.0]],
+        [[1.0, 2.0], [3.0]],
+        [[1.0, 2.0], []],
+        [[], []],
+        [[[0.5]], [[True]]],
+        {"a": [[-0.0, 5e-324]], "b": {}, "c": [[1.5, 2.5]]},
+        [1.0, None, 2.0],
+        {"\x00é": [[1e308, -1e308], [0.1, 2.0]]},
+    ],
+)
+def test_dump_json_matches_json_dumps_on_mixed_and_ragged_lists(doc):
+    assert dump_json(doc) == json_reference(doc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda x: x,
+        lambda x: {"a": 1, "b": x},
+        lambda x: [[0.5, 1.5], [2.5, x]],
+        lambda x: [1, [2.0, x]],
+        lambda x: {"m": [[[0.0, 0.0], [x, 0.0]]]},
+    ],
+    ids=["top", "dict", "grid", "ragged", "pairs"],
+)
+def test_dump_json_rejects_non_finite_floats_anywhere(bad, place):
+    doc = place(bad)
+    with pytest.raises(ValueError):
+        json.dumps(doc, allow_nan=False)
+    with pytest.raises(ValueError):
+        dump_json(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        (1.0, 2.0),
+        {1: "a"},
+        {None: 1},
+        {"a": {2.5: 1}},
+        {1, 2},
+        1j,
+        b"x",
+        object(),
+        np.float64(1.0),
+        np.int64(3),
+        [[1.0, np.float64(2.0)]],
+        {"a": [1, (2, 3)]},
+    ],
+    ids=["tuple", "int-key", "none-key", "float-key", "set", "complex", "bytes",
+         "object", "np-float", "np-int", "np-float-in-grid", "nested-tuple"],
+)
+def test_dump_json_rejects_types_reports_never_hold(doc):
+    with pytest.raises(TypeError):
+        dump_json(doc)
