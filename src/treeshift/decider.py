@@ -1,20 +1,30 @@
 """Decision pipeline for complex symmetry of a finite matrix.
 
-The pipeline has two stages, each able to decide:
+The pipeline has three steps, and the first and last can decide:
 
 1. traces of words in ``T`` and ``T*`` compared against their reversals
    (equal for any operator unitarily equivalent to its transpose, hence for
    every complex symmetric one); a gap is a ``not_cs`` witness,
-2. the joint space ``W = {A = A^T : T A = A T^T, T* A = A conj(T)}``.
+2. for a tree shift, the twin reduction
+   (:func:`~treeshift.shift.twin_reduction`), which splits ``|T|`` into an
+   orthogonal direct sum ``R = Q^T |T| Q`` of smaller tree shifts; when
+   every summand is a chain whose weights read the same backwards, the
+   direct sum of the flips is the certificate and nothing is solved,
+3. the joint space ``W = {A = A^T : T A = A T^T, T* A = A conj(T)}``, of
+   ``R`` for a tree shift.
 
 A tree shift is decided in real arithmetic.  When each row of ``T`` has at
 most one nonzero and the parent pointers these define close no cycle, a
 diagonal unitary ``D``, read off the matrix alone
 (:func:`~treeshift.shift.tree_gauge`), gives ``D* T D = |T|``, the shift
 with weights ``|lambda_v|``.  Complex symmetry, word traces and the
-dimension of ``W`` are unchanged by that equivalence, so both stages run on
-the real ``|T|`` and only the certificate is gauged back, once, as
-``D U D^T``.  Any other matrix runs as it is, in complex arithmetic.
+dimension of ``W`` are unchanged by that equivalence, and by the real
+orthogonal ``Q``, so the words run on the real ``|T|`` and the solve on the
+real ``R``; only the certificate is carried back, once, as ``D Q U Q^T
+D^T``, and verified against the original ``T``.  The reduction refines the
+blocks of the solve, since no equation joins two summands, and collapses
+twin subtrees, whose copies no longer inflate each block.  Any other
+matrix runs as it is, in complex arithmetic.
 
 ``T`` is complex symmetric exactly when some symmetric unitary ``U``
 satisfies ``T U = U T^T``.  Taking the adjoint of ``U* T U = T^T`` gives
@@ -26,17 +36,18 @@ spanned by ``A`` when the spread ``sigma_min(A) / sigma_max(A)`` is below
 ``not_cs`` when the rank cut sits in a wide singular value gap, so that no
 element of ``W`` hides below it; the witness (kind ``structure``) records
 ``dim W``, the spread and the singular values either side of the cut, and
-the replay solves ``W`` again.
+the replay reduces the matrix and solves ``W`` again.
 
 Otherwise the certificate is the polar factor of one generic element ``X``
 of ``W``, a seeded real Gaussian combination of its basis.  For ``X``
 invertible, ``X* X`` commutes with ``T^T`` and ``conj(T)``, so the polar
-factor ``X (X* X)^(-1/2)`` lies in ``V``; by Takagi, ``X = Q S Q^T`` makes
-it ``Q Q^T``, which is symmetric.  So ``T`` is complex symmetric iff ``W``
+factor ``X (X* X)^(-1/2)`` lies in ``V``; by Takagi, ``X = P S P^T`` makes
+it ``P P^T``, which is symmetric.  So ``T`` is complex symmetric iff ``W``
 has an invertible element, and a random element is invertible with
 probability 1 when one is.  The same element, through the same SVD, gives
 the spread of the structure witness at ``dim W = 1``.  The candidate is
-checked against ``T``; when it fails, the verdict is ``undetermined``.
+checked against ``T``; when it fails, the verdict is ``undetermined``.  A
+flip certificate that fails its check falls through to the solve.
 
 The kernel dimensions of ``T^m`` and ``T*^m`` are not compared: they
 always agree (``rank M = rank M*``), and with a tight rank cut the test
@@ -92,7 +103,14 @@ from .conjugation import (  # noqa: F401
     verify_c_symmetry,
 )
 from .serialize import complex_to_pair
-from .shift import ShiftMatrix, _rank_above_cut, kernel_table, tree_gauge
+from .shift import (
+    ShiftMatrix,
+    TwinReduction,
+    _rank_above_cut,
+    kernel_table,
+    tree_gauge,
+    twin_reduction,
+)
 
 __all__ = [
     "DeciderOptions",
@@ -525,6 +543,49 @@ def _gauged(m: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
     return np.abs(m), d
 
 
+def _reduced(work: np.ndarray, gauge) -> Optional[TwinReduction]:
+    """The twin reduction of a gauged tree shift; ``None`` for any other
+    matrix, which runs unreduced."""
+    return twin_reduction(work) if gauge is not None else None
+
+
+def _flip_certificate(red: TwinReduction, tol: float) -> Optional[tuple[np.ndarray, int]]:
+    """``Q (+ flips) Q^T`` and ``dim W``, when every summand of ``R`` is a
+    chain whose weights read the same backwards within ``tol`` times the
+    largest; else ``None``.
+
+    A chain with links ``a_1..a_k`` is carried to its transpose by the flip
+    that reverses its vertices exactly when ``a_i = a_(k+1-i)``, so the
+    direct sum of the flips is a real symmetric orthogonal certificate for
+    ``R``, and ``Q`` carries it to one for ``M``.  Chains are irreducible
+    and equivalent only when their weights agree, and a palindromic class
+    of ``m`` copies adds ``m (m + 1) / 2`` to ``dim W``; copies are
+    counted on exact weights, as the reduction matches twins.
+    """
+    chains = red.chains()
+    if chains is None:
+        return None
+    n = red.parent.size
+    order = [v for chain in chains for v in chain]
+    flip = np.arange(n)
+    flip[order] = [v for chain in chains for v in reversed(chain)]
+    # the flip maps the edge into v to the edge into flip(parent(v))
+    has = np.flatnonzero(red.parent >= 0)
+    w = np.zeros(n)
+    w[has] = red.r[has, red.parent[has]]
+    if np.any(np.abs(w[has] - w[flip[red.parent[has]]]) > tol * w.max(initial=0.0)):
+        return None
+    weights = w[order].tobytes()
+    copies: dict = {}
+    start = 0
+    for chain in chains:
+        stop = start + w.itemsize * len(chain)
+        copies[weights[start:stop]] = copies.get(weights[start:stop], 0) + 1
+        start = stop
+    dim = sum(k * (k + 1) // 2 for k in copies.values())
+    return red.q[:, flip] @ red.q.T, dim
+
+
 def unitary_search(
     space: Sequence[np.ndarray],
     seed: int = 0,
@@ -681,6 +742,19 @@ def decide_cs(
             elapsed=time.perf_counter() - started,
         )
 
+    def certified(candidate, diag):
+        """The ``cs`` verdict of a candidate that verifies against ``m``."""
+        try:
+            cert, report = gauged_conjugation(candidate, gauge, m, basis, opts.tol)
+        except ConjugationError:
+            return None
+        residuals = {
+            "unitary": cert.residual_unitary,
+            "symmetric": cert.residual_symmetric,
+            "intertwining": report.residual,
+        }
+        return finish("cs", certificate=cert, residuals=residuals, diag=diag)
+
     work, gauge = _gauged(m)
     word = word_trace_obstruction(work, max_len=opts.max_word_len, tol=opts.tol)
     if word is not None:
@@ -690,7 +764,16 @@ def decide_cs(
             residuals={"witness_margin": word["margin"]},
         )
 
-    polar, structure, excluded = _joint_space(work, opts.rank_rtol, opts.seed)
+    red = _reduced(work, gauge)
+    flip = _flip_certificate(red, opts.tol) if red is not None else None
+    if flip is not None:
+        verdict = certified(flip[0], {"sylvester_dim": flip[1], "spread": 1.0})
+        if verdict is not None:
+            return verdict  # else solve W
+
+    polar, structure, excluded = _joint_space(
+        work if red is None else red.r, opts.rank_rtol, opts.seed
+    )
     diag = {"sylvester_dim": structure["dim"]}
     if excluded:
         return finish(
@@ -702,27 +785,17 @@ def decide_cs(
     diag["spread"] = structure["spread"]
     if polar is None:
         return finish("undetermined", diag=diag)
-    try:
-        cert, report = gauged_conjugation(polar, gauge, m, basis, opts.tol)
-    except ConjugationError:
-        return finish("undetermined", diag=diag)
-    return finish(
-        "cs",
-        certificate=cert,
-        residuals={
-            "unitary": cert.residual_unitary,
-            "symmetric": cert.residual_symmetric,
-            "intertwining": report.residual,
-        },
-        diag=diag,
-    )
+    if red is not None and red.split:
+        polar = red.q @ polar @ red.q.T
+    return certified(polar, diag) or finish("undetermined", diag=diag)
 
 
 def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOptions] = None) -> tuple[bool, float]:
     """Recompute a ``not_cs`` witness from the matrix alone.
 
-    The witness is recomputed on the matrix :func:`decide_cs` ran its stages
-    on: ``|T|`` for a tree shift, ``T`` otherwise.  Returns
+    The witness is recomputed on the matrices :func:`decide_cs` ran its
+    stages on: words on ``|T|`` for a tree shift, ``T`` otherwise, and ``W``
+    on the twin reduction ``R`` of ``|T|``.  Returns
     ``(still_violated, margin)``.  For ``word_trace`` the margin is
     the trace gap, computed exactly as the detection computed it.  For
     ``structure`` the joint space ``W`` is solved again; the witness holds
@@ -731,10 +804,13 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     other than ``"T"`` or ``"T*"``, raises :class:`ValueError`.
     """
     opts = options or DeciderOptions()
-    m, _gauge = _gauged(_as_matrix(t))
+    m, gauge = _gauged(_as_matrix(t))
     kind = obstruction["kind"]
     if kind == "structure":
-        _polar, again, excluded = _joint_space(m, opts.rank_rtol, opts.seed)
+        red = _reduced(m, gauge)
+        _polar, again, excluded = _joint_space(
+            m if red is None else red.r, opts.rank_rtol, opts.seed
+        )
         held = excluded and again["dim"] == obstruction["witness"]["dim"]
         return held, 1.0 - again["spread"]
     if kind != "word_trace":

@@ -9,6 +9,7 @@ basis vectors of its children: column ``u`` of the matrix has entry
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +27,8 @@ __all__ = [
     "numerical_rank",
     "positivize_weights",
     "tree_gauge",
+    "TwinReduction",
+    "twin_reduction",
 ]
 
 
@@ -119,10 +122,15 @@ class KernelTable:
 def kernel_table(s, max_power: int, rtol: float = 1e-10) -> KernelTable:
     """Numerical kernel dimensions of the first ``max_power`` powers.
 
-    Powers are accumulated on a spectrally normalized copy so that rank
-    decisions are scale-free.  ``(S*)^m = (S^m)*`` has the rank of ``S^m``,
-    so one SVD per power gives both columns; two SVDs could round a singular
-    value near the cut to opposite sides and report unequal dimensions.
+    ``(S*)^m = (S^m)*`` has the rank of ``S^m``, so one rank gives both
+    columns.  For a tree shift (a matrix :func:`tree_gauge` recognises) the
+    columns of ``S^m`` have disjoint supports, and column ``u`` is nonzero
+    exactly when a path of ``m`` edges runs down from ``u``; the rank is read
+    off that count, with no rounding and no cut.  Any other matrix is
+    normalized to ``N = S / sigma_max(S)`` and each power is cut by the rank
+    rule of :func:`numerical_rank` against the reference ``||N||^m = 1``,
+    not against the power's own largest singular value, which for a matrix
+    nilpotent up to rounding is rounding noise itself.
     """
     t = s.matrix if isinstance(s, ShiftMatrix) else np.asarray(s, dtype=complex)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
@@ -130,16 +138,24 @@ def kernel_table(s, max_power: int, rtol: float = 1e-10) -> KernelTable:
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
     n = t.shape[0]
-    sigma = np.linalg.svd(t, compute_uv=False) if n else np.zeros(0)
-    scale = sigma[0] if sigma.size and sigma[0] > 0 else 1.0
-    tn = t / scale
-    rows = []
-    power = np.eye(n, dtype=complex)
-    for m in range(1, max_power + 1):
-        power = power @ tn
-        nullity = n - numerical_rank(power, rtol)
-        rows.append((m, nullity, nullity))
-    return KernelTable(rows=tuple(rows))
+    powers = range(1, max_power + 1)
+    forest = _forest(t)
+    if forest is not None:
+        parent, levels = forest
+        height = np.zeros(n, dtype=np.intp)  # the longest path down
+        for level in reversed(levels[1:]):
+            np.maximum.at(height, parent[level], height[level] + 1)
+        ranks = [int(np.count_nonzero(height >= m)) for m in powers]
+    else:
+        sigma = np.linalg.svd(t, compute_uv=False)
+        power = np.eye(n, dtype=complex)
+        tn = t / sigma[0]  # a zero matrix is a forest, so sigma[0] > 0
+        ranks = []
+        for _m in powers:
+            power = power @ tn
+            sigma = np.linalg.svd(power, compute_uv=False)
+            ranks.append(_rank_above_cut(sigma, n, rtol, 1.0))
+    return KernelTable(rows=tuple((m, n - k, n - k) for m, k in zip(powers, ranks)))
 
 
 def positivize_weights(
@@ -174,32 +190,180 @@ def positivize_weights(
     return positive, gauge
 
 
-def tree_gauge(m: np.ndarray) -> Optional[np.ndarray]:
-    """The gauge of :func:`positivize_weights`, read off a matrix alone.
+def _forest(m: np.ndarray) -> Optional[tuple[np.ndarray, list[np.ndarray]]]:
+    """The parent pointers and the depth levels of the forest a tree-shift
+    matrix defines, or ``None`` when ``m`` is no tree shift.
 
     ``m`` is the matrix of a tree shift (a forest, in general) when each row
     has at most one nonzero, in the column of the row's parent, and the
     parent pointers close no cycle; a nonzero diagonal entry is a cycle of
-    length one.  Returns the unimodular ``d`` with ``d_v = 1`` at a vertex
-    whose row is zero and ``d_v = m[v, p] d_p / |m[v, p]|`` at a vertex with
-    parent ``p``, so that ``conj(d_v) m[v, p] d_p = |m[v, p]|`` and
-    ``D* m D = |m|``; or ``None`` when ``m`` is no tree shift.  A zero weight
-    leaves a zero row, which the matrix cannot tell from a root, so its
-    vertex starts afresh at phase 1.
+    length one.  Returns ``(parent, levels)``: ``parent[v]`` is the row's
+    nonzero column, -1 at a zero row (a root), and ``levels[d]`` holds the
+    vertices at depth ``d``, roots first.
     """
     nonzero = m != 0
     if np.any(np.count_nonzero(nonzero, axis=1) > 1):
         return None
     parent = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
-    d = np.ones(m.shape[0], dtype=complex)
     known = parent < 0
+    levels = [np.flatnonzero(known)]
     todo = np.flatnonzero(~known)
     while todo.size:
         ready = todo[known[parent[todo]]]
         if not ready.size:
             return None  # the remaining parent pointers run in a cycle
-        w = m[ready, parent[ready]]
-        d[ready] = w * d[parent[ready]] / np.abs(w)
         known[ready] = True
+        levels.append(ready)
         todo = todo[~known[todo]]
+    return parent, levels
+
+
+def tree_gauge(m: np.ndarray) -> Optional[np.ndarray]:
+    """The gauge of :func:`positivize_weights`, read off a matrix alone.
+
+    Returns the unimodular ``d`` with ``d_v = 1`` at a vertex whose row is
+    zero and ``d_v = m[v, p] d_p / |m[v, p]|`` at a vertex with parent
+    ``p``, so that ``conj(d_v) m[v, p] d_p = |m[v, p]|`` and ``D* m D =
+    |m|``; or ``None`` when ``m`` is no tree shift (see :func:`_forest`).  A
+    zero weight leaves a zero row, which the matrix cannot tell from a root,
+    so its vertex starts afresh at phase 1.
+    """
+    forest = _forest(m)
+    if forest is None:
+        return None
+    parent, levels = forest
+    d = np.ones(m.shape[0], dtype=complex)
+    for level in levels[1:]:
+        w = m[level, parent[level]]
+        d[level] = w * d[parent[level]] / np.abs(w)
     return d
+
+
+@dataclass(frozen=True, eq=False)
+class TwinReduction:
+    """``R = Q^T M Q``, a real tree shift ``M`` split at its twin subtrees.
+
+    ``q`` is real orthogonal, and ``r`` is the forest shift with parent
+    pointers ``parent`` (-1 at a root) and the reduced weights, built
+    exactly: every entry off the forest's edges is 0.  ``split`` counts the
+    copies split off; at 0, ``q`` is the identity and ``r`` is ``M``.
+    """
+
+    q: np.ndarray
+    r: np.ndarray
+    parent: np.ndarray
+    split: int
+
+    def chains(self) -> Optional[list[list[int]]]:
+        """The summands of ``r`` as vertex lists from root to leaf, when
+        each is a chain (no vertex has two children); else ``None``."""
+        has = self.parent >= 0
+        if np.any(np.bincount(self.parent[has], minlength=self.parent.size) > 1):
+            return None
+        below = np.full(self.parent.size, -1)
+        below[self.parent[has]] = np.flatnonzero(has)
+        below = below.tolist()
+        out = []
+        for v in np.flatnonzero(~has).tolist():
+            chain = [v]
+            while below[v] >= 0:
+                v = below[v]
+                chain.append(v)
+            out.append(chain)
+        return out
+
+
+def _reflectors(a: np.ndarray) -> np.ndarray:
+    """Real orthogonal (Householder) matrices whose first columns are the
+    unit rows of ``a``: ``I - 2 v v^T / v^T v`` with ``v = a - e_1``, whose
+    first entry is formed without cancellation."""
+    tail = np.einsum("gi,gi->g", a[:, 1:], a[:, 1:])
+    v = a.copy()
+    v[:, 0] = np.where(a[:, 0] <= 0, a[:, 0] - 1.0, -tail / (1.0 + np.abs(a[:, 0])))
+    vv = v[:, 0] ** 2 + tail
+    scale = np.divide(2.0, vv, out=np.zeros_like(vv), where=vv > 0)
+    return np.eye(a.shape[1]) - scale[:, None, None] * v[:, :, None] * v[:, None, :]
+
+
+def twin_reduction(m: np.ndarray) -> Optional[TwinReduction]:
+    """Split a real tree shift ``M`` into smaller tree shifts at its twins.
+
+    Siblings are twins when their subtrees below the edge are equal as
+    weighted rooted trees, compared on the exact float weights; sibling
+    leaves always are.  For ``r`` twins with edge weights ``lambda``, let
+    ``H`` be real orthogonal with first column ``lambda / ||lambda||``.
+    Mapping each vertex ``x`` of the common subtree ``S`` by ``e_(x,j) =
+    sum_k H[k, j] e_(x_k)`` leaves one copy of ``S`` under the parent with
+    edge ``||lambda||`` (``j = 0``) and splits off ``r - 1`` copies of ``S``
+    with no incoming edge (``j >= 1``, as ``lambda`` is orthogonal to
+    ``H[:, j]``) (Jablonski-Jung-Stochel 2012).  Applied bottom-up, with the
+    subtrees keyed as they are reduced, this gives ``Q^T M Q = R = T_red +
+    sum_j S_j^(+m_j)``, an orthogonal direct sum of tree shifts.  Twins are
+    matched exactly, never within a tolerance: a tolerance would split a
+    different matrix, while a missed twin only costs time.
+
+    ``Q`` starts as the identity, and each split changes only the columns
+    of its copies' vertices.  Returns ``None`` when ``m`` is no tree shift
+    (see :func:`_forest`) or a merged weight overflows.
+    """
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        raise ValueError("twin_reduction needs a real matrix, such as |T|")
+    forest = _forest(m)
+    if forest is None:
+        return None
+    parent, levels = forest
+    n = m.shape[0]
+    has = np.flatnonzero(parent >= 0)
+    w = np.zeros(n)
+    w[has] = m[has, parent[has]]
+    # the reduced forest, as lists while the loop reads and writes entries
+    up, w = parent.tolist(), w.tolist()
+    kids: list[list[int]] = [[] for _ in range(n)]
+    for v in has.tolist():
+        kids[up[v]].append(v)
+    q = np.eye(n)
+    split = 0
+    ids: dict = {}  # subtree shape -> its key
+    key = [0] * n  # the key of each vertex's subtree below its edge
+    nodes: list = [None] * n  # that subtree's vertices, in canonical preorder
+    for level in reversed(levels):
+        merges: dict = {}  # (copies, vertices per copy) -> [(columns, unit)]
+        for u in level.tolist():
+            groups: dict = {}
+            for c in kids[u]:
+                groups.setdefault(key[c], []).append(c)
+            shape, below = [], [u]
+            # twins are merged, so the kept children have distinct keys and
+            # their order by key is canonical
+            for k in sorted(groups):
+                twins = groups[k]
+                c = twins[0]
+                if len(twins) > 1:
+                    lam = [w[t] for t in twins]
+                    w[c] = math.hypot(*lam)
+                    cols = [nodes[t] for t in twins]
+                    merges.setdefault((len(twins), len(cols[0])), []).append(
+                        (cols, [x / w[c] for x in lam])
+                    )
+                    for t in twins[1:]:
+                        w[t], up[t] = 0.0, -1
+                    split += len(twins) - 1
+                shape.append((w[c], k))
+                below += nodes[c]
+            key[u] = ids.setdefault(tuple(shape), len(ids))
+            nodes[u] = below
+            for c in kids[u]:
+                nodes[c] = None
+        # the merges of a level touch disjoint columns: one product per shape
+        for group in merges.values():
+            cols = np.array([c for c, _unit in group]).transpose(0, 2, 1)
+            h = _reflectors(np.array([unit for _c, unit in group]))
+            q[:, cols] = q[:, cols] @ h
+    up, w = np.array(up), np.array(w)
+    if not np.isfinite(w).all():
+        return None
+    r = np.zeros((n, n))
+    has = np.flatnonzero(up >= 0)
+    r[has, up[has]] = w[has]
+    return TwinReduction(q=q, r=r, parent=up, split=split)

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from treeshift import (
     decide_cs,
     dump_json,
     generate_binary,
+    generate_broom,
     generate_path,
     generate_two_branch,
     kernel_obstruction,
@@ -34,7 +36,8 @@ from treeshift import (
 )
 from treeshift import decider
 from treeshift.decider import _gauged, _joint_space, _scatter, _sylvester_nullspace
-from conftest import random_complex
+from treeshift.shift import twin_reduction
+from conftest import SQRT2, random_complex
 from oracles import (
     dense_joint_sylvester_nullspace,
     dense_sylvester_nullspace,
@@ -782,3 +785,122 @@ def test_structure_stage_leaves_a_narrow_gap_undetermined(eps):
         verdict = decide_cs(t)
         assert verdict.kind == "undetermined", (k, verdict.obstruction)
         assert verdict.diagnostics["sylvester_dim"] <= 1
+
+
+def planted_twin_matrix(seed, base, size, copies, leaves):
+    """A random tree shift with ``copies`` equal subtrees of ``size``
+    vertices under one vertex, on distinct random edges, and ``leaves``
+    sibling leaves under another; random weights with random phases."""
+    rng = np.random.default_rng(seed)
+
+    def weight():
+        return rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random())
+
+    edges = [(int(rng.integers(0, k)), k, weight()) for k in range(1, base)]
+    inner = [(int(rng.integers(0, k)), k, weight()) for k in range(1, size)]
+    n = base
+    host = int(rng.integers(0, base))
+    for _copy in range(copies):
+        edges.append((host, n, weight()))
+        edges += [(n + p, n + c, w) for p, c, w in inner]
+        n += size
+    host = int(rng.integers(0, base))
+    for _leaf in range(leaves):
+        edges.append((host, n, weight()))
+        n += 1
+    m = np.zeros((n, n), dtype=complex)
+    for p, c, w in edges:
+        m[c, p] = w
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    base=st.integers(1, 6),
+    size=st.integers(1, 5),
+    copies=st.integers(2, 3),
+    leaves=st.integers(0, 3),
+)
+def test_twin_reduction_is_an_orthogonal_splitting_with_the_same_w(
+    seed, base, size, copies, leaves
+):
+    m = planted_twin_matrix(seed, base, size, copies, leaves)
+    n = m.shape[0]
+    work, gauge = _gauged(m)
+    assert gauge is not None
+    red = twin_reduction(work)
+    assert red.split >= copies - 1
+    assert np.abs(red.q.T @ red.q - np.eye(n)).max() <= 1e-14
+    assert np.abs(red.q.T @ work @ red.q - red.r).max() <= 1e-14
+    # R is the forest shift of its parent pointers: every other entry is 0
+    has = np.flatnonzero(red.parent >= 0)
+    assert np.all(red.r[has, red.parent[has]] > 0)
+    assert np.count_nonzero(red.r) == has.size
+    dim = _sylvester_nullspace(red.r, 1e-10)[0]
+    assert dim == _sylvester_nullspace(work, 1e-10)[0]
+    assert dim == dense_joint_sylvester_nullspace(work, 1e-10)[0].shape[0]
+    verdict = decide_cs(m)
+    with mock.patch.object(decider, "twin_reduction", lambda _m: None):
+        assert decide_cs(m).kind == verdict.kind
+    if verdict.kind == "cs":
+        assert verify_c_symmetry(m, verdict.certificate).passed
+    elif verdict.kind == "not_cs":
+        assert reevaluate_obstruction(m, verdict.obstruction, verdict.options)[0]
+
+
+@pytest.mark.parametrize("nudge", [False, True])
+def test_twins_are_matched_on_exact_weights_only(nudge):
+    # root -> a, b on edges 1 and 2, each over a leaf on edge sqrt 5: the
+    # twins reduce to the palindromic chains (sqrt 5, sqrt 5) and (sqrt 5).
+    # One ulp on b's leaf makes the subtrees differ, so nothing merges and W
+    # is solved on the whole tree
+    c = math.sqrt(5.0)
+    m = np.zeros((5, 5))
+    m[1, 0], m[2, 1], m[3, 0] = 1.0, c, 2.0
+    m[4, 3] = np.nextafter(c, 3.0) if nudge else c
+    assert twin_reduction(m).split == (0 if nudge else 1)
+    verdict = decide_cs(m)
+    assert verdict.kind == "cs"
+    assert verify_c_symmetry(m, verdict.certificate).passed
+    assert verdict.diagnostics["sylvester_dim"] == 2
+    assert (verdict.diagnostics["spread"] == 1.0) != nudge
+
+
+def test_a_reduction_that_leaves_no_chain_certifies_through_the_solve():
+    # the cs shift y_shift with its leaf split into sibling leaves of moduli
+    # 0.6 and 0.8: R is y_shift plus an isolated vertex, no chain, so W is
+    # solved on R and the polar factor goes back through Q and the phases
+    m = np.zeros((5, 5), dtype=complex)
+    m[1, 0], m[2, 0], m[3, 0] = 0.6j, -0.8, np.exp(1j)
+    m[4, 3] = SQRT2 * np.exp(2j)
+    work, _gauge = _gauged(m)
+    red = twin_reduction(work)
+    assert red.split == 1 and red.chains() is None
+    verdict = decide_cs(m)
+    assert verdict.kind == "cs"
+    assert verdict.diagnostics["spread"] < 1.0  # a random element, not a flip
+    assert verify_c_symmetry(m, verdict.certificate).passed
+
+
+@pytest.mark.parametrize(
+    "tree", [generate_broom(120), generate_binary(6)], ids=["star121", "binary6"]
+)
+def test_trees_that_reduce_to_palindromic_chains_solve_nothing(tree, monkeypatch):
+    # both reduce to chains of equal weights, so the certificate is the
+    # direct sum of flips and W is never solved
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _sylvester_nullspace(*args)
+
+    monkeypatch.setattr(decider, "_sylvester_nullspace", counted)
+    s = build_shift(tree, {v: 1.0 for v in tree.nonroot_vertices()})
+    verdict = decide_cs(s)
+    assert verdict.kind == "cs"
+    assert verify_c_symmetry(s, verdict.certificate).passed
+    assert not calls
+    # dim W counted from the chains: the star has 119 isolated leaves and
+    # one edge, 119 * 120 / 2 + 1
+    assert verdict.diagnostics["sylvester_dim"] == {121: 7141, 127: 715}[tree.n]

@@ -16,7 +16,7 @@ from treeshift import (
     numerical_rank,
     positivize_weights,
 )
-from treeshift.shift import tree_gauge
+from treeshift.shift import tree_gauge, twin_reduction
 
 from oracles import exact_kernel_dim, shift_matrix_fraction
 
@@ -171,6 +171,52 @@ def test_rank_cuts_below_the_noise_are_floored(rtol):
         table = kernel_table(t, max_power=n, rtol=rtol)
         assert table.rows[0] == (1, 1, 1)
         assert all(dim_ker == dim_ker_adj for _m, dim_ker, dim_ker_adj in table.rows)
+
+
+def test_kernel_table_of_a_noisy_nilpotent_saturates():
+    # each power cut at its own sigma_max read (5, 0, 0), (6, 1, 1), ... once
+    # the power was rounding noise; the reference ||T / sigma_max||^m = 1
+    # reads the nilpotent's true kernels
+    rng = np.random.default_rng(5)
+    shape = (5, 5)
+    q, _r = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    lower = np.tril(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), -1)
+    table = kernel_table(q @ lower @ q.conj().T, max_power=8)
+    assert table.rows == tuple((m, min(m, 5), min(m, 5)) for m in range(1, 9))
+
+
+def test_kernel_table_of_a_tree_shift_reads_no_rounding():
+    # 1e-200 squared underflows, yet T^2 has rank 2 on the path 0 -> .. -> 3
+    s = build_shift(generate_path(4), {"1": 1.0, "2": 1e-200, "3": 1e-200})
+    assert np.count_nonzero(s.matrix @ s.matrix) == 1
+    assert kernel_table(s, max_power=4).rows == tuple((m, m, m) for m in range(1, 5))
+
+
+def test_twin_reduction_of_a_star_is_one_edge_and_isolated_leaves():
+    s = build_shift(generate_broom(4), {str(k): float(k) for k in range(1, 5)})
+    red = twin_reduction(np.abs(s.matrix))
+    assert red.split == 3
+    # the leaves merge into the first, with edge ||(1, 2, 3, 4)|| = sqrt 30
+    assert red.parent.tolist() == [-1, 0, -1, -1, -1]
+    assert red.r[1, 0] == math.sqrt(30.0)
+    assert np.count_nonzero(red.r) == 1
+    assert np.allclose(red.q.T @ red.q, np.eye(5), rtol=0, atol=1e-15)
+    assert np.allclose(red.q.T @ np.abs(s.matrix) @ red.q, red.r, rtol=0, atol=1e-14)
+    assert red.chains() == [[0, 1], [2], [3], [4]]
+
+
+def test_twin_reduction_without_twins_is_the_identity():
+    s = build_shift(generate_path(4), {"1": 1.0, "2": 2.0, "3": 3.0})
+    m = np.abs(s.matrix)
+    red = twin_reduction(m)
+    assert red.split == 0
+    assert np.array_equal(red.q, np.eye(4)) and np.array_equal(red.r, m)
+
+
+def test_twin_reduction_needs_a_real_tree_shift():
+    assert twin_reduction(np.ones((3, 3))) is None
+    with pytest.raises(ValueError, match="real"):
+        twin_reduction(np.zeros((2, 2), dtype=complex))
 
 
 def test_positivize_path():
