@@ -57,12 +57,23 @@ matrix is similar to its transpose through a nonsingular symmetric matrix,
 Taussky-Zassenhaus 1959); ``W`` can be.
 
 The word search screens all words of a length at once: the products of
-the words up to half the length bound are built by stacked matmuls, and the
-traces of all ``2^L`` words of length ``L`` come from one product of
+the words up to half the length bound are built by broadcast matmuls, and
+the traces of all ``2^L`` words of length ``L`` come from one product of
 flattened head and tail products.  Pairs whose screened gap lies within a
 rounding bound of the threshold are confirmed in search order by the one
 sequential evaluator that the replay also uses, so the witness is exactly
-the one a sequential scan returns.
+the one a sequential scan returns.  A tree shift raises depth by one, so a
+word with ``a`` letters ``T`` and ``b`` letters ``T*`` maps depth ``d`` to
+``d + a - b``; unless ``a = b`` every term of a diagonal entry of its
+product has a structurally zero factor, so its trace evaluates to exactly
+0 (or NaN once an overflowed product meets a zero), as does its reversal's,
+and their gap exceeds no threshold.  So for a matrix
+:func:`~treeshift.shift._forest` recognises only the balanced words, all of
+even length, are screened, and the witness is unchanged.  The word
+tolerance of a verdict and of its replay is floored at
+``6.4 (max_word_len n + n^2) eps``, so that no threshold falls below the
+screen's own rounding slack and a gap rounding alone can open is never a
+witness.
 
 The Sylvester system is never formed densely, nor is a basis of ``W``.
 The equation of ``T*`` is that of ``T`` for ``M = T*``, since
@@ -86,6 +97,8 @@ witness that re-evaluates from the matrix alone with a wide margin, and
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -106,6 +119,7 @@ from .serialize import complex_to_pair
 from .shift import (
     ShiftMatrix,
     TwinReduction,
+    _forest,
     _rank_above_cut,
     kernel_table,
     tree_gauge,
@@ -130,6 +144,14 @@ class DeciderOptions:
     rank_rtol: float = 1e-10
     max_word_len: int = 8
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        if not (math.isfinite(self.rank_rtol) and self.rank_rtol >= 0):
+            raise ValueError(
+                f"rank_rtol must be finite and >= 0, got {self.rank_rtol!r}"
+            )
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -176,6 +198,17 @@ def _word_trace(mats: dict, letters: Sequence[str]) -> complex:
     return complex(np.trace(acc))
 
 
+def _trace_gap(tr: complex, tr_rev: complex) -> float:
+    """``abs(tr - tr_rev)``, and NaN when a part is NaN and none infinite.
+
+    Python's ``abs`` of such a complex leaves ``errno`` as it found it and
+    then reads it, so after any earlier range error in the process (a caught
+    float overflow, say) it raises ``OverflowError`` instead.
+    """
+    gap = tr - tr_rev
+    return math.nan if cmath.isnan(gap) and not cmath.isinf(gap) else abs(gap)
+
+
 def _checked_word(letters: Sequence[str]) -> list[str]:
     """``letters`` as a list, or :class:`ValueError` naming the first letter
     other than ``"T"`` or ``"T*"``."""
@@ -204,22 +237,72 @@ def _word_threshold(tol: float, norm: float, length: int) -> float:
     return 10.0 * tol * _word_scale(norm, length)
 
 
+def _word_tol(opts: DeciderOptions, n: int) -> float:
+    """The tolerance of the verdict's word stage on an ``n x n`` matrix:
+    ``opts.tol``, floored at ``6.4 (max_word_len n + n^2) eps``.
+
+    With it every threshold ``10 tol max(1, ||T||_F^L)`` is at least the
+    screen's rounding slack ``64 (L n + n^2) eps max(1, ||T||_F^L)`` (see
+    :func:`word_trace_obstruction`), which bounds the gap rounding alone can
+    open between a trace and its reversal's, such as ``tr(T T*)`` and
+    ``tr(T* T)``; so no such gap is a witness, however small ``opts.tol``.
+    """
+    eps = np.finfo(float).eps
+    return max(opts.tol, 6.4 * (opts.max_word_len * n + n * n) * eps)
+
+
 def _word_products(m: np.ndarray, length: int) -> list[np.ndarray]:
     """Products of all words of up to ``length`` letters, by length.
 
     Entry ``k`` is a ``(2^k, n, n)`` stack indexed by word code: letters are
     bits (``T`` = 0, ``T*`` = 1) read most significant first, so code
     ``2c + b`` is word ``c`` followed by letter ``b``, whose product is
-    ``M_b @ P(c)``.
+    ``M_b @ P(c)``; one broadcast matmul over both letters builds a length.
     """
     n = m.shape[0]
+    letters = np.stack([m, m.conj().T])[None]
     prods = [np.eye(n, dtype=m.dtype)[None]]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(length):
-            prev = prods[-1]
-            step = np.stack([m @ prev, m.conj().T @ prev], axis=1)
-            prods.append(step.reshape(-1, n, n))
+            prods.append((letters @ prods[-1][:, None]).reshape(-1, n, n))
     return prods
+
+
+@functools.lru_cache(maxsize=64)
+def _word_pairs(
+    length: int, graded: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words of ``length`` letters whose reversal is lexicographically
+    larger, with ``graded`` only the balanced ones (as many ``T`` as
+    ``T*``), and where the screen's trace table holds the traces.
+
+    Returns ``(codes, at, at_reversed)``: the codes (see
+    :func:`_word_products`), ascending, and the flat places in the table of
+    :func:`word_trace_obstruction` of each word's trace and of its
+    reversal's.  The table's row for a head ``c`` is the head with its
+    letters reversed and swapped, and its column the tail.  Cached, so
+    read-only.
+    """
+    head = (length + 1) // 2
+    tail = length - head
+    codes = np.arange(2**length)
+    reverse = np.zeros_like(codes)
+    stars = np.zeros_like(codes)
+    for k in range(length):
+        bit = (codes >> k) & 1
+        reverse |= bit << (length - 1 - k)
+        stars += bit
+    row = np.zeros_like(codes)
+    for k in range(head):
+        row |= (((codes >> (tail + k)) & 1) ^ 1) << (head - 1 - k)
+    at = (row << tail) | (codes & ((1 << tail) - 1))
+    keep = reverse > codes
+    if graded:
+        keep &= 2 * stars == length
+    pairs = codes[keep], at[keep], at[reverse[keep]]
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def word_trace_obstruction(
@@ -233,21 +316,46 @@ def word_trace_obstruction(
     products of all words up to ``ceil(max_len / 2)`` letters are built once;
     the traces of all ``2^L`` words of length ``L`` then come from one matrix
     product of flattened head and tail products, ``tr(P(tail) P(head)) =
-    sum_ij P(tail)_ij P(head)_ji``.  Every word paired with a lexicographically
-    larger reversal whose screened gap is within rounding of the threshold,
-    or not finite, is re-evaluated in order by the sequential evaluator that
-    :func:`word_value` and :func:`reevaluate_obstruction` share, and the
-    first confirmed gap is the witness.  The result is the word a sequential
-    scan of every pair would return, bit for bit.
+    sum_ij P(tail)_ij P(head)_ji``.  As ``T^T = conj(T*)``, ``P(head)^T`` is
+    ``conj(P(head'))`` for the head read backwards with ``T`` and ``T*``
+    swapped, so no product is transposed.  Every word paired with a
+    lexicographically larger reversal whose screened gap is within rounding
+    of the threshold, or not finite, is re-evaluated in order by the
+    sequential evaluator that :func:`word_value` and
+    :func:`reevaluate_obstruction` share, and the first confirmed gap is the
+    witness.  The result is the word a sequential scan of every pair would
+    return, bit for bit.
+
+    A tree shift (a forest shift in general, a matrix that
+    :func:`~treeshift.shift._forest` recognises) screens only its balanced
+    words, those with as many ``T`` as ``T*``, hence only even lengths.  It
+    maps the basis vectors at depth ``d`` to depth ``d + 1``, so a word with
+    ``a`` letters ``T`` and ``b`` letters ``T*`` maps depth ``d`` to
+    ``d + a - b``.  For ``a != b``, every term of a diagonal entry of the
+    word's product has a structurally zero factor, in the sequential product
+    as in the head-tail dot product: the trace evaluates to exactly 0, or to
+    NaN once an overflowed ``inf`` meets a zero, and so does the reversal's.
+    Neither gap exceeds a threshold ``>= 0``, so the sequential scan passes
+    over those words, and skipping them leaves the witness bit for bit the
+    same.
+
+    ``tol`` is taken as given; :func:`decide_cs` and
+    :func:`reevaluate_obstruction` pass the one floored by
+    :func:`_word_tol`.  Raises :class:`ValueError` for a ``tol`` that is
+    negative or NaN.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     m = _as_matrix(t)
     n = m.shape[0]
     mats = _letters(m)
     norm = float(np.linalg.norm(m))
-    prods = _word_products(m, (max_len + 1) // 2)
+    eps = np.finfo(float).eps
+    graded = _forest(m) is not None
+    lengths = range(2, max_len + 1, 2 if graded else 1)
+    prods = _word_products(m, (lengths[-1] + 1) // 2 if lengths else 0)
     flat = [p.reshape(p.shape[0], n * n) for p in prods]
-    flat_t = [p.transpose(0, 2, 1).reshape(p.shape[0], n * n) for p in prods]
-    for length in range(2, max_len + 1):
+    for length in lengths:
         threshold = _word_threshold(tol, norm, length)
         if not threshold < math.inf:
             continue  # no gap exceeds an infinite or NaN threshold
@@ -265,25 +373,21 @@ def word_trace_obstruction(
         # products.  Where the scale nears the float range a product could
         # overflow in one evaluator only, so there every pair is confirmed.
         scale = _word_scale(norm, length)
-        slack = 64.0 * (length * n + n * n) * np.finfo(float).eps * scale
+        slack = 64.0 * (length * n + n * n) * eps * scale
         cut = threshold - slack if 16.0 * scale < math.inf else -math.inf
-        codes = np.arange(2**length)
-        reverse = np.zeros_like(codes)
-        for k in range(length):
-            reverse |= ((codes >> k) & 1) << (length - 1 - k)
-        pairs = reverse > codes
+        codes, at, at_reversed = _word_pairs(length, graded)
         head = (length + 1) // 2
         with np.errstate(over="ignore", invalid="ignore"):
-            traces = (flat_t[head] @ flat[length - head].T).ravel()
-            gaps = np.abs(traces[pairs] - traces[reverse[pairs]])
-        for code in codes[pairs][~(gaps <= cut)]:
+            traces = (flat[head].conj() @ flat[length - head].T).ravel()
+            gaps = np.abs(traces[at] - traces[at_reversed])
+        for code in codes[~(gaps <= cut)].tolist():
             letters = tuple(
                 "T*" if (code >> (length - 1 - k)) & 1 else "T"
                 for k in range(length)
             )
             tr = _word_trace(mats, letters)
             tr_rev = _word_trace(mats, letters[::-1])
-            margin = abs(tr - tr_rev)
+            margin = _trace_gap(tr, tr_rev)
             if margin > threshold:
                 return {
                     "word": list(letters),
@@ -756,7 +860,9 @@ def decide_cs(
         return finish("cs", certificate=cert, residuals=residuals, diag=diag)
 
     work, gauge = _gauged(m)
-    word = word_trace_obstruction(work, max_len=opts.max_word_len, tol=opts.tol)
+    word = word_trace_obstruction(
+        work, max_len=opts.max_word_len, tol=_word_tol(opts, m.shape[0])
+    )
     if word is not None:
         return finish(
             "not_cs",
@@ -817,6 +923,8 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
         raise ValueError(f"unknown obstruction kind {kind!r}")
     letters = _checked_word(obstruction["witness"]["word"])
     mats = _letters(m)
-    margin = abs(_word_trace(mats, letters) - _word_trace(mats, letters[::-1]))
-    threshold = _word_threshold(opts.tol, float(np.linalg.norm(m)), len(letters))
+    margin = _trace_gap(_word_trace(mats, letters), _word_trace(mats, letters[::-1]))
+    threshold = _word_threshold(
+        _word_tol(opts, m.shape[0]), float(np.linalg.norm(m)), len(letters)
+    )
     return margin > threshold, float(margin)

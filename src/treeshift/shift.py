@@ -199,23 +199,35 @@ def _forest(m: np.ndarray) -> Optional[tuple[np.ndarray, list[np.ndarray]]]:
     parent pointers close no cycle; a nonzero diagonal entry is a cycle of
     length one.  Returns ``(parent, levels)``: ``parent[v]`` is the row's
     nonzero column, -1 at a zero row (a root), and ``levels[d]`` holds the
-    vertices at depth ``d``, roots first.
+    vertices at depth ``d``, roots first, each level in ascending order.
     """
     nonzero = m != 0
-    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
-        return None
-    parent = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)
-    known = parent < 0
-    levels = [np.flatnonzero(known)]
-    todo = np.flatnonzero(~known)
-    while todo.size:
-        ready = todo[known[parent[todo]]]
-        if not ready.size:
-            return None  # the remaining parent pointers run in a cycle
-        known[ready] = True
-        levels.append(ready)
-        todo = todo[~known[todo]]
-    return parent, levels
+    col = nonzero.argmax(axis=1)
+    has = nonzero[np.arange(m.shape[0]), col]
+    if np.count_nonzero(nonzero) > np.count_nonzero(has):
+        return None  # some row has two nonzeros
+    parent = np.where(has, col, -1)
+    up = parent.tolist()
+    depth = [-1] * len(up)  # -2 marks the vertices of the walk in progress
+    for v, p in enumerate(up):
+        if depth[v] >= 0:
+            continue
+        walk = [v]
+        depth[v] = -2
+        while p >= 0 and depth[p] == -1:
+            depth[p] = -2
+            walk.append(p)
+            p = up[p]
+        if p >= 0 and depth[p] == -2:
+            return None  # the parent pointers run in a cycle
+        d = depth[p] if p >= 0 else -1
+        for u in reversed(walk):
+            d += 1
+            depth[u] = d
+    levels: list[list[int]] = [[] for _ in range(max(depth, default=0) + 1)]
+    for v, d in enumerate(depth):
+        levels[d].append(v)
+    return parent, [np.array(level, dtype=np.intp) for level in levels]
 
 
 def tree_gauge(m: np.ndarray) -> Optional[np.ndarray]:

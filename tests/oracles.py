@@ -5,6 +5,7 @@ one dense numpy SVD, and never imports the code under test, so agreement
 between the two sides is meaningful.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -348,7 +349,11 @@ def sequential_word_trace_obstruction(m, max_len=8, tol=1e-10):
             if reverse <= letters:
                 continue
             tr, tr_rev = trace(letters), trace(reverse)
-            margin = abs(tr - tr_rev)
+            gap = tr - tr_rev
+            # abs() of a complex with a NaN part and no infinite one reads a
+            # stale errno, and raises OverflowError after the caught
+            # overflow of norm**length above
+            margin = math.nan if cmath.isnan(gap) and not cmath.isinf(gap) else abs(gap)
             if margin > threshold:
                 return {
                     "word": list(letters),

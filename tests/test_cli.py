@@ -6,9 +6,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from numpy.random import default_rng
 
 import treeshift
-from treeshift import DeciderOptions, dump_json
+from treeshift import (
+    DeciderOptions,
+    dump_json,
+    generate_binary,
+    sample_binary_weights,
+    tree_to_doc,
+    weights_to_doc,
+)
 from treeshift.cli import build_parser, main
 
 SQRT2 = math.sqrt(2.0)
@@ -132,6 +140,18 @@ def test_check_rejects_bad_tolerance(capsys):
     code = main(["check", "--tol", "0", "nonexistent.json"])
     assert code == 3
     assert "tol" in capsys.readouterr().err
+
+
+def test_check_at_a_tiny_tol_reports_no_rounding_witness(tmp_path, capsys):
+    # complex symmetric (equal moduli per level); at --tol 1e-20 the rounding
+    # gap of tr(T T*) and tr(T* T) used to be reported as a not_cs witness
+    weights = sample_binary_weights(3, default_rng(0), satisfying=True).to_assignment()
+    doc = {"tree": tree_to_doc(generate_binary(3)), "weights": weights_to_doc(weights)}
+    path = write_doc(tmp_path, "doc.json", doc)
+    code = main(["check", "--tol", "1e-20", path])
+    assert code != 1 and "not_cs" not in capsys.readouterr().out
+    assert main(["check", "--tol", "inf", path]) == 3
+    assert "tol must be finite" in capsys.readouterr().err
 
 
 def test_check_rejects_bad_word_len(capsys):

@@ -29,14 +29,21 @@ from treeshift import (
     random_tree,
     random_weights,
     reevaluate_obstruction,
+    sample_binary_weights,
     unitary_search,
     verify_c_symmetry,
     word_trace_obstruction,
     word_value,
 )
 from treeshift import decider
-from treeshift.decider import _gauged, _joint_space, _scatter, _sylvester_nullspace
-from treeshift.shift import twin_reduction
+from treeshift.decider import (
+    _gauged,
+    _joint_space,
+    _scatter,
+    _sylvester_nullspace,
+    _word_tol,
+)
+from treeshift.shift import _forest, twin_reduction
 from conftest import SQRT2, random_complex
 from oracles import (
     dense_joint_sylvester_nullspace,
@@ -60,6 +67,51 @@ def test_options_doc_round_trip():
     assert doc["tol"] == 1e-9
     assert doc["seed"] == 3
     assert set(doc) == {"tol", "rank_rtol", "max_word_len", "seed"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tol", 0.0), ("tol", -1.0), ("tol", math.nan), ("tol", math.inf),
+     ("rank_rtol", -1.0), ("rank_rtol", math.nan), ("rank_rtol", math.inf)],
+)
+def test_options_out_of_range_are_refused(field, value):
+    # tol = -1 used to decide the cs all-ones binary tree not_cs with margin
+    # 0.0, and tol = 0 almost every known-cs binary tree
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        DeciderOptions(**{field: value})
+    assert DeciderOptions(rank_rtol=0.0).rank_rtol == 0.0
+
+
+def test_word_screen_refuses_a_negative_tol():
+    # skipping the unbalanced words of a tree shift is exact for thresholds
+    # >= 0 only
+    m = path3_shift(1.0, 2.0).matrix
+    for tol in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            word_trace_obstruction(m, tol=tol)
+
+
+def known_cs_binary_trees():
+    """150 shifts on binary trees of depth 2-5 with equal moduli per level,
+    complex symmetric by the equal-weight chain decomposition; the first
+    of depth 3 is the document ``treeshift check`` once called not_cs."""
+    for kappa, count in ((2, 38), (3, 38), (4, 37), (5, 37)):
+        rng = np.random.default_rng(0)
+        tree = generate_binary(kappa)
+        for _ in range(count):
+            w = sample_binary_weights(kappa, rng, satisfying=True)
+            yield build_shift(tree, w.to_assignment())
+
+
+@pytest.mark.parametrize("tol", [1e-20, 1e-300])
+def test_a_tiny_tol_never_turns_rounding_into_a_witness(tol):
+    # tr(T T*) = tr(T* T) for every matrix, yet at tol = 1e-20 the rounding
+    # gap 7.1e-15 of that pair beat its threshold 3.7e-18; the word tolerance
+    # is floored at the screen's rounding slack
+    kinds = [decide_cs(s, DeciderOptions(tol=tol)).kind for s in known_cs_binary_trees()]
+    assert len(kinds) == 150 and "not_cs" not in kinds
+    # at the default tol the floor binds only beyond n = 261
+    assert _word_tol(DeciderOptions(), 261) == 1e-10 < _word_tol(DeciderOptions(), 262)
 
 
 def test_kernel_obstruction_never_fires_on_shifts(y_shift, trunked_y_shift):
@@ -199,6 +251,18 @@ def test_word_trace_screen_at_the_threshold(seed, shift):
     assert bitwise(got) == bitwise(want)
     if shift < 1.0:
         assert got["word"] == witness["word"]
+
+
+def test_word_replay_of_an_overflowing_trace_is_nan_not_an_error():
+    # the trace of T T* is inf - inf = NaN here; Python's abs of that NaN
+    # raised OverflowError after any earlier caught overflow in the process
+    m = np.array([[0.0, 0.0], [1e200, 0.0]])
+    witness = {"kind": "word_trace", "witness": {"word": ["T", "T*"]}}
+    with pytest.raises(OverflowError):
+        10.0**400
+    with np.errstate(over="ignore", invalid="ignore"):
+        held, margin = reevaluate_obstruction(m, witness)
+    assert held is False and math.isnan(margin)
 
 
 def test_word_stage_survives_overflowing_powers():
@@ -847,6 +911,51 @@ def test_twin_reduction_is_an_orthogonal_splitting_with_the_same_w(
         assert verify_c_symmetry(m, verdict.certificate).passed
     elif verdict.kind == "not_cs":
         assert reevaluate_obstruction(m, verdict.obstruction, verdict.options)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    base=st.integers(1, 6),
+    size=st.integers(1, 4),
+    copies=st.integers(2, 3),
+    leaves=st.integers(0, 2),
+    scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150, None]),
+    tol=st.sampled_from([1e-10, 1e-14, 0.0]),
+    max_len=st.integers(1, 10),
+)
+def test_graded_word_screen_finds_what_the_full_scan_finds(
+    seed, base, size, copies, leaves, scale, tol, max_len
+):
+    # a tree shift screens its balanced words only.  From 1e150 products
+    # overflow; scale None puts ||T||_F^2 at 2^1022, where the screen
+    # confirms every pair of length 2 as the scale nears the float range
+    m = planted_twin_matrix(seed, base, size, copies, leaves)
+    rng = np.random.default_rng(seed)
+    has = np.flatnonzero(m.any(axis=1))
+    m[rng.choice(has), :] = 0.0  # a zero weight: the tree becomes a forest
+    perm = rng.permutation(m.shape[0])
+    m = m[np.ix_(perm, perm)]
+    m *= 2.0**511 / np.linalg.norm(m) if scale is None else scale
+    assert _forest(m) is not None
+    got = word_trace_obstruction(m, max_len=max_len, tol=tol)
+    want = sequential_word_trace_obstruction(m, max_len=max_len, tol=tol)
+    assert bitwise(got) == bitwise(want)
+
+
+def test_word_screen_keeps_odd_lengths_when_a_cycle_breaks_the_grading():
+    # a loop on the root of a tree shift: every row keeps at most one
+    # nonzero, and only the cycle check tells the matrix from a forest.
+    # Only words that use the loop an odd number of times reach odd lengths,
+    # and the first witness has seven letters
+    m = np.zeros((6, 6))
+    for v, p in enumerate((0, 1, 1, 3, 2), start=1):
+        m[v, p] = 1.0
+    m[0, 0] = 1e-5
+    assert _forest(m) is None
+    want = sequential_word_trace_obstruction(m)
+    assert len(want["word"]) == 7
+    assert bitwise(word_trace_obstruction(m)) == bitwise(want)
 
 
 @pytest.mark.parametrize("nudge", [False, True])

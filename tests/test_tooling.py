@@ -56,6 +56,8 @@ def test_perfbench_traced_run_is_correct():
     )
     assert result["correct"] is True
     assert result["failed"] == 0
+    # decide_cs must reach the word screen through its traced module name
+    assert result["metrics"]["decider.words_s"]["value"] > 0
 
 
 def test_every_exported_name_exists():
