@@ -84,8 +84,12 @@ coordinates in the orthonormal skew basis, and the singular values are
 those of the full system.  The equations are assembled from the nonzeros
 of ``T`` and split into the blocks of unknowns that share an equation; for
 a tree shift, which raises depth by one, these refine the classes of vertex
-pairs with equal depth sum.  One scatter fills the blocks of a shape, one
-stacked SVD solves them, and all are cut by the rank rule of
+pairs with equal depth sum.  All of that depends on the nonzero pattern
+alone, so it is worked out once per pattern (the plan, cached on the
+pattern's full bytes) and reused, by the replay of a ``structure`` witness
+and by every matrix of one tree with the same twins.  The numeric pass
+gathers the values, one scatter fills the blocks of a shape, one stacked
+SVD solves them, and all are cut by the rank rule of
 :func:`~treeshift.shift.numerical_rank`.  The solver keeps each block's
 null vectors, and the generic element of ``W`` is scattered from them
 straight into one ``n x n`` matrix.
@@ -100,9 +104,10 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -120,7 +125,9 @@ from .shift import (
     ShiftMatrix,
     TwinReduction,
     _forest,
+    _pattern,
     _rank_above_cut,
+    _rank_cut,
     kernel_table,
     tree_gauge,
     twin_reduction,
@@ -152,6 +159,13 @@ class DeciderOptions:
             raise ValueError(
                 f"rank_rtol must be finite and >= 0, got {self.rank_rtol!r}"
             )
+        # bool is an int subclass, but True is no word length or seed; a
+        # numpy integer is stored as an int, so that reports serialize
+        for name in ("max_word_len", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     def to_doc(self) -> dict:
         return asdict(self)
@@ -399,15 +413,109 @@ def word_trace_obstruction(
     return None
 
 
+class _Plan(NamedTuple):
+    """The part of :func:`_sylvester_nullspace` that depends on the nonzero
+    pattern of ``m`` alone, built once per pattern by :func:`_plan`.
+
+    Entry arrays, one value per nonzero of the system, in the order the
+    group scatters add them: ``src``, the entry's place in ``m.ravel()``;
+    ``coef`` and ``coef_imag``, the factors of the real and imaginary part
+    of that value (the sign of the equation, the ``sqrt 2`` scales, and for
+    an entry of ``m*`` the conjugation); ``at``, its cell in its group's
+    stack.  ``groups`` holds each shape group's entry slice ``lo, hi`` and
+    its shape ``(count, rows, width)``, in layout order, and ``sv_block``
+    the block of each singular value the groups return, in that order.  Per
+    block, in label order: ``group_of`` and ``index_of`` place it in its
+    group's stack, ``ncols`` is its width, and ``unknowns[unk_start[b]:]
+    [:ncols[b]]`` are its unknowns, ascending.  ``free`` holds the unknowns
+    in no equation.
+    """
+
+    src: np.ndarray
+    coef: np.ndarray
+    coef_imag: np.ndarray
+    at: np.ndarray
+    groups: tuple
+    sv_block: np.ndarray
+    group_of: np.ndarray
+    index_of: np.ndarray
+    ncols: np.ndarray
+    unknowns: np.ndarray
+    unk_start: np.ndarray
+    free: np.ndarray
+
+
 def _sylvester_nullspace(m: np.ndarray, rtol: float):
     """The joint space ``W`` of ``m`` (see the module docstring), block by
     block: the common null space of ``A -> M A - A M^T`` on symmetric ``A``
     for ``M = m`` and ``M = m*``.
 
-    ``T* A = A conj(T)`` is the equation for ``M = T*`` (``M^T = conj(T)``),
-    so the equations of ``m*`` are stacked below those of ``m``, rows
-    offset by ``n^2``.  The arithmetic follows ``m``: a real one gives real
-    null vectors.
+    The symbolic work, which unknowns and equations each nonzero joins and
+    into which blocks they split, depends on the nonzero pattern alone and
+    is done once per pattern by :func:`_plan`.  The numeric pass gathers
+    the values of ``m`` into the entries, fills each shape group with one
+    scatter and solves it with one stacked SVD, so only one group's cells
+    are held at a time.  All blocks are cut by the rank rule of
+    :func:`~treeshift.shift.numerical_rank` for the whole system of
+    ``size = 2 n^2`` rows, ``max(rtol, size eps)`` times the largest
+    singular value of any block, which is the cut a dense SVD applies; the
+    ranks of all blocks come from one comparison of the singular values
+    with that cut.  The arithmetic follows ``m``: a real one gives real null
+    vectors.
+
+    Returns ``(dim, sigma, null)``: ``dim W``; the singular values of the
+    whole system, descending and zero-padded to ``n (n + 1) / 2``; and
+    ``null = (n, dtype, free, blocks)``, which :func:`_scatter` combines
+    into elements of ``W`` without forming a basis.  ``free`` holds the
+    unknowns in no equation, numbered as the pairs of ``np.triu_indices``,
+    and ``blocks`` the ``(unknowns, null vectors)`` of each block that has
+    a null vector, in block order.  The Frobenius-orthonormal basis of
+    ``W`` they describe has the free unknowns first, then the null vectors
+    block by block.
+    """
+    n = m.shape[0]
+    dtype = m.dtype
+    plan = _plan(*_pattern(m))
+    gathered = m.ravel()[plan.src]
+    real = gathered.real * plan.coef
+    imag = gathered.imag * plan.coef_imag if dtype == complex else None
+
+    found, solved = [np.zeros(0)], []  # the zeros stand in for no equation
+    for lo, hi, (count, rows, width) in plan.groups:
+        total = count * rows * width
+        cells = np.bincount(plan.at[lo:hi], real[lo:hi], total).astype(dtype, copy=False)
+        if imag is not None:
+            cells.imag = np.bincount(plan.at[lo:hi], imag[lo:hi], total)
+        # with at least as many rows as unknowns the economy vh is complete
+        _u, s, vh = np.linalg.svd(
+            cells.reshape(count, rows, width), full_matrices=rows < width
+        )
+        found.append(s.ravel())
+        solved.append(vh)
+
+    sigma = np.zeros(n * (n + 1) // 2)
+    flat = np.concatenate(found)
+    sigma[: flat.size] = np.sort(flat)[::-1]
+    cut = _rank_cut(2 * n * n, rtol, sigma[0])
+    rank = np.bincount(plan.sv_block[flat > cut], minlength=plan.ncols.size)
+    nullity = plan.ncols - rank
+    null = []
+    for b in np.flatnonzero(nullity).tolist():
+        start, vh = plan.unk_start[b], solved[plan.group_of[b]][plan.index_of[b]]
+        null.append((plan.unknowns[start:start + vh.shape[1]], vh[rank[b]:].conj()))
+    dim = plan.free.size + int(nullity.sum())
+    return dim, sigma, (n, dtype, plan.free, null)
+
+
+@functools.lru_cache(maxsize=8)
+def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan:
+    """The :class:`_Plan` of an ``n x n`` matrix ``m`` whose nonzero pattern
+    has the key ``(shape, pattern)`` of :func:`~treeshift.shift._pattern`.
+
+    ``T* A = A conj(T)`` is the equation for ``M = T*`` (``M^T =
+    conj(T)``), so the equations of ``m*`` are stacked below those of
+    ``m``, rows offset by ``n^2``; the nonzero ``(r, x)`` of ``m*`` is the
+    conjugate of ``m[x, r]``.
 
     The unknowns are the coefficients of the orthonormal symmetric basis
     ``E_pp`` and ``(E_pq + E_qp) / sqrt 2`` (``p < q``).  The map sends a
@@ -422,26 +530,13 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     unknowns joined by shared equations.  For a tree shift, which raises
     depth by one, the blocks refine the classes of pairs with a fixed depth
     sum.  Each block's rows are its equations and its columns its unknowns,
-    both in increasing order.  The blocks are grouped by shape; one scatter
-    fills a group and one stacked SVD solves it, so only one group's cells
-    are held at a time.  All blocks are cut by the rank rule of
-    :func:`~treeshift.shift.numerical_rank` for the whole system of
-    ``size = 2 n^2`` rows, ``max(rtol, size eps)`` times the largest
-    singular value of any block, which is the cut a dense SVD applies.
+    both in increasing order.  The blocks are laid out grouped by shape, in
+    label order within a group.
 
-    Returns ``(dim, sigma, null)``: ``dim W``; the singular values of the
-    whole system, descending and zero-padded to ``n (n + 1) / 2``; and
-    ``null = (n, dtype, free, blocks)``, which :func:`_scatter` combines
-    into elements of ``W`` without forming a basis.  ``free`` holds the
-    unknowns in no equation, numbered as the pairs of ``np.triu_indices``,
-    and ``blocks`` the ``(unknowns, null vectors)`` of each block that has
-    a null vector, in block order.  The Frobenius-orthonormal basis of
-    ``W`` they describe has the free unknowns first, then the null vectors
-    block by block.
+    Cached by the full pattern, so the arrays are read-only.
     """
-    n = m.shape[0]
-    dtype = m.dtype
-    mats = (m, m.conj().T)
+    n = shape[0]
+    nonzero = np.frombuffer(pattern, dtype=bool).reshape(shape)
     size = 2 * n * n
     p_of, q_of = np.triu_indices(n)
     npairs = p_of.size
@@ -454,16 +549,18 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     # one entry per (nonzero M[r, x], y != r): +t in equation (r, y) when
     # r < y, else -t in equation (y, r)
     y = np.arange(n)
-    cols, eqs, vals = [], [], []
-    for k, mat in enumerate(mats):
+    cols, eqs, src, coef = [], [], [], []
+    for k, mat in enumerate((nonzero, nonzero.T)):
         r, x = np.nonzero(mat)
-        r = r[:, None]
+        src.append(r * n + x if k == 0 else x * n + r)
+        r, x = r[:, None], x[:, None]
         keep = r != y
-        val = mat[r, x[:, None]] * scale[x[:, None], y]
-        cols.append(unknown[x[:, None], y][keep])
+        cols.append(unknown[x, y][keep])
         eqs.append((k * n * n + np.minimum(r, y) * n + np.maximum(r, y))[keep])
-        vals.append(np.where(r < y, val, -val)[keep])
-    cols, eqs, vals = (np.concatenate(a) for a in (cols, eqs, vals))
+        coef.append(np.where(r < y, scale[x, y], -scale[x, y])[keep])
+    conj = np.repeat([False, True], [c.size for c in cols])
+    src = np.repeat(np.concatenate(src), n - 1)  # each nonzero meets n - 1 rows y
+    cols, eqs, coef = (np.concatenate(a) for a in (cols, eqs, coef))
 
     # connected components of the unknown-equation graph: propagate the
     # smallest node id, so each block is labelled by its first unknown
@@ -479,21 +576,28 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
             break
         label = new
 
-    # number the blocks by label, and the unknowns and equations of each
-    # block by id, from 0
-    def local_numbers(ids, labels):
-        order = np.argsort(labels, kind="stable")  # ids ascend within a label
-        blocks, first, counts = np.unique(
-            labels[order], return_index=True, return_counts=True
-        )
-        local = np.empty(ids.size, dtype=np.intp)
-        local[order] = np.arange(ids.size) - np.repeat(first, counts)
-        return blocks, ids[order], counts, local
+    # number the blocks in label order, and the unknowns and equations of
+    # each block in increasing order, from 0; a block's label is its first
+    # unknown, so the blocks are the unknowns that label themselves
+    touched = np.zeros(npairs, dtype=bool)
+    touched[cols] = True
+    unk = np.flatnonzero(touched)
+    has_eq = np.zeros(size, dtype=bool)
+    has_eq[eqs] = True
+    eq = np.flatnonzero(has_eq)
+    roots = unk[label[unk] == unk]
+    block_at = np.zeros(npairs, dtype=np.intp)
+    block_at[roots] = np.arange(roots.size)
 
-    unk = np.unique(cols)
-    eq = np.unique(eqs)
-    blocks, unk_sorted, ncols, unk_local = local_numbers(unk, label[unk])
-    _blocks, _eq_sorted, nrows, eq_local = local_numbers(eq, label[npairs + eq])
+    def local_numbers(ids, blocks):
+        order = np.argsort(blocks, kind="stable")  # ids ascend within a block
+        counts = np.bincount(blocks, minlength=roots.size)
+        local = np.empty(ids.size, dtype=np.intp)
+        local[order] = np.arange(ids.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        return ids[order], counts, local
+
+    unknowns, ncols, unk_local = local_numbers(unk, block_at[label[unk]])
+    _eq_sorted, nrows, eq_local = local_numbers(eq, block_at[label[npairs + eq]])
     col_at = np.zeros(npairs, dtype=np.intp)
     col_at[unk] = unk_local
     row_at = np.zeros(size, dtype=np.intp)
@@ -503,51 +607,54 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     # and sort the entries by their place in that layout; a stable sort
     # keeps repeated entries in order, and bincount adds them in order
     layout = np.lexsort((ncols, nrows))
-    offset = np.empty(blocks.size, dtype=np.intp)
-    offset[layout] = np.cumsum(nrows[layout] * ncols[layout]) - (nrows * ncols)[layout]
-    block = np.searchsorted(blocks, label[cols])
+    cells = (nrows * ncols)[layout]
+    offset = np.empty(roots.size, dtype=np.intp)
+    offset[layout] = np.cumsum(cells) - cells
+    block = block_at[label[cols]]
     flat = offset[block] + row_at[eqs] * ncols[block] + col_at[cols]
     order = np.argsort(flat, kind="stable")
-    flat, vals = flat[order], vals[order]
+    flat = flat[order]
 
-    solved = [None] * blocks.size
-    found = [np.zeros(0)]
-    new_shape = (np.diff(nrows[layout]) != 0) | (np.diff(ncols[layout]) != 0)
-    shape_starts = np.flatnonzero(np.r_[layout.size > 0, new_shape])
-    for lo, hi in zip(shape_starts, np.r_[shape_starts[1:], layout.size]):
-        group = layout[lo:hi]
-        rows, width = int(nrows[group[0]]), int(ncols[group[0]])
-        # scatter the group's entries only, so one group's cells are held
-        start, total = offset[group[0]], group.size * rows * width
-        a, b = np.searchsorted(flat, (start, start + total))
-        at = flat[a:b] - start
-        cells = np.bincount(at, vals[a:b].real, total).astype(dtype, copy=False)
-        if dtype == complex:
-            cells.imag = np.bincount(at, vals[a:b].imag, total)
-        # with at least as many rows as unknowns the economy vh is complete
-        _u, s, vh = np.linalg.svd(
-            cells.reshape(group.size, rows, width), full_matrices=rows < width
+    # the shape groups: runs of equal shape in the layout
+    dims = np.stack([nrows[layout], ncols[layout]])
+    first = np.flatnonzero(np.any(dims[:, 1:] != dims[:, :-1], axis=0)) + 1
+    first = np.concatenate([[0], first]) if layout.size else first
+    stop = np.append(first[1:], layout.size)
+    count = stop - first
+    group_of = np.empty(roots.size, dtype=np.intp)
+    index_of = np.empty(roots.size, dtype=np.intp)
+    group_of[layout] = np.repeat(np.arange(first.size), count)
+    index_of[layout] = np.arange(layout.size) - np.repeat(first, count)
+    start = offset[layout[first]]
+    bounds = np.searchsorted(flat, np.append(start, offset.size and flat[-1] + 1))
+    flat -= np.repeat(start, np.diff(bounds))
+    groups = tuple(
+        (lo, hi, (z - a, int(nrows[layout[a]]), int(ncols[layout[a]])))
+        for lo, hi, a, z in zip(
+            bounds[:-1].tolist(), bounds[1:].tolist(), first.tolist(), stop.tolist()
         )
-        found.append(s.ravel())
-        for b, sb, vhb in zip(group, s, vh):
-            solved[b] = (sb, vhb)
+    )
+    # the block of each singular value, in the order the groups find them
+    sv_block = np.repeat(layout, np.minimum(nrows, ncols)[layout])
 
-    sigma = np.zeros(npairs)
-    found = np.concatenate(found)
-    sigma[: found.size] = np.sort(found)[::-1]
-
-    # unknowns in no equation are null directions of their own
-    touched = np.zeros(npairs, dtype=bool)
-    touched[cols] = True
-    free = np.flatnonzero(~touched)
-    unk_start = np.cumsum(ncols) - ncols
-    null = []
-    for b, (s, vh) in enumerate(solved):
-        vectors = vh[_rank_above_cut(s, size, rtol, sigma[0]):].conj()
-        if vectors.shape[0]:
-            null.append((unk_sorted[unk_start[b]:unk_start[b] + ncols[b]], vectors))
-    dim = free.size + sum(vectors.shape[0] for _unk, vectors in null)
-    return dim, sigma, (n, dtype, free, null)
+    coef = coef[order]
+    plan = _Plan(
+        src=src[order],
+        coef=coef,
+        coef_imag=np.where(conj[order], -coef, coef),
+        at=flat,
+        groups=groups,
+        sv_block=sv_block,
+        group_of=group_of,
+        index_of=index_of,
+        ncols=ncols,
+        unknowns=unknowns,
+        unk_start=np.cumsum(ncols) - ncols,
+        free=np.flatnonzero(~touched),
+    )
+    for a in (*plan[:4], *plan[5:]):
+        a.flags.writeable = False
+    return plan
 
 
 def _scatter(null, coeffs: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ basis vectors of its children: column ``u`` of the matrix has entry
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -85,13 +86,17 @@ def adjoint(s: ShiftMatrix) -> ShiftMatrix:
     return ShiftMatrix(tree=s.tree, basis=s.basis, matrix=s.matrix.conj().T.copy())
 
 
+def _rank_cut(size: int, rtol: float, sigma_ref: float) -> float:
+    """The cut of the one rank rule, ``max(rtol, size * eps) * sigma_ref``,
+    where ``size`` is the matrix's larger dimension (its rounding noise
+    floors the cut, as numpy's ``matrix_rank`` does) and ``sigma_ref`` its
+    largest singular value; the rank counts the singular values above it."""
+    return max(rtol, size * np.finfo(float).eps) * sigma_ref
+
+
 def _rank_above_cut(sigma: np.ndarray, size: int, rtol: float, sigma_ref: float) -> int:
-    """The one rank rule: the count of ``sigma`` above
-    ``max(rtol, size * eps) * sigma_ref``, where ``size`` is the matrix's
-    larger dimension (its rounding noise floors the cut, as numpy's
-    ``matrix_rank`` does) and ``sigma_ref`` its largest singular value."""
-    cut = max(rtol, size * np.finfo(float).eps) * sigma_ref
-    return int(np.count_nonzero(sigma > cut))
+    """The one rank rule: the count of ``sigma`` above :func:`_rank_cut`."""
+    return int(np.count_nonzero(sigma > _rank_cut(size, rtol, sigma_ref)))
 
 
 def numerical_rank(m: np.ndarray, rtol: float = 1e-10) -> int:
@@ -190,7 +195,14 @@ def positivize_weights(
     return positive, gauge
 
 
-def _forest(m: np.ndarray) -> Optional[tuple[np.ndarray, list[np.ndarray]]]:
+def _pattern(m: np.ndarray) -> tuple[tuple[int, ...], bytes]:
+    """The cache key of ``m``'s nonzero pattern: its shape and the bytes of
+    ``m != 0``.  The full bytes, never a digest, so two patterns never share
+    a key."""
+    return m.shape, (m != 0).tobytes()
+
+
+def _forest(m: np.ndarray) -> Optional[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
     """The parent pointers and the depth levels of the forest a tree-shift
     matrix defines, or ``None`` when ``m`` is no tree shift.
 
@@ -200,10 +212,19 @@ def _forest(m: np.ndarray) -> Optional[tuple[np.ndarray, list[np.ndarray]]]:
     length one.  Returns ``(parent, levels)``: ``parent[v]`` is the row's
     nonzero column, -1 at a zero row (a root), and ``levels[d]`` holds the
     vertices at depth ``d``, roots first, each level in ascending order.
+    The forest depends on the nonzero pattern alone and is cached by it
+    (:func:`_pattern`), so its arrays are read-only.
     """
-    nonzero = m != 0
+    return _pattern_forest(*_pattern(m))
+
+
+@functools.lru_cache(maxsize=64)
+def _pattern_forest(
+    shape: tuple[int, ...], pattern: bytes
+) -> Optional[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    nonzero = np.frombuffer(pattern, dtype=bool).reshape(shape)
     col = nonzero.argmax(axis=1)
-    has = nonzero[np.arange(m.shape[0]), col]
+    has = nonzero[np.arange(shape[0]), col]
     if np.count_nonzero(nonzero) > np.count_nonzero(has):
         return None  # some row has two nonzeros
     parent = np.where(has, col, -1)
@@ -224,10 +245,13 @@ def _forest(m: np.ndarray) -> Optional[tuple[np.ndarray, list[np.ndarray]]]:
         for u in reversed(walk):
             d += 1
             depth[u] = d
-    levels: list[list[int]] = [[] for _ in range(max(depth, default=0) + 1)]
+    rows: list[list[int]] = [[] for _ in range(max(depth, default=0) + 1)]
     for v, d in enumerate(depth):
-        levels[d].append(v)
-    return parent, [np.array(level, dtype=np.intp) for level in levels]
+        rows[d].append(v)
+    levels = tuple(np.array(row, dtype=np.intp) for row in rows)
+    for a in (parent, *levels):
+        a.flags.writeable = False
+    return parent, levels
 
 
 def tree_gauge(m: np.ndarray) -> Optional[np.ndarray]:

@@ -154,6 +154,14 @@ def test_check_at_a_tiny_tol_reports_no_rounding_witness(tmp_path, capsys):
     assert "tol must be finite" in capsys.readouterr().err
 
 
+def test_check_rejects_a_negative_seed(tmp_path, capsys):
+    # the document is cs through the solve of W, where a seed of -1 used to
+    # fail inside numpy's default_rng with a message naming no option
+    path = write_doc(tmp_path, "doc.json", branching_doc())
+    assert main(["check", "--seed", "-1", path]) == 3
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
 def test_check_rejects_bad_word_len(capsys):
     code = main(["check", "--word-len", "1", "nonexistent.json"])
     assert code == 3

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -35,7 +36,7 @@ from treeshift import (
     word_trace_obstruction,
     word_value,
 )
-from treeshift import decider
+from treeshift import decider, shift
 from treeshift.decider import (
     _gauged,
     _joint_space,
@@ -43,7 +44,7 @@ from treeshift.decider import (
     _sylvester_nullspace,
     _word_tol,
 )
-from treeshift.shift import _forest, twin_reduction
+from treeshift.shift import _forest, _pattern, twin_reduction
 from conftest import SQRT2, random_complex
 from oracles import (
     dense_joint_sylvester_nullspace,
@@ -80,6 +81,21 @@ def test_options_out_of_range_are_refused(field, value):
     with pytest.raises(ValueError, match=rf"^{field} must be finite"):
         DeciderOptions(**{field: value})
     assert DeciderOptions(rank_rtol=0.0).rank_rtol == 0.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", -1), ("seed", 1.0), ("seed", True), ("max_word_len", 2.5),
+     ("max_word_len", -2), ("max_word_len", False), ("max_word_len", "8")],
+)
+def test_options_that_are_no_count_are_refused(field, value):
+    # seed = -1 used to fail inside numpy's default_rng on the first input
+    # that reached the solve, and max_word_len = 2.5 inside the word screen
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 0"):
+        DeciderOptions(**{field: value})
+    opts = DeciderOptions(seed=np.int64(3), max_word_len=np.int32(0))
+    assert type(opts.seed) is type(opts.max_word_len) is int
+    assert dump_json(opts.to_doc()) == dump_json(DeciderOptions(seed=3, max_word_len=0).to_doc())
 
 
 def test_word_screen_refuses_a_negative_tol():
@@ -405,6 +421,101 @@ def test_joint_space_never_forms_the_dense_basis():
     dim, n = witness["dim"], work.shape[0]
     assert (dim, n) == (715, 127) and polar is not None
     assert peak < dim * n * n * 8
+
+
+def solution_bits(m: np.ndarray) -> tuple:
+    dim, sigma, (_n, _dtype, free, blocks) = _sylvester_nullspace(m, 1e-10)
+    return dim, bits(sigma), bits(free), [(bits(u), bits(v)) for u, v in blocks]
+
+
+def plan_case(kind: str, seed: int) -> np.ndarray:
+    """Inputs of the planned solve: a binary tree with twin subtrees, as
+    ``|T|`` and as its reduction ``R``; a tree shift; a dense matrix; a
+    ``1 x 1`` matrix; and the zero matrix, whose system has no equation."""
+    rng = np.random.default_rng(seed)
+    if kind.startswith("twins"):
+        kappa = int(rng.integers(2, 4))
+        w = sample_binary_weights(kappa, rng, satisfying=True).to_assignment()
+        m = np.abs(build_shift(generate_binary(kappa), w).matrix)
+        return twin_reduction(m).r if kind == "twins_reduced" else m
+    if kind == "tree":
+        return sylvester_case("tree", seed)
+    if kind == "dense":
+        return random_complex(rng, (int(rng.integers(2, 6)),) * 2)
+    if kind == "one":
+        return random_complex(rng, (1, 1))
+    return np.zeros((int(rng.integers(1, 6)),) * 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["twins", "twins_reduced", "tree", "dense", "one", "zero"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_warm_plan_solves_bit_for_bit_as_a_cold_one(kind, seed):
+    # the plan holds no value: a plan built for other values of the same
+    # pattern gives the solution of a fresh plan, bit for bit
+    m = plan_case(kind, seed)
+    other = np.where(m != 0, 2.0 * m + 1.0, 0.0).astype(m.dtype)
+    assert _pattern(other) == _pattern(m)
+    cold = []
+    for a in (m, other):
+        decider._plan.cache_clear()
+        cold.append(solution_bits(a))
+    assert [solution_bits(a) for a in (m, other)] == cold
+    assert decider._plan.cache_info()[:2] == (2, 1)  # (hits, misses)
+
+
+def fork(a, b, c, d):
+    """The shift of the tree 0 -> 1 -> 2, 0 -> 3 -> 4 with edge weights
+    ``a, b, c, d``."""
+    m = np.zeros((5, 5))
+    m[1, 0], m[2, 1], m[3, 0], m[4, 3] = a, b, c, d
+    return m
+
+
+def test_one_pattern_decides_cs_and_not_cs_in_either_order():
+    # both reach the solve on the unreduced tree, so they share one plan:
+    # the first is cs (no twins by one ulp), the second's W is {0}
+    c = math.sqrt(5.0)
+    pair = [fork(1.0, c, 2.0, np.nextafter(c, 3.0)), 1e-8 * fork(1.0, 0.3, 2.0, 1.7)]
+    docs = []
+    for order in (pair, pair[::-1]):
+        decider._plan.cache_clear()
+        verdicts = [decide_cs(m) for m in order]
+        assert decider._plan.cache_info()[:2] == (1, 1)
+        docs.append([dump_json(v.to_doc()) for v in verdicts])
+        for m, v in zip(order, verdicts):
+            if v.kind == "cs":
+                assert verify_c_symmetry(m, v.certificate).passed
+            else:
+                assert v.obstruction["kind"] == "structure"
+                assert reevaluate_obstruction(m, v.obstruction, v.options)[0]
+    assert sorted(docs[0]) == sorted(docs[1])
+    assert sorted(json.loads(d)["verdict"] for d in docs[0]) == ["cs", "not_cs"]
+
+
+def test_plans_and_forests_are_read_only_and_bounded():
+    m = plan_case("twins", 0)
+    plan = decider._plan(*_pattern(m))
+    arrays = [a for a in plan if isinstance(a, np.ndarray)]
+    parent, levels = _forest(m)
+    arrays += [parent, *levels]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        plan.src[0] = 0
+    assert decider._plan.cache_info().maxsize == 8
+    assert shift._pattern_forest.cache_info().maxsize == 64
+
+
+def test_a_structure_replay_reuses_the_plan_of_its_verdict():
+    tree, weights = ones_two_branch(2, 5)
+    s = build_shift(tree, {v: float(w) for v, w in weights.items()})
+    decider._plan.cache_clear()
+    verdict = decide_cs(s)
+    assert verdict.obstruction["kind"] == "structure"
+    assert reevaluate_obstruction(s, verdict.obstruction, verdict.options)[0]
+    assert decider._plan.cache_info()[:2] == (1, 1)
 
 
 def test_polar_factor_survives_gesdd_nonconvergence():

@@ -48,11 +48,14 @@ def test_perfbench_smoke_run_is_correct(workload):
     assert result["failed"] == 0
 
 
-def test_perfbench_traced_run_is_correct():
+# hard_two_branch solves W: its untraced pass builds the plans cold, and the
+# traced pass over the same inputs finds them warm
+@pytest.mark.parametrize("workload", ["binary_scale", "hard_two_branch"])
+def test_perfbench_traced_run_is_correct(workload):
     # an untraced and a traced pass; correct needs equal verdict digests, so
     # the wrappers the trace puts on the package change no verdict
     result = perfbench_result(
-        "--workload", "binary_scale", "--seed", "1", "--seconds", "0", "--trace", "1"
+        "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"
     )
     assert result["correct"] is True
     assert result["failed"] == 0
