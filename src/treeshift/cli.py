@@ -234,7 +234,7 @@ def cmd_kernels(args) -> int:
     tree, weights = _read_document(args.input)
     s = build_shift(tree, weights)
     max_power = args.max_power if args.max_power is not None else s.n
-    table = kernel_table(s, max_power=max_power, rtol=config.tol)
+    table = kernel_table(s, max_power=max_power)
     doc = table.to_doc()
     lines = ["m dim_ker_T^m dim_ker_Tstar^m"]
     for row in table.rows:
@@ -245,6 +245,8 @@ def cmd_kernels(args) -> int:
 
 def cmd_crossval(args) -> int:
     config = _config_from_args(args)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.family == "two-branch":
         cells = [
             (kappa, theta)
@@ -254,6 +256,11 @@ def cmd_crossval(args) -> int:
         ]
     else:
         cells = [k for k in range(2, args.kappa_max + 1) if 2 ** (k + 1) - 1 <= MAX_VERTICES]
+    if not cells:
+        least = "--kappa-max 2"
+        if args.family == "two-branch":
+            least = "--kappa-max 0 and --theta-max 1"
+        raise ValueError(f"empty {args.family} grid: crossval needs at least {least}")
     report = cross_validate(
         args.family, cells, samples=args.samples,
         seed=config.seed, tol=max(config.tol, 1e-12),
@@ -274,6 +281,8 @@ def cmd_broom(args) -> int:
     config = _config_from_args(args)
     values = [float(x.real) for x in _parse_weight_list(args.weights)]
     if args.n is not None:
+        if not 1 <= args.n <= len(values):
+            raise ValueError(f"--n must be in 1..{len(values)} (the weights given), got {args.n}")
         values = values[: args.n]
     schedule = BroomSchedule(tuple(values))
     try:
@@ -369,7 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_conjugate)
 
-    p = sub.add_parser("kernels", help="kernel dimension table of a document")
+    p = sub.add_parser(
+        "kernels", help="kernel dimension table of a document",
+        description="Kernel dimension table of a document.  The ranks of a "
+                    "tree shift's powers are read exactly, so --tol does not "
+                    "apply here.",
+    )
     p.add_argument("input")
     p.add_argument("--max-power", type=int, default=None, dest="max_power")
     _add_common(p)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "BlockDecomposition",
     "decompose_equal_weight_tree",
     "chains_to_matrix",
-    "chain_pairing",
     "reversal_pairing_cs",
     "reversal_pairing_conjugation",
 ]
@@ -231,7 +230,9 @@ def binary_cs_condition(w: BinaryWeights, rtol: float = 1e-9) -> ConditionReport
 def binary_pairing_moduli(kappa: int) -> list[dict]:
     """Norm bookkeeping for the aggregate-vector pairing ``C(C f_{kappa-l}) = C f_l``:
     the scalar mapping ``f_{kappa-l}`` to ``f_l`` must have modulus
-    ``norm(f_l)/norm(f_{kappa-l}) = sqrt(2^(2l-kappa))``.  Audit output only."""
+    ``norm(f_l)/norm(f_{kappa-l}) = sqrt(2^(2l-kappa))``.  A reference table
+    for the printed binary construction; neither the audit nor the oracles
+    read it."""
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     return [
@@ -290,8 +291,9 @@ def two_branch_conjugation(
 
     Weights are positivized first; the phase recursions then run on the
     moduli (seeds 1), the conjugation is assembled in the symmetrized basis
-    as ``C f_{-kappa+j} = gamma_j f_{theta-j}``, ``C g_{1+j} = delta_j g_{theta-j}``,
-    gauged back to the original weights, and re-verified before returning.
+    as ``C f_{-kappa+j} = gamma_j f_{theta-j}``, ``C g_{1+j} = delta_j g_{theta-j}``
+    (the flip of both chains, with these factors), gauged back to the
+    original weights, and re-verified before returning.
     Any failing step raises :class:`FamilyConditionError`.
     """
     kappa, theta = w.kappa, w.theta
@@ -306,18 +308,13 @@ def two_branch_conjugation(
     )
     deltas, gammas = two_branch_phase_sequences(w_pos, rtol=rtol)
 
-    # columns f[-kappa..theta] (trunk, then branch sums) sit at l + kappa,
-    # the branch differences g[1..theta] at kappa + theta + j
-    cols = decompose_equal_weight_tree(tree, positive).transform
-    n = tree.n
-    p = np.zeros((n, n), dtype=complex)
-    j = np.arange(kappa + theta + 1)
-    p[kappa + theta - j, j] = gammas
-    j = np.arange(theta)
-    p[kappa + 2 * theta - j, kappa + theta + 1 + j] = deltas
+    # the chain basis is f[-kappa..theta] (trunk, then branch sums), then the
+    # branch differences g[1..theta]
+    factors = np.concatenate([gammas, deltas])
     try:
-        return _verified_conjugation(
-            cols, p, gauge, tree.vertices, build_shift(tree, assignment), tol
+        return _flip_conjugation(
+            decompose_equal_weight_tree(tree, positive), factors, gauge,
+            build_shift(tree, assignment), tol,
         )
     except ConjugationError as exc:
         raise FamilyConditionError(str(exc)) from exc
@@ -475,119 +472,79 @@ def decompose_equal_weight_tree(
     )
 
 
-def chain_pairing(
-    chains: Sequence[Sequence[complex]], rtol: float = 1e-9
-) -> Optional[list[dict]]:
-    """Partition chains into palindromic singletons and mirror pairs.
-
-    Matching is on moduli.  Returns the partition description or ``None``
-    when some chain is neither palindromic nor matched by a reversed partner
-    of equal length.
-    """
-    mods = [tuple(abs(complex(c)) for c in chain) for chain in chains]
-    used = [False] * len(chains)
-    partition: list[dict] = []
-    for i, mi in enumerate(mods):
-        if used[i]:
-            continue
-        used[i] = True
-        if is_palindromic(mi, rtol):
-            partition.append({"kind": "palindrome", "blocks": [i]})
-            continue
-        partner = None
-        for j in range(i + 1, len(chains)):
-            if used[j] or len(mods[j]) != len(mi):
-                continue
-            if all(_close(mods[j][p], mi[len(mi) - 1 - p], rtol) for p in range(len(mi))):
-                partner = j
-                break
-        if partner is None:
-            return None
-        used[partner] = True
-        partition.append({"kind": "mirror_pair", "blocks": [i, partner]})
-    return partition
-
-
-def _pairing_matrix(chains: Sequence[Sequence[complex]], rtol: float) -> Optional[np.ndarray]:
-    """The flip matrix of :func:`chain_pairing`'s partition, or ``None``."""
-    partition = chain_pairing(chains, rtol=rtol)
-    if partition is None:
-        return None
-    sizes = [len(chain) + 1 for chain in chains]
-    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-    n = int(offsets[-1])
-    p = np.zeros((n, n))
-    for part in partition:
-        if part["kind"] == "palindrome":
-            (i,) = part["blocks"]
-            o, size = offsets[i], sizes[i]
-            for a in range(size):
-                p[o + size - 1 - a, o + a] = 1.0
-        else:
-            i, j = part["blocks"]
-            oi, oj, size = offsets[i], offsets[j], sizes[i]
-            for a in range(size):
-                p[oj + size - 1 - a, oi + a] = 1.0
-                p[oi + size - 1 - a, oj + a] = 1.0
-    return p
-
-
-def _verified_conjugation(
-    cols: np.ndarray, p: np.ndarray, gauge, basis: Sequence[str], t, tol: float
+def _flip_conjugation(
+    decomposition: BlockDecomposition, factors: np.ndarray, gauge, t, tol: float
 ) -> Conjugation:
-    """Gauge a conjugation built in a chain basis back to ``t``, and verify it.
+    """The conjugation that flips every chain of ``decomposition``, gauged
+    back to ``t`` and verified.
 
-    ``p`` acts on the real orthonormal chain basis ``cols`` of the positive
-    weights, so ``A = cols p cols^T``; with ``D`` the diagonal of ``gauge``
-    (see :func:`~treeshift.shift.positivize_weights`) over ``basis``, the
-    candidate is ``D A D``.  Raises :class:`ConjugationError` if it is not a
-    conjugation of ``t``.
+    Column ``k`` of the chain basis goes to ``factors[k]`` times column
+    ``flip[k]``, where ``flip`` reverses each chain's block of columns:
+    ``p[flip[k], k] = factors[k]``.  On the family trees every chain after
+    the first is a tail of it (``links[d+1:]`` in
+    :func:`decompose_equal_weight_tree`), so two chains of equal length are
+    the same chain, a chain with a reversed partner is a palindrome itself,
+    and no cross flip between two chains can occur.  ``p`` acts on the real
+    orthonormal chain basis ``transform`` of the positive weights, so ``A =
+    transform p transform^T``; with ``D`` the diagonal of ``gauge`` (see
+    :func:`~treeshift.shift.positivize_weights`) over the decomposition's
+    basis, the candidate is ``D A D``.  Raises :class:`ConjugationError` if
+    it is not a conjugation of ``t``.
     """
+    flip: list[int] = []
+    for chain in decomposition.chains:
+        flip.extend(range(len(flip) + len(chain), len(flip) - 1, -1))
+    p = np.zeros((len(flip), len(flip)), dtype=factors.dtype)
+    p[flip, np.arange(len(flip))] = factors
+    cols, basis = decomposition.transform, decomposition.basis
     d = np.array([gauge[v] for v in basis], dtype=complex)
     return gauged_conjugation(cols @ p @ cols.T, d, t, basis, tol)[0]
+
+
+def _reversal_flip(
+    decomposition: BlockDecomposition, gauge, shift: Callable, rtol: float, tol: float
+) -> Optional[Conjugation]:
+    """Unit flips of every chain when each is palindromic (moduli compared
+    relatively within ``rtol``), verified against ``shift()``; else ``None``.
+    ``shift`` is called only then, so a refused input builds no shift."""
+    if not all(is_palindromic(chain, rtol) for chain in decomposition.chains):
+        return None
+    try:
+        return _flip_conjugation(
+            decomposition, np.ones(decomposition.transform.shape[1]), gauge, shift(), tol
+        )
+    except ConjugationError:
+        return None
 
 
 def reversal_pairing_cs(
     decomposition: BlockDecomposition, rtol: float = 1e-9, tol: float = 1e-10
 ) -> Optional[Conjugation]:
-    """Conjugation for a block decomposition with positive chains, by flips
-    within palindromic blocks and cross flips between mirror pairs.
+    """Conjugation for a block decomposition with positive chains, by the
+    flip of every chain when each is palindromic.
 
     The candidate is verified against the decomposition's matrix before being
-    returned; ``None`` means no pairing partition exists.
+    returned; ``None`` means some chain is not palindromic or the flip fails
+    the check.
     """
-    p = _pairing_matrix(decomposition.chains, rtol)
-    if p is None:
-        return None
-    basis = decomposition.basis
-    try:
-        return _verified_conjugation(
-            decomposition.transform, p, dict.fromkeys(basis, 1.0), basis,
-            decomposition.matrix, tol,
-        )
-    except ConjugationError:
-        return None
+    return _reversal_flip(
+        decomposition, dict.fromkeys(decomposition.basis, 1.0),
+        lambda: decomposition.matrix, rtol, tol,
+    )
 
 
 def reversal_pairing_conjugation(
     tree: DirectedTree, weights: dict, rtol: float = 1e-9, tol: float = 1e-10
 ) -> Optional[Conjugation]:
     """End-to-end pairing oracle for arbitrary complex generation-constant
-    weights on a supported tree: positivize, decompose, pair, gauge back,
-    verify against the original shift.  ``None`` when inapplicable or no
-    pairing exists."""
+    weights on a supported tree: positivize, decompose, flip every chain,
+    gauge back, verify against the original shift.  ``None`` when
+    inapplicable or some chain is not palindromic."""
     try:
         positive, gauge = positivize_weights(tree, weights)
         decomposition = decompose_equal_weight_tree(tree, positive, rtol=rtol)
     except ValueError:
         return None
-    p = _pairing_matrix(decomposition.chains, rtol)
-    if p is None:
-        return None
-    try:
-        return _verified_conjugation(
-            decomposition.transform, p, gauge, tuple(tree.vertices),
-            build_shift(tree, weights), tol,
-        )
-    except ConjugationError:
-        return None
+    return _reversal_flip(
+        decomposition, gauge, lambda: build_shift(tree, weights), rtol, tol
+    )

@@ -126,9 +126,17 @@ def test_cross_validate_binary_cells():
 
 
 def test_cross_validate_empty_grid():
-    report = cross_validate("two-branch", [], samples=4, seed=0)
-    assert report["summary"]["instances"] == 0
-    assert report["instances"] == []
+    for family in ("two-branch", "binary"):
+        report = cross_validate(family, [], samples=4, seed=0)
+        assert report["summary"]["instances"] == 0
+        assert report["cells"] == [] and report["instances"] == []
+        assert report["summary"]["agreement_matrix"] == {
+            "printed_true_oracle_cs": 0,
+            "printed_true_oracle_not_cs": 0,
+            "printed_false_oracle_cs": 0,
+            "printed_false_oracle_not_cs": 0,
+            "oracle_undetermined": 0,
+        }
 
 
 def test_cross_validate_rejects_oversized_cell():

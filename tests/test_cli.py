@@ -287,6 +287,26 @@ def test_kernels_default_power_saturates(tmp_path, capsys):
     assert doc["rows"][-1]["dim_ker"] == 4
 
 
+def test_kernels_output_does_not_depend_on_tol(tmp_path, capsys):
+    # a tree shift's ranks are read exactly; a cut at 0.5 would drop the
+    # 1e-3 link of this path from every power that contains it
+    doc = {
+        "tree": {
+            "vertices": ["0", "1", "2", "3"],
+            "edges": [["0", "1"], ["1", "2"], ["2", "3"]],
+            "root": "0",
+        },
+        "weights": {"1": 1.0, "2": 1e-3, "3": 1.0},
+    }
+    path = write_doc(tmp_path, "doc.json", doc)
+    for extra in ([], ["--json"]):
+        outputs = []
+        for tol in ("1e-10", "0.5"):
+            assert main(["kernels", path, "--tol", tol] + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 def test_crossval_report(tmp_path):
     out_path = tmp_path / "report.json"
     code = main(
@@ -413,6 +433,16 @@ def test_broom_rejects_out_of_range(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("n", ["-1", "0", "4"])
+def test_broom_refuses_a_count_outside_the_weights(capsys, n):
+    # --n -1 used to slice off the last weight and exit 0
+    code = main(["broom", "--weights", "0.3,0.4,0.2", "--n", n])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "--n" in captured.err
+
+
 def test_generate_two_branch_round_trip(tmp_path, capsys):
     code = main(["generate", "--family", "two-branch", "--kappa", "1", "--theta", "2"])
     doc = json.loads(capsys.readouterr().out)
@@ -478,20 +508,21 @@ def test_float_formatting_has_full_precision(tmp_path, capsys):
     assert "verdict" in out
 
 
-def test_crossval_empty_grid_has_the_library_report_shape(capsys):
+@pytest.mark.parametrize("argv, option", [
+    (["--family", "two-branch", "--samples", "-3"], "--samples"),
+    (["--family", "binary", "--samples", "0"], "--samples"),
+    (["--family", "two-branch", "--kappa-max", "-1"], "--kappa-max"),
+    (["--family", "two-branch", "--theta-max", "-2"], "--theta-max"),
     # binary cells start at kappa 2, so --kappa-max 1 leaves the grid empty
-    code = main(["crossval", "--family", "binary", "--kappa-max", "1", "--json"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert doc["cells"] == [] and doc["instances"] == []
-    assert doc["summary"]["instances"] == 0
-    assert doc["summary"]["agreement_matrix"] == {
-        "printed_true_oracle_cs": 0,
-        "printed_true_oracle_not_cs": 0,
-        "printed_false_oracle_cs": 0,
-        "printed_false_oracle_not_cs": 0,
-        "oracle_undetermined": 0,
-    }
+    (["--family", "binary", "--kappa-max", "1"], "--kappa-max 2"),
+], ids=["samples-3", "samples0", "kappa-max-1", "theta-max-2", "binary-kappa-max1"])
+def test_crossval_refuses_an_empty_grid(capsys, argv, option):
+    # these used to print "instances: 0" and exit 0
+    code = main(["crossval"] + argv + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert option in captured.err
 
 
 def binary_equal_moduli_doc(capsys):

@@ -5,13 +5,13 @@ import pytest
 
 from treeshift import (
     BinaryWeights,
+    BlockDecomposition,
     DirectedTree,
     FamilyConditionError,
     TwoBranchWeights,
     binary_cs_condition,
     binary_pairing_moduli,
     build_shift,
-    chain_pairing,
     chains_to_matrix,
     classify_tree_family,
     decide_cs,
@@ -23,6 +23,7 @@ from treeshift import (
     generate_two_level_broom,
     is_palindromic,
     positivize_weights,
+    random_tree,
     reversal_pairing_conjugation,
     reversal_pairing_cs,
     sample_binary_weights,
@@ -32,6 +33,7 @@ from treeshift import (
     two_branch_phase_sequences,
     verify_c_symmetry,
 )
+from treeshift.shift import twin_reduction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -393,23 +395,6 @@ def test_chains_to_matrix_blocks():
 # ------------------------------------------------------------ pairings
 
 
-def test_chain_pairing_palindromes():
-    pairing = chain_pairing([(1.0, SQRT2, 1.0), (1.0,)])
-    assert pairing is not None
-    kinds = sorted(p["kind"] for p in pairing)
-    assert kinds == ["palindrome", "palindrome"]
-
-
-def test_chain_pairing_mirror_pair():
-    pairing = chain_pairing([(1.0, 2.0), (2.0, 1.0)])
-    assert pairing == [{"kind": "mirror_pair", "blocks": [0, 1]}]
-
-
-def test_chain_pairing_none_when_unmatched():
-    assert chain_pairing([(SQRT2, 2.0 * SQRT2)]) is None
-    assert chain_pairing([(1.0, 2.0), (3.0, 1.0)]) is None
-
-
 def test_reversal_pairing_cs_on_equal_weight_two_branch():
     tree = generate_two_branch(1, 2)
     weights = {v: 1.0 for v in tree.nonroot_vertices()}
@@ -418,6 +403,23 @@ def test_reversal_pairing_cs_on_equal_weight_two_branch():
     assert conj is not None
     s = build_shift(tree, weights)
     assert verify_c_symmetry(s, conj, tol=1e-10).passed
+
+
+def test_reversal_pairing_cs_flips_palindromes_and_refuses_a_mirror_pair():
+    # no family tree has a mirror pair (its chains are tails of the first),
+    # so the oracle flips each chain and has no cross flip between two
+    def hand_built(chains):
+        m = chains_to_matrix(chains)
+        n = m.shape[0]
+        return BlockDecomposition(
+            transform=np.eye(n), chains=tuple(chains),
+            basis=tuple(str(i) for i in range(n)), matrix=m, residual=0.0,
+        )
+
+    dec = hand_built([(1.0, SQRT2, 1.0), (2.0,)])
+    conj = reversal_pairing_cs(dec)
+    assert verify_c_symmetry(dec.matrix, conj).passed
+    assert reversal_pairing_cs(hand_built([(1.0, 2.0), (2.0, 1.0)])) is None
 
 
 def test_reversal_pairing_conjugation_none_for_unequal_binary():
@@ -480,6 +482,71 @@ def test_reversal_pairing_conjugation_gauges_back_the_positive_certificate(rng):
         assert conj.basis == tuple(tree.vertices)
 
 
+def _family_cases(rng):
+    """Paths (n 2-8), two-branch (kappa 0-4, theta 1-6) and binary (kappa
+    2-5) trees with random generation-constant complex weights, half of them
+    drawn to pass the reversal pairing."""
+    for satisfying in (True, False):
+        for n in range(2, 9):
+            mods = 0.5 + 1.5 * rng.random(n - 1)
+            if satisfying:
+                mods = np.minimum(mods, mods[::-1])
+            phases = np.exp(2j * np.pi * rng.random(n - 1))
+            tree = generate_path(n)
+            yield tree, {v: complex(mods[int(v) - 1] * phases[int(v) - 1])
+                         for v in tree.nonroot_vertices()}
+        for kappa in range(0, 5):
+            for theta in range(1, 7):
+                w = sample_two_branch_weights(kappa, theta, rng, satisfying)
+                yield generate_two_branch(kappa, theta), w.to_assignment()
+        for kappa in range(2, 6):
+            w = sample_binary_weights(kappa, rng, satisfying)
+            yield generate_binary(kappa), w.to_assignment()
+
+
+def test_family_chains_of_equal_length_are_equal_and_the_flip_is_the_oracle(rng):
+    """Every chain after the first is a tail of it, so no two chains can be
+    mirror images without each being a palindrome: flipping every chain is
+    the whole pairing oracle on these trees."""
+    palindromic = 0
+    for tree, weights in _family_cases(rng):
+        chains = _chains(tree, weights)
+        by_length = {}
+        for chain in chains:
+            assert by_length.setdefault(len(chain), chain) == chain
+        conj = reversal_pairing_conjugation(tree, weights)
+        assert (conj is not None) == all(is_palindromic(c) for c in chains)
+        if conj is not None:
+            palindromic += 1
+            assert verify_c_symmetry(build_shift(tree, weights), conj).passed
+    assert palindromic >= 30
+
+
+def test_twin_reduced_chains_of_equal_length_carry_equal_weights(rng):
+    """The decider's twin reduction shares the fact: when it splits a tree
+    shift into chains, chains of one length carry the same weights."""
+    cases = list(_family_cases(rng))
+    for _ in range(300):
+        tree = random_tree(rng, max_vertices=15)
+        # few distinct weights, so that sibling subtrees are often twins
+        weights = {v: float(rng.choice((1.0, 2.0))) for v in tree.nonroot_vertices()}
+        cases.append((tree, weights))
+    reached = compared = 0
+    for tree, weights in cases:
+        red = twin_reduction(np.abs(build_shift(tree, weights).matrix))
+        chains = red.chains()
+        if chains is None:
+            continue
+        reached += 1
+        by_length = {}
+        for chain in chains:
+            links = red.r[chain[1:], chain[:-1]]
+            if len(chain) > 1 and len(chain) in by_length:
+                compared += 1
+            assert np.array_equal(by_length.setdefault(len(chain), links), links)
+    assert reached >= 100 and compared >= 5
+
+
 def test_two_branch_conjugation_failing_the_certificate_check_is_a_family_error():
     # the phase recursion accepts these moduli within rtol = 1e-9, but the
     # assembled matrix misses unitarity by 1.4e-9, beyond tol = 1e-10
@@ -494,8 +561,9 @@ def _chains(tree, weights):
 
 @pytest.mark.parametrize("scale", [1e-12, 1e12])
 def test_modulus_comparisons_do_not_depend_on_scale(scale):
-    """Scaling every weight changes neither printed criterion nor the chain
-    pairing; the comparisons used to turn absolute below modulus 1."""
+    """Scaling every weight changes neither printed criterion nor which
+    chains are palindromic; the comparisons used to turn absolute below
+    modulus 1."""
     rng = np.random.default_rng(0)
     cases = []
     for kappa in range(1, 4):
@@ -515,9 +583,9 @@ def test_modulus_comparisons_do_not_depend_on_scale(scale):
             cases.append((generate_binary(kappa), w, scaled, binary_cs_condition))
     for tree, w, scaled, condition in cases:
         assert condition(scaled).satisfied == condition(w).satisfied
-        assert chain_pairing(_chains(tree, scaled.to_assignment())) == chain_pairing(
-            _chains(tree, w.to_assignment())
-        )
+        assert [is_palindromic(c) for c in _chains(tree, scaled.to_assignment())] == [
+            is_palindromic(c) for c in _chains(tree, w.to_assignment())
+        ]
 
 
 def test_tiny_path_weights_get_no_pairing_certificate():
