@@ -4,7 +4,9 @@ Subcommands wrap the library: ``check`` decides complex symmetry of a
 tree+weights document, ``classify`` evaluates the printed family criteria,
 ``conjugate`` runs the explicit constructions, ``kernels`` prints kernel
 dimension tables, ``crossval`` and ``broom`` emit audit reports, and
-``generate`` produces input documents.
+``generate`` produces input documents.  Every subcommand has ``--tol``,
+``--seed`` and ``--word-len`` checked by :class:`DeciderOptions` before it
+reads any input, whether it uses them or not.
 
 Exit codes for ``check``: 0 = complex symmetric, 1 = not, 2 = undetermined,
 3 = input error.  Other commands use 0 for success, 1 for a negative or
@@ -15,9 +17,9 @@ printed with 17 significant digits so runs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
-from dataclasses import dataclass
 
 from .audit import MAX_VERTICES, cross_validate
 from .broom import BroomSchedule, InfeasibleScheduleError, build_broom_conjugation, solve_h_sequence
@@ -56,47 +58,22 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common options shared by the subcommands."""
-
-    tol: float
-    seed: int
-    word_len: int
-    as_json: bool
-    out: str | None
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.word_len < 2:
-            raise ValueError(f"word-len must be at least 2, got {self.word_len}")
-
-    def decider_options(self) -> DeciderOptions:
-        return DeciderOptions(
-            tol=self.tol,
-            max_word_len=self.word_len,
-            seed=self.seed,
-        )
+def _options(args) -> DeciderOptions:
+    """The common options, checked by :class:`DeciderOptions` before any
+    input is read."""
+    options = DeciderOptions(tol=args.tol, max_word_len=args.word_len, seed=args.seed)
+    if options.max_word_len < 2:
+        raise ValueError(f"word-len must be at least 2, got {options.max_word_len}")
+    return options
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        tol=args.tol,
-        seed=args.seed,
-        word_len=args.word_len,
-        as_json=getattr(args, "json", False),
-        out=getattr(args, "out", None),
-    )
-
-
-def _emit(config: RunConfig, text: str | None, doc: dict | None) -> None:
+def _emit(args, text: str | None, doc: dict | None) -> None:
     """Write JSON to --out when given; otherwise honor --json on stdout."""
-    if config.out is not None and doc is not None:
-        with open(config.out, "w", encoding="utf-8") as fh:
+    if args.out is not None and doc is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dump_json(doc))
         return
-    if config.as_json and doc is not None:
+    if args.json and doc is not None:
         sys.stdout.write(dump_json(doc))
         return
     if text is not None:
@@ -126,9 +103,12 @@ def _parse_weight_list(text: str) -> list[complex]:
         if not part:
             raise ValueError("empty entry in weight list")
         try:
-            values.append(complex(part))
+            value = complex(part)
         except ValueError:
             raise ValueError(f"cannot parse weight {part!r}")
+        if not cmath.isfinite(value):
+            raise ValueError(f"weight {part!r} is not finite")
+        values.append(value)
     return values
 
 
@@ -147,16 +127,13 @@ def _family_weights(args) -> TwoBranchWeights | BinaryWeights:
             kappa=kappa, theta=theta,
             trunk=tuple(values[:kappa]), branch=tuple(values[kappa:]),
         )
-    if len(values) != args.kappa:
-        raise ValueError(f"binary depth {args.kappa} needs {args.kappa} weights")
     return BinaryWeights(kappa=args.kappa, levels=tuple(values))
 
 
-def cmd_check(args) -> int:
-    config = _config_from_args(args)
+def cmd_check(args, options: DeciderOptions) -> int:
     tree, weights = _read_document(args.input)
     s = build_shift(tree, weights)
-    verdict = decide_cs(s, config.decider_options())
+    verdict = decide_cs(s, options)
     doc = verdict.to_doc()
     if args.dump_matrix:
         doc["matrix"] = matrix_to_pairs(s.matrix)
@@ -172,7 +149,7 @@ def cmd_check(args) -> int:
         for key in ("trace", "trace_reversed", "dim", "spread"):
             if key in witness:
                 lines.append(f"  {key}: {fmt(complex(*witness[key]) if isinstance(witness[key], list) else witness[key])}")
-    _emit(config, "\n".join(lines), doc)
+    _emit(args, "\n".join(lines), doc)
     if verdict.kind == "cs":
         return EXIT_CS
     if verdict.kind == "not_cs":
@@ -180,8 +157,7 @@ def cmd_check(args) -> int:
     return EXIT_UNDETERMINED
 
 
-def cmd_classify(args) -> int:
-    config = _config_from_args(args)
+def cmd_classify(args, options: DeciderOptions) -> int:
     w = _family_weights(args)
     if isinstance(w, TwoBranchWeights):
         report = two_branch_cs_condition(w)
@@ -198,25 +174,24 @@ def cmd_classify(args) -> int:
         text = f"not satisfied ({label}={first[label]})"
     if report.skipped:
         text += f" [skipped clause references: {len(report.skipped)}]"
-    _emit(config, text, doc)
+    _emit(args, text, doc)
     return 0 if report.satisfied else 1
 
 
-def cmd_conjugate(args) -> int:
-    config = _config_from_args(args)
+def cmd_conjugate(args, options: DeciderOptions) -> int:
     w = _family_weights(args)
-    tol = max(config.tol, 1e-14)
+    tol = max(options.tol, 1e-14)
     if isinstance(w, TwoBranchWeights):
         try:
             cert = two_branch_conjugation(w, tol=tol)
         except FamilyConditionError as exc:
-            _emit(config, f"no conjugation: {exc}", {"error": str(exc)})
+            _emit(args, f"no conjugation: {exc}", {"error": str(exc)})
             return 1
     else:
         tree = generate_binary(w.kappa)
         cert = reversal_pairing_conjugation(tree, w.to_assignment(), tol=tol)
         if cert is None:
-            _emit(config, "no conjugation: chains admit no reversal pairing",
+            _emit(args, "no conjugation: chains admit no reversal pairing",
                   {"error": "no reversal pairing"})
             return 1
     doc = cert.to_doc()
@@ -225,12 +200,11 @@ def cmd_conjugate(args) -> int:
         f"residual_unitary: {fmt(cert.residual_unitary)}",
         f"residual_symmetric: {fmt(cert.residual_symmetric)}",
     ])
-    _emit(config, text, doc)
+    _emit(args, text, doc)
     return 0
 
 
-def cmd_kernels(args) -> int:
-    config = _config_from_args(args)
+def cmd_kernels(args, options: DeciderOptions) -> int:
     tree, weights = _read_document(args.input)
     s = build_shift(tree, weights)
     max_power = args.max_power if args.max_power is not None else s.n
@@ -239,12 +213,11 @@ def cmd_kernels(args) -> int:
     lines = ["m dim_ker_T^m dim_ker_Tstar^m"]
     for row in table.rows:
         lines.append(f"{row[0]} {row[1]} {row[2]}")
-    _emit(config, "\n".join(lines), doc)
+    _emit(args, "\n".join(lines), doc)
     return 0
 
 
-def cmd_crossval(args) -> int:
-    config = _config_from_args(args)
+def cmd_crossval(args, options: DeciderOptions) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     if args.family == "two-branch":
@@ -263,8 +236,8 @@ def cmd_crossval(args) -> int:
         raise ValueError(f"empty {args.family} grid: crossval needs at least {least}")
     report = cross_validate(
         args.family, cells, samples=args.samples,
-        seed=config.seed, tol=max(config.tol, 1e-12),
-        max_word_len=config.word_len,
+        seed=options.seed, tol=max(options.tol, 1e-12),
+        max_word_len=options.max_word_len,
     )
     summary = report["summary"]
     text = (
@@ -273,12 +246,11 @@ def cmd_crossval(args) -> int:
         f"disagreements: {len(summary['disagreements'])}\n"
         f"all_disagreements_certified: {summary['all_disagreements_certified']}"
     )
-    _emit(config, text, report)
+    _emit(args, text, report)
     return 0
 
 
-def cmd_broom(args) -> int:
-    config = _config_from_args(args)
+def cmd_broom(args, options: DeciderOptions) -> int:
     values = [float(x.real) for x in _parse_weight_list(args.weights)]
     if args.n is not None:
         if not 1 <= args.n <= len(values):
@@ -288,10 +260,10 @@ def cmd_broom(args) -> int:
     try:
         h = solve_h_sequence(schedule)
         embedding = build_broom_conjugation(
-            schedule, h, n_teeth=args.teeth, tol=max(config.tol, 1e-14)
+            schedule, h, n_teeth=args.teeth, tol=max(options.tol, 1e-14)
         )
     except InfeasibleScheduleError as exc:
-        _emit(config, str(exc), {
+        _emit(args, str(exc), {
             "error": "infeasible", "step": exc.step, "deficit": exc.deficit,
         })
         return 1
@@ -302,12 +274,11 @@ def cmd_broom(args) -> int:
         f"norm_residual: {fmt(h.norm_residual())}",
         f"max_intertwining_residual: {fmt(embedding.report['max_intertwining_residual'])}",
     ])
-    _emit(config, text, doc)
+    _emit(args, text, doc)
     return 0
 
 
-def cmd_generate(args) -> int:
-    config = _config_from_args(args)
+def cmd_generate(args, options: DeciderOptions) -> int:
     family = args.family
     if family == "path":
         tree = generate_path(args.n)
@@ -331,19 +302,18 @@ def cmd_generate(args) -> int:
     else:
         weights = {v: 1.0 + 0.0j for v in tree.nonroot_vertices()}
     doc = {"tree": tree_to_doc(tree), "weights": weights_to_doc(weights)}
-    _emit(config, dump_json(doc), doc)
+    _emit(args, dump_json(doc), doc)
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, with_out: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=DeciderOptions.tol)
     parser.add_argument("--seed", type=int, default=DeciderOptions.seed)
     parser.add_argument(
         "--word-len", type=int, default=DeciderOptions.max_word_len, dest="word_len"
     )
     parser.add_argument("--json", action="store_true")
-    if with_out:
-        parser.add_argument("--out", default=None)
+    parser.add_argument("--out", default=None)
 
 
 def _add_family(parser: argparse.ArgumentParser) -> None:
@@ -421,7 +391,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _options(args))
     except (ValueError, WeightError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR

@@ -319,6 +319,10 @@ def _word_pairs(
     return pairs
 
 
+# The most memory the word screen's tables may take; a longer screen is refused.
+_WORD_TABLE_BYTES = 1 << 30
+
+
 def word_trace_obstruction(
     t, max_len: int = 8, tol: float = 1e-10
 ) -> Optional[dict]:
@@ -356,7 +360,9 @@ def word_trace_obstruction(
     ``tol`` is taken as given; :func:`decide_cs` and
     :func:`reevaluate_obstruction` pass the one floored by
     :func:`_word_tol`.  Raises :class:`ValueError` for a ``tol`` that is
-    negative or NaN.
+    negative or NaN, and, before any table is allocated, for a ``max_len``
+    whose tables would take more than 1 GiB (at ``n = 4``, words of 24
+    letters; the default 8 stays below it up to ``n`` about 1400).
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
@@ -367,6 +373,17 @@ def word_trace_obstruction(
     eps = np.finfo(float).eps
     graded = _forest(m) is not None
     lengths = range(2, max_len + 1, 2 if graded else 1)
+    if lengths:
+        # the products of every head, and per word of the longest length its
+        # eight int64 entries in the tables of _word_pairs plus its trace and
+        # gap; past 64 letters no screen fits, so the count stops there
+        longest = min(lengths[-1], 64)
+        products = 2 ** ((longest + 1) // 2 + 1) * n * n * m.itemsize
+        if products + 2**longest * (64 + 2 * m.itemsize) > _WORD_TABLE_BYTES:
+            raise ValueError(
+                f"max_word_len {max_len} is too long for a {n}-vertex shift: "
+                f"the word screen's tables would take more than 1 GiB"
+            )
     prods = _word_products(m, (lengths[-1] + 1) // 2 if lengths else 0)
     flat = [p.reshape(p.shape[0], n * n) for p in prods]
     for length in lengths:

@@ -51,7 +51,8 @@ class FamilyConditionError(ValueError):
 
 @dataclass(frozen=True)
 class TwoBranchWeights:
-    """Generation-constant weights for a two-branch tree.
+    """Generation-constant weights for a two-branch tree, ``kappa >= 0`` and
+    ``theta >= 1`` as :func:`~treeshift.trees.generate_two_branch` needs.
 
     ``trunk`` holds ``lambda_{-kappa+1}..lambda_0`` (length kappa), ``branch``
     holds ``lambda_1..lambda_theta`` (length theta, shared by both branches).
@@ -65,6 +66,10 @@ class TwoBranchWeights:
     def __post_init__(self) -> None:
         object.__setattr__(self, "trunk", tuple(complex(w) for w in self.trunk))
         object.__setattr__(self, "branch", tuple(complex(w) for w in self.branch))
+        if self.kappa < 0:
+            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if self.theta < 1:
+            raise ValueError(f"theta must be >= 1, got {self.theta}")
         if len(self.trunk) != self.kappa:
             raise ValueError(
                 f"trunk needs {self.kappa} weights, got {len(self.trunk)}"
@@ -100,13 +105,16 @@ class TwoBranchWeights:
 
 @dataclass(frozen=True)
 class BinaryWeights:
-    """One weight per level for a binary tree: ``levels[k-1]`` = lambda_k."""
+    """One weight per level for a binary tree of depth ``kappa >= 2``:
+    ``levels[k-1]`` = lambda_k."""
 
     kappa: int
     levels: tuple[complex, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(complex(w) for w in self.levels))
+        if self.kappa < 2:
+            raise ValueError(f"kappa must be >= 2, got {self.kappa}")
         if len(self.levels) != self.kappa:
             raise ValueError(f"need {self.kappa} level weights, got {len(self.levels)}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -67,7 +68,7 @@ class DirectedTree:
                 nxt = []
                 for v in frontier:
                     for c in sorted_children.get(v, ()):
-                        if c not in depth:
+                        if c in index and c not in depth:
                             depth[c] = depth[v] + 1
                             nxt.append(c)
                 frontier = nxt
@@ -158,63 +159,47 @@ class TreeValidation:
     violations: tuple[str, ...]
 
 
+def validate_tree(tree: DirectedTree) -> TreeValidation:
+    """Check the rooted-tree axioms on ``tree`` and report every violation.
+
+    Reads the maps the constructor built: a label is a vertex when the index
+    holds it, and a vertex is reachable when the constructor's search from
+    the root, which steps only through vertices, gave it a depth.  That one
+    sweep catches cycles and disconnected pieces.
+    """
+    vertices, index = tree.vertices, tree._index
+    violations: list[str] = []
+    if len(index) != len(vertices):
+        dupes = sorted({v for v in vertices if vertices.count(v) > 1})
+        violations.append(f"duplicate vertex labels: {', '.join(dupes)}")
+    if tree.root not in index:
+        violations.append(f"root {tree.root!r} is not a vertex")
+    seen_edges: set[tuple[str, str]] = set()
+    for p, c in tree.edges:
+        for end in (p, c):
+            if end not in index:
+                violations.append(f"edge ({p!r}, {c!r}) references unknown vertex {end!r}")
+        if (p, c) in seen_edges:
+            violations.append(f"duplicate edge ({p!r}, {c!r})")
+        seen_edges.add((p, c))
+    parents = Counter(c for _, c in seen_edges)
+    for c in sorted(c for c, count in parents.items() if count > 1):
+        count = "two" if parents[c] == 2 else parents[c]
+        violations.append(f"vertex {c} has {count} parents")
+    if tree.root in parents:
+        violations.append(f"root {tree.root} has a parent")
+    if tree.root in index:
+        violations += [
+            f"vertex {v} not reachable from root" for v in vertices if v not in tree._depth
+        ]
+    return TreeValidation(ok=not violations, violations=tuple(violations))
+
+
 def validate_tree_data(
     vertices: Iterable[str], edges: Iterable[tuple[str, str]], root: str
 ) -> TreeValidation:
     """Check the rooted-tree axioms on raw data and report every violation."""
-    vertices = list(vertices)
-    edges = [(p, c) for p, c in edges]
-    violations: list[str] = []
-    vset = set(vertices)
-    if len(vset) != len(vertices):
-        dupes = sorted({v for v in vertices if vertices.count(v) > 1})
-        violations.append(f"duplicate vertex labels: {', '.join(dupes)}")
-    if root not in vset:
-        violations.append(f"root {root!r} is not a vertex")
-    seen_edges = set()
-    for p, c in edges:
-        if p not in vset:
-            violations.append(f"edge ({p!r}, {c!r}) references unknown vertex {p!r}")
-        if c not in vset:
-            violations.append(f"edge ({p!r}, {c!r}) references unknown vertex {c!r}")
-        if (p, c) in seen_edges:
-            violations.append(f"duplicate edge ({p!r}, {c!r})")
-        seen_edges.add((p, c))
-    parents: dict[str, list[str]] = {}
-    for p, c in edges:
-        parents.setdefault(c, [])
-        if p not in parents[c]:
-            parents[c].append(p)
-    for c, ps in sorted(parents.items()):
-        if len(ps) == 2:
-            violations.append(f"vertex {c} has two parents")
-        elif len(ps) > 2:
-            violations.append(f"vertex {c} has {len(ps)} parents")
-    if root in parents:
-        violations.append(f"root {root} has a parent")
-    # reachability catches cycles and disconnected pieces in one sweep
-    if root in vset:
-        children: dict[str, list[str]] = {}
-        for p, c in edges:
-            children.setdefault(p, []).append(c)
-        reached = {root}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for c in children.get(v, ()):
-                    if c in vset and c not in reached:
-                        reached.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        for v in vertices:
-            if v not in reached:
-                violations.append(f"vertex {v} not reachable from root")
-    return TreeValidation(ok=not violations, violations=tuple(violations))
-
-
-def validate_tree(tree: DirectedTree) -> TreeValidation:
-    return validate_tree_data(tree.vertices, tree.edges, tree.root)
+    return validate_tree(DirectedTree(vertices, edges, root))
 
 
 def generate_path(n: int) -> DirectedTree:
@@ -313,7 +298,8 @@ def tree_from_doc(doc: dict) -> DirectedTree:
         edge_pairs = [(str(p), str(c)) for p, c in edges]
     except (TypeError, ValueError) as exc:
         raise ValueError("tree document field 'edges' must be a list of pairs") from exc
-    report = validate_tree_data(vertices, edge_pairs, root)
+    tree = DirectedTree(vertices, edge_pairs, root)
+    report = validate_tree(tree)
     if not report.ok:
         raise ValueError("invalid tree document: " + "; ".join(report.violations))
-    return DirectedTree(vertices=tuple(vertices), edges=tuple(edge_pairs), root=root)
+    return tree

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -544,3 +545,111 @@ def test_check_json_is_the_json_module_layout(tmp_path, capsys, case):
         assert len(report["certificate"]["matrix"]) == 15
     else:
         assert code == 1 and report["obstruction"]["kind"] == "word_trace"
+
+
+def subcommand_argvs(tmp_path) -> dict:
+    """One well-formed call of every subcommand."""
+    path = write_doc(tmp_path, "doc.json", branching_doc())
+    family = ["--family", "two-branch", "--kappa", "1", "--theta", "2", "--weights", "1,1,1"]
+    return {
+        "check": ["check", path],
+        "classify": ["classify"] + family,
+        "conjugate": ["conjugate"] + family,
+        "kernels": ["kernels", path],
+        "crossval": ["crossval", "--family", "binary", "--kappa-max", "2", "--samples", "1"],
+        "broom": ["broom", "--weights", "0.5,0.25", "--teeth", "5"],
+        "generate": ["generate", "--family", "path", "--n", "3"],
+    }
+
+
+def test_every_subcommand_has_a_well_formed_call(tmp_path, capsys):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    argvs = subcommand_argvs(tmp_path)
+    assert set(argvs) == set(sub.choices)
+    for argv in argvs.values():
+        assert main(argv) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
+MALFORMED_COMMON = {
+    "tol-inf": (["--tol", "inf"], "tol must be finite and > 0"),
+    "tol-nan": (["--tol", "nan"], "tol must be finite and > 0"),
+    "tol0": (["--tol", "0"], "tol must be finite and > 0"),
+    "tol-negative": (["--tol=-1e-10"], "tol must be finite and > 0"),
+    "seed-1": (["--seed", "-1"], "seed must be an integer >= 0"),
+    "word-len1": (["--word-len", "1"], "word-len must be at least 2"),
+    "word-len-1": (["--word-len", "-1"], "max_word_len must be an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize("option", sorted(MALFORMED_COMMON))
+@pytest.mark.parametrize("command", ["check", "classify", "conjugate", "kernels",
+                                     "crossval", "broom", "generate"])
+def test_every_subcommand_refuses_malformed_common_options(tmp_path, capsys, command, option):
+    # one validator for the common options: --tol inf used to get through on
+    # every subcommand but check and crossval, and --seed -1 on all but check
+    extra, message = MALFORMED_COMMON[option]
+    code = main(subcommand_argvs(tmp_path)[command] + extra)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("command", ["classify", "conjugate", "broom"])
+@pytest.mark.parametrize("entry", ["inf", "nan", "-inf+1j"])
+def test_weight_lists_must_be_finite(capsys, command, entry):
+    # classify --family binary --kappa 2 --weights inf,1 used to exit 0
+    # "satisfied", since |2 - inf| <= rtol * inf holds
+    family = ["--family", "binary", "--kappa", "2"] if command != "broom" else []
+    code = main([command] + family + [f"--weights={entry},1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"weight '{entry}' is not finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "two-branch", "--kappa", "1", "--theta", "0", "--weights", "1"],
+     "theta must be >= 1, got 0"),
+    (["--family", "two-branch", "--kappa", "-1", "--theta", "2", "--weights", "1"],
+     "kappa must be >= 0, got -1"),
+    (["--family", "binary", "--kappa", "1", "--weights", "1"], "kappa must be >= 2, got 1"),
+    (["--family", "binary", "--kappa", "-1", "--weights", "1"], "kappa must be >= 2, got -1"),
+], ids=["two-branch-theta0", "two-branch-kappa-1", "binary-kappa1", "binary-kappa-1"])
+@pytest.mark.parametrize("command", ["classify", "conjugate"])
+def test_family_parameters_outside_their_range_are_refused(capsys, command, argv, message):
+    # theta 0 used to classify as "satisfied" and binary kappa 1 to exit 1
+    code = main([command] + argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_word_screen_that_cannot_fit_exits_3_without_allocating(tmp_path):
+    # a cs 4-vertex path screens every balanced word up to --word-len; at 30
+    # letters the screen used to ask for 2^24-entry tables and more, and die
+    # with a MemoryError and exit 1 (the not_cs code) under this limit
+    resource = pytest.importorskip("resource")
+    doc = {"tree": tree_to_doc(treeshift.generate_path(4)),
+           "weights": {"1": 1.0, "2": 1.0, "3": 1.0}}
+    path = write_doc(tmp_path, "p4.json", doc)
+    src = str(Path(treeshift.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "treeshift.cli", "check", path, "--word-len", "30"],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=limit_address_space,
+    )
+    assert run.returncode == 3, run.stderr
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert "max_word_len 30 is too long" in run.stderr

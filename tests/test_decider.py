@@ -296,6 +296,25 @@ def test_word_stage_survives_overflowing_powers():
     assert not ok
 
 
+@pytest.mark.parametrize("graded", [True, False], ids=["tree", "dense"])
+def test_word_screen_that_cannot_fit_is_refused_before_allocating(graded):
+    # 2^L-entry index tables: a 4-vertex path at 30 letters used to ask for
+    # tens of GB, 24 letters already more than 1 GiB
+    s = build_shift(generate_path(4), {"1": 1.0, "2": 1.0, "3": 1.0})
+    m = s.matrix if graded else s.matrix + 0.5
+    tracemalloc.start()
+    try:
+        for max_len in (24, 30, 10**9):
+            with pytest.raises(ValueError, match=f"^max_word_len {max_len} is too long"):
+                word_trace_obstruction(m, max_len=max_len)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="max_word_len 30"):
+        decide_cs(s, DeciderOptions(max_word_len=30))
+
+
 def sylvester_case(kind: str, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind.startswith("dense"):

@@ -45,6 +45,18 @@ def tb(kappa, theta, trunk, branch):
 # ---------------------------------------------------------------- conditions
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: TwoBranchWeights(kappa=-1, theta=2, trunk=(), branch=(1.0,)), "kappa"),
+    (lambda: TwoBranchWeights(kappa=1, theta=0, trunk=(1.0,), branch=()), "theta"),
+    (lambda: BinaryWeights(kappa=1, levels=(1.0,)), "kappa"),
+    (lambda: BinaryWeights(kappa=-1, levels=()), "kappa"),
+], ids=["two-branch-kappa-1", "two-branch-theta0", "binary-kappa1", "binary-kappa-1"])
+def test_family_weights_refuse_parameters_their_trees_refuse(build, field):
+    # the generators refuse these sizes; the weights used to accept them
+    with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        build()
+
+
 def test_two_branch_weights_accessors():
     w = tb(1, 2, (2.0,), (3.0, 5.0))
     assert w.weight(0) == 2.0

@@ -159,6 +159,63 @@ def test_validate_root_with_parent():
     assert not report.ok
 
 
+# violation reports copied from the two-pass checker this one replaced, which
+# built its own parent and children maps and searched from the root itself
+GOLDEN_VIOLATIONS = {
+    "unknown-label-on-a-path": (
+        (["0", "2"], [("0", "9"), ("9", "2")], "0"),
+        ("edge ('0', '9') references unknown vertex '9'",
+         "edge ('9', '2') references unknown vertex '9'",
+         "vertex 2 not reachable from root"),
+    ),
+    "two-parents-and-a-cycle": (
+        (["0", "1", "2", "3", "4"],
+         [("0", "1"), ("0", "2"), ("1", "2"), ("3", "4"), ("4", "3")], "0"),
+        ("vertex 2 has two parents",
+         "vertex 3 not reachable from root",
+         "vertex 4 not reachable from root"),
+    ),
+    "three-parents": (
+        (["0", "1", "2", "3"], [("0", "1"), ("0", "3"), ("1", "3"), ("2", "3")], "0"),
+        ("vertex 3 has 3 parents", "vertex 2 not reachable from root"),
+    ),
+    "duplicate-labels-missing-root": (
+        (["1", "1", "2", "3"], [("1", "2")], "0"),
+        ("duplicate vertex labels: 1", "root '0' is not a vertex"),
+    ),
+    "duplicate-label-unreachable": (
+        (["0", "1", "1"], [], "0"),
+        ("duplicate vertex labels: 1",
+         "vertex 1 not reachable from root",
+         "vertex 1 not reachable from root"),
+    ),
+    "root-with-a-parent": (
+        (["0", "1"], [("0", "1"), ("1", "0")], "0"),
+        ("root 0 has a parent",),
+    ),
+    "duplicate-edge": (
+        (["0", "1"], [("0", "1"), ("0", "1")], "0"),
+        ("duplicate edge ('0', '1')",),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_VIOLATIONS))
+def test_validate_reports_the_golden_violations(case):
+    data, violations = GOLDEN_VIOLATIONS[case]
+    report = validate_tree_data(*data)
+    assert (report.ok, report.violations) == (False, violations)
+    assert validate_tree(DirectedTree(*data)).violations == violations
+
+
+def test_search_from_the_root_steps_only_through_vertices():
+    tree = DirectedTree(("0", "2"), (("0", "9"), ("9", "2")), "0")
+    assert tree.depth_of("0") == 0
+    for label in ("9", "2"):
+        with pytest.raises(KeyError):
+            tree.depth_of(label)
+
+
 def test_doc_round_trip():
     t = generate_two_branch(2, 3)
     doc = tree_to_doc(t)
