@@ -117,15 +117,10 @@ def _family_weights(args) -> TwoBranchWeights | BinaryWeights:
     if args.family == "two-branch":
         if args.theta is None:
             raise ValueError("two-branch family needs --theta")
-        kappa, theta = args.kappa, args.theta
-        if len(values) != kappa + theta:
-            raise ValueError(
-                f"two-branch ({kappa},{theta}) needs {kappa + theta} weights "
-                f"(trunk then branch), got {len(values)}"
-            )
+        # trunk then branch; TwoBranchWeights checks the ranges and counts
         return TwoBranchWeights(
-            kappa=kappa, theta=theta,
-            trunk=tuple(values[:kappa]), branch=tuple(values[kappa:]),
+            kappa=args.kappa, theta=args.theta,
+            trunk=tuple(values[:args.kappa]), branch=tuple(values[args.kappa:]),
         )
     return BinaryWeights(kappa=args.kappa, levels=tuple(values))
 
@@ -146,7 +141,9 @@ def cmd_check(args, options: DeciderOptions) -> int:
         witness = verdict.obstruction.get("witness", {})
         if "word" in witness:
             lines.append(f"  word: {witness['word']}")
-        for key in ("trace", "trace_reversed", "dim", "spread"):
+        if "weights" in witness:
+            lines.append("  weights: " + ", ".join(fmt(w) for w in witness["weights"]))
+        for key in ("trace", "trace_reversed", "dim", "spread", "gap", "threshold"):
             if key in witness:
                 lines.append(f"  {key}: {fmt(complex(*witness[key]) if isinstance(witness[key], list) else witness[key])}")
     _emit(args, "\n".join(lines), doc)

@@ -1,17 +1,33 @@
 """Decision pipeline for complex symmetry of a finite matrix.
 
-The pipeline has three steps, and the first and last can decide:
+The pipeline has three steps, and each can decide:
 
-1. traces of words in ``T`` and ``T*`` compared against their reversals
+1. for a tree shift, the twin reduction
+   (:func:`~treeshift.shift.twin_reduction`), which splits ``|T|`` into an
+   orthogonal direct sum ``R = Q^T |T| Q`` of smaller tree shifts, and,
+   when every summand is a chain, the exact chain decision: a sum of chains
+   is complex symmetric iff every weight sequence occurs as often as its
+   reversal.  When every chain reads the same backwards, the direct sum of
+   the flips is the certificate; when the reversal of some chain lies far
+   from every chain of its length, that chain is a ``not_cs`` witness
+   (kind ``chain_reversal``).  Anything else falls through,
+2. traces of words in ``T`` and ``T*`` compared against their reversals
    (equal for any operator unitarily equivalent to its transpose, hence for
    every complex symmetric one); a gap is a ``not_cs`` witness,
-2. for a tree shift, the twin reduction
-   (:func:`~treeshift.shift.twin_reduction`), which splits ``|T|`` into an
-   orthogonal direct sum ``R = Q^T |T| Q`` of smaller tree shifts; when
-   every summand is a chain whose weights read the same backwards, the
-   direct sum of the flips is the certificate and nothing is solved,
 3. the joint space ``W = {A = A^T : T A = A T^T, T* A = A conj(T)}``, of
    ``R`` for a tree shift.
+
+The chain decision needs the reduced parents and weights only; ``Q`` is
+formed only to carry a certificate back.  On a connected tree every chain
+of ``R`` is a tail of the root chain, so chains of one length are equal, a
+chain that is no palindrome has no reversed partner, and the decision
+never falls through for want of one; only a forest (a zero weight, a raw
+matrix) can hold mirror pairs ``S + rev(S)``, which the solve certifies.
+A ``chain_reversal`` witness records the chain's weights, the gap between
+its reversal and the nearest chain of its length relative to the largest
+weight, and the threshold ``1e3 tol`` (see :func:`_chain_tol`); a gap
+below it (a near miss) falls through.  The replay reduces the matrix again, without ``Q``, finds the
+chain and recomputes the gap.
 
 A tree shift is decided in real arithmetic.  When each row of ``T`` has at
 most one nonzero and the parent pointers these define close no cycle, a
@@ -47,7 +63,7 @@ has an invertible element, and a random element is invertible with
 probability 1 when one is.  The same element, through the same SVD, gives
 the spread of the structure witness at ``dim W = 1``.  The candidate is
 checked against ``T``; when it fails, the verdict is ``undetermined``.  A
-flip certificate that fails its check falls through to the solve.
+flip certificate that fails its check falls through to the words.
 
 The kernel dimensions of ``T^m`` and ``T*^m`` are not compared: they
 always agree (``rank M = rank M*``), and with a tight rank cut the test
@@ -106,6 +122,7 @@ import functools
 import math
 import numbers
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -777,41 +794,93 @@ def _reduced(work: np.ndarray, gauge) -> Optional[TwinReduction]:
     return twin_reduction(work) if gauge is not None else None
 
 
-def _flip_certificate(red: TwinReduction, tol: float) -> Optional[tuple[np.ndarray, int]]:
-    """``Q (+ flips) Q^T`` and ``dim W``, when every summand of ``R`` is a
-    chain whose weights read the same backwards within ``tol`` times the
-    largest; else ``None``.
+def _siblings_equally_high(work: np.ndarray) -> bool:
+    """Whether ``work`` is a forest shift whose siblings are all equally
+    high.  Twins are equal subtrees, so siblings of different heights are
+    never merged, their parent keeps two children, and ``R`` is not all
+    chains; the pattern tells without the reduction."""
+    forest = _forest(work)
+    if forest is None:
+        return False
+    parent, _levels, height = forest
+    has = parent >= 0
+    return bool(np.array_equal(height[parent[has]], height[has] + 1))
 
-    A chain with links ``a_1..a_k`` is carried to its transpose by the flip
-    that reverses its vertices exactly when ``a_i = a_(k+1-i)``, so the
-    direct sum of the flips is a real symmetric orthogonal certificate for
-    ``R``, and ``Q`` carries it to one for ``M``.  Chains are irreducible
-    and equivalent only when their weights agree, and a palindromic class
-    of ``m`` copies adds ``m (m + 1) / 2`` to ``dim W``; copies are
-    counted on exact weights, as the reduction matches twins.
+
+def _chains(parent: np.ndarray) -> Optional[list[list[int]]]:
+    """The summands of the forest with parent pointers ``parent`` as vertex
+    lists from root to leaf, roots ascending, when each is a chain (no
+    vertex has two children); else ``None``."""
+    up = parent.tolist()
+    below = [-1] * len(up)
+    for v, p in enumerate(up):
+        if p >= 0:
+            if below[p] >= 0:
+                return None
+            below[p] = v
+    out = []
+    for root in [v for v, p in enumerate(up) if p < 0]:
+        chain = [root]
+        while below[chain[-1]] >= 0:
+            chain.append(below[chain[-1]])
+        out.append(chain)
+    return out
+
+
+# A chain_reversal witness's relative gap exceeds this many times tol.
+_CHAIN_GAP = 1e3
+
+
+def _chain_tol(opts: DeciderOptions) -> float:
+    """The tolerance of the chain decision: ``opts.tol``, floored at
+    ``16 eps``.  A weight of ``R`` is the modulus of a weight of ``T`` or
+    the ``hypot`` of some, within two ulps of its exact value, so two
+    weights equal in exact arithmetic differ by at most ``4 eps`` times the
+    largest; with the floor no such gap breaks a palindrome or opens a
+    witness, however small ``opts.tol``."""
+    return max(opts.tol, 16.0 * np.finfo(float).eps)
+
+
+def _reversal_gap(a: np.ndarray, links: Sequence[np.ndarray], scale: float) -> float:
+    """How far the reversal of the chain weights ``a`` lies from the nearest
+    of ``links`` of its length, in the largest difference, over ``scale``."""
+    same = np.array([b for b in links if b.size == a.size]).reshape(-1, a.size)
+    return float(np.abs(same - a[::-1]).max(axis=1, initial=0.0).min() / scale)
+
+
+def _chain_decision(red: TwinReduction, tol: float) -> Optional[tuple[str, object]]:
+    """The chain decision of the module docstring on the reduction ``red``:
+    ``("cs", (flip, dim W))``, ``("not_cs", witness)``, or ``None`` when
+    ``R`` is not all chains or the call is too close.
+
+    A chain with links ``a_1..a_k`` is irreducible, its transpose is the
+    chain with links ``a_k..a_1``, and two chains are unitarily equivalent
+    only when their links agree.  When every chain is a palindrome within
+    ``tol`` times the largest weight, the flip reversing each chain's
+    vertices is a real symmetric orthogonal certificate for ``R``; a class
+    of ``m`` copies adds ``m (m + 1) / 2`` to ``dim W``, with copies counted
+    on exact weights, as the reduction matches twins.  The witness is the
+    first distinct chain, in root order, whose reversal lies over ``1e3
+    tol`` times the largest weight from every chain of its length.
     """
-    chains = red.chains()
+    chains = _chains(red.parent)
     if chains is None:
         return None
-    n = red.parent.size
-    order = [v for chain in chains for v in chain]
-    flip = np.arange(n)
-    flip[order] = [v for chain in chains for v in reversed(chain)]
-    # the flip maps the edge into v to the edge into flip(parent(v))
-    has = np.flatnonzero(red.parent >= 0)
-    w = np.zeros(n)
-    w[has] = red.r[has, red.parent[has]]
-    if np.any(np.abs(w[has] - w[flip[red.parent[has]]]) > tol * w.max(initial=0.0)):
-        return None
-    weights = w[order].tobytes()
-    copies: dict = {}
-    start = 0
-    for chain in chains:
-        stop = start + w.itemsize * len(chain)
-        copies[weights[start:stop]] = copies.get(weights[start:stop], 0) + 1
-        start = stop
-    dim = sum(k * (k + 1) // 2 for k in copies.values())
-    return red.q[:, flip] @ red.q.T, dim
+    w = red.weights
+    scale = w.max(initial=0.0)
+    links = [w[chain[1:]] for chain in chains]
+    distinct = list({a.tobytes(): a for a in links}.values())
+    if not any(np.any(np.abs(a - a[::-1]) > tol * scale) for a in distinct):
+        order = [v for chain in chains for v in chain]
+        flip = np.arange(w.size)
+        flip[order] = [v for chain in chains for v in reversed(chain)]
+        copies = Counter(a.tobytes() for a in links).values()
+        return "cs", (flip, sum(k * (k + 1) // 2 for k in copies))
+    for a in distinct:
+        gap = _reversal_gap(a, distinct, scale)
+        if gap > _CHAIN_GAP * tol:
+            return "not_cs", {"weights": a.tolist(), "gap": gap, "threshold": _CHAIN_GAP * tol}
+    return None
 
 
 def unitary_search(
@@ -984,6 +1053,20 @@ def decide_cs(
         return finish("cs", certificate=cert, residuals=residuals, diag=diag)
 
     work, gauge = _gauged(m)
+    red = _reduced(work, gauge) if _siblings_equally_high(work) else None
+    chain = _chain_decision(red, _chain_tol(opts)) if red is not None else None
+    if chain is not None and chain[0] == "not_cs":
+        return finish(
+            "not_cs",
+            obstruction={"kind": "chain_reversal", "witness": chain[1]},
+            residuals={"witness_margin": chain[1]["gap"]},
+        )
+    if chain is not None:
+        flip, dim = chain[1]
+        verdict = certified(red.q[:, flip] @ red.q.T, {"sylvester_dim": dim, "spread": 1.0})
+        if verdict is not None:
+            return verdict  # else the words, then W
+
     word = word_trace_obstruction(
         work, max_len=opts.max_word_len, tol=_word_tol(opts, m.shape[0])
     )
@@ -994,13 +1077,8 @@ def decide_cs(
             residuals={"witness_margin": word["margin"]},
         )
 
-    red = _reduced(work, gauge)
-    flip = _flip_certificate(red, opts.tol) if red is not None else None
-    if flip is not None:
-        verdict = certified(flip[0], {"sylvester_dim": flip[1], "spread": 1.0})
-        if verdict is not None:
-            return verdict  # else solve W
-
+    if red is None:
+        red = _reduced(work, gauge)
     polar, structure, excluded = _joint_space(
         work if red is None else red.r, opts.rank_rtol, opts.seed
     )
@@ -1024,11 +1102,15 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     """Recompute a ``not_cs`` witness from the matrix alone.
 
     The witness is recomputed on the matrices :func:`decide_cs` ran its
-    stages on: words on ``|T|`` for a tree shift, ``T`` otherwise, and ``W``
-    on the twin reduction ``R`` of ``|T|``.  Returns
+    stages on: words on ``|T|`` for a tree shift, ``T`` otherwise, and the
+    chains and ``W`` on the twin reduction ``R`` of ``|T|``.  Returns
     ``(still_violated, margin)``.  For ``word_trace`` the margin is
     the trace gap, computed exactly as the detection computed it.  For
-    ``structure`` the joint space ``W`` is solved again; the witness holds
+    ``chain_reversal`` the reduction is recomputed without ``Q``; the
+    witness holds when ``R`` is all chains, one of them has the recorded
+    weights, and its reversal lies over the threshold from every chain of
+    its length, and the margin is that relative gap.  For ``structure``
+    the joint space ``W`` is solved again; the witness holds
     when ``W`` has the recorded dimension and still excludes a certificate,
     and the margin is ``1 - spread``.  Any other kind, and a word letter
     other than ``"T"`` or ``"T*"``, raises :class:`ValueError`.
@@ -1043,6 +1125,17 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
         )
         held = excluded and again["dim"] == obstruction["witness"]["dim"]
         return held, 1.0 - again["spread"]
+    if kind == "chain_reversal":
+        red = _reduced(m, gauge)
+        chains = None if red is None else _chains(red.parent)
+        if chains is None:
+            return False, 0.0
+        a = np.array(obstruction["witness"]["weights"], dtype=float)
+        links = [red.weights[chain[1:]] for chain in chains]
+        if not (a.size and any(np.array_equal(a, b) for b in links)):
+            return False, 0.0
+        gap = _reversal_gap(a, links, red.weights.max())
+        return gap > _CHAIN_GAP * _chain_tol(opts), gap
     if kind != "word_trace":
         raise ValueError(f"unknown obstruction kind {kind!r}")
     letters = _checked_word(obstruction["witness"]["word"])

@@ -146,10 +146,7 @@ def kernel_table(s, max_power: int, rtol: float = 1e-10) -> KernelTable:
     powers = range(1, max_power + 1)
     forest = _forest(t)
     if forest is not None:
-        parent, levels = forest
-        height = np.zeros(n, dtype=np.intp)  # the longest path down
-        for level in reversed(levels[1:]):
-            np.maximum.at(height, parent[level], height[level] + 1)
+        _parent, _levels, height = forest
         ranks = [int(np.count_nonzero(height >= m)) for m in powers]
     else:
         sigma = np.linalg.svd(t, compute_uv=False)
@@ -202,16 +199,19 @@ def _pattern(m: np.ndarray) -> tuple[tuple[int, ...], bytes]:
     return m.shape, (m != 0).tobytes()
 
 
-def _forest(m: np.ndarray) -> Optional[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
-    """The parent pointers and the depth levels of the forest a tree-shift
-    matrix defines, or ``None`` when ``m`` is no tree shift.
+def _forest(
+    m: np.ndarray,
+) -> Optional[tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]]:
+    """The parent pointers, depth levels and heights of the forest a
+    tree-shift matrix defines, or ``None`` when ``m`` is no tree shift.
 
     ``m`` is the matrix of a tree shift (a forest, in general) when each row
     has at most one nonzero, in the column of the row's parent, and the
     parent pointers close no cycle; a nonzero diagonal entry is a cycle of
-    length one.  Returns ``(parent, levels)``: ``parent[v]`` is the row's
-    nonzero column, -1 at a zero row (a root), and ``levels[d]`` holds the
-    vertices at depth ``d``, roots first, each level in ascending order.
+    length one.  Returns ``(parent, levels, height)``: ``parent[v]`` is the
+    row's nonzero column, -1 at a zero row (a root), ``levels[d]`` holds the
+    vertices at depth ``d``, roots first, each level in ascending order, and
+    ``height[v]`` is the length of the longest path down from ``v``.
     The forest depends on the nonzero pattern alone and is cached by it
     (:func:`_pattern`), so its arrays are read-only.
     """
@@ -221,7 +221,7 @@ def _forest(m: np.ndarray) -> Optional[tuple[np.ndarray, tuple[np.ndarray, ...]]
 @functools.lru_cache(maxsize=64)
 def _pattern_forest(
     shape: tuple[int, ...], pattern: bytes
-) -> Optional[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+) -> Optional[tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]]:
     nonzero = np.frombuffer(pattern, dtype=bool).reshape(shape)
     col = nonzero.argmax(axis=1)
     has = nonzero[np.arange(shape[0]), col]
@@ -248,10 +248,15 @@ def _pattern_forest(
     rows: list[list[int]] = [[] for _ in range(max(depth, default=0) + 1)]
     for v, d in enumerate(depth):
         rows[d].append(v)
+    height = [0] * len(up)
+    for row in reversed(rows[1:]):
+        for v in row:
+            height[up[v]] = max(height[up[v]], height[v] + 1)
     levels = tuple(np.array(row, dtype=np.intp) for row in rows)
-    for a in (parent, *levels):
+    height = np.array(height, dtype=np.intp)
+    for a in (parent, *levels, height):
         a.flags.writeable = False
-    return parent, levels
+    return parent, levels, height
 
 
 def tree_gauge(m: np.ndarray) -> Optional[np.ndarray]:
@@ -267,7 +272,7 @@ def tree_gauge(m: np.ndarray) -> Optional[np.ndarray]:
     forest = _forest(m)
     if forest is None:
         return None
-    parent, levels = forest
+    parent, levels, _height = forest
     d = np.ones(m.shape[0], dtype=complex)
     for level in levels[1:]:
         w = m[level, parent[level]]
@@ -279,34 +284,35 @@ def tree_gauge(m: np.ndarray) -> Optional[np.ndarray]:
 class TwinReduction:
     """``R = Q^T M Q``, a real tree shift ``M`` split at its twin subtrees.
 
-    ``q`` is real orthogonal, and ``r`` is the forest shift with parent
-    pointers ``parent`` (-1 at a root) and the reduced weights, built
-    exactly: every entry off the forest's edges is 0.  ``split`` counts the
-    copies split off; at 0, ``q`` is the identity and ``r`` is ``M``.
+    ``R`` is the forest shift with parent pointers ``parent`` (-1 at a
+    root) and ``weights``, the weight of the edge into each vertex (0 at a
+    root).  ``split`` counts the copies split off.  ``q``, real orthogonal,
+    and the dense ``r``, exact (every entry off the forest's edges is 0),
+    are built on first use: ``q`` replays ``merges``, the Householder
+    products of the walk in its order.  At ``split = 0``, ``q`` is the
+    identity and ``r`` is ``M``.
     """
 
-    q: np.ndarray
-    r: np.ndarray
     parent: np.ndarray
+    weights: np.ndarray
     split: int
+    merges: tuple
 
-    def chains(self) -> Optional[list[list[int]]]:
-        """The summands of ``r`` as vertex lists from root to leaf, when
-        each is a chain (no vertex has two children); else ``None``."""
-        has = self.parent >= 0
-        if np.any(np.bincount(self.parent[has], minlength=self.parent.size) > 1):
-            return None
-        below = np.full(self.parent.size, -1)
-        below[self.parent[has]] = np.flatnonzero(has)
-        below = below.tolist()
-        out = []
-        for v in np.flatnonzero(~has).tolist():
-            chain = [v]
-            while below[v] >= 0:
-                v = below[v]
-                chain.append(v)
-            out.append(chain)
-        return out
+    @functools.cached_property
+    def q(self) -> np.ndarray:
+        q = np.eye(self.parent.size)
+        for cols, units in self.merges:
+            cols = np.array(cols).transpose(0, 2, 1)
+            q[:, cols] = q[:, cols] @ _reflectors(np.array(units))
+        return q
+
+    @functools.cached_property
+    def r(self) -> np.ndarray:
+        n = self.parent.size
+        r = np.zeros((n, n))
+        has = np.flatnonzero(self.parent >= 0)
+        r[has, self.parent[has]] = self.weights[has]
+        return r
 
 
 def _reflectors(a: np.ndarray) -> np.ndarray:
@@ -338,9 +344,12 @@ def twin_reduction(m: np.ndarray) -> Optional[TwinReduction]:
     matched exactly, never within a tolerance: a tolerance would split a
     different matrix, while a missed twin only costs time.
 
-    ``Q`` starts as the identity, and each split changes only the columns
-    of its copies' vertices.  Returns ``None`` when ``m`` is no tree shift
-    (see :func:`_forest`) or a merged weight overflows.
+    The walk yields the reduced parents and weights and records each merge:
+    the columns of its copies' vertices and its unit ``lambda``, grouped per
+    level by shape, since the merges of a level touch disjoint columns.
+    ``Q`` is the identity times one product per group, in walk order, and
+    is formed only when asked for.  Returns ``None`` when ``m`` is no tree
+    shift (see :func:`_forest`) or a merged weight overflows.
     """
     m = np.asarray(m)
     if np.iscomplexobj(m):
@@ -348,7 +357,7 @@ def twin_reduction(m: np.ndarray) -> Optional[TwinReduction]:
     forest = _forest(m)
     if forest is None:
         return None
-    parent, levels = forest
+    parent, levels, _height = forest
     n = m.shape[0]
     has = np.flatnonzero(parent >= 0)
     w = np.zeros(n)
@@ -358,13 +367,13 @@ def twin_reduction(m: np.ndarray) -> Optional[TwinReduction]:
     kids: list[list[int]] = [[] for _ in range(n)]
     for v in has.tolist():
         kids[up[v]].append(v)
-    q = np.eye(n)
     split = 0
+    merges: list = []  # (copies' columns, units) per shape and level
     ids: dict = {}  # subtree shape -> its key
     key = [0] * n  # the key of each vertex's subtree below its edge
     nodes: list = [None] * n  # that subtree's vertices, in canonical preorder
     for level in reversed(levels):
-        merges: dict = {}  # (copies, vertices per copy) -> [(columns, unit)]
+        shapes: dict = {}  # (copies, vertices per copy) -> ([columns], [unit])
         for u in level.tolist():
             groups: dict = {}
             for c in kids[u]:
@@ -378,10 +387,9 @@ def twin_reduction(m: np.ndarray) -> Optional[TwinReduction]:
                 if len(twins) > 1:
                     lam = [w[t] for t in twins]
                     w[c] = math.hypot(*lam)
-                    cols = [nodes[t] for t in twins]
-                    merges.setdefault((len(twins), len(cols[0])), []).append(
-                        (cols, [x / w[c] for x in lam])
-                    )
+                    cols, units = shapes.setdefault((len(twins), len(nodes[c])), ([], []))
+                    cols.append([nodes[t] for t in twins])
+                    units.append([x / w[c] for x in lam])
                     for t in twins[1:]:
                         w[t], up[t] = 0.0, -1
                     split += len(twins) - 1
@@ -391,15 +399,8 @@ def twin_reduction(m: np.ndarray) -> Optional[TwinReduction]:
             nodes[u] = below
             for c in kids[u]:
                 nodes[c] = None
-        # the merges of a level touch disjoint columns: one product per shape
-        for group in merges.values():
-            cols = np.array([c for c, _unit in group]).transpose(0, 2, 1)
-            h = _reflectors(np.array([unit for _c, unit in group]))
-            q[:, cols] = q[:, cols] @ h
-    up, w = np.array(up), np.array(w)
+        merges += shapes.values()
+    w = np.array(w)
     if not np.isfinite(w).all():
         return None
-    r = np.zeros((n, n))
-    has = np.flatnonzero(up >= 0)
-    r[has, up[has]] = w[has]
-    return TwinReduction(q=q, r=r, parent=up, split=split)
+    return TwinReduction(parent=np.array(up), weights=w, split=split, merges=tuple(merges))

@@ -30,6 +30,7 @@ from treeshift import (
     two_branch_conjugation,
     two_level_kernel_structure,
     verify_c_symmetry,
+    word_trace_obstruction,
 )
 from treeshift.serialize import pair_to_complex
 from oracles import complex_word_trace, exact_kernel_dim, fraction_transpose, shift_matrix_fraction
@@ -216,8 +217,11 @@ def test_criterion_07():
     s = build_shift(generate_path(3), {"1": 1.0, "2": 2.0})
     verdict = decide_cs(s)
     assert verdict.kind == "not_cs"
-    assert verdict.obstruction["kind"] == "word_trace"
-    witness = verdict.obstruction["witness"]
+    # a path is one chain, decided by its reversal before any word
+    assert verdict.obstruction["kind"] == "chain_reversal"
+    assert verdict.obstruction["witness"]["weights"] == [1.0, 2.0]
+    assert reevaluate_obstruction(s, verdict.obstruction)[0]
+    witness = word_trace_obstruction(s)
     assert complex(*witness["trace"]) == pytest.approx(16.0, abs=1e-12)
     assert complex(*witness["trace_reversed"]) == pytest.approx(4.0, abs=1e-12)
 

@@ -367,7 +367,11 @@ def test_crossval_passes_seed_and_word_len(capsys):
         assert verdict["seed"] == verdict["options"]["seed"] == 8
         assert verdict["options"]["max_word_len"] == 4
         if verdict["verdict"] == "not_cs":
-            assert len(verdict["obstruction"]["witness"]["word"]) <= 4
+            # a binary tree with equal moduli per level reduces to chains,
+            # which are decided before any word
+            witness = verdict["obstruction"]["witness"]
+            assert verdict["obstruction"]["kind"] == "chain_reversal"
+            assert witness["gap"] > witness["threshold"]
 
 
 def test_check_survives_overflowing_word_powers(tmp_path):
@@ -395,21 +399,46 @@ def test_check_survives_overflowing_word_powers(tmp_path):
     assert run.stdout.startswith("verdict: ")
 
 
-def test_check_prints_a_structure_witness(tmp_path, capsys):
-    # no word of up to 8 letters separates the all-ones (2, 5) tree; its
-    # joint space W is one line of singular matrices
-    tree = treeshift.generate_two_branch(2, 5)
-    doc = {
+def ones_doc(tree) -> dict:
+    return {
         "tree": treeshift.tree_to_doc(tree),
         "weights": {v: 1.0 for v in tree.nonroot_vertices()},
     }
-    code = main(["check", write_doc(tmp_path, "ones25.json", doc)])
+
+
+def test_check_prints_a_structure_witness(tmp_path, capsys):
+    # no word of up to 8 letters separates this all-ones tree, which does
+    # not reduce to chains; its joint space W is one line of singular
+    # matrices
+    edges = ((0, 1), (0, 2), (1, 3), (3, 4), (3, 5), (0, 6), (2, 7), (3, 8), (4, 9))
+    tree = treeshift.DirectedTree(
+        vertices=tuple(str(v) for v in range(10)),
+        edges=tuple((str(p), str(c)) for p, c in edges),
+        root="0",
+    )
+    code = main(["check", write_doc(tmp_path, "ones10.json", ones_doc(tree))])
     out = capsys.readouterr().out
     assert code == 1
     assert "verdict: not_cs" in out
     assert "obstruction: structure" in out
     assert "  dim: 1" in out
     assert "  spread: " in out
+
+
+def test_check_prints_a_chain_reversal_witness(tmp_path, capsys):
+    # the all-ones (2, 5) tree reduces to the root chain, with links 1, 1,
+    # sqrt 2 (the merged branch edges), 1, 1, 1, 1, and the split-off copy
+    # of a branch; the root chain's reversal is far from every chain of its
+    # length
+    doc = ones_doc(treeshift.generate_two_branch(2, 5))
+    code = main(["check", write_doc(tmp_path, "ones25.json", doc)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "verdict: not_cs" in out
+    assert "obstruction: chain_reversal" in out
+    assert "  weights: 1, 1, 1.4142135623730951, 1, 1, 1, 1\n" in out
+    assert "  gap: 0.29289321881345254\n" in out
+    assert "  threshold: 1.0000000000000001e-07\n" in out
 
 
 def test_broom_feasible(capsys):
@@ -618,7 +647,13 @@ def test_weight_lists_must_be_finite(capsys, command, entry):
      "kappa must be >= 0, got -1"),
     (["--family", "binary", "--kappa", "1", "--weights", "1"], "kappa must be >= 2, got 1"),
     (["--family", "binary", "--kappa", "-1", "--weights", "1"], "kappa must be >= 2, got -1"),
-], ids=["two-branch-theta0", "two-branch-kappa-1", "binary-kappa1", "binary-kappa-1"])
+    # the weight count used to be checked first, naming no parameter
+    (["--family", "two-branch", "--kappa", "-1", "--theta", "2", "--weights", "1,1"],
+     "kappa must be >= 0, got -1"),
+    (["--family", "two-branch", "--kappa", "1", "--theta", "2", "--weights", "1,1"],
+     "branch needs 2 weights, got 1"),
+], ids=["two-branch-theta0", "two-branch-kappa-1", "binary-kappa1", "binary-kappa-1",
+        "two-branch-kappa-1-two-weights", "two-branch-short"])
 @pytest.mark.parametrize("command", ["classify", "conjugate"])
 def test_family_parameters_outside_their_range_are_refused(capsys, command, argv, message):
     # theta 0 used to classify as "satisfied" and binary kappa 1 to exit 1
@@ -636,7 +671,10 @@ def test_word_screen_that_cannot_fit_exits_3_without_allocating(tmp_path):
     resource = pytest.importorskip("resource")
     doc = {"tree": tree_to_doc(treeshift.generate_path(4)),
            "weights": {"1": 1.0, "2": 1.0, "3": 1.0}}
-    path = write_doc(tmp_path, "p4.json", doc)
+    # the path is one palindromic chain, certified before any word; the Y
+    # tree does not reduce to chains, and its words are screened
+    assert main(["check", write_doc(tmp_path, "p4.json", doc), "--word-len", "30"]) == 0
+    path = write_doc(tmp_path, "y.json", branching_doc())
     src = str(Path(treeshift.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 import treeshift
 from treeshift import (
+    ConjugationError,
     DeciderOptions,
+    DirectedTree,
     build_shift,
+    conjugation_from_matrix,
     decide_cs,
     dump_json,
     generate_binary,
@@ -38,9 +41,13 @@ from treeshift import (
 )
 from treeshift import decider, shift
 from treeshift.decider import (
+    _chain_decision,
+    _chain_tol,
+    _chains,
     _gauged,
     _joint_space,
     _scatter,
+    _siblings_equally_high,
     _sylvester_nullspace,
     _word_tol,
 )
@@ -311,8 +318,11 @@ def test_word_screen_that_cannot_fit_is_refused_before_allocating(graded):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    # the path is one palindromic chain, certified before any word; a tree
+    # that does not reduce to chains, or a dense matrix, reaches the screen
+    assert decide_cs(s, DeciderOptions(max_word_len=30)).kind == "cs"
     with pytest.raises(ValueError, match="max_word_len 30"):
-        decide_cs(s, DeciderOptions(max_word_len=30))
+        decide_cs(fork(1.0, 2.0, 3.0, 4.0) if graded else m, DeciderOptions(max_word_len=30))
 
 
 def sylvester_case(kind: str, seed: int) -> np.ndarray:
@@ -518,8 +528,8 @@ def test_plans_and_forests_are_read_only_and_bounded():
     m = plan_case("twins", 0)
     plan = decider._plan(*_pattern(m))
     arrays = [a for a in plan if isinstance(a, np.ndarray)]
-    parent, levels = _forest(m)
-    arrays += [parent, *levels]
+    parent, levels, height = _forest(m)
+    arrays += [parent, *levels, height]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         plan.src[0] = 0
@@ -527,9 +537,27 @@ def test_plans_and_forests_are_read_only_and_bounded():
     assert shift._pattern_forest.cache_info().maxsize == 64
 
 
+def ones_line_shift():
+    """An all-ones 10-vertex tree whose twin reduction is not all chains and
+    whose ``W`` is one line of singular matrices; no word of up to 8 letters
+    separates it."""
+    edges = ((0, 1), (0, 2), (1, 3), (3, 4), (3, 5), (0, 6), (2, 7), (3, 8), (4, 9))
+    tree = DirectedTree(
+        vertices=tuple(str(v) for v in range(10)),
+        edges=tuple((str(p), str(c)) for p, c in edges),
+        root="0",
+    )
+    return build_shift(tree, {v: 1.0 for v in tree.nonroot_vertices()})
+
+
 def test_a_structure_replay_reuses_the_plan_of_its_verdict():
+    # the all-ones (2, 5) tree reduces to chains and never reaches the solve
     tree, weights = ones_two_branch(2, 5)
     s = build_shift(tree, {v: float(w) for v, w in weights.items()})
+    verdict = decide_cs(s)
+    assert verdict.obstruction["kind"] == "chain_reversal"
+    assert reevaluate_obstruction(s, verdict.obstruction, verdict.options)[0]
+    s = ones_line_shift()
     decider._plan.cache_clear()
     verdict = decide_cs(s)
     assert verdict.obstruction["kind"] == "structure"
@@ -618,9 +646,18 @@ def test_decide_cs_trunked_branching_not_cs(trunked_y_shift):
 
 
 def test_decide_cs_weighted_path_not_cs():
-    verdict = decide_cs(path3_shift(1.0, 2.0))
+    # a path is one chain, decided by its reversal before any word; the
+    # word screen separates it as well
+    s = path3_shift(1.0, 2.0)
+    verdict = decide_cs(s)
     assert verdict.kind == "not_cs"
-    assert verdict.obstruction["kind"] == "word_trace"
+    assert verdict.obstruction == {
+        "kind": "chain_reversal",
+        "witness": {"weights": [1.0, 2.0], "gap": 0.5, "threshold": 1e3 * 1e-10},
+    }
+    assert verdict.residuals == {"witness_margin": 0.5}
+    word = word_trace_obstruction(s.matrix)
+    assert reevaluate_obstruction(s, {"kind": "word_trace", "witness": word})[0]
 
 
 def test_decide_cs_equal_weight_path_cs():
@@ -840,11 +877,13 @@ def test_structure_witness_matches_exact_rational_oracle(kappa, theta, bump):
     s = build_shift(tree, {v: float(w) for v, w in weights.items()})
     verdict = decide_cs(s)
     assert verdict.kind == "not_cs"
-    assert verdict.obstruction["kind"] == "structure"
-    witness = verdict.obstruction["witness"]
-    assert witness["dim"] == len(exact)
+    # R is all chains, so the chain decision settles the tree before the
+    # solve; the solve of W on R still excludes a certificate
+    assert verdict.obstruction["kind"] == "chain_reversal"
+    assert reevaluate_obstruction(s, verdict.obstruction)[0]
+    witness = structure_obstruction(s.matrix)["witness"]
+    assert witness["dim"] == len(exact) == 1
     assert witness["spread"] <= 1e-12  # the exact element is singular
-    assert verdict.diagnostics["sylvester_dim"] == 1
     # the computed element spans the exact line and has its rank
     space, _sigma = solved_basis(s.matrix)
     b = np.array(element, dtype=float)
@@ -876,23 +915,41 @@ def structure_witnesses():
         yield 1e-8 * m
 
 
+def structure_obstruction(m):
+    """The structure witness of the solve of ``W`` on the twin reduction of
+    ``m``, which :func:`decide_cs` reaches when the chain decision does not
+    settle ``m``; ``None`` when ``W`` does not exclude a certificate."""
+    work, _gauge = _gauged(m)
+    _polar, witness, excluded = _joint_space(twin_reduction(work).r, 1e-10, 0)
+    return {"kind": "structure", "witness": witness} if excluded else None
+
+
 def test_structure_witnesses_replay_and_fail_on_a_cs_matrix():
-    dims = set()
+    dims, kinds = set(), set()
     for m in structure_witnesses():
         verdict = decide_cs(m)
         if verdict.kind != "not_cs":
             continue
-        assert verdict.obstruction["kind"] == "structure"
-        dims.add(verdict.obstruction["witness"]["dim"])
+        kind = verdict.obstruction["kind"]
+        kinds.add(kind)
         ok, margin = reevaluate_obstruction(m, verdict.obstruction, verdict.options)
         assert ok and math.isfinite(margin)
         assert margin == verdict.residuals["witness_margin"]
+        # a reduction to chains is decided before the solve, whose witness
+        # is replayed directly
+        obstruction = verdict.obstruction if kind == "structure" else structure_obstruction(m)
+        assert kind in ("structure", "chain_reversal") and obstruction is not None
+        dims.add(obstruction["witness"]["dim"])
+        ok, margin = reevaluate_obstruction(m, obstruction)
+        assert ok and margin == 1.0 - obstruction["witness"]["spread"]
         # the equal-weight path of the same size is complex symmetric
         path = generate_path(m.shape[0])
         cs = build_shift(path, {v: 1.0 for v in path.nonroot_vertices()})
-        ok, margin = reevaluate_obstruction(cs, verdict.obstruction, verdict.options)
-        assert not ok and math.isfinite(margin)
+        for witness in (verdict.obstruction, obstruction):
+            ok, margin = reevaluate_obstruction(cs, witness, verdict.options)
+            assert not ok and math.isfinite(margin)
     assert dims == {0, 1}
+    assert kinds == {"structure", "chain_reversal"}
 
 
 SCALES = (1e-150, 1e-8, 1.0, 1e8, 1e150)
@@ -905,19 +962,27 @@ def verdict_key(verdict):
 
 
 def test_structure_verdicts_do_not_depend_on_scale():
-    # at c = 1 the random trees go to the word stage first; at the other
-    # scales a word gap rarely clears its threshold (an absolute floor below,
-    # an overflowing power above) and the structure stage decides
-    for kappa, theta, bump in STRUCTURE_CASES:
-        tree, weights = ones_two_branch(kappa, theta, bump)
-        m = build_shift(tree, {v: float(w) for v, w in weights.items()}).matrix
+    # the STRUCTURE_CASES reduce to chains, which the chain decision settles
+    # alike at every scale; the solve of W on R excludes a certificate at
+    # every scale.  A random tree that reduces to chains is settled alike at
+    # every scale too.  For the others, at c = 1 the word stage decides
+    # first; at the other scales a word gap rarely clears its threshold (an
+    # absolute floor below, an overflowing power above) and the structure
+    # stage decides
+    for m in structure_case_matrices():
         keys = {verdict_key(decide_cs(c * m)) for c in SCALES}
-        assert keys == {("not_cs", "structure", 1)}
+        assert keys == {("not_cs", "chain_reversal", None)}
+        for c in SCALES:
+            assert structure_obstruction(c * m)["witness"]["dim"] == 1
     recovered = 0
     for m in random_tree_matrices():
         kinds = {
             c: verdict_key(decide_cs(c * m)) for c in SCALES
         }
+        if kinds[1.0][1] == "chain_reversal":
+            assert set(kinds.values()) == {kinds[1.0]}
+            recovered += 1
+            continue
         structure = {k for k in kinds.values() if k[1] == "structure"}
         if structure:
             assert kinds[1.0][0] == "not_cs"
@@ -1115,7 +1180,8 @@ def test_a_reduction_that_leaves_no_chain_certifies_through_the_solve():
     m[4, 3] = SQRT2 * np.exp(2j)
     work, _gauge = _gauged(m)
     red = twin_reduction(work)
-    assert red.split == 1 and red.chains() is None
+    assert red.split == 1 and _chains(red.parent) is None
+    assert _chain_decision(red, 1e-10) is None
     verdict = decide_cs(m)
     assert verdict.kind == "cs"
     assert verdict.diagnostics["spread"] < 1.0  # a random element, not a flip
@@ -1143,3 +1209,147 @@ def test_trees_that_reduce_to_palindromic_chains_solve_nothing(tree, monkeypatch
     # dim W counted from the chains: the star has 119 isolated leaves and
     # one edge, 119 * 120 / 2 + 1
     assert verdict.diagnostics["sylvester_dim"] == {121: 7141, 127: 715}[tree.n]
+
+
+def equal_weight_twin_matrix(seed, base, size, copies):
+    """A random tree shift with ``copies`` equal subtrees of ``size``
+    vertices planted under one vertex; every modulus is 1 or 2, with random
+    phases, so that twins are common and the reduction often leaves chains
+    only."""
+    rng = np.random.default_rng(seed)
+
+    def weight():
+        return rng.choice((1.0, 2.0)) * np.exp(2j * np.pi * rng.random())
+
+    edges = [(int(rng.integers(max(0, k - 2), k)), k, weight()) for k in range(1, base)]
+    inner = [(k - 1, k, weight()) for k in range(1, size)]
+    n, host = base, int(rng.integers(0, base))
+    for _copy in range(copies):
+        edges.append((host, n, weight()))
+        edges += [(n + p, n + c, w) for p, c, w in inner]
+        n += size
+    m = np.zeros((n, n), dtype=complex)
+    for p, c, w in edges:
+        m[c, p] = w
+    return m
+
+
+def certifies(m, candidate) -> bool:
+    try:
+        return verify_c_symmetry(m, conjugation_from_matrix(candidate)).passed
+    except ConjugationError:
+        return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    base=st.integers(1, 5),
+    size=st.integers(1, 3),
+    copies=st.integers(2, 3),
+)
+def test_the_chain_decision_agrees_with_the_words_and_the_solve(seed, base, size, copies):
+    m = equal_weight_twin_matrix(seed, base, size, copies)
+    opts = DeciderOptions()
+    work, _gauge = _gauged(m)
+    red = twin_reduction(work)
+    chains = _chains(red.parent)
+    decided = _chain_decision(red, _chain_tol(opts))
+    if chains is None:
+        assert decided is None
+        return
+    # siblings of different heights are never twins, so decide_cs may skip
+    # the reduction of such a tree; this one has equally high siblings
+    assert _siblings_equally_high(work)
+    # on a connected tree every chain of R is a tail of the root chain, so
+    # a chain decision is never left open
+    links = [red.weights[chain[1:]].tolist() for chain in chains]
+    assert all(a == links[0][len(links[0]) - len(a):] for a in links)
+    assert decided is not None
+    kind = decided[0]
+    if word_trace_obstruction(work, opts.max_word_len, _word_tol(opts, m.shape[0])):
+        assert kind == "not_cs"
+    polar, _witness, excluded = _joint_space(red.r, opts.rank_rtol, opts.seed)
+    if excluded:
+        assert kind == "not_cs"
+    elif polar is not None and certifies(red.r, polar):
+        assert kind == "cs"
+    verdict = decide_cs(m)
+    assert verdict.kind == kind
+    if kind == "not_cs":
+        assert verdict.obstruction["kind"] == "chain_reversal"
+        assert reevaluate_obstruction(m, verdict.obstruction, verdict.options)[0]
+    else:
+        assert verify_c_symmetry(m, verdict.certificate).passed
+
+
+def test_chain_verdicts_do_not_depend_on_scale():
+    # the chain decision compares weights relative to the largest, and the
+    # reduction merges them with hypot, so no scale moves it; at 1e200 a
+    # chain_reversal witness still holds, while a cs certificate's check
+    # overflows there (the scale hole), so cs may turn undetermined
+    cases = list(structure_case_matrices())
+    for m in random_tree_matrices():
+        if _chains(twin_reduction(_gauged(m)[0]).parent) is not None:
+            cases.append(m)
+    seen = []
+    for m in cases:
+        kinds = {verdict_key(decide_cs(c * m)) for c in SCALES}
+        assert len(kinds) == 1
+        (kind,) = kinds
+        seen.append(kind[1] or kind[0])
+        with np.errstate(over="ignore"):
+            far = decide_cs(1e200 * m)
+        if kind[0] == "not_cs":
+            assert verdict_key(far) == kind == ("not_cs", "chain_reversal", None)
+            assert reevaluate_obstruction(1e200 * m, far.obstruction, far.options)[0]
+        else:
+            assert far.kind in ("cs", "undetermined")
+    assert seen.count("cs") >= 10 and seen.count("chain_reversal") >= 10
+
+
+def chains_matrix(*chains):
+    """The raw matrix of a direct sum of chains, each given by its links,
+    with a zero row at each chain's top."""
+    n = sum(len(links) + 1 for links in chains)
+    m = np.zeros((n, n))
+    top = 0
+    for links in chains:
+        for k, w in enumerate(links):
+            m[top + k + 1, top + k] = w
+        top += len(links) + 1
+    return m
+
+
+def test_a_mirror_pair_of_chains_is_cs_through_the_solve():
+    # S + rev(S): neither chain reads the same backwards, but each is the
+    # other's reversal, so the chain decision falls through and the solve
+    # of W certifies.  Only a forest can hold such a pair
+    m = chains_matrix((1.0, 2.0, 3.0), (3.0, 2.0, 1.0))
+    red = twin_reduction(_gauged(m)[0])
+    assert len(_chains(red.parent)) == 2
+    assert _chain_decision(red, 1e-10) is None
+    verdict = decide_cs(m)
+    assert verdict.kind == "cs"
+    assert verdict.diagnostics["spread"] < 1.0  # a random element, not a flip
+    assert verify_c_symmetry(m, verdict.certificate).passed
+
+
+def test_two_copies_of_a_chain_are_not_cs_by_its_reversal():
+    # S + S: the reversal of S is far from both chains of its length
+    m = chains_matrix((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
+    verdict = decide_cs(m)
+    assert verdict.obstruction == {
+        "kind": "chain_reversal",
+        "witness": {"weights": [1.0, 2.0, 3.0], "gap": 2.0 / 3.0, "threshold": 1e3 * 1e-10},
+    }
+    assert reevaluate_obstruction(m, verdict.obstruction, verdict.options) == (True, 2.0 / 3.0)
+    # the witness fails where the reversal is present, where the chain is
+    # absent, and on a matrix that is no tree shift
+    for other in (
+        chains_matrix((1.0, 2.0, 3.0), (3.0, 2.0, 1.0)),
+        chains_matrix((1.0, 2.0, 4.0)),
+        np.ones((4, 4)),
+    ):
+        ok, margin = reevaluate_obstruction(other, verdict.obstruction, verdict.options)
+        assert not ok and math.isfinite(margin)

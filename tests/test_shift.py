@@ -195,6 +195,7 @@ def test_kernel_table_of_a_tree_shift_reads_no_rounding():
 def test_twin_reduction_of_a_star_is_one_edge_and_isolated_leaves():
     s = build_shift(generate_broom(4), {str(k): float(k) for k in range(1, 5)})
     red = twin_reduction(np.abs(s.matrix))
+    assert "q" not in vars(red) and "r" not in vars(red)  # built on first use
     assert red.split == 3
     # the leaves merge into the first, with edge ||(1, 2, 3, 4)|| = sqrt 30
     assert red.parent.tolist() == [-1, 0, -1, -1, -1]
@@ -202,7 +203,7 @@ def test_twin_reduction_of_a_star_is_one_edge_and_isolated_leaves():
     assert np.count_nonzero(red.r) == 1
     assert np.allclose(red.q.T @ red.q, np.eye(5), rtol=0, atol=1e-15)
     assert np.allclose(red.q.T @ np.abs(s.matrix) @ red.q, red.r, rtol=0, atol=1e-14)
-    assert red.chains() == [[0, 1], [2], [3], [4]]
+    assert red.weights.tolist() == [0.0, math.sqrt(30.0), 0.0, 0.0, 0.0]
 
 
 def test_twin_reduction_without_twins_is_the_identity():
