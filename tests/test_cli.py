@@ -352,7 +352,16 @@ def test_crossval_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_crossval_passes_seed_and_word_len(capsys):
+def test_crossval_passes_seed_and_word_len(tmp_path, capsys):
+    # the trunked tree does not reduce to chains, so its words are screened:
+    # its shortest witness has 6 letters, out of reach at --word-len 4
+    path = write_doc(tmp_path, "doc.json", trunked_doc())
+    for word_len, kind in ((6, "word_trace"), (4, "structure")):
+        code = main(["check", "--word-len", str(word_len), "--json", path])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1 and report["obstruction"]["kind"] == kind
+        if kind == "word_trace":
+            assert len(report["obstruction"]["witness"]["word"]) == 6
     code = main([
         "crossval", "--family", "binary", "--kappa-max", "2",
         "--seed", "8", "--word-len", "4", "--json",
