@@ -58,15 +58,12 @@ def random_tree(rng: np.random.Generator, max_vertices: int = 15) -> DirectedTre
     return DirectedTree.from_edges(edges, root="0")
 
 
-def random_weights(
-    rng: np.random.Generator, tree: DirectedTree, complex_weights: bool = True
-) -> dict:
-    """Nonzero weights with moduli in [0.5, 2.0)."""
+def random_weights(rng: np.random.Generator, tree: DirectedTree) -> dict:
+    """Complex weights with moduli in [0.5, 2.0) and uniform phases."""
     w = {}
     for v in tree.nonroot_vertices():
         modulus = 0.5 + 1.5 * rng.random()
-        phase = np.exp(2j * np.pi * rng.random()) if complex_weights else 1.0
-        w[v] = complex(modulus * phase)
+        w[v] = complex(modulus * np.exp(2j * np.pi * rng.random()))
     return w
 
 
@@ -403,7 +400,7 @@ def soundness_fuzz(
         applicable = classify_tree_family(tree) is not None
         if applicable:
             try:
-                _generation_values(tree, weights, 1e-9)
+                _generation_values(tree, weights)
             except ValueError:
                 applicable = False
         if applicable:

@@ -56,10 +56,10 @@ class Conjugation:
         }
 
     @classmethod
-    def from_doc(cls, doc: dict, tol: float = 1e-10) -> "Conjugation":
+    def from_doc(cls, doc: dict) -> "Conjugation":
         matrix = pairs_to_matrix(doc["matrix"])
         basis = tuple(doc.get("basis") or _default_basis(matrix.shape[0]))
-        return conjugation_from_matrix(matrix, basis=basis, tol=tol)
+        return conjugation_from_matrix(matrix, basis=basis)
 
 
 def _default_basis(n: int) -> tuple[str, ...]:
@@ -97,14 +97,14 @@ def conjugation_from_matrix(
 def conjugation_from_images(
     images: Sequence[tuple[Union[str, int, np.ndarray], np.ndarray]],
     basis: Sequence[str],
-    tol: float = 1e-10,
 ) -> Conjugation:
     """Build ``C`` from its action on an orthonormal family.
 
     Each item ``(source, image)`` declares ``C source = image``; a source may
     be a basis label, a basis index, or an explicit vector.  With sources as
     columns of ``B`` and images as columns of ``Y``, antilinearity forces
-    ``A = Y B^T`` (for orthonormal ``B``), which is then validated.
+    ``A = Y B^T`` (for orthonormal ``B``), which is then validated by
+    :func:`conjugation_from_matrix` at its default tolerance.
     """
     basis = tuple(basis)
     n = len(basis)
@@ -123,10 +123,9 @@ def conjugation_from_images(
             col = np.asarray(source, dtype=complex)
         b[:, k] = col
         y[:, k] = np.asarray(image, dtype=complex)
-    if np.linalg.norm(b.conj().T @ b - np.eye(n)) > tol * max(1.0, n):
+    if np.linalg.norm(b.conj().T @ b - np.eye(n)) > 1e-10 * max(1.0, n):
         raise ConjugationError("image sources are not an orthonormal family")
-    a = y @ b.T
-    return conjugation_from_matrix(a, basis=basis, tol=tol)
+    return conjugation_from_matrix(y @ b.T, basis=basis)
 
 
 @dataclass(frozen=True)

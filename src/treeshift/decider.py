@@ -123,7 +123,7 @@ import math
 import numbers
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -185,7 +185,8 @@ class DeciderOptions:
             object.__setattr__(self, name, int(value))
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        return {"tol": self.tol, "rank_rtol": self.rank_rtol,
+                "max_word_len": self.max_word_len, "seed": self.seed}
 
 
 def _as_matrix(t) -> np.ndarray:
@@ -203,7 +204,7 @@ def _as_matrix(t) -> np.ndarray:
     return m
 
 
-def kernel_obstruction(t, rtol: float = 1e-10) -> Optional[dict]:
+def kernel_obstruction(t) -> Optional[dict]:
     """First power where the numerical kernels of ``T^m`` and ``T*^m`` differ.
 
     No such power exists for a finite square matrix (``rank M = rank M*``),
@@ -212,7 +213,7 @@ def kernel_obstruction(t, rtol: float = 1e-10) -> Optional[dict]:
     always returns ``None``.
     """
     m = _as_matrix(t)
-    for power, dk, dka in kernel_table(m, m.shape[0], rtol).rows:
+    for power, dk, dka in kernel_table(m, m.shape[0]).rows:
         if dk != dka:
             return {"power": power, "dim_ker": dk, "dim_ker_adjoint": dka}
     return None
@@ -505,7 +506,8 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     and ``blocks`` the ``(unknowns, null vectors)`` of each block that has
     a null vector, in block order.  The Frobenius-orthonormal basis of
     ``W`` they describe has the free unknowns first, then the null vectors
-    block by block.
+    block by block.  Returns ``None`` instead when an entry or a singular
+    value of the system overflows.
     """
     n = m.shape[0]
     dtype = m.dtype
@@ -520,6 +522,8 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
         cells = np.bincount(plan.at[lo:hi], real[lo:hi], total).astype(dtype, copy=False)
         if imag is not None:
             cells.imag = np.bincount(plan.at[lo:hi], imag[lo:hi], total)
+        if not np.isfinite(cells).all():
+            return None
         # with at least as many rows as unknowns the economy vh is complete
         _u, s, vh = np.linalg.svd(
             cells.reshape(count, rows, width), full_matrices=rows < width
@@ -529,6 +533,8 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
 
     sigma = np.zeros(n * (n + 1) // 2)
     flat = np.concatenate(found)
+    if not np.isfinite(flat).all():
+        return None
     sigma[: flat.size] = np.sort(flat)[::-1]
     cut = _rank_cut(2 * n * n, rtol, sigma[0])
     rank = np.bincount(plan.sv_block[flat > cut], minlength=plan.ncols.size)
@@ -718,12 +724,13 @@ def _scatter(null, coeffs: np.ndarray) -> np.ndarray:
 
 def _joint_space(
     m: np.ndarray, rtol: float, seed: int
-) -> tuple[Optional[np.ndarray], dict, bool]:
+) -> Optional[tuple[Optional[np.ndarray], dict, bool]]:
     """Solve the joint space ``W`` of ``m`` and take one generic element.
 
     The element ``X`` is a seeded real Gaussian combination of the basis of
     ``W``, scattered from the solver's null vectors by :func:`_scatter`.
-    Returns ``(polar, witness, excluded)``: the unitary polar factor
+    Returns ``None`` when the system of ``W`` is not finite, else
+    ``(polar, witness, excluded)``: the unitary polar factor
     of ``X``, ``None`` when ``W = {0}``; the structure witness; and whether
     ``W`` excludes a certificate.  The witness records ``dim W``; the
     ``spread`` ``sigma_min / sigma_max`` of ``X`` (0 when ``W = {0}``); and,
@@ -736,7 +743,10 @@ def _joint_space(
     ``1e3`` times the cut and ``1e6`` times ``sigma_cut``, so that no
     element of ``W`` can hide below it.
     """
-    dim, sigma, null = _sylvester_nullspace(m, rtol)
+    solved = _sylvester_nullspace(m, rtol)
+    if solved is None:
+        return None
+    dim, sigma, null = solved
     rank = sigma.size - dim
     kept = sigma[rank - 1] if rank else 0.0
     below = sigma[rank] if dim else 0.0
@@ -869,7 +879,8 @@ def _chain_decision(red: TwinReduction, tol: float) -> Optional[tuple[str, objec
     w = red.weights
     scale = w.max(initial=0.0)
     links = [w[chain[1:]] for chain in chains]
-    distinct = list({a.tobytes(): a for a in links}.values())
+    # a chain of one vertex has no links; it is a palindrome
+    distinct = list({a.tobytes(): a for a in links if a.size}.values())
     if not any(np.any(np.abs(a - a[::-1]) > tol * scale) for a in distinct):
         order = [v for chain in chains for v in chain]
         flip = np.arange(w.size)
@@ -883,23 +894,19 @@ def _chain_decision(red: TwinReduction, tol: float) -> Optional[tuple[str, objec
     return None
 
 
-def unitary_search(
-    space: Sequence[np.ndarray],
-    seed: int = 0,
-    restarts: int = 64,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-) -> Optional[np.ndarray]:
+def unitary_search(space: Sequence[np.ndarray], seed: int = 0) -> Optional[np.ndarray]:
     """Search the given subspace for a unitary element.
 
-    :func:`decide_cs` does not call this search; it serves as the reference
+    :func:`decide_cs` does not call this search; it is a fixed reference
     that its one-shot certificate is tested against.  Runs projected
     gradient descent with unit step on the squared distance to the unitary
     group, which reduces to alternating a polar projection with the
-    orthogonal projection onto the subspace.  Restarts are seeded and
-    scanned in order, so the result is deterministic for fixed
-    ``(seed, restarts)``; the first two starts are structured (projections of
-    the antidiagonal flip and of the identity), the rest random.
+    orthogonal projection onto the subspace, from 64 starts of at most 500
+    steps each, until the unitary residual ``||A A* - I||_F`` is at most
+    ``1e-10``.  The starts are seeded and scanned in order, so the result
+    is deterministic for a fixed ``seed``; the first two are structured
+    (projections of the antidiagonal flip and of the identity), the rest
+    random.
     """
     if len(space) == 0:
         return None
@@ -915,10 +922,8 @@ def unitary_search(
 
     rng = np.random.default_rng(seed)
     d = flat.shape[0]
-    coeffs = rng.standard_normal((restarts, d)) + 1j * rng.standard_normal(
-        (restarts, d)
-    )
-    starts = list((coeffs @ flat).reshape(restarts, n, n))
+    coeffs = rng.standard_normal((64, d)) + 1j * rng.standard_normal((64, d))
+    starts = list((coeffs @ flat).reshape(64, n, n))
     flip = np.eye(n, dtype=complex)[::-1].copy()
     for idx, structured in enumerate((project(flip), project(np.eye(n)))):
         if idx < len(starts) and np.linalg.norm(structured) > 1e-8:
@@ -934,10 +939,10 @@ def unitary_search(
         a = start * (sqrt_n / norm)
         prev = np.inf
         stall = 0
-        for _ in range(max_iter):
+        for _ in range(500):
             a = project(_polar_factor(a)[0])
             res = residual_of(a)
-            if res <= tol:
+            if res <= 1e-10:
                 # converged; keep iterating while it still helps to land well
                 # below the acceptance threshold
                 best, best_res = a, res
@@ -1079,9 +1084,10 @@ def decide_cs(
 
     if red is None:
         red = _reduced(work, gauge)
-    polar, structure, excluded = _joint_space(
-        work if red is None else red.r, opts.rank_rtol, opts.seed
-    )
+    joint = _joint_space(work if red is None else red.r, opts.rank_rtol, opts.seed)
+    if joint is None:
+        return finish("undetermined")
+    polar, structure, excluded = joint
     diag = {"sylvester_dim": structure["dim"]}
     if excluded:
         return finish(
@@ -1120,9 +1126,10 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     kind = obstruction["kind"]
     if kind == "structure":
         red = _reduced(m, gauge)
-        _polar, again, excluded = _joint_space(
-            m if red is None else red.r, opts.rank_rtol, opts.seed
-        )
+        joint = _joint_space(m if red is None else red.r, opts.rank_rtol, opts.seed)
+        if joint is None:
+            return False, 0.0
+        _polar, again, excluded = joint
         held = excluded and again["dim"] == obstruction["witness"]["dim"]
         return held, 1.0 - again["spread"]
     if kind == "chain_reversal":

@@ -6,8 +6,8 @@ on both branches; a binary tree has one weight per level.  The condition
 evaluators reproduce the published formulas exactly as printed, including
 their index sets; out-of-range weight references are recorded and skipped so
 the cross-validation audit can quantify the printed statements instead of
-silently repairing them.  Moduli are compared relatively, so no answer
-depends on the weights' scale.
+silently repairing them.  Moduli are compared relatively, within the
+fixed ``_RTOL = 1e-9``, so no answer depends on the weights' scale.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 SQRT2 = float(np.sqrt(2.0))
+# The relative tolerance of every modulus comparison in this module.
+_RTOL = 1e-9
 
 
 class FamilyConditionError(ValueError):
@@ -153,9 +155,9 @@ class ConditionReport:
         }
 
 
-def _close(lhs: float, rhs: float, rtol: float) -> bool:
+def _close(lhs: float, rhs: float) -> bool:
     """Relative comparison: scaling both sides leaves the answer unchanged."""
-    return abs(lhs - rhs) <= rtol * max(abs(lhs), abs(rhs))
+    return abs(lhs - rhs) <= _RTOL * max(abs(lhs), abs(rhs))
 
 
 class _Criterion:
@@ -164,8 +166,8 @@ class _Criterion:
     skipped when it names a weight outside ``w``; ``key`` names the clause
     index in both records."""
 
-    def __init__(self, w, key: str, rtol: float) -> None:
-        self.w, self.key, self.rtol = w, key, rtol
+    def __init__(self, w, key: str) -> None:
+        self.w, self.key = w, key
         self.clauses: list[dict] = []
         self.skipped: list[dict] = []
 
@@ -185,7 +187,7 @@ class _Criterion:
             self.key: at,
             "lhs": float(lhs),
             "rhs": float(rhs),
-            "holds": _close(lhs, rhs, self.rtol),
+            "holds": _close(lhs, rhs),
         })
 
     def report(self) -> ConditionReport:
@@ -196,7 +198,7 @@ class _Criterion:
         )
 
 
-def two_branch_cs_condition(w: TwoBranchWeights, rtol: float = 1e-9) -> ConditionReport:
+def two_branch_cs_condition(w: TwoBranchWeights) -> ConditionReport:
     """Evaluate the printed two-branch criterion exactly as stated.
 
     Clause (i) compares ``|lambda_{1+j}|`` with ``|lambda_{theta+1-j}|`` for
@@ -207,7 +209,7 @@ def two_branch_cs_condition(w: TwoBranchWeights, rtol: float = 1e-9) -> Conditio
     j = kappa (the exclusion is the printed one, reproduced as is).
     """
     kappa, theta = w.kappa, w.theta
-    criterion = _Criterion(w, "j", rtol)
+    criterion = _Criterion(w, "j")
     for j in range(1, theta):
         criterion.compare("i", j, 1 + j, theta + 1 - j)
     if theta - kappa == 1:
@@ -225,11 +227,11 @@ def two_branch_cs_condition(w: TwoBranchWeights, rtol: float = 1e-9) -> Conditio
     return criterion.report()
 
 
-def binary_cs_condition(w: BinaryWeights, rtol: float = 1e-9) -> ConditionReport:
+def binary_cs_condition(w: BinaryWeights) -> ConditionReport:
     """Evaluate the printed binary criterion ``2|lambda_{l+1}| = |lambda_{kappa-l}|``
     for l = 0..kappa as stated; l values referencing the undefined weights
     ``lambda_0`` or ``lambda_{kappa+1}`` are recorded and skipped."""
-    criterion = _Criterion(w, "l", rtol)
+    criterion = _Criterion(w, "l")
     for l in range(0, w.kappa + 1):
         criterion.compare("rita2", l, l + 1, w.kappa - l, factor=2.0)
     return criterion.report()
@@ -249,16 +251,14 @@ def binary_pairing_moduli(kappa: int) -> list[dict]:
     ]
 
 
-def is_palindromic(chain: Sequence[complex], rtol: float = 1e-9) -> bool:
-    """True iff the moduli read the same in both directions."""
+def is_palindromic(chain: Sequence[complex]) -> bool:
+    """True iff the moduli read the same in both directions (see :func:`_close`)."""
     mods = [abs(complex(c)) for c in chain]
-    return all(
-        _close(mods[i], mods[len(mods) - 1 - i], rtol) for i in range(len(mods) // 2)
-    )
+    return all(_close(mods[i], mods[-1 - i]) for i in range(len(mods) // 2))
 
 
 def two_branch_phase_sequences(
-    w: TwoBranchWeights, rtol: float = 1e-9
+    w: TwoBranchWeights,
 ) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Phase recursions with seeds delta_0 = gamma_0 = 1.
 
@@ -268,13 +268,13 @@ def two_branch_phase_sequences(
     for j = 1..theta+kappa, where ``mu_j = sqrt(2)`` exactly when j = theta and
     ``nu_j = sqrt(2)`` exactly when j = kappa+1.  Raises
     :class:`FamilyConditionError` at the first step that leaves the unit circle
-    by more than ``rtol``.
+    by more than ``_RTOL``.
     """
     kappa, theta = w.kappa, w.theta
     deltas = [complex(1.0)]
     for j in range(1, theta):
         value = deltas[-1] * w.weight(1 + j) / w.weight(theta - j + 1)
-        if abs(abs(value) - 1.0) > rtol:
+        if abs(abs(value) - 1.0) > _RTOL:
             raise FamilyConditionError(
                 f"delta recursion step j={j} yields modulus {abs(value):.12g} != 1"
             )
@@ -284,7 +284,7 @@ def two_branch_phase_sequences(
         mu = SQRT2 if j == theta else 1.0
         nu = SQRT2 if j == kappa + 1 else 1.0
         value = gammas[-1] * nu * w.weight(-kappa + j) / (mu * w.weight(theta - j + 1))
-        if abs(abs(value) - 1.0) > rtol:
+        if abs(abs(value) - 1.0) > _RTOL:
             raise FamilyConditionError(
                 f"gamma recursion step j={j} yields modulus {abs(value):.12g} != 1"
             )
@@ -292,9 +292,7 @@ def two_branch_phase_sequences(
     return tuple(deltas), tuple(gammas)
 
 
-def two_branch_conjugation(
-    w: TwoBranchWeights, rtol: float = 1e-9, tol: float = 1e-10
-) -> Conjugation:
+def two_branch_conjugation(w: TwoBranchWeights, tol: float = 1e-10) -> Conjugation:
     """Build the explicit conjugation for a two-branch shift.
 
     Weights are positivized first; the phase recursions then run on the
@@ -314,7 +312,7 @@ def two_branch_conjugation(
         trunk=tuple(positive[str(l)] for l in range(-kappa + 1, 1)),
         branch=tuple(positive[f"1,{j}"] for j in range(1, theta + 1)),
     )
-    deltas, gammas = two_branch_phase_sequences(w_pos, rtol=rtol)
+    deltas, gammas = two_branch_phase_sequences(w_pos)
 
     # the chain basis is f[-kappa..theta] (trunk, then branch sums), then the
     # branch differences g[1..theta]
@@ -361,7 +359,7 @@ def classify_tree_family(tree: DirectedTree) -> Optional[tuple[str, dict]]:
     return None
 
 
-def _generation_values(tree: DirectedTree, weights: dict, rtol: float) -> list[complex]:
+def _generation_values(tree: DirectedTree, weights: dict) -> list[complex]:
     """One weight per depth, failing if any generation mixes values."""
     values: list[complex] = []
     for d in range(1, tree.depth + 1):
@@ -369,7 +367,7 @@ def _generation_values(tree: DirectedTree, weights: dict, rtol: float) -> list[c
         first = complex(weights[generation[0]])
         for v in generation[1:]:
             w = complex(weights[v])
-            if abs(w - first) > rtol * max(abs(w), abs(first)):
+            if abs(w - first) > _RTOL * max(abs(w), abs(first)):
                 raise ValueError(
                     f"weights are not generation-constant at depth {d} "
                     f"(vertex {v} differs)"
@@ -414,9 +412,7 @@ def chains_to_matrix(chains: Sequence[Sequence[complex]]) -> np.ndarray:
     return m
 
 
-def decompose_equal_weight_tree(
-    tree: DirectedTree, weights: dict, rtol: float = 1e-9
-) -> BlockDecomposition:
+def decompose_equal_weight_tree(tree: DirectedTree, weights: dict) -> BlockDecomposition:
     """Orthogonal decomposition of a generation-constant shift into chains.
 
     On a family tree (see :func:`classify_tree_family`) the shift maps level
@@ -436,7 +432,7 @@ def decompose_equal_weight_tree(
     """
     if classify_tree_family(tree) is None:
         raise ValueError("tree is not a path, two-branch, or binary family tree")
-    values = _generation_values(tree, weights, rtol)
+    values = _generation_values(tree, weights)
     levels = [tree.at_depth(d) for d in range(tree.depth + 1)]
     branches = [len(tree.children_of(level[0])) == 2 for level in levels]
     links = [SQRT2 * value if branches[d] else value for d, value in enumerate(values)]
@@ -510,12 +506,12 @@ def _flip_conjugation(
 
 
 def _reversal_flip(
-    decomposition: BlockDecomposition, gauge, shift: Callable, rtol: float, tol: float
+    decomposition: BlockDecomposition, gauge, shift: Callable, tol: float
 ) -> Optional[Conjugation]:
-    """Unit flips of every chain when each is palindromic (moduli compared
-    relatively within ``rtol``), verified against ``shift()``; else ``None``.
+    """Unit flips of every chain when each is palindromic (see
+    :func:`is_palindromic`), verified against ``shift()``; else ``None``.
     ``shift`` is called only then, so a refused input builds no shift."""
-    if not all(is_palindromic(chain, rtol) for chain in decomposition.chains):
+    if not all(is_palindromic(chain) for chain in decomposition.chains):
         return None
     try:
         return _flip_conjugation(
@@ -525,24 +521,22 @@ def _reversal_flip(
         return None
 
 
-def reversal_pairing_cs(
-    decomposition: BlockDecomposition, rtol: float = 1e-9, tol: float = 1e-10
-) -> Optional[Conjugation]:
+def reversal_pairing_cs(decomposition: BlockDecomposition) -> Optional[Conjugation]:
     """Conjugation for a block decomposition with positive chains, by the
     flip of every chain when each is palindromic.
 
-    The candidate is verified against the decomposition's matrix before being
-    returned; ``None`` means some chain is not palindromic or the flip fails
-    the check.
+    The candidate is verified against the decomposition's matrix (at tol
+    1e-10) before being returned; ``None`` means some chain is not
+    palindromic or the flip fails the check.
     """
     return _reversal_flip(
         decomposition, dict.fromkeys(decomposition.basis, 1.0),
-        lambda: decomposition.matrix, rtol, tol,
+        lambda: decomposition.matrix, 1e-10,
     )
 
 
 def reversal_pairing_conjugation(
-    tree: DirectedTree, weights: dict, rtol: float = 1e-9, tol: float = 1e-10
+    tree: DirectedTree, weights: dict, tol: float = 1e-10
 ) -> Optional[Conjugation]:
     """End-to-end pairing oracle for arbitrary complex generation-constant
     weights on a supported tree: positivize, decompose, flip every chain,
@@ -550,9 +544,7 @@ def reversal_pairing_conjugation(
     inapplicable or some chain is not palindromic."""
     try:
         positive, gauge = positivize_weights(tree, weights)
-        decomposition = decompose_equal_weight_tree(tree, positive, rtol=rtol)
+        decomposition = decompose_equal_weight_tree(tree, positive)
     except ValueError:
         return None
-    return _reversal_flip(
-        decomposition, gauge, lambda: build_shift(tree, weights), rtol, tol
-    )
+    return _reversal_flip(decomposition, gauge, lambda: build_shift(tree, weights), tol)

@@ -450,6 +450,46 @@ def test_check_prints_a_chain_reversal_witness(tmp_path, capsys):
     assert "  threshold: 1.0000000000000001e-07\n" in out
 
 
+@pytest.mark.parametrize("vertices", [["a", "b", "r", "c"], ["r", "c", "a", "b"]])
+def test_check_finds_the_same_chain_witness_in_either_vertex_order(tmp_path, capsys, vertices):
+    # listed leaves first, the isolated vertex that the twin reduction splits
+    # off comes before the witnessing chain
+    doc = {
+        "tree": {"vertices": vertices, "root": "r",
+                 "edges": [["r", "c"], ["c", "a"], ["c", "b"]]},
+        "weights": {"c": 1.0, "a": SQRT2, "b": 0.5},
+    }
+    code = main(["check", write_doc(tmp_path, "order.json", doc)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "obstruction: chain_reversal" in out
+    assert "  weights: 1, 1.5\n" in out
+
+
+@pytest.mark.parametrize(
+    "edges, weight",
+    [
+        ([["r", "a"], ["a", "b"]], 1.5e308),
+        ([["r", "a"], ["r", "b"], ["a", "c"], ["a", "d"], ["b", "e"], ["b", "f"]], 1e308),
+        ([["r", "a"], ["r", "b"]], 1.5e308),
+    ],
+    ids=["path", "binary", "star"],
+)
+def test_check_near_the_float_range_limit_is_undetermined(tmp_path, capsys, edges, weight):
+    # the system of W overflows; that is no input error, and no dimension
+    # of W is claimed
+    doc = {
+        "tree": {"vertices": ["r"] + [child for _parent, child in edges],
+                 "edges": edges, "root": "r"},
+        "weights": {child: weight for _parent, child in edges},
+    }
+    code = main(["check", "--json", write_doc(tmp_path, "huge.json", doc)])
+    verdict = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert verdict["verdict"] == "undetermined"
+    assert verdict["diagnostics"] == {}
+
+
 def test_broom_feasible(capsys):
     code = main(["broom", "--weights", "0.5,0.25", "--json"])
     doc = json.loads(capsys.readouterr().out)

@@ -1356,3 +1356,71 @@ def test_two_copies_of_a_chain_are_not_cs_by_its_reversal():
     ):
         ok, margin = reevaluate_obstruction(other, verdict.obstruction, verdict.options)
         assert not ok and math.isfinite(margin)
+
+
+# r -> c -> {a, b}: the twin reduction merges the leaves a and b and splits
+# off an isolated vertex; listed leaves first, that vertex comes before the
+# witnessing chain in root order
+LABEL_ORDER_EDGES = (("r", "c"), ("c", "a"), ("c", "b"))
+LABEL_ORDER_WEIGHTS = {"c": 1.0, "a": SQRT2, "b": 0.5}
+
+
+@pytest.mark.parametrize("vertices", [("a", "b", "r", "c"), ("r", "c", "a", "b")])
+def test_an_isolated_vertex_of_r_is_skipped_by_the_chain_witness(vertices):
+    s = build_shift(
+        DirectedTree(vertices=vertices, edges=LABEL_ORDER_EDGES, root="r"),
+        LABEL_ORDER_WEIGHTS,
+    )
+    verdict = decide_cs(s)
+    assert verdict.obstruction == {
+        "kind": "chain_reversal",
+        "witness": {"weights": [1.0, 1.5], "gap": 1.0 / 3.0, "threshold": 1e3 * 1e-10},
+    }
+    assert reevaluate_obstruction(s, verdict.obstruction, verdict.options) == (True, 1.0 / 3.0)
+
+
+def float_range_shift(name):
+    # entries near the top of the float range: the solve of W scales them
+    # by up to sqrt 2 and adds them, and an entry or a singular value of its
+    # system overflows
+    if name == "path":
+        return build_shift(generate_path(3), {"1": 1.5e308, "2": 1.5e308})
+    if name == "binary":
+        tree = generate_binary(2)
+        return build_shift(tree, dict.fromkeys(tree.nonroot_vertices(), 1e308))
+    star = DirectedTree.from_edges([("r", "a"), ("r", "b")], root="r")
+    return build_shift(star, {"a": 1.5e308, "b": 1.5e308})
+
+
+@pytest.mark.parametrize("name", ["path", "binary", "star"])
+def test_a_system_of_w_that_is_not_finite_gives_no_certificate_and_no_witness(name):
+    s = float_range_shift(name)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if name == "star":
+            # the merged twin edge overflows, so there is no reduction
+            assert twin_reduction(np.abs(s.matrix)) is None
+        assert _joint_space(np.abs(s.matrix), 1e-10, 0) is None
+        verdict = decide_cs(s)
+        assert verdict.kind == "undetermined"
+        assert verdict.diagnostics == {}
+        witness = {"dim": 0, "spread": 0.0, "sigma_kept": 1.0, "sigma_cut": 0.0}
+        replay = reevaluate_obstruction(s, {"kind": "structure", "witness": witness})
+    assert replay == (False, 0.0)
+
+
+def test_polar_factor_falls_back_to_qr_when_the_svd_fails(rng):
+    a = random_complex(rng, (6, 6))
+    direct, sigma = decider._polar_factor(a)
+    svd, calls = np.linalg.svd, []
+
+    def fails_first(*args, **kwargs):
+        calls.append(args[0].shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    with mock.patch.object(np.linalg, "svd", fails_first):
+        polar, s = decider._polar_factor(a)
+    assert len(calls) == 2  # the failed SVD of a, then the SVD of r
+    assert np.abs(polar - direct).max() <= 1e-12
+    assert np.abs(s - sigma).max() <= 1e-12

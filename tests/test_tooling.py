@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import pkgutil
@@ -9,7 +10,8 @@ import pytest
 
 import treeshift
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_perfbench_traced_functions_exist(monkeypatch):
@@ -77,3 +79,67 @@ def test_every_exported_name_exists():
         if not hasattr(module, name)
     ]
     assert len(modules) > 1 and not missing
+
+
+def defaulted_parameters():
+    """``(module, function, parameter, position, method)`` for every
+    parameter with a default in the package; ``position`` is None for a
+    keyword-only one, and ``method`` tells whether the first parameter is
+    ``self`` or ``cls``."""
+    for path in sorted((ROOT / "src" / "treeshift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            method = bool(positional) and positional[0].arg in ("self", "cls")
+            for k in range(len(positional) - len(args.defaults), len(positional)):
+                yield path.name, node.name, positional[k].arg, k, method
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield path.name, node.name, arg.arg, None, method
+
+
+def calls_by_name():
+    """Every call in the package, the benchmark and the tests, by the name
+    it calls (``f(...)`` or ``x.f(...)``)."""
+    calls = {}
+    for top in ("src", "perfbench", "tests"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if isinstance(func, ast.Name):
+                        calls.setdefault(func.id, []).append((node, False))
+                    elif isinstance(func, ast.Attribute):
+                        calls.setdefault(func.attr, []).append((node, True))
+    return calls
+
+
+def passes(call, bound, parameter, position) -> bool:
+    """Whether ``call`` passes ``parameter``, by keyword or at ``position``;
+    ``bound`` says that the call supplies ``self`` or ``cls`` itself.  A
+    ``**mapping`` passes every parameter, a ``*sequence`` every one from
+    its place on."""
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    slots = len(call.args) + bound
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return position < slots or starred
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default no call site overrides is a setting nobody runs: make it a
+    # fixed value instead
+    calls = calls_by_name()
+    found, unpassed = 0, []
+    for module, function, parameter, position, method in defaulted_parameters():
+        found += 1
+        if not any(
+            passes(call, method and attr, parameter, position)
+            for call, attr in calls.get(function, ())
+        ):
+            unpassed.append(f"{module}:{function}({parameter})")
+    assert found and not unpassed, "never passed: " + ", ".join(unpassed)
