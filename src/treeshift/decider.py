@@ -72,24 +72,24 @@ would fire on rounding noise alone.  Nor is the space
 matrix is similar to its transpose through a nonsingular symmetric matrix,
 Taussky-Zassenhaus 1959); ``W`` can be.
 
-The word search screens all words of a length at once: the products of
-the words up to half the length bound are built by broadcast matmuls, and
-the traces of all ``2^L`` words of length ``L`` come from one product of
-flattened head and tail products.  Pairs whose screened gap lies within a
-rounding bound of the threshold are confirmed in search order by the one
-sequential evaluator that the replay also uses, so the witness is exactly
-the one a sequential scan returns.  A tree shift raises depth by one, so a
-word with ``a`` letters ``T`` and ``b`` letters ``T*`` maps depth ``d`` to
-``d + a - b``; unless ``a = b`` every term of a diagonal entry of its
-product has a structurally zero factor, so its trace evaluates to exactly
-0 (or NaN once an overflowed product meets a zero), as does its reversal's,
-and their gap exceeds no threshold.  So for a matrix
-:func:`~treeshift.shift._forest` recognises only the balanced words, all of
-even length, are screened, and the witness is unchanged.  The word
-tolerance of a verdict and of its replay is floored at
-``6.4 (max_word_len n + n^2) eps``, so that no threshold falls below the
-screen's own rounding slack and a gap rounding alone can open is never a
-witness.
+The word search evaluates one word per class.  A trace does not change
+when its word is rotated, so all rotations of a word and of its reversal (a
+class) share one exact gap between a trace and its reversal's, and a word
+whose reversal is one of its rotations has gap 0.  So only the least word
+of each class whose reversal is no rotation of it is evaluated, with its
+reversal, by the one sequential evaluator that the replay also uses: 9 of
+the 225 pairs of words and reversals up to ``max_word_len = 8``.  A tree
+shift raises depth by one, so a word with ``a`` letters ``T`` and ``b``
+letters ``T*`` maps depth ``d`` to ``d + a - b``; unless ``a = b`` every
+term of a diagonal entry of its product has a structurally zero factor, so
+its trace evaluates to exactly 0 (or NaN once an overflowed product meets a
+zero), as does its reversal's, and their gap exceeds no threshold.  So for
+a matrix :func:`~treeshift.shift._forest` recognises only the balanced
+classes are evaluated: 3 of 45 pairs.  The word tolerance of a verdict and
+of its replay is floored at ``6.4 (max_word_len n + n^2) eps``, over twelve
+times the rounding of a gap, so the gap rounding alone opens for a skipped
+word is never a witness, and the witness is the one a plain scan of every
+pair returns unless a class's gap lies within rounding of the threshold.
 
 The Sylvester system is never formed densely, nor is a basis of ``W``.
 The equation of ``T*`` is that of ``T`` for ``M = T*``, since
@@ -256,180 +256,117 @@ def word_value(t, letters: Sequence[str]) -> complex:
     return _word_trace(_letters(_as_matrix(t)), _checked_word(letters))
 
 
-def _word_scale(norm: float, length: int) -> float:
-    """``max(1, norm ** length)``, with overflow read as ``inf``."""
+def _word_threshold(tol: float, norm: float, length: int) -> float:
+    """Trace gap a word of ``length`` letters must exceed to be a witness:
+    ``10 tol max(1, norm ** length)``, with overflow read as ``inf``."""
     try:
-        return max(1.0, norm**length)
+        return 10.0 * tol * max(1.0, norm**length)
     except OverflowError:
         return math.inf
-
-
-def _word_threshold(tol: float, norm: float, length: int) -> float:
-    """Trace gap a word of ``length`` letters must exceed to be a witness."""
-    return 10.0 * tol * _word_scale(norm, length)
 
 
 def _word_tol(opts: DeciderOptions, n: int) -> float:
     """The tolerance of the verdict's word stage on an ``n x n`` matrix:
     ``opts.tol``, floored at ``6.4 (max_word_len n + n^2) eps``.
 
-    With it every threshold ``10 tol max(1, ||T||_F^L)`` is at least the
-    screen's rounding slack ``64 (L n + n^2) eps max(1, ||T||_F^L)`` (see
-    :func:`word_trace_obstruction`), which bounds the gap rounding alone can
-    open between a trace and its reversal's, such as ``tr(T T*)`` and
-    ``tr(T* T)``; so no such gap is a witness, however small ``opts.tol``.
+    With unit roundoff ``u = eps / 2`` a complex matmul errs by at most
+    ``sqrt(2) (n + 2) u ||A||_F ||B||_F``, and an error made anywhere in a
+    word's product grows to at most that times ``||T||_F^L``.  So the
+    ``L - 1`` matmuls and the trace of the sequential evaluator leave each
+    trace within ``3 sqrt(2) (L n + n^2) u ||T||_F^L``, and a gap within
+    ``5 (L n + n^2) eps max(1, ||T||_F^L)`` of its exact value (the
+    ``max(1, .)`` floors underflowed products).  The floor puts every
+    threshold over twelve times that, so no gap that rounding alone opens,
+    such as ``tr(T T*) - tr(T* T)``, is a witness however small
+    ``opts.tol``.
     """
     eps = np.finfo(float).eps
     return max(opts.tol, 6.4 * (opts.max_word_len * n + n * n) * eps)
 
 
-def _word_products(m: np.ndarray, length: int) -> list[np.ndarray]:
-    """Products of all words of up to ``length`` letters, by length.
-
-    Entry ``k`` is a ``(2^k, n, n)`` stack indexed by word code: letters are
-    bits (``T`` = 0, ``T*`` = 1) read most significant first, so code
-    ``2c + b`` is word ``c`` followed by letter ``b``, whose product is
-    ``M_b @ P(c)``; one broadcast matmul over both letters builds a length.
-    """
-    n = m.shape[0]
-    letters = np.stack([m, m.conj().T])[None]
-    prods = [np.eye(n, dtype=m.dtype)[None]]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(length):
-            prods.append((letters @ prods[-1][:, None]).reshape(-1, n, n))
-    return prods
+def _least_rotations(words: np.ndarray, length: int) -> np.ndarray:
+    """The least rotation of each ``length``-bit code; ``words`` is
+    overwritten.  In place, so that the class table stays small."""
+    least = words.copy()
+    top = np.empty_like(words)
+    for _ in range(length - 1):
+        np.right_shift(words, length - 1, out=top)
+        words <<= 1
+        words &= (1 << length) - 1
+        words |= top
+        np.minimum(least, words, out=least)
+    return least
 
 
 @functools.lru_cache(maxsize=64)
-def _word_pairs(
-    length: int, graded: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The words of ``length`` letters whose reversal is lexicographically
-    larger, with ``graded`` only the balanced ones (as many ``T`` as
-    ``T*``), and where the screen's trace table holds the traces.
+def _word_classes(length: int, balanced: bool) -> np.ndarray:
+    """The least word of every class of ``length`` letters whose reversal is
+    no rotation of itself, ascending; with ``balanced``, of the classes with
+    as many ``T`` as ``T*`` only.  Cached, so read-only.
 
-    Returns ``(codes, at, at_reversed)``: the codes (see
-    :func:`_word_products`), ascending, and the flat places in the table of
-    :func:`word_trace_obstruction` of each word's trace and of its
-    reversal's.  The table's row for a head ``c`` is the head with its
-    letters reversed and swapped, and its column the tail.  Cached, so
-    read-only.
+    A class is all rotations of a word and of its reversal.  A word is a
+    code whose bits, most significant first, are its letters (``T`` = 0),
+    so code order is search order.  These are the binary necklaces that
+    differ from their bracelets: none below 6 letters, then 1, 2 and 6.
     """
-    head = (length + 1) // 2
-    tail = length - head
-    codes = np.arange(2**length)
+    codes = np.arange(1 << length, dtype=np.int64)
     reverse = np.zeros_like(codes)
-    stars = np.zeros_like(codes)
     for k in range(length):
-        bit = (codes >> k) & 1
-        reverse |= bit << (length - 1 - k)
-        stars += bit
-    row = np.zeros_like(codes)
-    for k in range(head):
-        row |= (((codes >> (tail + k)) & 1) ^ 1) << (head - 1 - k)
-    at = (row << tail) | (codes & ((1 << tail) - 1))
-    keep = reverse > codes
-    if graded:
-        keep &= 2 * stars == length
-    pairs = codes[keep], at[keep], at[reverse[keep]]
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
+        reverse |= ((codes >> k) & 1) << (length - 1 - k)
+    least_reverse = _least_rotations(reverse, length)
+    del reverse
+    keep = _least_rotations(codes.copy(), length) == codes
+    kept = codes[keep & (least_reverse > codes)]
+    if balanced:
+        kept = kept[2 * sum((kept >> k) & 1 for k in range(length)) == length]
+    kept.flags.writeable = False
+    return kept
 
 
-# The most memory the word screen's tables may take; a longer screen is refused.
+# The most memory the class table may take, and what it takes per code
+# (tracemalloc peak of _word_classes: 40 bytes, rounded up)
 _WORD_TABLE_BYTES = 1 << 30
+_WORD_TABLE_BYTES_PER_CODE = 48
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def word_trace_obstruction(
     t, max_len: int = 8, tol: float = 1e-10
 ) -> Optional[dict]:
     """First word (by length, then lexicographically with ``T < T*``) whose
     trace differs from the trace of the reversed word beyond
-    ``10 * tol * max(1, ||T||_F ** len)``.
+    ``10 * tol * max(1, ||T||_F ** len)``, among the least words of their
+    classes (:func:`_word_classes`; the module docstring says why the other
+    words can be skipped), and only the balanced ones for a matrix that
+    :func:`~treeshift.shift._forest` recognises.
 
-    The search is a batched screen followed by an exact confirmation.  The
-    products of all words up to ``ceil(max_len / 2)`` letters are built once;
-    the traces of all ``2^L`` words of length ``L`` then come from one matrix
-    product of flattened head and tail products, ``tr(P(tail) P(head)) =
-    sum_ij P(tail)_ij P(head)_ji``.  As ``T^T = conj(T*)``, ``P(head)^T`` is
-    ``conj(P(head'))`` for the head read backwards with ``T`` and ``T*``
-    swapped, so no product is transposed.  Every word paired with a
-    lexicographically larger reversal whose screened gap is within rounding
-    of the threshold, or not finite, is re-evaluated in order by the
-    sequential evaluator that :func:`word_value` and
-    :func:`reevaluate_obstruction` share, and the first confirmed gap is the
-    witness.  The result is the word a sequential scan of every pair would
-    return, bit for bit.
-
-    A tree shift (a forest shift in general, a matrix that
-    :func:`~treeshift.shift._forest` recognises) screens only its balanced
-    words, those with as many ``T`` as ``T*``, hence only even lengths.  It
-    maps the basis vectors at depth ``d`` to depth ``d + 1``, so a word with
-    ``a`` letters ``T`` and ``b`` letters ``T*`` maps depth ``d`` to
-    ``d + a - b``.  For ``a != b``, every term of a diagonal entry of the
-    word's product has a structurally zero factor, in the sequential product
-    as in the head-tail dot product: the trace evaluates to exactly 0, or to
-    NaN once an overflowed ``inf`` meets a zero, and so does the reversal's.
-    Neither gap exceeds a threshold ``>= 0``, so the sequential scan passes
-    over those words, and skipping them leaves the witness bit for bit the
-    same.
-
-    ``tol`` is taken as given; :func:`decide_cs` and
-    :func:`reevaluate_obstruction` pass the one floored by
-    :func:`_word_tol`.  Raises :class:`ValueError` for a ``tol`` that is
-    negative or NaN, and, before any table is allocated, for a ``max_len``
-    whose tables would take more than 1 GiB (at ``n = 4``, words of 24
-    letters; the default 8 stays below it up to ``n`` about 1400).
+    Each word and its reversal go through the sequential evaluator that
+    :func:`word_value` and :func:`reevaluate_obstruction` share, so the
+    witness replays bit for bit.  ``tol`` is taken as given; :func:`decide_cs`
+    and :func:`reevaluate_obstruction` pass the one :func:`_word_tol`
+    floors, at which the witness is the one a scan of every pair returns
+    unless a class's gap lies within rounding of the threshold.  Raises
+    :class:`ValueError` for a ``tol`` that is negative or NaN, and, before
+    any table is allocated, for a ``max_len`` whose class table would take
+    more than 1 GiB (from 25 letters).
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     m = _as_matrix(t)
-    n = m.shape[0]
+    # past 64 letters no table fits, so the count stops there
+    if (1 << min(max_len, 64)) * _WORD_TABLE_BYTES_PER_CODE > _WORD_TABLE_BYTES:
+        raise ValueError(
+            f"max_word_len {max_len} is too long: the word search's class "
+            f"table would take more than 1 GiB"
+        )
     mats = _letters(m)
     norm = float(np.linalg.norm(m))
-    eps = np.finfo(float).eps
     graded = _forest(m) is not None
-    lengths = range(2, max_len + 1, 2 if graded else 1)
-    if lengths:
-        # the products of every head, and per word of the longest length its
-        # eight int64 entries in the tables of _word_pairs plus its trace and
-        # gap; past 64 letters no screen fits, so the count stops there
-        longest = min(lengths[-1], 64)
-        products = 2 ** ((longest + 1) // 2 + 1) * n * n * m.itemsize
-        if products + 2**longest * (64 + 2 * m.itemsize) > _WORD_TABLE_BYTES:
-            raise ValueError(
-                f"max_word_len {max_len} is too long for a {n}-vertex shift: "
-                f"the word screen's tables would take more than 1 GiB"
-            )
-    prods = _word_products(m, (lengths[-1] + 1) // 2 if lengths else 0)
-    flat = [p.reshape(p.shape[0], n * n) for p in prods]
-    for length in lengths:
+    for length in range(1, max_len + 1):
         threshold = _word_threshold(tol, norm, length)
         if not threshold < math.inf:
             continue  # no gap exceeds an infinite or NaN threshold
-        # The slack bounds how far a screened gap can sit from the exact
-        # one.  With unit roundoff u = eps / 2, a complex matmul errs by at
-        # most sqrt(2) (n + 2) u ||A||_F ||B||_F, and an error made anywhere
-        # in a word's product grows to at most that times ||T||_F^L by the
-        # end.  So the L - 1 matmuls behind either evaluator's product, plus
-        # its closing trace (n terms) or head-tail dot product (n^2 terms),
-        # leave each trace within 3 sqrt(2) (L n + n^2) u ||T||_F^L.  Two
-        # traces per gap and two evaluators give four such errors, plus the
-        # rounding of the subtraction and the modulus: under
-        # 25 (L n + n^2) u ||T||_F^L, and the slack is five times that.  The
-        # max(1, .) in the scale is an absolute floor for underflowed
-        # products.  Where the scale nears the float range a product could
-        # overflow in one evaluator only, so there every pair is confirmed.
-        scale = _word_scale(norm, length)
-        slack = 64.0 * (length * n + n * n) * eps * scale
-        cut = threshold - slack if 16.0 * scale < math.inf else -math.inf
-        codes, at, at_reversed = _word_pairs(length, graded)
-        head = (length + 1) // 2
-        with np.errstate(over="ignore", invalid="ignore"):
-            traces = (flat[head].conj() @ flat[length - head].T).ravel()
-            gaps = np.abs(traces[at] - traces[at_reversed])
-        for code in codes[~(gaps <= cut)].tolist():
+        for code in _word_classes(length, graded).tolist():
             letters = tuple(
                 "T*" if (code >> (length - 1 - k)) & 1 else "T"
                 for k in range(length)
@@ -994,6 +931,9 @@ class Verdict:
         }
 
 
+# Every stage checks its values for overflow itself: a certificate or witness
+# that is not finite is refused, so numpy's warnings would only be noise
+@np.errstate(over="ignore", invalid="ignore")
 def decide_cs(
     t,
     options: Optional[DeciderOptions] = None,
@@ -1104,6 +1044,7 @@ def decide_cs(
     return certified(polar, diag) or finish("undetermined", diag=diag)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOptions] = None) -> tuple[bool, float]:
     """Recompute a ``not_cs`` witness from the matrix alone.
 

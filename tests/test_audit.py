@@ -119,6 +119,11 @@ def test_cross_validate_is_deterministic():
     assert dump_json(a) == dump_json(b)
 
 
+def test_cross_validate_refuses_an_unknown_family():
+    with pytest.raises(ValueError, match="^unknown family 'path'$"):
+        cross_validate("path", [2], samples=1)
+
+
 def test_cross_validate_binary_cells():
     report = cross_validate("binary", [2], samples=4, seed=3)
     assert report["summary"]["instances"] == 4

@@ -29,6 +29,17 @@ def write_doc(tmp_path, name, doc):
     return str(path)
 
 
+def run_cli(argv, **kwargs):
+    """``treeshift argv`` in a fresh process on this checkout's package."""
+    src = str(Path(treeshift.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "treeshift.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120, **kwargs,
+    )
+
+
 def branching_doc():
     return {
         "tree": {
@@ -353,7 +364,7 @@ def test_crossval_deterministic(tmp_path):
 
 
 def test_crossval_passes_seed_and_word_len(tmp_path, capsys):
-    # the trunked tree does not reduce to chains, so its words are screened:
+    # the trunked tree does not reduce to chains, so it reaches the words:
     # its shortest witness has 6 letters, out of reach at --word-len 4
     path = write_doc(tmp_path, "doc.json", trunked_doc())
     for word_len, kind in ((6, "word_trace"), (4, "structure")):
@@ -475,19 +486,20 @@ def test_check_finds_the_same_chain_witness_in_either_vertex_order(tmp_path, cap
     ],
     ids=["path", "binary", "star"],
 )
-def test_check_near_the_float_range_limit_is_undetermined(tmp_path, capsys, edges, weight):
+def test_check_near_the_float_range_limit_is_undetermined(tmp_path, edges, weight):
     # the system of W overflows; that is no input error, and no dimension
-    # of W is claimed
+    # of W is claimed.  The overflow is handled, so numpy prints no warning
     doc = {
         "tree": {"vertices": ["r"] + [child for _parent, child in edges],
                  "edges": edges, "root": "r"},
         "weights": {child: weight for _parent, child in edges},
     }
-    code = main(["check", "--json", write_doc(tmp_path, "huge.json", doc)])
-    verdict = json.loads(capsys.readouterr().out)
-    assert code == 2
+    run = run_cli(["check", "--json", write_doc(tmp_path, "huge.json", doc)])
+    verdict = json.loads(run.stdout)
+    assert run.returncode == 2
     assert verdict["verdict"] == "undetermined"
     assert verdict["diagnostics"] == {}
+    assert run.stderr == ""
 
 
 def test_broom_feasible(capsys):
@@ -520,6 +532,66 @@ def test_broom_refuses_a_count_outside_the_weights(capsys, n):
     assert code == 3
     assert captured.out == ""
     assert "--n" in captured.err
+
+
+def test_broom_truncates_to_a_count_within_the_weights(capsys):
+    code = main(["broom", "--weights", "0.5,0.25,0.9", "--n", "2", "--teeth", "5", "--json"])
+    truncated = capsys.readouterr().out
+    assert code == 0
+    assert main(["broom", "--weights", "0.5,0.25", "--teeth", "5", "--json"]) == 0
+    assert truncated == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "document must be a JSON object with a 'tree' field"),
+    ({"weights": {}}, "document must be a JSON object with a 'tree' field"),
+    ({"tree": branching_doc()["tree"]}, "document must carry a 'weights' field"),
+], ids=["not-an-object", "no-tree", "no-weights"])
+@pytest.mark.parametrize("command", ["check", "kernels"])
+def test_documents_without_tree_or_weights_are_refused(tmp_path, capsys, command, doc, message):
+    code = main([command, write_doc(tmp_path, "doc.json", doc)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("weights, message", [
+    ("1,,1", "empty entry in weight list"),
+    ("1, ", "empty entry in weight list"),
+    ("1,x", "cannot parse weight 'x'"),
+], ids=["empty", "trailing-empty", "unparsable"])
+@pytest.mark.parametrize("command", ["classify", "broom", "generate"])
+def test_weight_lists_must_parse_entry_by_entry(capsys, command, weights, message):
+    family = {"classify": ["--family", "binary", "--kappa", "2"],
+              "generate": ["--family", "path", "--n", "3"]}.get(command, [])
+    code = main([command] + family + ["--weights", weights])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--family", "two-branch", "--kappa", "1", "--weights", "1,1"],
+    ["conjugate", "--family", "two-branch", "--kappa", "1", "--weights", "1,1"],
+    ["generate", "--family", "two-branch", "--kappa", "1"],
+], ids=["classify", "conjugate", "generate"])
+def test_two_branch_needs_theta(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: two-branch family needs --theta\n"
+
+
+def test_generate_needs_one_weight_per_generation(capsys):
+    depth = treeshift.generate_path(3).depth
+    code = main(["generate", "--family", "path", "--n", "3", "--weights", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and depth != 1
+    assert captured.out == ""
+    assert captured.err == f"error: expected {depth} generation weights, got 1\n"
 
 
 def test_generate_two_branch_round_trip(tmp_path, capsys):
@@ -714,28 +786,21 @@ def test_family_parameters_outside_their_range_are_refused(capsys, command, argv
 
 
 def test_word_screen_that_cannot_fit_exits_3_without_allocating(tmp_path):
-    # a cs 4-vertex path screens every balanced word up to --word-len; at 30
-    # letters the screen used to ask for 2^24-entry tables and more, and die
-    # with a MemoryError and exit 1 (the not_cs code) under this limit
+    # at 30 letters the word search's class table would take tens of GB; the
+    # batched screen it replaced asked for 2^24-entry tables and more, and
+    # died with a MemoryError and exit 1 (the not_cs code) under this limit
     resource = pytest.importorskip("resource")
     doc = {"tree": tree_to_doc(treeshift.generate_path(4)),
            "weights": {"1": 1.0, "2": 1.0, "3": 1.0}}
     # the path is one palindromic chain, certified before any word; the Y
-    # tree does not reduce to chains, and its words are screened
+    # tree does not reduce to chains, and reaches the words
     assert main(["check", write_doc(tmp_path, "p4.json", doc), "--word-len", "30"]) == 0
     path = write_doc(tmp_path, "y.json", branching_doc())
-    src = str(Path(treeshift.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    run = subprocess.run(
-        [sys.executable, "-m", "treeshift.cli", "check", path, "--word-len", "30"],
-        env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=limit_address_space,
-    )
+    run = run_cli(["check", path, "--word-len", "30"], preexec_fn=limit_address_space)
     assert run.returncode == 3, run.stderr
     assert run.stdout == ""
     assert "Traceback" not in run.stderr

@@ -72,6 +72,22 @@ def test_from_images_identity():
     assert np.array_equal(conj.matrix, np.eye(2, dtype=complex))
 
 
+def test_from_images_takes_basis_indices():
+    e = np.eye(3, dtype=complex)
+    images = [(0, e[2]), (np.int64(1), e[1]), (2, e[0])]
+    by_label = [("a", e[2]), ("b", e[1]), ("c", e[0])]
+    conj = conjugation_from_images(images, ("a", "b", "c"))
+    assert np.array_equal(conj.matrix, conjugation_from_images(by_label, ("a", "b", "c")).matrix)
+    assert np.array_equal(conj.matrix, e[::-1])
+
+
+def test_from_matrix_refuses_a_non_square_matrix_and_a_wrong_basis():
+    with pytest.raises(ConjugationError, match="^conjugation matrix must be square$"):
+        conjugation_from_matrix(np.zeros((2, 3)))
+    with pytest.raises(ConjugationError, match="^basis length does not match matrix size$"):
+        conjugation_from_matrix(np.eye(2), basis=("a",))
+
+
 def test_from_images_rejects_nonorthonormal_sources():
     v = np.array([1, 1], dtype=complex)
     with pytest.raises(ConjugationError, match="orthonormal"):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -49,6 +50,7 @@ from treeshift.decider import (
     _scatter,
     _siblings_equally_high,
     _sylvester_nullspace,
+    _word_classes,
     _word_tol,
 )
 from treeshift.shift import _forest, _pattern, twin_reduction
@@ -130,7 +132,7 @@ def known_cs_binary_trees():
 def test_a_tiny_tol_never_turns_rounding_into_a_witness(tol):
     # tr(T T*) = tr(T* T) for every matrix, yet at tol = 1e-20 the rounding
     # gap 7.1e-15 of that pair beat its threshold 3.7e-18; the word tolerance
-    # is floored at the screen's rounding slack
+    # is floored over the rounding of a gap
     kinds = [decide_cs(s, DeciderOptions(tol=tol)).kind for s in known_cs_binary_trees()]
     assert len(kinds) == 150 and "not_cs" not in kinds
     # at the default tol the floor binds only beyond n = 261
@@ -166,6 +168,13 @@ def test_non_finite_matrices_are_rejected_up_front(bad):
     ):
         with pytest.raises(ValueError, match=r"entry \(1, 0\) is not finite"):
             call()
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (0, 0), (3,)], ids=["non-square", "empty", "vector"])
+def test_matrices_that_are_not_nonempty_and_square_are_refused(shape):
+    for call in (decide_cs, lambda m: word_value(m, ["T"]), word_trace_obstruction):
+        with pytest.raises(ValueError, match="^expected a nonempty square matrix$"):
+            call(np.zeros(shape))
 
 
 def test_word_value_matches_pure_python(rng):
@@ -237,18 +246,82 @@ def word_case(kind: str, seed: int) -> np.ndarray:
     return q @ np.tril(random_complex(rng, (n, n)), -1) @ q.conj().T
 
 
+WORD_KINDS = ["tree", "dense", "one", "zero", "symmetric", "nilpotent"]
 WORD_TOLS = (1e-10, 1e-14, 1e-16, 0.0)
+EPS = np.finfo(float).eps
+
+
+def floored_word_tol(tol, max_len, n):
+    """``tol`` floored at ``6.4 (max_len n + n^2) eps``, as every caller of
+    the word search in the package floors it.  Below the floor a plain scan
+    stops at gaps that rounding alone opens, such as ``tr(T T*)`` against
+    ``tr(T* T)`` (3.8e-17 over a threshold of 0)."""
+    return max(tol, 6.4 * (max_len * n + n * n) * EPS)
+
+
+def word_class(word):
+    """All rotations of a word of letters and of its reversal."""
+    rotations = {word[k:] + word[:k] for k in range(len(word))}
+    return rotations, {w[::-1] for w in rotations}
+
+
+def class_codes_by_strings(length, balanced):
+    """The least word of every class of ``length`` letters whose reversal is
+    no rotation of itself, as codes, by brute force over strings."""
+    kept = []
+    for word in map("".join, itertools.product("01", repeat=length)):
+        rotations, reversals = word_class(word)
+        if balanced and 2 * word.count("1") != length:
+            continue
+        if rotations != reversals and word == min(rotations | reversals):
+            kept.append(int(word, 2))
+    return kept
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["all", "balanced"])
+def test_word_classes_match_a_brute_force_over_strings(balanced):
+    for length in range(1, 13):
+        assert _word_classes(length, balanced).tolist() == class_codes_by_strings(length, balanced)
+    counts = [_word_classes(length, balanced).size for length in range(1, 9)]
+    assert counts == ([0] * 5 + ([1, 0, 2] if balanced else [1, 2, 6]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WORD_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_a_word_class_shares_one_gap_up_to_rounding(kind, seed, length):
+    # a trace does not change when its word is rotated: the pair of a word
+    # whose reversal is one of its rotations has an exact gap of 0, and the
+    # words of any other class share one exact gap.  The sequential
+    # evaluator rounds each gap by less than 5 (L n + n^2) eps ||T||_F^L,
+    # under the floored threshold, so skipping those words is exact
+    m = word_case(kind, seed)
+    n = m.shape[0]
+    scale = max(1.0, float(np.linalg.norm(m)) ** length)
+    rounding = 5.0 * (length * n + n * n) * EPS * scale
+    threshold = 10.0 * floored_word_tol(0.0, length, n) * scale
+    assert 2.0 * rounding < threshold
+    gaps = {
+        word: abs(word_value(m, word) - word_value(m, word[::-1]))
+        for word in itertools.product(("T", "T*"), repeat=length)
+    }
+    for word, gap in gaps.items():
+        rotations, reversals = word_class(word)
+        if rotations == reversals:
+            assert gap <= rounding
+        else:
+            assert abs(gap - gaps[min(rotations | reversals)]) <= 2.0 * rounding
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    st.sampled_from(["tree", "dense", "one", "zero", "symmetric", "nilpotent"]),
+    st.sampled_from(WORD_KINDS),
     st.integers(0, 2**32 - 1),
     st.integers(1, 10),
     st.sampled_from(WORD_TOLS),
 )
 def test_word_trace_screen_matches_sequential_search(kind, seed, max_len, tol):
     m = word_case(kind, seed)
+    tol = floored_word_tol(tol, max_len, m.shape[0])
     got = word_trace_obstruction(m, max_len=max_len, tol=tol)
     want = sequential_word_trace_obstruction(m, max_len=max_len, tol=tol)
     assert bitwise(got) == bitwise(want)
@@ -257,8 +330,8 @@ def test_word_trace_screen_matches_sequential_search(kind, seed, max_len, tol):
 @pytest.mark.parametrize("shift", [1.0 - 1e-12, 1.0, 1.0 + 1e-12])
 @pytest.mark.parametrize("seed", range(6))
 def test_word_trace_screen_at_the_threshold(seed, shift):
-    # put the threshold within 1e-12 of a witness's margin, where the screened
-    # gap and the exact one can fall on opposite sides of it
+    # put the threshold within 1e-12 of a witness's margin, where the gaps of
+    # the words of its class can fall on either side of it
     rng = np.random.default_rng(seed)
     tree = random_tree(rng, max_vertices=10)
     m = build_shift(tree, random_weights(rng, tree)).matrix
@@ -269,11 +342,24 @@ def test_word_trace_screen_at_the_threshold(seed, shift):
     length = len(witness["word"])
     scale = max(1.0, float(np.linalg.norm(m)) ** length)
     tol = witness["margin"] * shift / (10.0 * scale)
+    assert tol >= floored_word_tol(0.0, 8, m.shape[0])
     got = word_trace_obstruction(m, tol=tol)
-    want = sequential_word_trace_obstruction(m, tol=tol)
-    assert bitwise(got) == bitwise(want)
+    if shift != 1.0:
+        want = sequential_word_trace_obstruction(m, tol=tol)
+        assert bitwise(got) == bitwise(want)
     if shift < 1.0:
         assert got["word"] == witness["word"]
+    if shift == 1.0 and got is not None:
+        # at an exact tie the plain scan returns whichever word of the class
+        # rounding puts over the threshold; the search evaluates the least
+        # word of each class, and its witness replays
+        word = tuple(got["word"])
+        rotations, reversals = word_class(word)
+        assert word == min(rotations | reversals) and rotations != reversals
+        trace, trace_reversed = word_value(m, word), word_value(m, word[::-1])
+        assert got["trace"] == [trace.real, trace.imag]
+        assert got["trace_reversed"] == [trace_reversed.real, trace_reversed.imag]
+        assert got["margin"] == abs(trace - trace_reversed) > got["threshold"]
 
 
 def test_word_replay_of_an_overflowing_trace_is_nan_not_an_error():
@@ -305,13 +391,14 @@ def test_word_stage_survives_overflowing_powers():
 
 @pytest.mark.parametrize("graded", [True, False], ids=["tree", "dense"])
 def test_word_screen_that_cannot_fit_is_refused_before_allocating(graded):
-    # 2^L-entry index tables: a 4-vertex path at 30 letters used to ask for
-    # tens of GB, 24 letters already more than 1 GiB
+    # the class table takes 40 bytes per code of the longest length: 30
+    # letters would ask for tens of GB, and 25, the shortest refused length,
+    # for more than 1 GiB
     s = build_shift(generate_path(4), {"1": 1.0, "2": 1.0, "3": 1.0})
     m = s.matrix if graded else s.matrix + 0.5
     tracemalloc.start()
     try:
-        for max_len in (24, 30, 10**9):
+        for max_len in (25, 30, 10**9):
             with pytest.raises(ValueError, match=f"^max_word_len {max_len} is too long"):
                 word_trace_obstruction(m, max_len=max_len)
         _current, peak = tracemalloc.get_traced_memory()
@@ -319,7 +406,7 @@ def test_word_screen_that_cannot_fit_is_refused_before_allocating(graded):
         tracemalloc.stop()
     assert peak < 1 << 20
     # the path is one palindromic chain, certified before any word; a tree
-    # that does not reduce to chains, or a dense matrix, reaches the screen
+    # that does not reduce to chains, or a dense matrix, reaches the words
     assert decide_cs(s, DeciderOptions(max_word_len=30)).kind == "cs"
     with pytest.raises(ValueError, match="max_word_len 30"):
         decide_cs(fork(1.0, 2.0, 3.0, 4.0) if graded else m, DeciderOptions(max_word_len=30))
@@ -1123,9 +1210,8 @@ def test_twin_reduction_is_an_orthogonal_splitting_with_the_same_w(
 def test_graded_word_screen_finds_what_the_full_scan_finds(
     seed, base, size, copies, leaves, scale, tol, max_len
 ):
-    # a tree shift screens its balanced words only.  From 1e150 products
-    # overflow; scale None puts ||T||_F^2 at 2^1022, where the screen
-    # confirms every pair of length 2 as the scale nears the float range
+    # a tree shift evaluates its balanced words only.  From 1e150 products
+    # overflow; scale None puts ||T||_F^2 at 2^1022, near the float range
     m = planted_twin_matrix(seed, base, size, copies, leaves)
     rng = np.random.default_rng(seed)
     has = np.flatnonzero(m.any(axis=1))
@@ -1134,6 +1220,7 @@ def test_graded_word_screen_finds_what_the_full_scan_finds(
     m = m[np.ix_(perm, perm)]
     m *= 2.0**511 / np.linalg.norm(m) if scale is None else scale
     assert _forest(m) is not None
+    tol = floored_word_tol(tol, max_len, m.shape[0])
     got = word_trace_obstruction(m, max_len=max_len, tol=tol)
     want = sequential_word_trace_obstruction(m, max_len=max_len, tol=tol)
     assert bitwise(got) == bitwise(want)

@@ -126,6 +126,12 @@ def test_binary_pairing_moduli():
     )
 
 
+@pytest.mark.parametrize("kappa", [0, -1])
+def test_binary_pairing_moduli_needs_a_generation(kappa):
+    with pytest.raises(ValueError, match="^kappa must be at least 1$"):
+        binary_pairing_moduli(kappa)
+
+
 def test_is_palindromic():
     assert is_palindromic((1.0, 2.0, 1.0))
     assert is_palindromic((3.0,))

@@ -51,6 +51,18 @@ def test_missing_weight_rejected():
         build_shift(generate_path(2), {})
 
 
+def test_kernel_table_refuses_a_non_square_matrix_and_no_power():
+    with pytest.raises(ValueError, match="^kernel_table needs a square matrix$"):
+        kernel_table(np.zeros((2, 3)), max_power=1)
+    with pytest.raises(ValueError, match="^max_power must be at least 1$"):
+        kernel_table(build_shift(generate_path(3), {"1": 1.0, "2": 2.0}), max_power=0)
+
+
+def test_positivize_refuses_a_missing_weight():
+    with pytest.raises(WeightError, match="^missing weight for vertex 2$"):
+        positivize_weights(generate_path(3), {"1": 1.0})
+
+
 def test_root_weight_rejected():
     with pytest.raises(WeightError, match="root"):
         build_shift(generate_path(2), {"0": 1.0, "1": 1.0})
