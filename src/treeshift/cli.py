@@ -9,9 +9,9 @@ dimension tables, ``crossval`` and ``broom`` emit audit reports, and
 reads any input, whether it uses them or not.
 
 Exit codes for ``check``: 0 = complex symmetric, 1 = not, 2 = undetermined,
-3 = input error.  Other commands use 0 for success, 1 for a negative or
-infeasible outcome, 3 for input errors.  All numbers in text output are
-printed with 17 significant digits so runs diff cleanly.
+3 = input error, a usage error included.  Other commands use 0 for success,
+1 for a negative or infeasible outcome, 3 for input errors.  All numbers in
+text output are printed with 17 significant digits so runs diff cleanly.
 """
 
 from __future__ import annotations
@@ -303,6 +303,15 @@ def cmd_generate(args, options: DeciderOptions) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, its subparsers' too (``add_subparsers`` makes them of
+    this class), exit 3, not argparse's 2, which is ``check``'s undetermined."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=DeciderOptions.tol)
     parser.add_argument("--seed", type=int, default=DeciderOptions.seed)
@@ -322,7 +331,7 @@ def _add_family(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="treeshift",
         description="Weighted shifts on rooted trees: complex-symmetry "
                     "certificates, printed-criterion audits, constructions.",

@@ -35,12 +35,13 @@ diagonal unitary ``D``, read off the matrix alone
 (:func:`~treeshift.shift.tree_gauge`), gives ``D* T D = |T|``, the shift
 with weights ``|lambda_v|``.  Complex symmetry, word traces and the
 dimension of ``W`` are unchanged by that equivalence, and by the real
-orthogonal ``Q``, so the words run on the real ``|T|`` and the solve on the
-real ``R``; only the certificate is carried back, once, as ``D Q U Q^T
-D^T``, and verified against the original ``T``.  The reduction refines the
-blocks of the solve, since no equation joins two summands, and collapses
-twin subtrees, whose copies no longer inflate each block.  Any other
-matrix runs as it is, in complex arithmetic.
+orthogonal ``Q``, so the words run on ``|T|`` and the chains and the solve
+on ``R``, both real and neither needing a phase (:func:`_prepared`); ``D``
+is read only to carry a candidate back, once, as ``D Q U Q^T D^T``, checked
+against the original ``T``.  The reduction refines the blocks of the solve,
+since no equation joins two summands, and collapses twin subtrees, whose
+copies no longer inflate each block.  Any other matrix runs as it is, in
+complex arithmetic.
 
 ``T`` is complex symmetric exactly when some symmetric unitary ``U``
 satisfies ``T U = U T^T``.  Taking the adjoint of ``U* T U = T^T`` gives
@@ -721,37 +722,16 @@ def _polar_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u @ vh, s
 
 
-def _gauged(m: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The matrix the stages run on, and the gauge ``d`` back to ``m``.
-
-    A tree shift runs on the real ``|m| = D* m D`` (see
-    :func:`~treeshift.shift.tree_gauge`); any other matrix runs as it is,
-    in complex arithmetic, with ``d = None``.  The gauge comes from the
-    matrix alone, so a shift and its bare matrix decide alike.
-    """
-    d = tree_gauge(m)
-    if d is None:
+def _prepared(m: np.ndarray, reduce: bool) -> tuple[np.ndarray, Optional[TwinReduction]]:
+    """The matrix the stages run on and, with ``reduce``, its twin reduction:
+    the real ``|m|`` of a tree shift (see :func:`~treeshift.shift._forest`),
+    reduced once, with no phase read; any other matrix as it is, in complex
+    arithmetic, unreduced.  The reduction is ``None`` also when a merged
+    weight overflows."""
+    if _forest(m) is None:
         return np.asarray(m, dtype=complex), None
-    return np.abs(m), d
-
-
-def _reduced(work: np.ndarray, gauge) -> Optional[TwinReduction]:
-    """The twin reduction of a gauged tree shift; ``None`` for any other
-    matrix, which runs unreduced."""
-    return twin_reduction(work) if gauge is not None else None
-
-
-def _siblings_equally_high(work: np.ndarray) -> bool:
-    """Whether ``work`` is a forest shift whose siblings are all equally
-    high.  Twins are equal subtrees, so siblings of different heights are
-    never merged, their parent keeps two children, and ``R`` is not all
-    chains; the pattern tells without the reduction."""
-    forest = _forest(work)
-    if forest is None:
-        return False
-    parent, _levels, height = forest
-    has = parent >= 0
-    return bool(np.array_equal(height[parent[has]], height[has] + 1))
+    work = np.abs(m)
+    return work, twin_reduction(work) if reduce else None
 
 
 def _chains(parent: np.ndarray) -> Optional[list[list[int]]]:
@@ -956,16 +936,15 @@ def decide_cs(
     Returns
     -------
     Verdict
-        ``cs`` with a verified :class:`Conjugation`, ``not_cs`` with a
-        recomputable obstruction, or ``undetermined`` with diagnostics.
+        ``cs`` with a verified :class:`Conjugation`, the one verdict that
+        reads a tree shift's gauge, ``not_cs`` with a recomputable
+        obstruction, or ``undetermined`` with diagnostics.
     """
     opts = options or DeciderOptions()
     started = time.perf_counter()
     m = _as_matrix(t)
     if basis is None:
-        basis = t.basis if isinstance(t, ShiftMatrix) else tuple(
-            str(i) for i in range(m.shape[0])
-        )
+        basis = t.basis if isinstance(t, ShiftMatrix) else map(str, range(m.shape[0]))
     basis = tuple(basis)
     if len(basis) != m.shape[0]:
         raise ValueError(
@@ -984,8 +963,16 @@ def decide_cs(
             elapsed=time.perf_counter() - started,
         )
 
+    def refuted(kind, witness, margin, diag=None):
+        """The ``not_cs`` verdict of a witness of ``kind``."""
+        obstruction = {"kind": kind, "witness": witness}
+        return finish("not_cs", obstruction=obstruction,
+                      residuals={"witness_margin": margin}, diag=diag)
+
     def certified(candidate, diag):
-        """The ``cs`` verdict of a candidate that verifies against ``m``."""
+        """The ``cs`` verdict of a candidate for ``work``, a tree shift's
+        ``|m|`` when real, that verifies against ``m``."""
+        gauge = tree_gauge(m) if np.isrealobj(work) else None
         try:
             cert, report = gauged_conjugation(candidate, gauge, m, basis, opts.tol)
         except ConjugationError:
@@ -997,15 +984,10 @@ def decide_cs(
         }
         return finish("cs", certificate=cert, residuals=residuals, diag=diag)
 
-    work, gauge = _gauged(m)
-    red = _reduced(work, gauge) if _siblings_equally_high(work) else None
+    work, red = _prepared(m, reduce=True)
     chain = _chain_decision(red, _chain_tol(opts)) if red is not None else None
     if chain is not None and chain[0] == "not_cs":
-        return finish(
-            "not_cs",
-            obstruction={"kind": "chain_reversal", "witness": chain[1]},
-            residuals={"witness_margin": chain[1]["gap"]},
-        )
+        return refuted("chain_reversal", chain[1], chain[1]["gap"])
     if chain is not None:
         flip, dim = chain[1]
         verdict = certified(red.q[:, flip] @ red.q.T, {"sylvester_dim": dim, "spread": 1.0})
@@ -1016,26 +998,15 @@ def decide_cs(
         work, max_len=opts.max_word_len, tol=_word_tol(opts, m.shape[0])
     )
     if word is not None:
-        return finish(
-            "not_cs",
-            obstruction={"kind": "word_trace", "witness": word},
-            residuals={"witness_margin": word["margin"]},
-        )
+        return refuted("word_trace", word, word["margin"])
 
-    if red is None:
-        red = _reduced(work, gauge)
     joint = _joint_space(work if red is None else red.r, opts.rank_rtol, opts.seed)
     if joint is None:
         return finish("undetermined")
     polar, structure, excluded = joint
     diag = {"sylvester_dim": structure["dim"]}
     if excluded:
-        return finish(
-            "not_cs",
-            obstruction={"kind": "structure", "witness": structure},
-            residuals={"witness_margin": 1.0 - structure["spread"]},
-            diag=diag,
-        )
+        return refuted("structure", structure, 1.0 - structure["spread"], diag)
     diag["spread"] = structure["spread"]
     if polar is None:
         return finish("undetermined", diag=diag)
@@ -1049,8 +1020,9 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     """Recompute a ``not_cs`` witness from the matrix alone.
 
     The witness is recomputed on the matrices :func:`decide_cs` ran its
-    stages on: words on ``|T|`` for a tree shift, ``T`` otherwise, and the
-    chains and ``W`` on the twin reduction ``R`` of ``|T|``.  Returns
+    stages on, by :func:`_prepared`, with no gauge: words on ``|T|`` for a
+    tree shift, ``T`` otherwise, and the chains and ``W`` on the twin
+    reduction ``R`` of ``|T|``, which a word replay skips.  Returns
     ``(still_violated, margin)``.  For ``word_trace`` the margin is
     the trace gap, computed exactly as the detection computed it.  For
     ``chain_reversal`` the reduction is recomputed without ``Q``; the
@@ -1063,10 +1035,9 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     other than ``"T"`` or ``"T*"``, raises :class:`ValueError`.
     """
     opts = options or DeciderOptions()
-    m, gauge = _gauged(_as_matrix(t))
     kind = obstruction["kind"]
+    m, red = _prepared(_as_matrix(t), reduce=kind in ("structure", "chain_reversal"))
     if kind == "structure":
-        red = _reduced(m, gauge)
         joint = _joint_space(m if red is None else red.r, opts.rank_rtol, opts.seed)
         if joint is None:
             return False, 0.0
@@ -1074,7 +1045,6 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
         held = excluded and again["dim"] == obstruction["witness"]["dim"]
         return held, 1.0 - again["spread"]
     if kind == "chain_reversal":
-        red = _reduced(m, gauge)
         chains = None if red is None else _chains(red.parent)
         if chains is None:
             return False, 0.0

@@ -284,6 +284,8 @@ def tree_to_doc(tree: DirectedTree) -> dict:
 def tree_from_doc(doc: dict) -> DirectedTree:
     """Build a tree from its JSON document, raising ``ValueError`` with the
     offending field or violation message on malformed input."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"field 'tree' must be a JSON object, got {type(doc).__name__}")
     for key in ("vertices", "root", "edges"):
         if key not in doc:
             raise ValueError(f"tree document missing field {key!r}")

@@ -174,6 +174,32 @@ def test_check_rejects_a_negative_seed(tmp_path, capsys):
     assert "seed must be an integer >= 0" in capsys.readouterr().err
 
 
+USAGE_ERRORS = {
+    "tol-not-a-float": ["check", "DOC", "--tol", "abc"],
+    "no-input": ["check"],
+    "unknown-option": ["check", "DOC", "--bogus"],
+    "classify-without-kappa": ["classify", "--family", "binary", "--weights", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_3_not_the_2_of_undetermined(tmp_path, capsys, case):
+    path = write_doc(tmp_path, "doc.json", branching_doc())
+    with pytest.raises(SystemExit) as exited:
+        main([path if a == "DOC" else a for a in USAGE_ERRORS[case]])
+    captured = capsys.readouterr()
+    assert exited.value.code == 3
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_check_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["check", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: treeshift check")
+
+
 def test_check_rejects_bad_word_len(capsys):
     code = main(["check", "--word-len", "1", "nonexistent.json"])
     assert code == 3
@@ -546,7 +572,9 @@ def test_broom_truncates_to_a_count_within_the_weights(capsys):
     ([1, 2], "document must be a JSON object with a 'tree' field"),
     ({"weights": {}}, "document must be a JSON object with a 'tree' field"),
     ({"tree": branching_doc()["tree"]}, "document must carry a 'weights' field"),
-], ids=["not-an-object", "no-tree", "no-weights"])
+    ({"tree": 5, "weights": {}}, "field 'tree' must be a JSON object, got int"),
+    ({"tree": [], "weights": {}}, "field 'tree' must be a JSON object, got list"),
+], ids=["not-an-object", "no-tree", "no-weights", "tree-an-int", "tree-a-list"])
 @pytest.mark.parametrize("command", ["check", "kernels"])
 def test_documents_without_tree_or_weights_are_refused(tmp_path, capsys, command, doc, message):
     code = main([command, write_doc(tmp_path, "doc.json", doc)])

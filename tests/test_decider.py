@@ -45,10 +45,9 @@ from treeshift.decider import (
     _chain_decision,
     _chain_tol,
     _chains,
-    _gauged,
     _joint_space,
+    _prepared,
     _scatter,
-    _siblings_equally_high,
     _sylvester_nullspace,
     _word_classes,
     _word_tol,
@@ -527,7 +526,7 @@ def test_joint_space_never_forms_the_dense_basis():
     # (dim W, n, n) basis alone would take dim n^2 8 bytes
     tree = generate_binary(6)
     m = build_shift(tree, {v: 1.0 for v in tree.nonroot_vertices()}).matrix
-    work, _gauge = _gauged(m)
+    work = np.abs(m)
     tracemalloc.start()
     try:
         polar, witness, _excluded = _joint_space(work, 1e-10, 0)
@@ -818,9 +817,33 @@ def test_verdict_kind_does_not_depend_on_phases_or_arithmetic(monkeypatch):
         else:
             ok, _margin = reevaluate_obstruction(s, verdict.obstruction)
             assert ok
-    monkeypatch.setattr(decider, "tree_gauge", lambda m: None)
+    # the complex path: T as it is, unreduced
+    monkeypatch.setattr(
+        decider, "_prepared", lambda m, reduce: (np.asarray(m, dtype=complex), None)
+    )
     for s, verdict in zip(shifts, real):
         assert decide_cs(s).kind == verdict.kind
+
+
+def test_a_decision_reduces_once_and_reads_the_gauge_only_for_a_certificate(monkeypatch):
+    calls = []
+
+    def counted(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+        return call
+
+    monkeypatch.setattr(decider, "twin_reduction", counted("reduce", twin_reduction))
+    monkeypatch.setattr(decider, "tree_gauge", counted("gauge", shift.tree_gauge))
+    kinds = set()
+    for s in phased_tree_shifts():
+        calls.clear()
+        verdict = decide_cs(s)
+        kinds.add(verdict.kind)
+        assert calls.count("reduce") == 1
+        assert ("gauge" in calls) == (verdict.kind == "cs")
+    assert kinds == {"cs", "not_cs"}
 
 
 def test_verdict_doc_shape(y_shift):
@@ -1006,8 +1029,8 @@ def structure_obstruction(m):
     """The structure witness of the solve of ``W`` on the twin reduction of
     ``m``, which :func:`decide_cs` reaches when the chain decision does not
     settle ``m``; ``None`` when ``W`` does not exclude a certificate."""
-    work, _gauge = _gauged(m)
-    _polar, witness, excluded = _joint_space(twin_reduction(work).r, 1e-10, 0)
+    _work, red = _prepared(m, reduce=True)
+    _polar, witness, excluded = _joint_space(red.r, 1e-10, 0)
     return {"kind": "structure", "witness": witness} if excluded else None
 
 
@@ -1039,6 +1062,29 @@ def test_structure_witnesses_replay_and_fail_on_a_cs_matrix():
     assert kinds == {"structure", "chain_reversal"}
 
 
+def test_no_witness_and_no_replay_reads_the_gauge(monkeypatch, trunked_y_shift):
+    # the gauge only carries a certificate back, so a not_cs verdict of each
+    # kind and its replay never read it; a word_trace replay reduces nothing
+    picked = {}
+    for m in [trunked_y_shift.matrix, *structure_witnesses()]:
+        verdict = decide_cs(m)
+        if verdict.kind == "not_cs":
+            picked.setdefault(verdict.obstruction["kind"], (m, verdict))
+    assert set(picked) == {"chain_reversal", "word_trace", "structure"}
+
+    def refused(*_args):
+        raise AssertionError("not to be called")
+
+    monkeypatch.setattr(decider, "tree_gauge", refused)
+    for kind, (m, verdict) in picked.items():
+        assert dump_json(decide_cs(m).to_doc()) == dump_json(verdict.to_doc())
+        with monkeypatch.context() as patch:
+            if kind == "word_trace":
+                patch.setattr(decider, "twin_reduction", refused)
+            ok, margin = reevaluate_obstruction(m, verdict.obstruction, verdict.options)
+        assert ok and margin == verdict.residuals["witness_margin"]
+
+
 SCALES = (1e-150, 1e-8, 1.0, 1e8, 1e150)
 
 
@@ -1060,7 +1106,7 @@ def test_structure_verdicts_do_not_depend_on_scale():
             assert structure_obstruction(c * m)["witness"]["dim"] == 1
     recovered = 0
     for m in random_tree_matrices():
-        if _chains(twin_reduction(_gauged(m)[0]).parent) is not None:
+        if _chains(twin_reduction(np.abs(m)).parent) is not None:
             found = [structure_obstruction(c * m) for c in SCALES]
             if any(found):
                 assert decide_cs(m).kind == "not_cs"
@@ -1089,9 +1135,8 @@ def test_one_shot_certificate_exists_iff_the_search_finds_one():
     mats += structure_case_matrices()
     found = set()
     for m in mats:
-        work, gauge = _gauged(m)
-        assert gauge is not None
-        space, _sigma = solved_basis(work)
+        assert _forest(m) is not None
+        space, _sigma = solved_basis(np.abs(m))
         cs = decide_cs(m).kind == "cs"
         assert cs == (unitary_search(space, seed=0) is not None)
         found.add(cs)
@@ -1104,7 +1149,7 @@ def test_line_spread_is_that_of_the_dense_oracle_basis_vector():
     # dense joint oracle's basis vector
     sides = set()
     for m in [s.matrix for s in phased_tree_shifts()] + list(structure_case_matrices()):
-        work, _gauge = _gauged(m)
+        work = np.abs(m)
         polar, witness, _excluded = _joint_space(work, 1e-10, 0)
         if witness["dim"] != 1:
             continue
@@ -1174,8 +1219,8 @@ def test_twin_reduction_is_an_orthogonal_splitting_with_the_same_w(
 ):
     m = planted_twin_matrix(seed, base, size, copies, leaves)
     n = m.shape[0]
-    work, gauge = _gauged(m)
-    assert gauge is not None
+    assert _forest(m) is not None
+    work = np.abs(m)
     red = twin_reduction(work)
     assert red.split >= copies - 1
     assert np.abs(red.q.T @ red.q - np.eye(n)).max() <= 1e-14
@@ -1266,8 +1311,7 @@ def test_a_reduction_that_leaves_no_chain_certifies_through_the_solve():
     m = np.zeros((5, 5), dtype=complex)
     m[1, 0], m[2, 0], m[3, 0] = 0.6j, -0.8, np.exp(1j)
     m[4, 3] = SQRT2 * np.exp(2j)
-    work, _gauge = _gauged(m)
-    red = twin_reduction(work)
+    _work, red = _prepared(m, reduce=True)
     assert red.split == 1 and _chains(red.parent) is None
     assert _chain_decision(red, 1e-10) is None
     verdict = decide_cs(m)
@@ -1339,16 +1383,12 @@ def certifies(m, candidate) -> bool:
 def test_the_chain_decision_agrees_with_the_words_and_the_solve(seed, base, size, copies):
     m = equal_weight_twin_matrix(seed, base, size, copies)
     opts = DeciderOptions()
-    work, _gauge = _gauged(m)
-    red = twin_reduction(work)
+    work, red = _prepared(m, reduce=True)
     chains = _chains(red.parent)
     decided = _chain_decision(red, _chain_tol(opts))
     if chains is None:
         assert decided is None
         return
-    # siblings of different heights are never twins, so decide_cs may skip
-    # the reduction of such a tree; this one has equally high siblings
-    assert _siblings_equally_high(work)
     # on a connected tree every chain of R is a tail of the root chain, so
     # a chain decision is never left open
     links = [red.weights[chain[1:]].tolist() for chain in chains]
@@ -1371,6 +1411,26 @@ def test_the_chain_decision_agrees_with_the_words_and_the_solve(seed, base, size
         assert verify_c_symmetry(m, verdict.certificate).passed
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    base=st.integers(1, 6),
+    size=st.integers(1, 3),
+    copies=st.integers(2, 3),
+)
+def test_siblings_of_different_heights_leave_a_reduction_that_is_no_chain(
+    seed, base, size, copies
+):
+    # twins are equal subtrees, so siblings of different heights are never
+    # merged, their parent keeps two children, and R is not all chains
+    m = equal_weight_twin_matrix(seed, base, size, copies)
+    assert m.shape[0] <= 15
+    parent, _levels, height = _forest(m)
+    has = parent >= 0
+    if not np.array_equal(height[parent[has]], height[has] + 1):
+        assert _chains(twin_reduction(np.abs(m)).parent) is None
+
+
 def test_chain_verdicts_do_not_depend_on_scale():
     # the chain decision compares weights relative to the largest, and the
     # reduction merges them with hypot, so no scale moves it; at 1e200 a
@@ -1378,7 +1438,7 @@ def test_chain_verdicts_do_not_depend_on_scale():
     # overflows there (the scale hole), so cs may turn undetermined
     cases = list(structure_case_matrices())
     for m in random_tree_matrices():
-        if _chains(twin_reduction(_gauged(m)[0]).parent) is not None:
+        if _chains(twin_reduction(np.abs(m)).parent) is not None:
             cases.append(m)
     seen = []
     for m in cases:
@@ -1416,7 +1476,7 @@ def test_a_mirror_pair_of_chains_is_cs_through_the_solve():
     # other's reversal, so the chain decision falls through and the solve
     # of W certifies.  Only a forest can hold such a pair
     m = chains_matrix((1.0, 2.0, 3.0), (3.0, 2.0, 1.0))
-    red = twin_reduction(_gauged(m)[0])
+    red = twin_reduction(np.abs(m))
     assert len(_chains(red.parent)) == 2
     assert _chain_decision(red, 1e-10) is None
     verdict = decide_cs(m)

@@ -4,6 +4,7 @@ import json
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -143,3 +144,46 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         ):
             unpassed.append(f"{module}:{function}({parameter})")
     assert found and not unpassed, "never passed: " + ", ".join(unpassed)
+
+
+def private_definitions(tree: ast.Module):
+    """The private functions, classes and constants a module defines at its
+    top level, as ``(name, node)``; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def reads(node: ast.AST) -> list[str]:
+    """Every name ``node`` reads, bare (``f``) or as an attribute (``x.f``)."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        or isinstance(n, ast.Attribute)
+    ]
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # a private helper that only the tests call is dead code the tests keep
+    # alive; a read inside its own definition does not count
+    modules = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "treeshift").glob("*.py"))
+    }
+    read = Counter(name for tree in modules.values() for name in reads(tree))
+    found, unread = 0, []
+    for module, tree in modules.items():
+        for name, node in private_definitions(tree):
+            found += 1
+            if read[name] == reads(node).count(name):
+                unread.append(f"{module}:{name}")
+    assert found and not unread, "never read in the package: " + ", ".join(unread)

@@ -229,6 +229,13 @@ def test_doc_rejects_missing_field():
         tree_from_doc({"vertices": ["0"], "edges": []})
 
 
+@pytest.mark.parametrize("doc, kind", [(5, "int"), ([["0", "1"]], "list")])
+def test_doc_rejects_a_document_that_is_no_object(doc, kind):
+    # an int used to escape as a TypeError from the first field lookup
+    with pytest.raises(ValueError, match=f"^field 'tree' must be a JSON object, got {kind}$"):
+        tree_from_doc(doc)
+
+
 def test_doc_rejects_invalid_tree():
     with pytest.raises(ValueError, match="unknown"):
         tree_from_doc({"vertices": ["0"], "edges": [["0", "9"]], "root": "0"})
