@@ -9,9 +9,10 @@ dimension tables, ``crossval`` and ``broom`` emit audit reports, and
 reads any input, whether it uses them or not.
 
 Exit codes for ``check``: 0 = complex symmetric, 1 = not, 2 = undetermined,
-3 = input error, a usage error included.  Other commands use 0 for success,
-1 for a negative or infeasible outcome, 3 for input errors.  All numbers in
-text output are printed with 17 significant digits so runs diff cleanly.
+3 = input error, a usage error and an input too large for memory included.
+Other commands use 0 for success, 1 for a negative or infeasible outcome, 3
+for input errors.  All numbers in text output are printed with 17
+significant digits so runs diff cleanly.
 """
 
 from __future__ import annotations
@@ -398,8 +399,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, _options(args))
-    except (ValueError, WeightError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, WeightError, OSError, json.JSONDecodeError, MemoryError) as exc:
+        sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return EXIT_INPUT_ERROR
 
 

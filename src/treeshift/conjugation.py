@@ -145,18 +145,17 @@ class CSymmetryReport:
 
 
 def gauged_conjugation(
-    a: np.ndarray, d: Optional[np.ndarray], t, basis: Sequence[str], tol: float
+    a: np.ndarray, d: np.ndarray, t, basis: Sequence[str], tol: float
 ) -> tuple[Conjugation, CSymmetryReport]:
     """Gauge a conjugation found for ``D* t D`` back to ``t``, and verify it.
 
-    With ``D = diag(d)`` unitary, ``a`` intertwines ``D* t D`` with its
-    transpose exactly when ``D a D^T`` intertwines ``t``; ``d = None`` is
-    the identity gauge.  Returns the conjugation of ``t`` and its
+    With ``D = diag(d)`` unitary (the phases of a tree shift's gauge),
+    ``a`` intertwines ``D* t D`` with its transpose exactly when ``D a D^T``
+    intertwines ``t``.  Returns the conjugation of ``t`` and its
     :class:`CSymmetryReport`, or raises :class:`ConjugationError` when the
     candidate is not a symmetric unitary or fails the intertwining check.
     """
-    if d is not None:
-        a = (d[:, None] * a) * d[None, :]
+    a = (d[:, None] * a) * d[None, :]
     cert = conjugation_from_matrix(a, basis=basis, tol=tol)
     report = verify_c_symmetry(t, cert, tol=tol)
     if not report.passed:

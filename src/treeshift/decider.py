@@ -1,8 +1,11 @@
-"""Decision pipeline for complex symmetry of a finite matrix.
+"""Decision pipeline for complex symmetry of a weighted shift on a finite
+rooted tree, or forest.
 
-The pipeline has three steps, and each can decide:
+Every entry point takes a tree shift only, which
+:func:`~treeshift.shift._forest` checks; any other matrix raises
+:class:`ValueError`.  The pipeline has three steps, and each can decide:
 
-1. for a tree shift, the twin reduction
+1. the twin reduction
    (:func:`~treeshift.shift.twin_reduction`), which splits ``|T|`` into an
    orthogonal direct sum ``R = Q^T |T| Q`` of smaller tree shifts, and,
    when every summand is a chain, the exact chain decision: a sum of chains
@@ -14,34 +17,32 @@ The pipeline has three steps, and each can decide:
 2. traces of words in ``T`` and ``T*`` compared against their reversals
    (equal for any operator unitarily equivalent to its transpose, hence for
    every complex symmetric one); a gap is a ``not_cs`` witness,
-3. the joint space ``W = {A = A^T : T A = A T^T, T* A = A conj(T)}``, of
-   ``R`` for a tree shift.
+3. the joint space ``W = {A = A^T : T A = A T^T, T* A = A conj(T)}`` of
+   ``R``.
 
 The chain decision needs the reduced parents and weights only; ``Q`` is
 formed only to carry a certificate back.  On a connected tree every chain
 of ``R`` is a tail of the root chain, so chains of one length are equal, a
 chain that is no palindrome has no reversed partner, and the decision
-never falls through for want of one; only a forest (a zero weight, a raw
-matrix) can hold mirror pairs ``S + rev(S)``, which the solve certifies.
-A ``chain_reversal`` witness records the chain's weights, the gap between
-its reversal and the nearest chain of its length relative to the largest
-weight, and the threshold ``1e3 tol`` (see :func:`_chain_tol`); a gap
-below it (a near miss) falls through.  The replay reduces the matrix again, without ``Q``, finds the
-chain and recomputes the gap.
+never falls through for want of one; only a forest (a zero weight, or a
+raw forest matrix) can hold mirror pairs ``S + rev(S)``, which the solve
+certifies.  A ``chain_reversal`` witness records the chain's weights, the
+gap between its reversal and the nearest chain of its length relative to
+the largest weight, and the threshold ``1e3 tol`` (see :func:`_chain_tol`);
+a gap below it (a near miss) falls through.  The replay reduces the matrix
+again, without ``Q``, finds the chain and recomputes the gap.
 
-A tree shift is decided in real arithmetic.  When each row of ``T`` has at
-most one nonzero and the parent pointers these define close no cycle, a
-diagonal unitary ``D``, read off the matrix alone
-(:func:`~treeshift.shift.tree_gauge`), gives ``D* T D = |T|``, the shift
-with weights ``|lambda_v|``.  Complex symmetry, word traces and the
-dimension of ``W`` are unchanged by that equivalence, and by the real
-orthogonal ``Q``, so the words run on ``|T|`` and the chains and the solve
-on ``R``, both real and neither needing a phase (:func:`_prepared`); ``D``
-is read only to carry a candidate back, once, as ``D Q U Q^T D^T``, checked
-against the original ``T``.  The reduction refines the blocks of the solve,
-since no equation joins two summands, and collapses twin subtrees, whose
-copies no longer inflate each block.  Any other matrix runs as it is, in
-complex arithmetic.
+A tree shift is decided in real arithmetic.  A diagonal unitary ``D``,
+read off the matrix alone (:func:`~treeshift.shift.tree_gauge`), gives
+``D* T D = |T|``, the shift with weights ``|lambda_v|``.  Complex
+symmetry, word traces and the dimension of ``W`` are unchanged by that
+equivalence, and by the real orthogonal ``Q``, so the words run on ``|T|``
+and the chains and the solve on ``R``, both real and neither needing a
+phase (:func:`_prepared`); ``D`` is read only to carry a candidate back,
+once, as ``D Q U Q^T D^T``, checked against the original ``T``.  The
+reduction refines the blocks of the solve, since no equation joins two
+summands, and collapses twin subtrees, whose copies no longer inflate each
+block.
 
 ``T`` is complex symmetric exactly when some symmetric unitary ``U``
 satisfies ``T U = U T^T``.  Taking the adjoint of ``U* T U = T^T`` gives
@@ -78,19 +79,19 @@ when its word is rotated, so all rotations of a word and of its reversal (a
 class) share one exact gap between a trace and its reversal's, and a word
 whose reversal is one of its rotations has gap 0.  So only the least word
 of each class whose reversal is no rotation of it is evaluated, with its
-reversal, by the one sequential evaluator that the replay also uses: 9 of
-the 225 pairs of words and reversals up to ``max_word_len = 8``.  A tree
-shift raises depth by one, so a word with ``a`` letters ``T`` and ``b``
-letters ``T*`` maps depth ``d`` to ``d + a - b``; unless ``a = b`` every
-term of a diagonal entry of its product has a structurally zero factor, so
-its trace evaluates to exactly 0 (or NaN once an overflowed product meets a
-zero), as does its reversal's, and their gap exceeds no threshold.  So for
-a matrix :func:`~treeshift.shift._forest` recognises only the balanced
-classes are evaluated: 3 of 45 pairs.  The word tolerance of a verdict and
-of its replay is floored at ``6.4 (max_word_len n + n^2) eps``, over twelve
-times the rounding of a gap, so the gap rounding alone opens for a skipped
-word is never a witness, and the witness is the one a plain scan of every
-pair returns unless a class's gap lies within rounding of the threshold.
+reversal, by the one sequential evaluator that the replay also uses.  A
+tree shift raises depth by one, so a word with ``a`` letters ``T`` and
+``b`` letters ``T*`` maps depth ``d`` to ``d + a - b``; unless ``a = b``
+every term of a diagonal entry of its product has a structurally zero
+factor, so its trace evaluates to exactly 0 (or NaN once an overflowed
+product meets a zero), as does its reversal's, and their gap exceeds no
+threshold.  So only the balanced classes are evaluated: 3 of the 225 pairs
+of words and reversals up to ``max_word_len = 8``.  The word tolerance of a
+verdict and of its replay is floored at ``6.4 (max_word_len n + n^2)
+eps``, over twelve times the rounding of a gap, so the gap rounding alone
+opens for a skipped word is never a witness, and the witness is the one a
+plain scan of every pair returns unless a class's gap lies within rounding
+of the threshold.
 
 The Sylvester system is never formed densely, nor is a basis of ``W``.
 The equation of ``T*`` is that of ``T`` for ``M = T*``, since
@@ -99,8 +100,8 @@ maps a symmetric ``A`` to a skew matrix, so only the equations above the
 diagonal are assembled, each scaled by ``sqrt 2``: they are the image's
 coordinates in the orthonormal skew basis, and the singular values are
 those of the full system.  The equations are assembled from the nonzeros
-of ``T`` and split into the blocks of unknowns that share an equation; for
-a tree shift, which raises depth by one, these refine the classes of vertex
+of ``T`` and split into the blocks of unknowns that share an equation; a
+tree shift raises depth by one, so these refine the classes of vertex
 pairs with equal depth sum.  All of that depends on the nonzero pattern
 alone, so it is worked out once per pattern (the plan, cached on the
 pattern's full bytes) and reused, by the replay of a ``structure`` witness
@@ -191,8 +192,8 @@ class DeciderOptions:
 
 
 def _as_matrix(t) -> np.ndarray:
-    """The matrix of ``t``; a real (float64) one stays real, in which case
-    the word and Sylvester stages run in real arithmetic."""
+    """The matrix of ``t``, a float64 one as it is and any other as complex,
+    checked to be square, nonempty and finite."""
     m = t.matrix if isinstance(t, ShiftMatrix) else np.asarray(t)
     if m.dtype != np.float64:
         m = np.asarray(m, dtype=complex)
@@ -210,8 +211,8 @@ def kernel_obstruction(t) -> Optional[dict]:
 
     No such power exists for a finite square matrix (``rank M = rank M*``),
     so :func:`decide_cs` does not run this check, and since
-    :func:`~treeshift.shift.kernel_table` takes both columns from one SVD it
-    always returns ``None``.
+    :func:`~treeshift.shift.kernel_table`, which takes a tree shift only,
+    reads both columns from one rank, it always returns ``None``.
     """
     m = _as_matrix(t)
     for power, dk, dka in kernel_table(m, m.shape[0]).rows:
@@ -300,15 +301,16 @@ def _least_rotations(words: np.ndarray, length: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _word_classes(length: int, balanced: bool) -> np.ndarray:
-    """The least word of every class of ``length`` letters whose reversal is
-    no rotation of itself, ascending; with ``balanced``, of the classes with
-    as many ``T`` as ``T*`` only.  Cached, so read-only.
+def _word_classes(length: int) -> np.ndarray:
+    """The least word of every class of ``length`` letters with as many
+    ``T`` as ``T*`` whose reversal is no rotation of itself, ascending.
+    Cached, so read-only.
 
     A class is all rotations of a word and of its reversal.  A word is a
     code whose bits, most significant first, are its letters (``T`` = 0),
-    so code order is search order.  These are the binary necklaces that
-    differ from their bracelets: none below 6 letters, then 1, 2 and 6.
+    so code order is search order.  These are the balanced binary necklaces
+    that differ from their bracelets: none below 6 letters, then 1 at 6 and
+    2 at 8.
     """
     codes = np.arange(1 << length, dtype=np.int64)
     reverse = np.zeros_like(codes)
@@ -318,8 +320,7 @@ def _word_classes(length: int, balanced: bool) -> np.ndarray:
     del reverse
     keep = _least_rotations(codes.copy(), length) == codes
     kept = codes[keep & (least_reverse > codes)]
-    if balanced:
-        kept = kept[2 * sum((kept >> k) & 1 for k in range(length)) == length]
+    kept = kept[2 * sum((kept >> k) & 1 for k in range(length)) == length]
     kept.flags.writeable = False
     return kept
 
@@ -336,10 +337,9 @@ def word_trace_obstruction(
 ) -> Optional[dict]:
     """First word (by length, then lexicographically with ``T < T*``) whose
     trace differs from the trace of the reversed word beyond
-    ``10 * tol * max(1, ||T||_F ** len)``, among the least words of their
-    classes (:func:`_word_classes`; the module docstring says why the other
-    words can be skipped), and only the balanced ones for a matrix that
-    :func:`~treeshift.shift._forest` recognises.
+    ``10 * tol * max(1, ||T||_F ** len)``, among the least words of the
+    balanced classes (:func:`_word_classes`; the module docstring says why
+    the other words can be skipped).
 
     Each word and its reversal go through the sequential evaluator that
     :func:`word_value` and :func:`reevaluate_obstruction` share, so the
@@ -347,9 +347,9 @@ def word_trace_obstruction(
     and :func:`reevaluate_obstruction` pass the one :func:`_word_tol`
     floors, at which the witness is the one a scan of every pair returns
     unless a class's gap lies within rounding of the threshold.  Raises
-    :class:`ValueError` for a ``tol`` that is negative or NaN, and, before
-    any table is allocated, for a ``max_len`` whose class table would take
-    more than 1 GiB (from 25 letters).
+    :class:`ValueError` for a matrix that is no tree shift, a ``tol`` that
+    is negative or NaN, and, before any table is allocated, a ``max_len``
+    whose class table would take more than 1 GiB (from 25 letters).
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
@@ -360,14 +360,14 @@ def word_trace_obstruction(
             f"max_word_len {max_len} is too long: the word search's class "
             f"table would take more than 1 GiB"
         )
+    _forest(m)
     mats = _letters(m)
     norm = float(np.linalg.norm(m))
-    graded = _forest(m) is not None
     for length in range(1, max_len + 1):
         threshold = _word_threshold(tol, norm, length)
         if not threshold < math.inf:
             continue  # no gap exceeds an infinite or NaN threshold
-        for code in _word_classes(length, graded).tolist():
+        for code in _word_classes(length).tolist():
             letters = tuple(
                 "T*" if (code >> (length - 1 - k)) & 1 else "T"
                 for k in range(length)
@@ -392,12 +392,11 @@ class _Plan(NamedTuple):
 
     Entry arrays, one value per nonzero of the system, in the order the
     group scatters add them: ``src``, the entry's place in ``m.ravel()``;
-    ``coef`` and ``coef_imag``, the factors of the real and imaginary part
-    of that value (the sign of the equation, the ``sqrt 2`` scales, and for
-    an entry of ``m*`` the conjugation); ``at``, its cell in its group's
-    stack.  ``groups`` holds each shape group's entry slice ``lo, hi`` and
-    its shape ``(count, rows, width)``, in layout order, and ``sv_block``
-    the block of each singular value the groups return, in that order.  Per
+    ``coef``, the factor of that value (the sign of the equation and the
+    ``sqrt 2`` scales); ``at``, its cell in its group's stack.  ``groups``
+    holds each shape group's entry slice ``lo, hi`` and its shape ``(count,
+    rows, width)``, in layout order, and ``sv_block`` the block of each
+    singular value the groups return, in that order.  Per
     block, in label order: ``group_of`` and ``index_of`` place it in its
     group's stack, ``ncols`` is its width, and ``unknowns[unk_start[b]:]
     [:ncols[b]]`` are its unknowns, ascending.  ``free`` holds the unknowns
@@ -406,7 +405,6 @@ class _Plan(NamedTuple):
 
     src: np.ndarray
     coef: np.ndarray
-    coef_imag: np.ndarray
     at: np.ndarray
     groups: tuple
     sv_block: np.ndarray
@@ -419,9 +417,9 @@ class _Plan(NamedTuple):
 
 
 def _sylvester_nullspace(m: np.ndarray, rtol: float):
-    """The joint space ``W`` of ``m`` (see the module docstring), block by
-    block: the common null space of ``A -> M A - A M^T`` on symmetric ``A``
-    for ``M = m`` and ``M = m*``.
+    """The joint space ``W`` of the real ``m`` (see the module docstring),
+    block by block: the common null space of ``A -> M A - A M^T`` on
+    symmetric ``A`` for ``M = m`` and ``M = m^T``.
 
     The symbolic work, which unknowns and equations each nonzero joins and
     into which blocks they split, depends on the nonzero pattern alone and
@@ -433,12 +431,11 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     ``size = 2 n^2`` rows, ``max(rtol, size eps)`` times the largest
     singular value of any block, which is the cut a dense SVD applies; the
     ranks of all blocks come from one comparison of the singular values
-    with that cut.  The arithmetic follows ``m``: a real one gives real null
-    vectors.
+    with that cut.
 
     Returns ``(dim, sigma, null)``: ``dim W``; the singular values of the
     whole system, descending and zero-padded to ``n (n + 1) / 2``; and
-    ``null = (n, dtype, free, blocks)``, which :func:`_scatter` combines
+    ``null = (n, free, blocks)``, which :func:`_scatter` combines
     into elements of ``W`` without forming a basis.  ``free`` holds the
     unknowns in no equation, numbered as the pairs of ``np.triu_indices``,
     and ``blocks`` the ``(unknowns, null vectors)`` of each block that has
@@ -448,18 +445,12 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     value of the system overflows.
     """
     n = m.shape[0]
-    dtype = m.dtype
     plan = _plan(*_pattern(m))
-    gathered = m.ravel()[plan.src]
-    real = gathered.real * plan.coef
-    imag = gathered.imag * plan.coef_imag if dtype == complex else None
+    values = m.ravel()[plan.src] * plan.coef
 
     found, solved = [np.zeros(0)], []  # the zeros stand in for no equation
     for lo, hi, (count, rows, width) in plan.groups:
-        total = count * rows * width
-        cells = np.bincount(plan.at[lo:hi], real[lo:hi], total).astype(dtype, copy=False)
-        if imag is not None:
-            cells.imag = np.bincount(plan.at[lo:hi], imag[lo:hi], total)
+        cells = np.bincount(plan.at[lo:hi], values[lo:hi], count * rows * width)
         if not np.isfinite(cells).all():
             return None
         # with at least as many rows as unknowns the economy vh is complete
@@ -480,9 +471,9 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     null = []
     for b in np.flatnonzero(nullity).tolist():
         start, vh = plan.unk_start[b], solved[plan.group_of[b]][plan.index_of[b]]
-        null.append((plan.unknowns[start:start + vh.shape[1]], vh[rank[b]:].conj()))
+        null.append((plan.unknowns[start:start + vh.shape[1]], vh[rank[b]:]))
     dim = plan.free.size + int(nullity.sum())
-    return dim, sigma, (n, dtype, plan.free, null)
+    return dim, sigma, (n, plan.free, null)
 
 
 @functools.lru_cache(maxsize=8)
@@ -491,9 +482,9 @@ def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan:
     has the key ``(shape, pattern)`` of :func:`~treeshift.shift._pattern`.
 
     ``T* A = A conj(T)`` is the equation for ``M = T*`` (``M^T =
-    conj(T)``), so the equations of ``m*`` are stacked below those of
-    ``m``, rows offset by ``n^2``; the nonzero ``(r, x)`` of ``m*`` is the
-    conjugate of ``m[x, r]``.
+    conj(T)``), so the equations of ``m^T``, which is ``m*`` for a real
+    ``m``, are stacked below those of ``m``, rows offset by ``n^2``; the
+    nonzero ``(r, x)`` of ``m^T`` is ``m[x, r]``.
 
     The unknowns are the coefficients of the orthonormal symmetric basis
     ``E_pp`` and ``(E_pq + E_qp) / sqrt 2`` (``p < q``).  The map sends a
@@ -536,7 +527,6 @@ def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan:
         cols.append(unknown[x, y][keep])
         eqs.append((k * n * n + np.minimum(r, y) * n + np.maximum(r, y))[keep])
         coef.append(np.where(r < y, scale[x, y], -scale[x, y])[keep])
-    conj = np.repeat([False, True], [c.size for c in cols])
     src = np.repeat(np.concatenate(src), n - 1)  # each nonzero meets n - 1 rows y
     cols, eqs, coef = (np.concatenate(a) for a in (cols, eqs, coef))
 
@@ -615,11 +605,9 @@ def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan:
     # the block of each singular value, in the order the groups find them
     sv_block = np.repeat(layout, np.minimum(nrows, ncols)[layout])
 
-    coef = coef[order]
     plan = _Plan(
         src=src[order],
-        coef=coef,
-        coef_imag=np.where(conj[order], -coef, coef),
+        coef=coef[order],
         at=flat,
         groups=groups,
         sv_block=sv_block,
@@ -630,7 +618,7 @@ def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan:
         unk_start=np.cumsum(ncols) - ncols,
         free=np.flatnonzero(~touched),
     )
-    for a in (*plan[:4], *plan[5:]):
+    for a in (*plan[:3], *plan[4:]):
         a.flags.writeable = False
     return plan
 
@@ -644,7 +632,7 @@ def _scatter(null, coeffs: np.ndarray) -> np.ndarray:
     vectors; a ``(dim W, n, n)`` basis is formed only when asked for, by
     ``coeffs = eye(dim W)``.
     """
-    n, dtype, free, blocks = null
+    n, free, blocks = null
     coeffs = np.asarray(coeffs)
     unknowns, values = [free], [coeffs[..., : free.size]]
     start = free.size
@@ -655,7 +643,7 @@ def _scatter(null, coeffs: np.ndarray) -> np.ndarray:
     unk = np.concatenate(unknowns)
     p, q = (idx[unk] for idx in np.triu_indices(n))
     value = np.concatenate(values, axis=-1) * np.where(p == q, 1.0, 1.0 / np.sqrt(2.0))
-    out = np.zeros(coeffs.shape[:-1] + (n, n), dtype=np.result_type(value, dtype))
+    out = np.zeros(coeffs.shape[:-1] + (n, n), dtype=value.dtype)
     out[..., p, q] = out[..., q, p] = value
     return out
 
@@ -723,13 +711,11 @@ def _polar_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _prepared(m: np.ndarray, reduce: bool) -> tuple[np.ndarray, Optional[TwinReduction]]:
-    """The matrix the stages run on and, with ``reduce``, its twin reduction:
-    the real ``|m|`` of a tree shift (see :func:`~treeshift.shift._forest`),
-    reduced once, with no phase read; any other matrix as it is, in complex
-    arithmetic, unreduced.  The reduction is ``None`` also when a merged
-    weight overflows."""
-    if _forest(m) is None:
-        return np.asarray(m, dtype=complex), None
+    """The matrix the stages run on, the real ``|m|`` of a tree shift, with
+    no phase read, and with ``reduce`` its twin reduction, ``None`` when a
+    merged weight overflows.  Raises :class:`ValueError` for a matrix that
+    is no tree shift (see :func:`~treeshift.shift._forest`)."""
+    _forest(m)
     work = np.abs(m)
     return work, twin_reduction(work) if reduce else None
 
@@ -924,7 +910,8 @@ def decide_cs(
     Parameters
     ----------
     t:
-        Square complex matrix or :class:`~treeshift.shift.ShiftMatrix`.
+        A tree shift's matrix or :class:`~treeshift.shift.ShiftMatrix`; any
+        other matrix raises :class:`ValueError`.
     options:
         Tolerances, word length bound, and the seed of the certificate's
         random element.
@@ -970,11 +957,10 @@ def decide_cs(
                       residuals={"witness_margin": margin}, diag=diag)
 
     def certified(candidate, diag):
-        """The ``cs`` verdict of a candidate for ``work``, a tree shift's
-        ``|m|`` when real, that verifies against ``m``."""
-        gauge = tree_gauge(m) if np.isrealobj(work) else None
+        """The ``cs`` verdict of a candidate for ``|m|`` that, gauged back,
+        verifies against ``m``."""
         try:
-            cert, report = gauged_conjugation(candidate, gauge, m, basis, opts.tol)
+            cert, report = gauged_conjugation(candidate, tree_gauge(m), m, basis, opts.tol)
         except ConjugationError:
             return None
         residuals = {
@@ -1020,10 +1006,9 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     """Recompute a ``not_cs`` witness from the matrix alone.
 
     The witness is recomputed on the matrices :func:`decide_cs` ran its
-    stages on, by :func:`_prepared`, with no gauge: words on ``|T|`` for a
-    tree shift, ``T`` otherwise, and the chains and ``W`` on the twin
-    reduction ``R`` of ``|T|``, which a word replay skips.  Returns
-    ``(still_violated, margin)``.  For ``word_trace`` the margin is
+    stages on, by :func:`_prepared`, with no gauge: words on ``|T|``, and
+    the chains and ``W`` on the twin reduction ``R`` of ``|T|``, which a
+    word replay skips.  Returns ``(still_violated, margin)``.  For ``word_trace`` the margin is
     the trace gap, computed exactly as the detection computed it.  For
     ``chain_reversal`` the reduction is recomputed without ``Q``; the
     witness holds when ``R`` is all chains, one of them has the recorded
@@ -1031,8 +1016,9 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     its length, and the margin is that relative gap.  For ``structure``
     the joint space ``W`` is solved again; the witness holds
     when ``W`` has the recorded dimension and still excludes a certificate,
-    and the margin is ``1 - spread``.  Any other kind, and a word letter
-    other than ``"T"`` or ``"T*"``, raises :class:`ValueError`.
+    and the margin is ``1 - spread``.  A matrix that is no tree shift, any
+    other kind, and a word letter other than ``"T"`` or ``"T*"`` raise
+    :class:`ValueError`.
     """
     opts = options or DeciderOptions()
     kind = obstruction["kind"]

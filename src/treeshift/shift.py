@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .trees import DirectedTree
+from .trees import DirectedTree, _check_size
 
 __all__ = [
     "ShiftMatrix",
@@ -57,10 +57,13 @@ class ShiftMatrix:
 def build_shift(tree: DirectedTree, weights: dict) -> ShiftMatrix:
     """Assemble the dense matrix of the weighted shift.
 
-    Raises :class:`WeightError` if a non-root vertex has no weight or a
-    non-finite one, if the root is given one, or if a weight references an
-    unknown vertex.
+    Raises :class:`ValueError` for a tree above the vertex bound of
+    :mod:`~treeshift.trees` (8192), before anything is allocated, and
+    :class:`WeightError` if a non-root vertex has no weight or a non-finite
+    one, if the root is given one, or if a weight references an unknown
+    vertex.
     """
+    _check_size(tree.n)
     nonroot = set(tree.nonroot_vertices())
     for v in sorted(nonroot):
         if v not in weights:
@@ -124,39 +127,28 @@ class KernelTable:
         }
 
 
-def kernel_table(s, max_power: int, rtol: float = 1e-10) -> KernelTable:
-    """Numerical kernel dimensions of the first ``max_power`` powers.
+def kernel_table(s, max_power: int) -> KernelTable:
+    """Kernel dimensions of the first ``max_power`` powers of a tree shift.
 
     ``(S*)^m = (S^m)*`` has the rank of ``S^m``, so one rank gives both
-    columns.  For a tree shift (a matrix :func:`tree_gauge` recognises) the
-    columns of ``S^m`` have disjoint supports, and column ``u`` is nonzero
-    exactly when a path of ``m`` edges runs down from ``u``; the rank is read
-    off that count, with no rounding and no cut.  Any other matrix is
-    normalized to ``N = S / sigma_max(S)`` and each power is cut by the rank
-    rule of :func:`numerical_rank` against the reference ``||N||^m = 1``,
-    not against the power's own largest singular value, which for a matrix
-    nilpotent up to rounding is rounding noise itself.
+    columns.  The columns of ``S^m`` have disjoint supports, and column
+    ``u`` is nonzero exactly when a path of ``m`` edges runs down from
+    ``u``; the rank is read off that count, with no rounding and no cut.
+    ``S^n = 0`` for ``n`` vertices, so :class:`ValueError` refuses a
+    ``max_power`` above ``n`` (or below 1) and a matrix that is no tree
+    shift (see :func:`_forest`).
     """
-    t = s.matrix if isinstance(s, ShiftMatrix) else np.asarray(s, dtype=complex)
+    t = s.matrix if isinstance(s, ShiftMatrix) else np.asarray(s)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("kernel_table needs a square matrix")
+    n = t.shape[0]
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    n = t.shape[0]
+    if max_power > n:
+        raise ValueError(f"max_power must be at most the size {n}: S^{n} = 0")
+    _parent, _levels, height = _forest(t)
     powers = range(1, max_power + 1)
-    forest = _forest(t)
-    if forest is not None:
-        _parent, _levels, height = forest
-        ranks = [int(np.count_nonzero(height >= m)) for m in powers]
-    else:
-        sigma = np.linalg.svd(t, compute_uv=False)
-        power = np.eye(n, dtype=complex)
-        tn = t / sigma[0]  # a zero matrix is a forest, so sigma[0] > 0
-        ranks = []
-        for _m in powers:
-            power = power @ tn
-            sigma = np.linalg.svd(power, compute_uv=False)
-            ranks.append(_rank_above_cut(sigma, n, rtol, 1.0))
+    ranks = [int(np.count_nonzero(height >= m)) for m in powers]
     return KernelTable(rows=tuple((m, n - k, n - k) for m, k in zip(powers, ranks)))
 
 
@@ -199,35 +191,35 @@ def _pattern(m: np.ndarray) -> tuple[tuple[int, ...], bytes]:
     return m.shape, (m != 0).tobytes()
 
 
-def _forest(
-    m: np.ndarray,
-) -> Optional[tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]]:
+def _forest(m: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
     """The parent pointers, depth levels and heights of the forest a
-    tree-shift matrix defines, or ``None`` when ``m`` is no tree shift.
+    tree-shift matrix defines, the package's one check of a tree shift.
 
     ``m`` is the matrix of a tree shift (a forest, in general) when each row
     has at most one nonzero, in the column of the row's parent, and the
     parent pointers close no cycle; a nonzero diagonal entry is a cycle of
-    length one.  Returns ``(parent, levels, height)``: ``parent[v]`` is the
-    row's nonzero column, -1 at a zero row (a root), ``levels[d]`` holds the
-    vertices at depth ``d``, roots first, each level in ascending order, and
-    ``height[v]`` is the length of the longest path down from ``v``.
-    The forest depends on the nonzero pattern alone and is cached by it
-    (:func:`_pattern`), so its arrays are read-only.
+    length one; else :class:`ValueError` names a row with two nonzeros or a
+    vertex on a cycle.  Returns ``(parent, levels, height)``: ``parent[v]``
+    is the row's nonzero column, -1 at a zero row (a root), ``levels[d]``
+    holds the vertices at depth ``d``, roots first, each level in ascending
+    order, and ``height[v]`` is the length of the longest path down from
+    ``v``.  The forest depends on the nonzero pattern alone and is cached by
+    it (:func:`_pattern`), so its arrays are read-only.
     """
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"not a tree shift: shape {m.shape} is not square and nonempty")
     return _pattern_forest(*_pattern(m))
 
 
 @functools.lru_cache(maxsize=64)
 def _pattern_forest(
     shape: tuple[int, ...], pattern: bytes
-) -> Optional[tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]]:
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
     nonzero = np.frombuffer(pattern, dtype=bool).reshape(shape)
-    col = nonzero.argmax(axis=1)
-    has = nonzero[np.arange(shape[0]), col]
-    if np.count_nonzero(nonzero) > np.count_nonzero(has):
-        return None  # some row has two nonzeros
-    parent = np.where(has, col, -1)
+    count = np.count_nonzero(nonzero, axis=1)
+    if count.max(initial=0) > 1:
+        raise ValueError(f"not a tree shift: row {count.argmax()} has more than one nonzero")
+    parent = np.where(count > 0, nonzero.argmax(axis=1), -1)
     up = parent.tolist()
     depth = [-1] * len(up)  # -2 marks the vertices of the walk in progress
     for v, p in enumerate(up):
@@ -240,7 +232,7 @@ def _pattern_forest(
             walk.append(p)
             p = up[p]
         if p >= 0 and depth[p] == -2:
-            return None  # the parent pointers run in a cycle
+            raise ValueError(f"not a tree shift: vertex {p} lies on a cycle")
         d = depth[p] if p >= 0 else -1
         for u in reversed(walk):
             d += 1
@@ -259,20 +251,17 @@ def _pattern_forest(
     return parent, levels, height
 
 
-def tree_gauge(m: np.ndarray) -> Optional[np.ndarray]:
-    """The gauge of :func:`positivize_weights`, read off a matrix alone.
+def tree_gauge(m: np.ndarray) -> np.ndarray:
+    """The gauge of :func:`positivize_weights`, read off a tree shift alone.
 
     Returns the unimodular ``d`` with ``d_v = 1`` at a vertex whose row is
     zero and ``d_v = m[v, p] d_p / |m[v, p]|`` at a vertex with parent
     ``p``, so that ``conj(d_v) m[v, p] d_p = |m[v, p]|`` and ``D* m D =
-    |m|``; or ``None`` when ``m`` is no tree shift (see :func:`_forest`).  A
-    zero weight leaves a zero row, which the matrix cannot tell from a root,
-    so its vertex starts afresh at phase 1.
+    |m|``.  A zero weight leaves a zero row, which the matrix cannot tell
+    from a root, so its vertex starts afresh at phase 1.  Raises
+    :class:`ValueError` when ``m`` is no tree shift (see :func:`_forest`).
     """
-    forest = _forest(m)
-    if forest is None:
-        return None
-    parent, levels, _height = forest
+    parent, levels, _height = _forest(m)
     d = np.ones(m.shape[0], dtype=complex)
     for level in levels[1:]:
         w = m[level, parent[level]]
@@ -348,16 +337,14 @@ def twin_reduction(m: np.ndarray) -> Optional[TwinReduction]:
     the columns of its copies' vertices and its unit ``lambda``, grouped per
     level by shape, since the merges of a level touch disjoint columns.
     ``Q`` is the identity times one product per group, in walk order, and
-    is formed only when asked for.  Returns ``None`` when ``m`` is no tree
-    shift (see :func:`_forest`) or a merged weight overflows.
+    is formed only when asked for.  Returns ``None`` when a merged weight
+    overflows.  Raises :class:`ValueError` when ``m`` is complex or no tree
+    shift (see :func:`_forest`).
     """
     m = np.asarray(m)
     if np.iscomplexobj(m):
         raise ValueError("twin_reduction needs a real matrix, such as |T|")
-    forest = _forest(m)
-    if forest is None:
-        return None
-    parent, levels, _height = forest
+    parent, levels, _height = _forest(m)
     n = m.shape[0]
     has = np.flatnonzero(parent >= 0)
     w = np.zeros(n)

@@ -21,6 +21,22 @@ __all__ = [
 ]
 
 
+# The most vertices a tree may have: its dense complex shift matrix then
+# takes at most 1 GiB (8192^2 entries of 16 bytes), the budget of the word
+# search's class table
+_MAX_VERTICES = 8192
+
+
+def _check_size(n: int) -> None:
+    """Refuse a tree of ``n`` vertices above the bound, before anything of
+    it is allocated."""
+    if n > _MAX_VERTICES:
+        raise ValueError(
+            f"a tree of {n} vertices is too large: the bound is {_MAX_VERTICES}, "
+            "whose dense complex matrix takes 1 GiB"
+        )
+
+
 def _label_key(label: str):
     # numeric labels ("-2", "1,3") sort by their coordinates, others lexically
     try:
@@ -206,6 +222,7 @@ def generate_path(n: int) -> DirectedTree:
     """Chain on ``n`` vertices labelled "0".."n-1", rooted at "0"."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
+    _check_size(n)
     vertices = tuple(str(i) for i in range(n))
     edges = tuple((str(i), str(i + 1)) for i in range(n - 1))
     return DirectedTree(vertices=vertices, edges=edges, root="0")
@@ -221,6 +238,7 @@ def generate_two_branch(kappa: int, theta: int) -> DirectedTree:
     """
     if kappa < 0 or theta < 1:
         raise ValueError("two-branch tree needs kappa >= 0 and theta >= 1")
+    _check_size(kappa + 1 + 2 * theta)
     trunk = [str(-k) for k in range(kappa, 0, -1)]
     vertices = trunk + ["0"]
     for i in (1, 2):
@@ -240,6 +258,7 @@ def generate_binary(kappa: int) -> DirectedTree:
     l in 1..2^k, children of "k,l" being "k+1,2l-1" and "k+1,2l"."""
     if kappa < 2:
         raise ValueError("binary tree needs kappa >= 2")
+    _check_size(2 ** (min(kappa, 64) + 1) - 1)  # no deeper tree fits either
     vertices = []
     edges = []
     for k in range(kappa + 1):
@@ -255,6 +274,7 @@ def generate_broom(n_teeth: int) -> DirectedTree:
     """Star: root "0" with teeth "1".."n_teeth"."""
     if n_teeth < 1:
         raise ValueError("broom needs at least one tooth")
+    _check_size(n_teeth + 1)
     vertices = ("0",) + tuple(str(i) for i in range(1, n_teeth + 1))
     edges = tuple(("0", str(i)) for i in range(1, n_teeth + 1))
     return DirectedTree(vertices=vertices, edges=edges, root="0")
@@ -265,6 +285,7 @@ def generate_two_level_broom(n_teeth: int) -> DirectedTree:
     vertex order."""
     if n_teeth < 1:
         raise ValueError("two-level broom needs at least one tooth")
+    _check_size(2 * n_teeth + 1)
     vertices = ["0"]
     vertices += [f"1,{j}" for j in range(1, n_teeth + 1)]
     vertices += [f"2,{j}" for j in range(1, n_teeth + 1)]

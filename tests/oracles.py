@@ -236,9 +236,9 @@ def reference_sylvester_nullspace(m, rtol):
     ``(r, y)`` with ``r < y`` scaled by ``sqrt 2`` (the image of a symmetric
     ``A`` is skew), split into the same blocks by the same min-label
     propagation, but each block assembled with ``np.unique`` and
-    ``np.add.at`` and solved by its own SVD, in block order.  On complex
-    matrices the stacked solver must return these singular values and null
-    vectors bit for bit.  The rank rule is written out:
+    ``np.add.at`` and solved by its own SVD, in block order, in the
+    arithmetic of ``m``.  The stacked solver must return these singular
+    values and null vectors bit for bit.  The rank rule is written out:
     ``max(rtol, size eps) sigma_ref``, ``size = 2 n^2`` rows.
 
     Returns ``(dim, sigma, free, blocks)``: the dimension of the space, the
@@ -247,7 +247,7 @@ def reference_sylvester_nullspace(m, rtol):
     block with a null vector.  Unknown ``k`` is the ``k``-th pair
     ``(p, q)``, ``p <= q``, in row-major order.
     """
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     mats = [m, m.conj().T]
     n = m.shape[0]
     size = 2 * n * n
@@ -271,7 +271,7 @@ def reference_sylvester_nullspace(m, rtol):
                 vals.append(val if r < y else -val)
     cols = np.array(cols, dtype=np.intp)
     eqs = np.array(eqs, dtype=np.intp)
-    vals = np.array(vals, dtype=complex)
+    vals = np.array(vals, dtype=m.dtype)
 
     label = np.arange(npairs + size)
     eq_nodes = npairs + eqs
@@ -293,7 +293,7 @@ def reference_sylvester_nullspace(m, rtol):
     for lo, hi in zip(starts, np.r_[starts[1:], cols.size]):
         unk, ci = np.unique(cols[lo:hi], return_inverse=True)
         eq, ri = np.unique(eqs[lo:hi], return_inverse=True)
-        mat = np.zeros((eq.size, unk.size), dtype=complex)
+        mat = np.zeros((eq.size, unk.size), dtype=m.dtype)
         np.add.at(mat, (ri, ci), vals[lo:hi])
         _u, s, vh = np.linalg.svd(mat, full_matrices=eq.size < unk.size)
         solved.append((unk, s, vh))

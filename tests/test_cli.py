@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -343,6 +344,19 @@ def test_kernels_output_does_not_depend_on_tol(tmp_path, capsys):
             assert main(["kernels", path, "--tol", tol] + extra) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+def test_kernels_refuses_a_power_past_the_size(tmp_path, capsys):
+    # S^n = 0, so every row past n repeats (m, n, n); a million rows of a
+    # 2-vertex tree used to take seconds, a GB and 83 MB of output
+    doc = {"tree": tree_to_doc(treeshift.generate_path(2)), "weights": {"1": 1.0}}
+    path = write_doc(tmp_path, "doc.json", doc)
+    assert main(["kernels", path, "--max-power", "2"]) == 0
+    capsys.readouterr()
+    assert main(["kernels", path, "--max-power", "1000000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "max_power must be at most the size 2" in captured.err
 
 
 def test_crossval_report(tmp_path):
@@ -833,3 +847,53 @@ def test_word_screen_that_cannot_fit_exits_3_without_allocating(tmp_path):
     assert run.stdout == ""
     assert "Traceback" not in run.stderr
     assert "max_word_len 30 is too long" in run.stderr
+
+
+def test_a_document_over_the_vertex_bound_exits_3_before_allocating(tmp_path):
+    # a path of 8193 vertices, hand-built, since no generator makes one: its
+    # dense complex matrix alone would take just over 1 GiB.  It used to die
+    # with a MemoryError and exit 1 (the not_cs code) under this limit
+    resource = pytest.importorskip("resource")
+    labels = [str(v) for v in range(8193)]
+    doc = {"tree": {"vertices": labels, "root": "0",
+                    "edges": [list(edge) for edge in zip(labels, labels[1:])]},
+           "weights": dict.fromkeys(labels[1:], 1.0)}
+    path = write_doc(tmp_path, "path.json", doc)
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    run = run_cli(["check", path], preexec_fn=limit_address_space)
+    assert run.returncode == 3, run.stderr
+    assert run.stdout == ""
+    assert "Traceback" not in run.stderr
+    assert "a tree of 8193 vertices is too large: the bound is 8192" in run.stderr
+
+
+def test_running_out_of_memory_exits_3_not_the_not_cs_code(tmp_path, capsys, monkeypatch):
+    def exhausted(*_args):
+        raise MemoryError
+
+    monkeypatch.setattr("treeshift.cli.decide_cs", exhausted)
+    assert main(["check", write_doc(tmp_path, "doc.json", branching_doc())]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: MemoryError\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "binary", "--kappa", "24"],
+    ["--family", "path", "--n", "100000000"],
+    ["--family", "two-level-broom", "--n", "4096"],
+], ids=["binary-kappa24", "path", "two-level-broom"])
+def test_generate_refuses_a_tree_over_the_vertex_bound_before_allocating(capsys, argv):
+    # binary kappa = 24 would build 3.3e7 labels before writing anything
+    tracemalloc.start()
+    try:
+        code = main(["generate", *argv])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 3 and peak < 1 << 20
+    assert captured.out == ""
+    assert "vertices is too large: the bound is 8192" in captured.err

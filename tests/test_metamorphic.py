@@ -2,8 +2,9 @@
 
 Each property transforms a matrix in a way whose effect on complex symmetry
 is known, and checks that the verdict kind follows: a relabelling ``P T P^T``
-and a phase gauge ``D* T D`` change nothing, ``T + T^T`` is always complex
-symmetric, and ``T + T`` is complex symmetric exactly when ``T`` is.  Every
+and a phase gauge ``D* T D`` change nothing, ``T + T^T`` is complex
+symmetric (and a tree shift only when ``T`` is a sum of chains), and
+``T + T`` is complex symmetric exactly when ``T`` is.  Every
 verdict on a transformed matrix must also stand on its own: a ``cs``
 certificate verifies against that matrix, and a ``not_cs`` witness replays
 on it.
@@ -17,6 +18,7 @@ twin reduction has twins to merge.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,7 +96,13 @@ def test_a_phase_gauge_keeps_the_verdict_kind(m, data):
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(m=tree_matrices())
 def test_a_sum_with_the_transpose_is_cs(m):
-    assert checked_kind(direct_sum(m, m.T)) == "cs"
+    # T^T is a tree shift when no vertex has two children, that is when T
+    # is a sum of chains; any other T + T^T is no tree shift and is refused
+    if np.count_nonzero(m, axis=0).max() <= 1:
+        assert checked_kind(direct_sum(m, m.T)) == "cs"
+    else:
+        with pytest.raises(ValueError, match="^not a tree shift: row "):
+            decide_cs(direct_sum(m, m.T))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -65,6 +66,29 @@ def test_perfbench_traced_run_is_correct(workload):
     # decide_cs must reach the word screen through its traced module name
     words = result["metrics"]["decider.words_s"]["value"]
     assert (words > 0) == (workload == "audit_mix")
+
+
+# sha256 of the reports at a fixed seed: the concatenated dumped verdicts of
+# one benchmark pass at seed 1, and the dumped soundness_fuzz(200) report at
+# seed 0.  Equal under one and two BLAS threads.  A change that moves these
+# bytes on purpose updates the pins and says so
+PASS_DIGESTS = {
+    "audit_mix": "dbdf9e1ae307b86e21d234392bf581fab74b6d156722ad167aeed67936b91935",
+    "binary_scale": "23adf8e1bd503df13ca705f3b87a74fc60df333924d904501499850520135e01",
+    "hard_two_branch": "91d97c7ddb886922f70ed850c440026f7230a81c3bc5641a1b157b7e6d6391ba",
+}
+FUZZ_DIGEST = "b35c52516884c57e83680cde0c1256fad3c19c8233c3fe9664c97598fe3b5dc8"
+
+
+def test_report_bytes_are_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench
+
+    passes = {workload: bench.run_pass(bench.generate(workload, 1)) for workload in PASS_DIGESTS}
+    assert {workload: p.digest for workload, p in passes.items()} == PASS_DIGESTS
+    assert not [o.failures for p in passes.values() for o in p.outcomes if o.failures]
+    fuzz = treeshift.dump_json(treeshift.soundness_fuzz(200, seed=0))
+    assert hashlib.sha256(fuzz.encode()).hexdigest() == FUZZ_DIGEST
 
 
 def test_every_exported_name_exists():

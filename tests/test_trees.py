@@ -252,3 +252,21 @@ def test_vertex_order_fixed_under_edge_shuffle(n, rnd):
     for v in base.vertices:
         assert rebuilt.children_of(v) == base.children_of(v)
         assert rebuilt.depth_of(v) == base.depth_of(v)
+
+
+def test_generators_refuse_a_tree_over_the_vertex_bound():
+    # 8192 vertices is the largest tree whose dense complex matrix fits in
+    # 1 GiB; each generator counts its tree before it builds a label
+    for make in (
+        lambda: generate_path(8193),
+        lambda: generate_two_branch(0, 4096),
+        lambda: generate_binary(13),
+        lambda: generate_binary(10**9),
+        lambda: generate_broom(8192),
+        lambda: generate_two_level_broom(4096),
+    ):
+        with pytest.raises(ValueError, match="is too large: the bound is 8192,"):
+            make()
+    sizes = [generate_path(8192).n, generate_two_branch(1, 4095).n, generate_binary(12).n,
+             generate_broom(8191).n, generate_two_level_broom(4095).n]
+    assert sizes == [8192, 8192, 8191, 8192, 8191]
