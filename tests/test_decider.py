@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -984,6 +985,32 @@ def test_not_cs_witnesses_replay_under_tight_rank_cuts(rank_rtol):
                 replayed[verdict.obstruction["kind"]] += 1
     assert set(replayed) == {"chain_reversal", "word_trace", "structure"}
     assert sum(replayed.values()) >= 92
+
+
+# sha256 of the reports and replays of the inputs that reach the solve of W:
+# random trees at scale 1e-8 and the polar-path Y(p + 1, p).  A change that
+# moves these bytes on purpose updates the pin and says so
+SOLVE_PATH_DIGEST = "968231bb71a860863ccab52280041327498ad23ba5428aa8f45322237d3daf39"
+
+
+def test_solve_path_reports_are_pinned(monkeypatch):
+    solved = []
+    monkeypatch.setattr(
+        decider, "_joint_space", lambda *args: solved.append(1) or _joint_space(*args)
+    )
+    inputs = [1e-8 * m for m in random_tree_matrices(100, 5, 12)]
+    inputs += [y_matrix(p) for p in range(1, 9)]
+    records, reached = [], Counter()
+    for m in inputs:
+        before = len(solved)
+        verdict = decide_cs(m)
+        records.append(dump_json(verdict.to_doc()))
+        if len(solved) > before:
+            reached[(verdict.obstruction or {}).get("kind", verdict.kind)] += 1
+        if verdict.kind == "not_cs":
+            records.append(repr(reevaluate_obstruction(m, verdict.obstruction, verdict.options)))
+    assert reached == {"structure": 62, "undetermined": 21, "cs": 8}
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == SOLVE_PATH_DIGEST
 
 
 def ones_two_branch(kappa, theta, bump=None):
