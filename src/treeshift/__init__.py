@@ -30,7 +30,6 @@ from .conjugation import (
     Conjugation,
     ConjugationError,
     CSymmetryReport,
-    conjugation_from_images,
     conjugation_from_matrix,
     verify_c_symmetry,
 )
@@ -56,7 +55,6 @@ from .families import (
     classify_tree_family,
     decompose_equal_weight_tree,
     is_palindromic,
-    reversal_pairing_cs,
     reversal_pairing_conjugation,
     two_branch_conjugation,
     two_branch_cs_condition,
@@ -67,7 +65,6 @@ from .shift import (
     KernelTable,
     ShiftMatrix,
     WeightError,
-    adjoint,
     build_shift,
     kernel_table,
     numerical_rank,
@@ -84,7 +81,6 @@ from .trees import (
     tree_from_doc,
     tree_to_doc,
     validate_tree,
-    validate_tree_data,
 )
 
 __version__ = "0.1.0"
@@ -109,14 +105,12 @@ __all__ = [
     "TwoBranchWeights",
     "Verdict",
     "WeightError",
-    "adjoint",
     "binary_cs_condition",
     "binary_pairing_moduli",
     "build_broom_conjugation",
     "build_shift",
     "chains_to_matrix",
     "classify_tree_family",
-    "conjugation_from_images",
     "conjugation_from_matrix",
     "cross_validate",
     "decide_cs",
@@ -135,7 +129,6 @@ __all__ = [
     "random_tree",
     "random_weights",
     "reevaluate_obstruction",
-    "reversal_pairing_cs",
     "reversal_pairing_conjugation",
     "sample_binary_weights",
     "sample_two_branch_weights",
@@ -150,7 +143,6 @@ __all__ = [
     "two_level_kernel_structure",
     "unitary_search",
     "validate_tree",
-    "validate_tree_data",
     "verify_c_symmetry",
     "weights_from_doc",
     "weights_to_doc",

@@ -9,7 +9,7 @@ for unitary ``A``, is the same as ``A = A^T``.  An operator ``T`` satisfies
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "Conjugation",
     "ConjugationError",
     "conjugation_from_matrix",
-    "conjugation_from_images",
     "gauged_conjugation",
     "CSymmetryReport",
     "verify_c_symmetry",
@@ -92,40 +91,6 @@ def conjugation_from_matrix(
     return Conjugation(
         matrix=a, basis=basis, residual_unitary=res_u, residual_symmetric=res_s
     )
-
-
-def conjugation_from_images(
-    images: Sequence[tuple[Union[str, int, np.ndarray], np.ndarray]],
-    basis: Sequence[str],
-) -> Conjugation:
-    """Build ``C`` from its action on an orthonormal family.
-
-    Each item ``(source, image)`` declares ``C source = image``; a source may
-    be a basis label, a basis index, or an explicit vector.  With sources as
-    columns of ``B`` and images as columns of ``Y``, antilinearity forces
-    ``A = Y B^T`` (for orthonormal ``B``), which is then validated by
-    :func:`conjugation_from_matrix` at its default tolerance.
-    """
-    basis = tuple(basis)
-    n = len(basis)
-    if len(images) != n:
-        raise ConjugationError(f"need exactly {n} image pairs, got {len(images)}")
-    b = np.zeros((n, n), dtype=complex)
-    y = np.zeros((n, n), dtype=complex)
-    for k, (source, image) in enumerate(images):
-        if isinstance(source, str):
-            col = np.zeros(n, dtype=complex)
-            col[basis.index(source)] = 1.0
-        elif isinstance(source, (int, np.integer)):
-            col = np.zeros(n, dtype=complex)
-            col[int(source)] = 1.0
-        else:
-            col = np.asarray(source, dtype=complex)
-        b[:, k] = col
-        y[:, k] = np.asarray(image, dtype=complex)
-    if np.linalg.norm(b.conj().T @ b - np.eye(n)) > 1e-10 * max(1.0, n):
-        raise ConjugationError("image sources are not an orthonormal family")
-    return conjugation_from_matrix(y @ b.T, basis=basis)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@ rooted tree, or forest.
 
 Every entry point takes a tree shift only, which
 :func:`~treeshift.shift._forest` checks; any other matrix raises
-:class:`ValueError`.  The pipeline has three steps, and each can decide:
+:class:`ValueError`.  A call reads the forest once (:func:`_prepared`) and
+hands it to every stage but the words.  The pipeline has three steps, and
+each can decide:
 
 1. the twin reduction
    (:func:`~treeshift.shift.twin_reduction`), which splits ``|T|`` into an
@@ -33,7 +35,7 @@ a gap below it (a near miss) falls through.  The replay reduces the matrix
 again, without ``Q``, finds the chain and recomputes the gap.
 
 A tree shift is decided in real arithmetic.  A diagonal unitary ``D``,
-read off the matrix alone (:func:`~treeshift.shift.tree_gauge`), gives
+read off the forest alone (:func:`~treeshift.shift.tree_gauge`), gives
 ``D* T D = |T|``, the shift with weights ``|lambda_v|``.  Complex
 symmetry, word traces and the dimension of ``W`` are unchanged by that
 equivalence, and by the real orthogonal ``Q``, so the words run on ``|T|``
@@ -99,15 +101,15 @@ The equation of ``T*`` is that of ``T`` for ``M = T*``, since
 maps a symmetric ``A`` to a skew matrix, so only the equations above the
 diagonal are assembled, each scaled by ``sqrt 2``: they are the image's
 coordinates in the orthonormal skew basis, and the singular values are
-those of the full system.  The equations are assembled from the nonzeros
-of ``T`` and split into the blocks of unknowns that share an equation; a
+those of the full system.  The equations are assembled from the edges
+of ``R`` and split into the blocks of unknowns that share an equation; a
 tree shift raises depth by one, so these refine the classes of vertex
-pairs with equal depth sum.  All of that depends on the nonzero pattern
-alone, so it is worked out once per pattern (the plan, cached on the
-pattern's full bytes) and reused, by the replay of a ``structure`` witness
-and by every matrix of one tree with the same twins.  The numeric pass
-gathers the values, one scatter fills the blocks of a shape, one stacked
-SVD solves them, and all are cut by the rank rule of
+pairs with equal depth sum.  All of that depends on the parent pointers
+alone, so it is worked out once per forest (the plan, cached on the
+parents' bytes) and reused, by the replay of a ``structure`` witness and
+by every matrix of one tree with the same twins.  The numeric pass
+gathers the edge weights, one scatter fills the blocks of a shape, one
+stacked SVD solves them, and all are cut by the rank rule of
 :func:`~treeshift.shift.numerical_rank`.  The solver keeps each block's
 null vectors, and the generic element of ``W`` is scattered from them
 straight into one ``n x n`` matrix.
@@ -141,10 +143,10 @@ from .conjugation import (  # noqa: F401
 )
 from .serialize import complex_to_pair
 from .shift import (
+    Forest,
     ShiftMatrix,
     TwinReduction,
     _forest,
-    _pattern,
     _rank_above_cut,
     _rank_cut,
     kernel_table,
@@ -254,8 +256,11 @@ def _checked_word(letters: Sequence[str]) -> list[str]:
 
 
 def word_value(t, letters: Sequence[str]) -> complex:
-    """Trace of a word in ``T`` and ``T*``; the first letter acts first."""
-    return _word_trace(_letters(_as_matrix(t)), _checked_word(letters))
+    """Trace of a word in ``T`` and ``T*``; the first letter acts first.
+    Raises :class:`ValueError` for a matrix that is no tree shift."""
+    m = _as_matrix(t)
+    _forest(m)
+    return _word_trace(_letters(m), _checked_word(letters))
 
 
 def _word_threshold(tol: float, norm: float, length: int) -> float:
@@ -387,11 +392,11 @@ def word_trace_obstruction(
 
 
 class _Plan(NamedTuple):
-    """The part of :func:`_sylvester_nullspace` that depends on the nonzero
-    pattern of ``m`` alone, built once per pattern by :func:`_plan`.
+    """The part of :func:`_sylvester_nullspace` that depends on the parent
+    pointers of the forest alone, built once per forest by :func:`_plan`.
 
     Entry arrays, one value per nonzero of the system, in the order the
-    group scatters add them: ``src``, the entry's place in ``m.ravel()``;
+    group scatters add them: ``src``, the vertex whose edge weight it takes;
     ``coef``, the factor of that value (the sign of the equation and the
     ``sqrt 2`` scales); ``at``, its cell in its group's stack.  ``groups``
     holds each shape group's entry slice ``lo, hi`` and its shape ``(count,
@@ -416,15 +421,16 @@ class _Plan(NamedTuple):
     free: np.ndarray
 
 
-def _sylvester_nullspace(m: np.ndarray, rtol: float):
-    """The joint space ``W`` of the real ``m`` (see the module docstring),
+def _sylvester_nullspace(tree, rtol: float):
+    """The joint space ``W`` (see the module docstring) of the real forest
+    shift ``m`` of ``tree``, a twin reduction or the forest of ``|T|``,
     block by block: the common null space of ``A -> M A - A M^T`` on
     symmetric ``A`` for ``M = m`` and ``M = m^T``.
 
-    The symbolic work, which unknowns and equations each nonzero joins and
-    into which blocks they split, depends on the nonzero pattern alone and
-    is done once per pattern by :func:`_plan`.  The numeric pass gathers
-    the values of ``m`` into the entries, fills each shape group with one
+    The symbolic work, which unknowns and equations each edge joins and
+    into which blocks they split, depends on the parent pointers alone and
+    is done once per forest by :func:`_plan`.  The numeric pass gathers
+    the edge weights into the entries, fills each shape group with one
     scatter and solves it with one stacked SVD, so only one group's cells
     are held at a time.  All blocks are cut by the rank rule of
     :func:`~treeshift.shift.numerical_rank` for the whole system of
@@ -444,9 +450,9 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
     block by block.  Returns ``None`` instead when an entry or a singular
     value of the system overflows.
     """
-    n = m.shape[0]
-    plan = _plan(*_pattern(m))
-    values = m.ravel()[plan.src] * plan.coef
+    n = tree.parent.size
+    plan = _plan(tree.parent.astype(np.intp).tobytes())
+    values = tree.weights[plan.src] * plan.coef
 
     found, solved = [np.zeros(0)], []  # the zeros stand in for no equation
     for lo, hi, (count, rows, width) in plan.groups:
@@ -477,14 +483,16 @@ def _sylvester_nullspace(m: np.ndarray, rtol: float):
 
 
 @functools.lru_cache(maxsize=8)
-def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan:
-    """The :class:`_Plan` of an ``n x n`` matrix ``m`` whose nonzero pattern
-    has the key ``(shape, pattern)`` of :func:`~treeshift.shift._pattern`.
+def _plan(parents: bytes) -> _Plan:
+    """The :class:`_Plan` of a forest shift ``m`` whose parent pointers are
+    the ``intp`` array with the bytes ``parents``; its edge weights are
+    nonzero, so the parents fix its nonzero pattern.
 
     ``T* A = A conj(T)`` is the equation for ``M = T*`` (``M^T =
     conj(T)``), so the equations of ``m^T``, which is ``m*`` for a real
     ``m``, are stacked below those of ``m``, rows offset by ``n^2``; the
-    nonzero ``(r, x)`` of ``m^T`` is ``m[x, r]``.
+    nonzeros ``(r, x)`` are ``(v, parent[v])`` by ``v`` in ``m`` and
+    ``(parent[v], v)`` by parent, then ``v``, in ``m^T``.
 
     The unknowns are the coefficients of the orthonormal symmetric basis
     ``E_pp`` and ``(E_pq + E_qp) / sqrt 2`` (``p < q``).  The map sends a
@@ -496,16 +504,16 @@ def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan:
     those of all ``2 n^2`` equations.  Through the end ``(x, y)`` of its
     pair, unknown ``(p, q)`` enters only the equations ``{r, y}`` with
     ``M[r, x] != 0`` and ``r != y``, so the system splits into blocks of
-    unknowns joined by shared equations.  For a tree shift, which raises
-    depth by one, the blocks refine the classes of pairs with a fixed depth
-    sum.  Each block's rows are its equations and its columns its unknowns,
-    both in increasing order.  The blocks are laid out grouped by shape, in
-    label order within a group.
+    unknowns joined by shared equations.  A tree shift raises depth by one,
+    so the blocks refine the classes of pairs with a fixed depth sum.  Each
+    block's rows are its equations and its columns its unknowns, both in
+    increasing order.  The blocks are laid out grouped by shape, in label
+    order within a group.
 
-    Cached by the full pattern, so the arrays are read-only.
+    Cached by the parents' ``8 n`` bytes, so the arrays are read-only.
     """
-    n = shape[0]
-    nonzero = np.frombuffer(pattern, dtype=bool).reshape(shape)
+    parent = np.frombuffer(parents, dtype=np.intp)
+    n = parent.size
     size = 2 * n * n
     p_of, q_of = np.triu_indices(n)
     npairs = p_of.size
@@ -516,18 +524,19 @@ def _plan(shape: tuple[int, ...], pattern: bytes) -> _Plan:
     np.fill_diagonal(scale, np.sqrt(2.0))
 
     # one entry per (nonzero M[r, x], y != r): +t in equation (r, y) when
-    # r < y, else -t in equation (y, r)
+    # r < y, else -t in equation (y, r); t is the weight of the child v
     y = np.arange(n)
-    cols, eqs, src, coef = [], [], [], []
-    for k, mat in enumerate((nonzero, nonzero.T)):
-        r, x = np.nonzero(mat)
-        src.append(r * n + x if k == 0 else x * n + r)
+    child = np.flatnonzero(parent >= 0)
+    by_parent = child[np.argsort(parent[child], kind="stable")]
+    cols, eqs, coef = [], [], []
+    for k, v in enumerate((child, by_parent)):
+        r, x = (v, parent[v]) if k == 0 else (parent[v], v)
         r, x = r[:, None], x[:, None]
         keep = r != y
         cols.append(unknown[x, y][keep])
         eqs.append((k * n * n + np.minimum(r, y) * n + np.maximum(r, y))[keep])
         coef.append(np.where(r < y, scale[x, y], -scale[x, y])[keep])
-    src = np.repeat(np.concatenate(src), n - 1)  # each nonzero meets n - 1 rows y
+    src = np.repeat(np.concatenate([child, by_parent]), n - 1)  # n - 1 rows y each
     cols, eqs, coef = (np.concatenate(a) for a in (cols, eqs, coef))
 
     # connected components of the unknown-equation graph: propagate the
@@ -649,9 +658,9 @@ def _scatter(null, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _joint_space(
-    m: np.ndarray, rtol: float, seed: int
+    tree, rtol: float, seed: int
 ) -> Optional[tuple[Optional[np.ndarray], dict, bool]]:
-    """Solve the joint space ``W`` of ``m`` and take one generic element.
+    """Solve the joint space ``W`` of ``tree`` and take one generic element.
 
     The element ``X`` is a seeded real Gaussian combination of the basis of
     ``W``, scattered from the solver's null vectors by :func:`_scatter`.
@@ -669,7 +678,7 @@ def _joint_space(
     ``1e3`` times the cut and ``1e6`` times ``sigma_cut``, so that no
     element of ``W`` can hide below it.
     """
-    solved = _sylvester_nullspace(m, rtol)
+    solved = _sylvester_nullspace(tree, rtol)
     if solved is None:
         return None
     dim, sigma, null = solved
@@ -684,7 +693,7 @@ def _joint_space(
         spread = s[-1] / s[0] if s[0] > 0 else 0.0
     wide = (
         rank > 0
-        and _rank_above_cut(sigma, 2 * m.size, rtol, 1e3 * sigma[0]) == rank
+        and _rank_above_cut(sigma, 2 * tree.parent.size**2, rtol, 1e3 * sigma[0]) == rank
         and kept >= 1e6 * below
     )
     ref = sigma[0] if sigma[0] > 0 else 1.0
@@ -710,14 +719,14 @@ def _polar_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u @ vh, s
 
 
-def _prepared(m: np.ndarray, reduce: bool) -> tuple[np.ndarray, Optional[TwinReduction]]:
-    """The matrix the stages run on, the real ``|m|`` of a tree shift, with
-    no phase read, and with ``reduce`` its twin reduction, ``None`` when a
-    merged weight overflows.  Raises :class:`ValueError` for a matrix that
-    is no tree shift (see :func:`~treeshift.shift._forest`)."""
-    _forest(m)
-    work = np.abs(m)
-    return work, twin_reduction(work) if reduce else None
+def _prepared(m: np.ndarray, reduce: bool) -> tuple[Forest, Forest, Optional[TwinReduction]]:
+    """The forest of the tree shift ``m``, read once per call; that of
+    ``|m|``, which the stages run on with no phase read; and with ``reduce``
+    its twin reduction, ``None`` when a merged weight overflows.  Raises
+    :class:`ValueError` for a matrix that is no tree shift."""
+    forest = _forest(m)
+    work = forest._replace(weights=np.abs(forest.weights))
+    return forest, work, twin_reduction(work) if reduce else None
 
 
 def _chains(parent: np.ndarray) -> Optional[list[list[int]]]:
@@ -960,7 +969,7 @@ def decide_cs(
         """The ``cs`` verdict of a candidate for ``|m|`` that, gauged back,
         verifies against ``m``."""
         try:
-            cert, report = gauged_conjugation(candidate, tree_gauge(m), m, basis, opts.tol)
+            cert, report = gauged_conjugation(candidate, tree_gauge(forest), m, basis, opts.tol)
         except ConjugationError:
             return None
         residuals = {
@@ -970,7 +979,7 @@ def decide_cs(
         }
         return finish("cs", certificate=cert, residuals=residuals, diag=diag)
 
-    work, red = _prepared(m, reduce=True)
+    forest, work, red = _prepared(m, reduce=True)
     chain = _chain_decision(red, _chain_tol(opts)) if red is not None else None
     if chain is not None and chain[0] == "not_cs":
         return refuted("chain_reversal", chain[1], chain[1]["gap"])
@@ -981,12 +990,12 @@ def decide_cs(
             return verdict  # else the words, then W
 
     word = word_trace_obstruction(
-        work, max_len=opts.max_word_len, tol=_word_tol(opts, m.shape[0])
+        np.abs(m), max_len=opts.max_word_len, tol=_word_tol(opts, m.shape[0])
     )
     if word is not None:
         return refuted("word_trace", word, word["margin"])
 
-    joint = _joint_space(work if red is None else red.r, opts.rank_rtol, opts.seed)
+    joint = _joint_space(work if red is None else red, opts.rank_rtol, opts.seed)
     if joint is None:
         return finish("undetermined")
     polar, structure, excluded = joint
@@ -999,6 +1008,10 @@ def decide_cs(
     if red is not None and red.split:
         polar = red.q @ polar @ red.q.T
     return certified(polar, diag) or finish("undetermined", diag=diag)
+
+
+# The witness field each kind's replay reads
+_WITNESS_FIELDS = {"word_trace": "word", "chain_reversal": "weights", "structure": "dim"}
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -1016,36 +1029,40 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     its length, and the margin is that relative gap.  For ``structure``
     the joint space ``W`` is solved again; the witness holds
     when ``W`` has the recorded dimension and still excludes a certificate,
-    and the margin is ``1 - spread``.  A matrix that is no tree shift, any
-    other kind, and a word letter other than ``"T"`` or ``"T*"`` raise
-    :class:`ValueError`.
+    and the margin is ``1 - spread``.  Before any stage runs, an unknown
+    ``kind`` and a ``witness`` without the field its kind reads (``word``,
+    ``weights`` or ``dim``) raise :class:`ValueError`; so do a matrix that
+    is no tree shift and a word letter other than ``"T"`` or ``"T*"``.
     """
     opts = options or DeciderOptions()
-    kind = obstruction["kind"]
-    m, red = _prepared(_as_matrix(t), reduce=kind in ("structure", "chain_reversal"))
+    kind, witness = obstruction.get("kind"), obstruction.get("witness")
+    field = _WITNESS_FIELDS.get(kind)
+    if field is None:
+        raise ValueError(f"unknown obstruction kind {kind!r}")
+    if not isinstance(witness, dict) or field not in witness:
+        raise ValueError(f"a {kind} witness needs the field {field!r}")
+    m = _as_matrix(t)
+    _, work, red = _prepared(m, reduce=kind != "word_trace")
     if kind == "structure":
-        joint = _joint_space(m if red is None else red.r, opts.rank_rtol, opts.seed)
+        joint = _joint_space(work if red is None else red, opts.rank_rtol, opts.seed)
         if joint is None:
             return False, 0.0
         _polar, again, excluded = joint
-        held = excluded and again["dim"] == obstruction["witness"]["dim"]
-        return held, 1.0 - again["spread"]
+        return excluded and again["dim"] == witness["dim"], 1.0 - again["spread"]
     if kind == "chain_reversal":
         chains = None if red is None else _chains(red.parent)
         if chains is None:
             return False, 0.0
-        a = np.array(obstruction["witness"]["weights"], dtype=float)
+        a = np.array(witness["weights"], dtype=float)
         links = [red.weights[chain[1:]] for chain in chains]
         if not (a.size and any(np.array_equal(a, b) for b in links)):
             return False, 0.0
         gap = _reversal_gap(a, links, red.weights.max())
         return gap > _CHAIN_GAP * _chain_tol(opts), gap
-    if kind != "word_trace":
-        raise ValueError(f"unknown obstruction kind {kind!r}")
-    letters = _checked_word(obstruction["witness"]["word"])
-    mats = _letters(m)
+    letters = _checked_word(witness["word"])
+    mats = _letters(np.abs(m))
     margin = _trace_gap(_word_trace(mats, letters), _word_trace(mats, letters[::-1]))
     threshold = _word_threshold(
-        _word_tol(opts, m.shape[0]), float(np.linalg.norm(m)), len(letters)
+        _word_tol(opts, m.shape[0]), float(np.linalg.norm(mats["T"])), len(letters)
     )
     return margin > threshold, float(margin)

@@ -38,7 +38,6 @@ __all__ = [
     "BlockDecomposition",
     "decompose_equal_weight_tree",
     "chains_to_matrix",
-    "reversal_pairing_cs",
     "reversal_pairing_conjugation",
 ]
 
@@ -519,20 +518,6 @@ def _reversal_flip(
         )
     except ConjugationError:
         return None
-
-
-def reversal_pairing_cs(decomposition: BlockDecomposition) -> Optional[Conjugation]:
-    """Conjugation for a block decomposition with positive chains, by the
-    flip of every chain when each is palindromic.
-
-    The candidate is verified against the decomposition's matrix (at tol
-    1e-10) before being returned; ``None`` means some chain is not
-    palindromic or the flip fails the check.
-    """
-    return _reversal_flip(
-        decomposition, dict.fromkeys(decomposition.basis, 1.0),
-        lambda: decomposition.matrix, 1e-10,
-    )
 
 
 def reversal_pairing_conjugation(

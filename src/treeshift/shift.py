@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "ShiftMatrix",
     "WeightError",
     "build_shift",
-    "adjoint",
     "KernelTable",
     "kernel_table",
     "numerical_rank",
@@ -83,12 +82,6 @@ def build_shift(tree: DirectedTree, weights: dict) -> ShiftMatrix:
     return ShiftMatrix(tree=tree, basis=tuple(tree.vertices), matrix=m)
 
 
-def adjoint(s: ShiftMatrix) -> ShiftMatrix:
-    """Conjugate transpose over the same basis: the adjoint gathers children,
-    ``(S* f)(v) = sum over children u of v of conj(weights[u]) f(u)``."""
-    return ShiftMatrix(tree=s.tree, basis=s.basis, matrix=s.matrix.conj().T.copy())
-
-
 def _rank_cut(size: int, rtol: float, sigma_ref: float) -> float:
     """The cut of the one rank rule, ``max(rtol, size * eps) * sigma_ref``,
     where ``size`` is the matrix's larger dimension (its rounding noise
@@ -146,7 +139,7 @@ def kernel_table(s, max_power: int) -> KernelTable:
         raise ValueError("max_power must be at least 1")
     if max_power > n:
         raise ValueError(f"max_power must be at most the size {n}: S^{n} = 0")
-    _parent, _levels, height = _forest(t)
+    height = _forest(t).height
     powers = range(1, max_power + 1)
     ranks = [int(np.count_nonzero(height >= m)) for m in powers]
     return KernelTable(rows=tuple((m, n - k, n - k) for m, k in zip(powers, ranks)))
@@ -184,31 +177,36 @@ def positivize_weights(
     return positive, gauge
 
 
-def _pattern(m: np.ndarray) -> tuple[tuple[int, ...], bytes]:
-    """The cache key of ``m``'s nonzero pattern: its shape and the bytes of
-    ``m != 0``.  The full bytes, never a digest, so two patterns never share
-    a key."""
-    return m.shape, (m != 0).tobytes()
+class Forest(NamedTuple):
+    """The forest of a tree-shift matrix, read by :func:`_forest`."""
+
+    parent: np.ndarray
+    levels: tuple[np.ndarray, ...]
+    height: np.ndarray
+    weights: np.ndarray
 
 
-def _forest(m: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-    """The parent pointers, depth levels and heights of the forest a
-    tree-shift matrix defines, the package's one check of a tree shift.
+def _forest(m: np.ndarray) -> Forest:
+    """The :class:`Forest` of a tree-shift matrix, the package's one check
+    of a tree shift.
 
     ``m`` is the matrix of a tree shift (a forest, in general) when each row
     has at most one nonzero, in the column of the row's parent, and the
     parent pointers close no cycle; a nonzero diagonal entry is a cycle of
     length one; else :class:`ValueError` names a row with two nonzeros or a
-    vertex on a cycle.  Returns ``(parent, levels, height)``: ``parent[v]``
-    is the row's nonzero column, -1 at a zero row (a root), ``levels[d]``
-    holds the vertices at depth ``d``, roots first, each level in ascending
-    order, and ``height[v]`` is the length of the longest path down from
-    ``v``.  The forest depends on the nonzero pattern alone and is cached by
-    it (:func:`_pattern`), so its arrays are read-only.
+    vertex on a cycle.  ``parent[v]`` is the row's nonzero column, -1 at a
+    zero row (a root), ``levels[d]`` holds the vertices at depth ``d``,
+    roots first, each level in ascending order, ``height[v]`` is the length
+    of the longest path down from ``v``, and ``weights[v] = m[v,
+    parent[v]]``, 0 at a root.  All but the weights depend on the nonzero
+    pattern alone and are cached by the full bytes of ``m != 0``, so they
+    are read-only.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"not a tree shift: shape {m.shape} is not square and nonempty")
-    return _pattern_forest(*_pattern(m))
+    parent, levels, height = _pattern_forest(m.shape, (m != 0).tobytes())
+    weights = np.where(parent >= 0, m[np.arange(parent.size), parent], 0)
+    return Forest(parent, levels, height, weights)
 
 
 @functools.lru_cache(maxsize=64)
@@ -251,21 +249,20 @@ def _pattern_forest(
     return parent, levels, height
 
 
-def tree_gauge(m: np.ndarray) -> np.ndarray:
-    """The gauge of :func:`positivize_weights`, read off a tree shift alone.
+def tree_gauge(forest: Forest) -> np.ndarray:
+    """The gauge of :func:`positivize_weights`, read off the :class:`Forest`
+    of a tree shift ``m`` alone.
 
-    Returns the unimodular ``d`` with ``d_v = 1`` at a vertex whose row is
-    zero and ``d_v = m[v, p] d_p / |m[v, p]|`` at a vertex with parent
-    ``p``, so that ``conj(d_v) m[v, p] d_p = |m[v, p]|`` and ``D* m D =
+    Returns the unimodular ``d`` with ``d_v = 1`` at a root and ``d_v =
+    w_v d_p / |w_v|`` at a vertex with parent ``p`` and edge weight ``w_v =
+    m[v, p]``, so that ``conj(d_v) m[v, p] d_p = |m[v, p]|`` and ``D* m D =
     |m|``.  A zero weight leaves a zero row, which the matrix cannot tell
-    from a root, so its vertex starts afresh at phase 1.  Raises
-    :class:`ValueError` when ``m`` is no tree shift (see :func:`_forest`).
+    from a root, so its vertex starts afresh at phase 1.
     """
-    parent, levels, _height = _forest(m)
-    d = np.ones(m.shape[0], dtype=complex)
+    parent, levels, _height, w = forest
+    d = np.ones(parent.size, dtype=complex)
     for level in levels[1:]:
-        w = m[level, parent[level]]
-        d[level] = w * d[parent[level]] / np.abs(w)
+        d[level] = w[level] * d[parent[level]] / np.abs(w[level])
     return d
 
 
@@ -275,11 +272,11 @@ class TwinReduction:
 
     ``R`` is the forest shift with parent pointers ``parent`` (-1 at a
     root) and ``weights``, the weight of the edge into each vertex (0 at a
-    root).  ``split`` counts the copies split off.  ``q``, real orthogonal,
-    and the dense ``r``, exact (every entry off the forest's edges is 0),
-    are built on first use: ``q`` replays ``merges``, the Householder
-    products of the walk in its order.  At ``split = 0``, ``q`` is the
-    identity and ``r`` is ``M``.
+    root, and nonzero elsewhere), as in a :class:`Forest`; no dense ``R``
+    is formed.  ``split`` counts the copies split off.  ``q``, real
+    orthogonal, is built on first use by replaying ``merges``, the
+    Householder products of the walk in its order; at ``split = 0`` it is
+    the identity.
     """
 
     parent: np.ndarray
@@ -295,14 +292,6 @@ class TwinReduction:
             q[:, cols] = q[:, cols] @ _reflectors(np.array(units))
         return q
 
-    @functools.cached_property
-    def r(self) -> np.ndarray:
-        n = self.parent.size
-        r = np.zeros((n, n))
-        has = np.flatnonzero(self.parent >= 0)
-        r[has, self.parent[has]] = self.weights[has]
-        return r
-
 
 def _reflectors(a: np.ndarray) -> np.ndarray:
     """Real orthogonal (Householder) matrices whose first columns are the
@@ -316,8 +305,9 @@ def _reflectors(a: np.ndarray) -> np.ndarray:
     return np.eye(a.shape[1]) - scale[:, None, None] * v[:, :, None] * v[:, None, :]
 
 
-def twin_reduction(m: np.ndarray) -> Optional[TwinReduction]:
-    """Split a real tree shift ``M`` into smaller tree shifts at its twins.
+def twin_reduction(forest: Forest) -> Optional[TwinReduction]:
+    """Split a real tree shift ``M``, given by its :class:`Forest`, into
+    smaller tree shifts at its twins.
 
     Siblings are twins when their subtrees below the edge are equal as
     weighted rooted trees, compared on the exact float weights; sibling
@@ -338,19 +328,15 @@ def twin_reduction(m: np.ndarray) -> Optional[TwinReduction]:
     level by shape, since the merges of a level touch disjoint columns.
     ``Q`` is the identity times one product per group, in walk order, and
     is formed only when asked for.  Returns ``None`` when a merged weight
-    overflows.  Raises :class:`ValueError` when ``m`` is complex or no tree
-    shift (see :func:`_forest`).
+    overflows.  Raises :class:`ValueError` when the weights are complex.
     """
-    m = np.asarray(m)
-    if np.iscomplexobj(m):
-        raise ValueError("twin_reduction needs a real matrix, such as |T|")
-    parent, levels, _height = _forest(m)
-    n = m.shape[0]
+    parent, levels, _height, w = forest
+    if np.iscomplexobj(w):
+        raise ValueError("twin_reduction needs real weights, such as those of |T|")
+    n = parent.size
     has = np.flatnonzero(parent >= 0)
-    w = np.zeros(n)
-    w[has] = m[has, parent[has]]
     # the reduced forest, as lists while the loop reads and writes entries
-    up, w = parent.tolist(), w.tolist()
+    up, w = parent.tolist(), w.astype(float).tolist()
     kids: list[list[int]] = [[] for _ in range(n)]
     for v in has.tolist():
         kids[up[v]].append(v)

@@ -17,7 +17,6 @@ __all__ = [
     "tree_to_doc",
     "tree_from_doc",
     "validate_tree",
-    "validate_tree_data",
 ]
 
 
@@ -209,13 +208,6 @@ def validate_tree(tree: DirectedTree) -> TreeValidation:
             f"vertex {v} not reachable from root" for v in vertices if v not in tree._depth
         ]
     return TreeValidation(ok=not violations, violations=tuple(violations))
-
-
-def validate_tree_data(
-    vertices: Iterable[str], edges: Iterable[tuple[str, str]], root: str
-) -> TreeValidation:
-    """Check the rooted-tree axioms on raw data and report every violation."""
-    return validate_tree(DirectedTree(vertices, edges, root))
 
 
 def generate_path(n: int) -> DirectedTree:

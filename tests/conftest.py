@@ -51,3 +51,14 @@ def random_complex(rng, shape):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+def forest_matrix(tree) -> np.ndarray:
+    """The dense shift of a forest given by its parent pointers and edge
+    weights (a ``shift.Forest`` or a ``TwinReduction``): entry ``(v,
+    parent[v])`` is ``weights[v]``, every other entry 0."""
+    n = tree.parent.size
+    m = np.zeros((n, n), dtype=tree.weights.dtype)
+    has = np.flatnonzero(tree.parent >= 0)
+    m[has, tree.parent[has]] = tree.weights[has]
+    return m

@@ -17,7 +17,7 @@ from treeshift import (
     TwoBranchWeights,
     build_broom_conjugation,
     build_shift,
-    conjugation_from_images,
+    conjugation_from_matrix,
     cross_validate,
     decide_cs,
     dump_json,
@@ -105,7 +105,9 @@ def test_criterion_01(y_shift):
         ("2,1", (e[i11] + e[i21]) / SQRT2),
         ("2,2", e[i0]),
     ]
-    conj = conjugation_from_images(images, y_shift.basis)
+    # the images are listed in basis order; column k of C's matrix is C e_k
+    assert [label for label, _image in images] == basis
+    conj = conjugation_from_matrix(np.column_stack([image for _label, image in images]), y_shift.basis)
     report = verify_c_symmetry(y_shift, conj, tol=1e-12)
     assert report.passed
     assert report.residual <= 1e-12

@@ -6,7 +6,6 @@ import pytest
 from treeshift import (
     Conjugation,
     ConjugationError,
-    conjugation_from_images,
     conjugation_from_matrix,
     verify_c_symmetry,
 )
@@ -15,17 +14,13 @@ from conftest import random_complex
 SQRT2 = math.sqrt(2.0)
 
 
-def branch_exchange_images(basis):
-    """C swaps the root with the deep leaf and rotates the middle pair."""
-    n = len(basis)
-    e = np.eye(n, dtype=complex)
+def branch_exchange(basis):
+    """The matrix of the ``C`` that swaps the root with the deep leaf and
+    rotates the middle pair: column ``k`` is ``C e_k``."""
+    e = np.eye(len(basis), dtype=complex)
     i0, i11, i21, i22 = (basis.index(v) for v in ("0", "1,1", "2,1", "2,2"))
-    return [
-        ("0", e[i22]),
-        ("1,1", (e[i21] - e[i11]) / SQRT2),
-        ("2,1", (e[i11] + e[i21]) / SQRT2),
-        ("2,2", e[i0]),
-    ]
+    images = {i0: e[i22], i11: (e[i21] - e[i11]) / SQRT2, i21: (e[i11] + e[i21]) / SQRT2, i22: e[i0]}
+    return np.column_stack([images[k] for k in range(len(basis))])
 
 
 def test_from_matrix_accepts_symmetric_unitary():
@@ -48,55 +43,11 @@ def test_from_matrix_rejects_antisymmetric():
     assert "symmetry" in str(err.value)
 
 
-def test_from_images_branch_exchange(y_shift):
-    conj = conjugation_from_images(branch_exchange_images(list(y_shift.basis)), y_shift.basis)
-    expected = np.array(
-        [
-            [0, 0, 0, 1],
-            [0, -1 / SQRT2, 1 / SQRT2, 0],
-            [0, 1 / SQRT2, 1 / SQRT2, 0],
-            [1, 0, 0, 0],
-        ],
-        dtype=complex,
-    )
-    assert np.linalg.norm(conj.matrix - expected) <= 1e-14
-    report = verify_c_symmetry(y_shift, conj, tol=1e-12)
-    assert report.passed
-    assert report.residual <= 1e-12
-
-
-def test_from_images_identity():
-    basis = ("0", "1")
-    images = [("0", np.array([1, 0], dtype=complex)), ("1", np.array([0, 1], dtype=complex))]
-    conj = conjugation_from_images(images, basis)
-    assert np.array_equal(conj.matrix, np.eye(2, dtype=complex))
-
-
-def test_from_images_takes_basis_indices():
-    e = np.eye(3, dtype=complex)
-    images = [(0, e[2]), (np.int64(1), e[1]), (2, e[0])]
-    by_label = [("a", e[2]), ("b", e[1]), ("c", e[0])]
-    conj = conjugation_from_images(images, ("a", "b", "c"))
-    assert np.array_equal(conj.matrix, conjugation_from_images(by_label, ("a", "b", "c")).matrix)
-    assert np.array_equal(conj.matrix, e[::-1])
-
-
 def test_from_matrix_refuses_a_non_square_matrix_and_a_wrong_basis():
     with pytest.raises(ConjugationError, match="^conjugation matrix must be square$"):
         conjugation_from_matrix(np.zeros((2, 3)))
     with pytest.raises(ConjugationError, match="^basis length does not match matrix size$"):
         conjugation_from_matrix(np.eye(2), basis=("a",))
-
-
-def test_from_images_rejects_nonorthonormal_sources():
-    v = np.array([1, 1], dtype=complex)
-    with pytest.raises(ConjugationError, match="orthonormal"):
-        conjugation_from_images([(v, v), (v, v)], ("0", "1"))
-
-
-def test_from_images_wrong_count():
-    with pytest.raises(ConjugationError, match="image pairs"):
-        conjugation_from_images([("0", np.array([1, 0], dtype=complex))], ("0", "1"))
 
 
 def test_apply_is_antilinear(rng):
@@ -163,7 +114,7 @@ def test_dimension_mismatch_rejected(y_shift):
 
 
 def test_doc_round_trip(y_shift):
-    conj = conjugation_from_images(branch_exchange_images(list(y_shift.basis)), y_shift.basis)
+    conj = conjugation_from_matrix(branch_exchange(list(y_shift.basis)), y_shift.basis)
     doc = conj.to_doc()
     back = Conjugation.from_doc(doc)
     assert np.array_equal(back.matrix, conj.matrix)

@@ -54,8 +54,8 @@ from treeshift.decider import (
     _word_classes,
     _word_tol,
 )
-from treeshift.shift import _forest, _pattern, kernel_table, tree_gauge, twin_reduction
-from conftest import SQRT2, random_complex
+from treeshift.shift import _forest, kernel_table, tree_gauge, twin_reduction
+from conftest import SQRT2, forest_matrix, random_complex
 from oracles import (
     dense_joint_sylvester_nullspace,
     dense_sylvester_nullspace,
@@ -194,8 +194,9 @@ REPLAYED = {
 MATRIX_ENTRY_POINTS = {
     "decide_cs": decide_cs,
     "word_trace_obstruction": word_trace_obstruction,
-    "twin_reduction": twin_reduction,
-    "tree_gauge": tree_gauge,
+    "word_value": lambda m: word_value(m, ["T", "T*"]),
+    "twin_reduction": lambda m: twin_reduction(_forest(m)),
+    "tree_gauge": lambda m: tree_gauge(_forest(m)),
     "kernel_table": lambda m: kernel_table(m, max_power=1),
     "kernel_obstruction": kernel_obstruction,
     **{
@@ -217,7 +218,8 @@ def test_every_matrix_entry_point_refuses_what_is_no_tree_shift(entry, case):
 def test_word_value_matches_pure_python(rng):
     from oracles import complex_word_trace
 
-    m = random_complex(rng, (4, 4))
+    tree = random_tree(rng, max_vertices=8)
+    m = build_shift(tree, {v: complex(*rng.standard_normal(2)) for v in tree.nonroot_vertices()}).matrix
     for word in (["T"], ["T", "T*"], ["T*", "T", "T", "T*"], ["T", "T*", "T*"]):
         fast = word_value(m, word)
         slow = complex_word_trace(m.tolist(), word)
@@ -264,27 +266,16 @@ def bitwise(doc):
 
 
 def word_case(kind: str, seed: int) -> np.ndarray:
+    """A tree shift with random complex weights, or a zero matrix."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
     if kind == "tree":
         tree = random_tree(rng, max_vertices=10)
         return build_shift(tree, random_weights(rng, tree)).matrix
-    if kind == "dense":
-        return random_complex(rng, (n, n))
-    if kind == "one":
-        return random_complex(rng, (1, 1))
-    if kind == "zero":
-        return np.zeros((n, n), dtype=complex)
-    if kind == "symmetric":
-        a = random_complex(rng, (n, n))
-        return a + a.T
-    # Q N Q* with N strictly lower triangular: nilpotent up to rounding
-    q, _r = np.linalg.qr(random_complex(rng, (n, n)))
-    return q @ np.tril(random_complex(rng, (n, n)), -1) @ q.conj().T
+    return np.zeros((n, n), dtype=complex)
 
 
-WORD_KINDS = ["tree", "dense", "one", "zero", "symmetric", "nilpotent"]
-# the word search takes tree shifts only
+# the word search and word_value take tree shifts only
 TREE_WORD_KINDS = ["tree", "zero"]
 WORD_TOLS = (1e-10, 1e-14, 1e-16, 0.0)
 EPS = np.finfo(float).eps
@@ -326,7 +317,7 @@ def test_word_classes_match_a_brute_force_over_strings():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(WORD_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 8))
+@given(st.sampled_from(TREE_WORD_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_a_word_class_shares_one_gap_up_to_rounding(kind, seed, length):
     # a trace does not change when its word is rotated: the pair of a word
     # whose reversal is one of its rotations has an exact gap of 0, and the
@@ -452,14 +443,15 @@ def test_word_screen_that_cannot_fit_is_refused_before_allocating():
 def sylvester_case(kind: str, seed: int) -> np.ndarray:
     """Real inputs of the solve, which the decider runs on ``R``, real: the
     ``|T|`` of a tree shift, with a zero weight, all-ones or as a direct sum
-    at two scales, and a dense matrix, whose pattern the plan also takes."""
+    at two scales, and a raw forest with its vertices in random order."""
     rng = np.random.default_rng(seed)
-    if kind.startswith("dense"):
-        n = int(kind[-1])
-        return rng.standard_normal((n, n))
-    if kind == "symmetric":
-        a = rng.standard_normal((int(rng.integers(2, 7)),) * 2)
-        return a + a.T
+    if kind == "forest":
+        n = int(rng.integers(2, 9))
+        parent = np.array([int(rng.integers(-1, v)) for v in range(n)])
+        has, perm = np.flatnonzero(parent >= 0), rng.permutation(n)
+        m = np.zeros((n, n))
+        m[perm[has], perm[parent[has]]] = rng.uniform(0.5, 2.0, has.size)
+        return m
     if kind.startswith("ones"):
         tree = generate_two_branch(
             *{"ones25": (2, 5), "ones33": (3, 3), "ones36": (3, 6)}[kind]
@@ -487,17 +479,16 @@ def null_projector(basis: np.ndarray) -> np.ndarray:
 
 
 def solved_basis(m: np.ndarray, rtol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """The solver's basis of ``W`` of the real ``m``, scattered with unit
-    coefficients, and its singular values."""
-    dim, sigma, null = _sylvester_nullspace(m, rtol)
+    """The solver's basis of ``W`` of the real forest shift ``m``, scattered
+    with unit coefficients, and its singular values."""
+    dim, sigma, null = _sylvester_nullspace(_forest(m), rtol)
     return _scatter(null, np.eye(dim)), sigma
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(
-        ["tree", "tree_zero", "split", "ones25", "ones33", "ones36", "symmetric",
-         "dense4", "dense5"]
+        ["tree", "tree_zero", "split", "ones25", "ones33", "ones36", "forest"]
     ),
     st.integers(0, 2**32 - 1),
 )
@@ -519,10 +510,8 @@ def bits(a: np.ndarray) -> tuple:
 
 def solver_case(kind: str, seed: int) -> np.ndarray:
     """Real inputs of the stacked solver: the ``|T|`` of a tree shift, with
-    random weights, with a zero weight or all-ones, and a dense matrix."""
+    random weights, with a zero weight or all-ones, and a raw forest."""
     rng = np.random.default_rng(seed)
-    if kind == "dense":
-        return rng.standard_normal((int(rng.integers(2, 7)),) * 2)
     if kind == "ones":
         tree = random_tree(rng, max_vertices=12)
         return np.abs(build_shift(tree, {v: 1.0 for v in tree.nonroot_vertices()}).matrix)
@@ -530,11 +519,11 @@ def solver_case(kind: str, seed: int) -> np.ndarray:
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from(["tree", "tree_zero", "ones", "dense"]), st.integers(0, 2**32 - 1))
+@given(st.sampled_from(["tree", "tree_zero", "ones", "forest"]), st.integers(0, 2**32 - 1))
 def test_stacked_solve_matches_the_per_block_reference(kind, seed):
     # bit for bit the singular values and null vectors of one SVD per block
     m = solver_case(kind, seed)
-    dim, sigma, (_n, free, blocks) = _sylvester_nullspace(m, 1e-10)
+    dim, sigma, (_n, free, blocks) = _sylvester_nullspace(_forest(m), 1e-10)
     ref_dim, ref_sigma, ref_free, ref_blocks = reference_sylvester_nullspace(m, 1e-10)
     assert dim == ref_dim
     assert bits(sigma) == bits(ref_sigma)
@@ -551,9 +540,10 @@ def test_joint_space_never_forms_the_dense_basis():
     tree = generate_binary(6)
     m = build_shift(tree, {v: 1.0 for v in tree.nonroot_vertices()}).matrix
     work = np.abs(m)
+    forest = _forest(work)
     tracemalloc.start()
     try:
-        polar, witness, _excluded = _joint_space(work, 1e-10, 0)
+        polar, witness, _excluded = _joint_space(forest, 1e-10, 0)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -563,47 +553,57 @@ def test_joint_space_never_forms_the_dense_basis():
 
 
 def solution_bits(m: np.ndarray) -> tuple:
-    dim, sigma, (_n, free, blocks) = _sylvester_nullspace(m, 1e-10)
+    dim, sigma, (_n, free, blocks) = _sylvester_nullspace(_forest(m), 1e-10)
     return dim, bits(sigma), bits(free), [(bits(u), bits(v)) for u, v in blocks]
 
 
 def plan_case(kind: str, seed: int) -> np.ndarray:
     """Real inputs of the planned solve: a binary tree with twin subtrees,
-    as ``|T|`` and as its reduction ``R``; a tree shift's ``|T|``; a dense
-    matrix; a ``1 x 1`` matrix; and the zero matrix, whose system has no
-    equation."""
+    as ``|T|`` and as its reduction ``R``; a tree shift's ``|T|``; a raw
+    forest; one edge; and the zero matrix, whose system has no equation."""
     rng = np.random.default_rng(seed)
     if kind.startswith("twins"):
         kappa = int(rng.integers(2, 4))
         w = sample_binary_weights(kappa, rng, satisfying=True).to_assignment()
         m = np.abs(build_shift(generate_binary(kappa), w).matrix)
-        return twin_reduction(m).r if kind == "twins_reduced" else m
-    if kind == "tree":
-        return sylvester_case("tree", seed)
-    if kind == "dense":
-        return rng.standard_normal((int(rng.integers(2, 6)),) * 2)
-    if kind == "one":
-        return rng.standard_normal((1, 1))
+        return forest_matrix(twin_reduction(_forest(m))) if kind == "twins_reduced" else m
+    if kind in ("tree", "forest"):
+        return sylvester_case(kind, seed)
+    if kind == "edge":
+        return np.array([[0.0, 0.0], [rng.uniform(0.5, 2.0), 0.0]])
     return np.zeros((int(rng.integers(1, 6)),) * 2)
 
 
+PLAN_CASES = ["twins", "twins_reduced", "tree", "forest", "edge", "zero"]
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(["twins", "twins_reduced", "tree", "dense", "one", "zero"]),
-    st.integers(0, 2**32 - 1),
-)
+@given(st.sampled_from(PLAN_CASES), st.integers(0, 2**32 - 1))
 def test_a_warm_plan_solves_bit_for_bit_as_a_cold_one(kind, seed):
-    # the plan holds no value: a plan built for other values of the same
-    # pattern gives the solution of a fresh plan, bit for bit
+    # the plan holds no value: a plan built for other weights on the same
+    # parents gives the solution of a fresh plan, bit for bit
     m = plan_case(kind, seed)
     other = np.where(m != 0, 2.0 * m + 1.0, 0.0).astype(m.dtype)
-    assert _pattern(other) == _pattern(m)
+    assert np.array_equal(_forest(other).parent, _forest(m).parent)
     cold = []
     for a in (m, other):
         decider._plan.cache_clear()
         cold.append(solution_bits(a))
     assert [solution_bits(a) for a in (m, other)] == cold
     assert decider._plan.cache_info()[:2] == (2, 1)  # (hits, misses)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PLAN_CASES), st.integers(0, 2**32 - 1))
+def test_the_parents_fix_the_pattern_the_plan_solves(kind, seed):
+    # the plan is keyed on the parents alone: the nonzeros of each forest
+    # the solve takes, that of |T| and its twin reduction, are its edges
+    m = plan_case(kind, seed)
+    forest = _forest(m)
+    assert np.array_equal(forest_matrix(forest), m)
+    for tree in (forest, twin_reduction(forest)):
+        edges = {(v, p) for v, p in enumerate(tree.parent.tolist()) if p >= 0}
+        assert set(zip(*(a.tolist() for a in np.nonzero(forest_matrix(tree))))) == edges
 
 
 def fork(a, b, c, d):
@@ -637,9 +637,9 @@ def test_one_pattern_decides_cs_and_not_cs_in_either_order():
 
 def test_plans_and_forests_are_read_only_and_bounded():
     m = plan_case("twins", 0)
-    plan = decider._plan(*_pattern(m))
+    parent, levels, height, _weights = _forest(m)
+    plan = decider._plan(parent.tobytes())
     arrays = [a for a in plan if isinstance(a, np.ndarray)]
-    parent, levels, height = _forest(m)
     arrays += [parent, *levels, height]
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
@@ -902,6 +902,35 @@ def test_reevaluate_unknown_kind(y_shift):
         reevaluate_obstruction(y_shift, {"kind": "nonsense", "witness": {}})
 
 
+# a missing kind, a missing or non-dict witness, and a witness without the
+# field its kind's replay reads
+MALFORMED_OBSTRUCTIONS = {
+    "no_kind": ({"witness": {"dim": 0}}, "unknown obstruction kind None"),
+    "no_witness": ({"kind": "structure"}, "a structure witness needs the field 'dim'"),
+    "list_witness": ({"kind": "structure", "witness": [0]},
+                     "a structure witness needs the field 'dim'"),
+    "no_word": ({"kind": "word_trace", "witness": {}},
+                "a word_trace witness needs the field 'word'"),
+    "no_weights": ({"kind": "chain_reversal", "witness": {"gap": 1.0}},
+                   "a chain_reversal witness needs the field 'weights'"),
+    "no_dim": ({"kind": "structure", "witness": {"spread": 0.0}},
+               "a structure witness needs the field 'dim'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_OBSTRUCTIONS)
+def test_a_malformed_witness_is_refused_before_any_stage_runs(case, y_shift, monkeypatch):
+    obstruction, message = MALFORMED_OBSTRUCTIONS[case]
+
+    def refused(*_args, **_kwargs):
+        raise AssertionError("no stage may run")
+
+    for stage in ("_prepared", "_joint_space", "_sylvester_nullspace", "twin_reduction"):
+        monkeypatch.setattr(decider, stage, refused)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        reevaluate_obstruction(y_shift, obstruction)
+
+
 @pytest.mark.parametrize("bad", ["X", "t", "T**", None, ["T"]])
 def test_replayed_word_names_a_bad_letter(y_shift, bad):
     word = ["T", bad, "T*"]
@@ -1075,12 +1104,17 @@ def structure_witnesses():
         yield 1e-8 * m
 
 
+def reduction(m):
+    """The twin reduction of ``|m|``, as :func:`decide_cs` reads it."""
+    return twin_reduction(_forest(np.abs(m)))
+
+
 def structure_obstruction(m):
     """The structure witness of the solve of ``W`` on the twin reduction of
     ``m``, which :func:`decide_cs` reaches when the chain decision does not
     settle ``m``; ``None`` when ``W`` does not exclude a certificate."""
-    _work, red = _prepared(m, reduce=True)
-    _polar, witness, excluded = _joint_space(red.r, 1e-10, 0)
+    _forest_m, _work, red = _prepared(m, reduce=True)
+    _polar, witness, excluded = _joint_space(red, 1e-10, 0)
     return {"kind": "structure", "witness": witness} if excluded else None
 
 
@@ -1156,7 +1190,7 @@ def test_structure_verdicts_do_not_depend_on_scale():
             assert structure_obstruction(c * m)["witness"]["dim"] == 1
     recovered = 0
     for m in random_tree_matrices():
-        if _chains(twin_reduction(np.abs(m)).parent) is not None:
+        if _chains(reduction(m).parent) is not None:
             found = [structure_obstruction(c * m) for c in SCALES]
             if any(found):
                 assert decide_cs(m).kind == "not_cs"
@@ -1200,7 +1234,7 @@ def test_line_spread_is_that_of_the_dense_oracle_basis_vector():
     sides = set()
     for m in [s.matrix for s in phased_tree_shifts()] + list(structure_case_matrices()):
         work = np.abs(m)
-        polar, witness, _excluded = _joint_space(work, 1e-10, 0)
+        polar, witness, _excluded = _joint_space(_forest(work), 1e-10, 0)
         if witness["dim"] != 1:
             continue
         ref, _sigma = dense_joint_sylvester_nullspace(work, 1e-10)
@@ -1272,16 +1306,15 @@ def test_twin_reduction_is_an_orthogonal_splitting_with_the_same_w(
     n = m.shape[0]
     assert _forest(m) is not None
     work = np.abs(m)
-    red = twin_reduction(work)
+    red = twin_reduction(_forest(work))
     assert red.split >= copies - 1
     assert np.abs(red.q.T @ red.q - np.eye(n)).max() <= 1e-14
-    assert np.abs(red.q.T @ work @ red.q - red.r).max() <= 1e-14
-    # R is the forest shift of its parent pointers: every other entry is 0
+    assert np.abs(red.q.T @ work @ red.q - forest_matrix(red)).max() <= 1e-14
+    # every edge of R has a positive weight, so its parents fix its pattern
     has = np.flatnonzero(red.parent >= 0)
-    assert np.all(red.r[has, red.parent[has]] > 0)
-    assert np.count_nonzero(red.r) == has.size
-    dim = _sylvester_nullspace(red.r, 1e-10)[0]
-    assert dim == _sylvester_nullspace(work, 1e-10)[0]
+    assert np.all(red.weights[has] > 0)
+    dim = _sylvester_nullspace(red, 1e-10)[0]
+    assert dim == _sylvester_nullspace(_forest(work), 1e-10)[0]
     assert dim == dense_joint_sylvester_nullspace(work, 1e-10)[0].shape[0]
     verdict = decide_cs(m)
     with mock.patch.object(decider, "twin_reduction", lambda _m: None):
@@ -1345,7 +1378,7 @@ def test_twins_are_matched_on_exact_weights_only(nudge):
     m = np.zeros((5, 5))
     m[1, 0], m[2, 1], m[3, 0] = 1.0, c, 2.0
     m[4, 3] = np.nextafter(c, 3.0) if nudge else c
-    assert twin_reduction(m).split == (0 if nudge else 1)
+    assert twin_reduction(_forest(m)).split == (0 if nudge else 1)
     verdict = decide_cs(m)
     assert verdict.kind == "cs"
     assert verify_c_symmetry(m, verdict.certificate).passed
@@ -1360,7 +1393,7 @@ def test_a_reduction_that_leaves_no_chain_certifies_through_the_solve():
     m = np.zeros((5, 5), dtype=complex)
     m[1, 0], m[2, 0], m[3, 0] = 0.6j, -0.8, np.exp(1j)
     m[4, 3] = SQRT2 * np.exp(2j)
-    _work, red = _prepared(m, reduce=True)
+    _forest_m, _work, red = _prepared(m, reduce=True)
     assert red.split == 1 and _chains(red.parent) is None
     assert _chain_decision(red, 1e-10) is None
     verdict = decide_cs(m)
@@ -1432,7 +1465,7 @@ def certifies(m, candidate) -> bool:
 def test_the_chain_decision_agrees_with_the_words_and_the_solve(seed, base, size, copies):
     m = equal_weight_twin_matrix(seed, base, size, copies)
     opts = DeciderOptions()
-    work, red = _prepared(m, reduce=True)
+    _forest_m, _work, red = _prepared(m, reduce=True)
     chains = _chains(red.parent)
     decided = _chain_decision(red, _chain_tol(opts))
     if chains is None:
@@ -1444,12 +1477,12 @@ def test_the_chain_decision_agrees_with_the_words_and_the_solve(seed, base, size
     assert all(a == links[0][len(links[0]) - len(a):] for a in links)
     assert decided is not None
     kind = decided[0]
-    if word_trace_obstruction(work, opts.max_word_len, _word_tol(opts, m.shape[0])):
+    if word_trace_obstruction(np.abs(m), opts.max_word_len, _word_tol(opts, m.shape[0])):
         assert kind == "not_cs"
-    polar, _witness, excluded = _joint_space(red.r, opts.rank_rtol, opts.seed)
+    polar, _witness, excluded = _joint_space(red, opts.rank_rtol, opts.seed)
     if excluded:
         assert kind == "not_cs"
-    elif polar is not None and certifies(red.r, polar):
+    elif polar is not None and certifies(forest_matrix(red), polar):
         assert kind == "cs"
     verdict = decide_cs(m)
     assert verdict.kind == kind
@@ -1474,10 +1507,10 @@ def test_siblings_of_different_heights_leave_a_reduction_that_is_no_chain(
     # merged, their parent keeps two children, and R is not all chains
     m = equal_weight_twin_matrix(seed, base, size, copies)
     assert m.shape[0] <= 15
-    parent, _levels, height = _forest(m)
+    parent, _levels, height, _weights = _forest(m)
     has = parent >= 0
     if not np.array_equal(height[parent[has]], height[has] + 1):
-        assert _chains(twin_reduction(np.abs(m)).parent) is None
+        assert _chains(reduction(m).parent) is None
 
 
 def test_chain_verdicts_do_not_depend_on_scale():
@@ -1487,7 +1520,7 @@ def test_chain_verdicts_do_not_depend_on_scale():
     # overflows there (the scale hole), so cs may turn undetermined
     cases = list(structure_case_matrices())
     for m in random_tree_matrices():
-        if _chains(twin_reduction(np.abs(m)).parent) is not None:
+        if _chains(reduction(m).parent) is not None:
             cases.append(m)
     seen = []
     for m in cases:
@@ -1525,7 +1558,7 @@ def test_a_mirror_pair_of_chains_is_cs_through_the_solve():
     # other's reversal, so the chain decision falls through and the solve
     # of W certifies.  Only a forest can hold such a pair
     m = chains_matrix((1.0, 2.0, 3.0), (3.0, 2.0, 1.0))
-    red = twin_reduction(np.abs(m))
+    red = reduction(m)
     assert len(_chains(red.parent)) == 2
     assert _chain_decision(red, 1e-10) is None
     verdict = decide_cs(m)
@@ -1595,8 +1628,8 @@ def test_a_system_of_w_that_is_not_finite_gives_no_certificate_and_no_witness(na
     with np.errstate(over="ignore", invalid="ignore"):
         if name == "star":
             # the merged twin edge overflows, so there is no reduction
-            assert twin_reduction(np.abs(s.matrix)) is None
-        assert _joint_space(np.abs(s.matrix), 1e-10, 0) is None
+            assert reduction(s.matrix) is None
+        assert _joint_space(_forest(np.abs(s.matrix)), 1e-10, 0) is None
         verdict = decide_cs(s)
         assert verdict.kind == "undetermined"
         assert verdict.diagnostics == {}

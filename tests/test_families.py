@@ -25,7 +25,6 @@ from treeshift import (
     positivize_weights,
     random_tree,
     reversal_pairing_conjugation,
-    reversal_pairing_cs,
     sample_binary_weights,
     sample_two_branch_weights,
     two_branch_conjugation,
@@ -34,7 +33,8 @@ from treeshift import (
     verify_c_symmetry,
 )
 from treeshift.decider import _chains as reduced_chains
-from treeshift.shift import twin_reduction
+from treeshift.families import _reversal_flip
+from treeshift.shift import _forest, twin_reduction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -417,8 +417,7 @@ def test_chains_to_matrix_blocks():
 def test_reversal_pairing_cs_on_equal_weight_two_branch():
     tree = generate_two_branch(1, 2)
     weights = {v: 1.0 for v in tree.nonroot_vertices()}
-    dec = decompose_equal_weight_tree(tree, weights)
-    conj = reversal_pairing_cs(dec)
+    conj = reversal_pairing_conjugation(tree, weights)
     assert conj is not None
     s = build_shift(tree, weights)
     assert verify_c_symmetry(s, conj, tol=1e-10).passed
@@ -435,10 +434,13 @@ def test_reversal_pairing_cs_flips_palindromes_and_refuses_a_mirror_pair():
             basis=tuple(str(i) for i in range(n)), matrix=m, residual=0.0,
         )
 
+    def flipped(dec):
+        return _reversal_flip(dec, dict.fromkeys(dec.basis, 1.0), lambda: dec.matrix, 1e-10)
+
     dec = hand_built([(1.0, SQRT2, 1.0), (2.0,)])
-    conj = reversal_pairing_cs(dec)
+    conj = flipped(dec)
     assert verify_c_symmetry(dec.matrix, conj).passed
-    assert reversal_pairing_cs(hand_built([(1.0, 2.0), (2.0, 1.0)])) is None
+    assert flipped(hand_built([(1.0, 2.0), (2.0, 1.0)])) is None
 
 
 def test_reversal_pairing_conjugation_none_for_unequal_binary():
@@ -494,7 +496,7 @@ def test_reversal_pairing_conjugation_gauges_back_the_positive_certificate(rng):
         tree = generate_binary(kappa)
         weights = sample_binary_weights(kappa, rng, satisfying=True).to_assignment()
         positive, gauge = positivize_weights(tree, weights)
-        base = reversal_pairing_cs(decompose_equal_weight_tree(tree, positive))
+        base = reversal_pairing_conjugation(tree, positive)
         conj = reversal_pairing_conjugation(tree, weights)
         d = np.array([gauge[v] for v in tree.vertices])
         assert np.array_equal(conj.matrix, (d[:, None] * base.matrix) * d[None, :])
@@ -552,14 +554,14 @@ def test_twin_reduced_chains_of_equal_length_carry_equal_weights(rng):
         cases.append((tree, weights))
     reached = compared = 0
     for tree, weights in cases:
-        red = twin_reduction(np.abs(build_shift(tree, weights).matrix))
+        red = twin_reduction(_forest(np.abs(build_shift(tree, weights).matrix)))
         chains = reduced_chains(red.parent)
         if chains is None:
             continue
         reached += 1
         by_length = {}
         for chain in chains:
-            links = red.r[chain[1:], chain[:-1]]
+            links = red.weights[chain[1:]]
             if len(chain) > 1 and len(chain) in by_length:
                 compared += 1
             assert np.array_equal(by_length.setdefault(len(chain), links), links)

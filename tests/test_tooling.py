@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -40,7 +41,8 @@ def perfbench_result(*args: str) -> dict:
 
 
 # audit_mix also runs the pairing oracle and the printed criteria on all
-# three family shapes; hard_two_branch replays structure witnesses
+# three family shapes; hard_two_branch replays chain_reversal witnesses (57
+# at seed 1, beside 6 cs verdicts), and no workload reaches the solve of W
 @pytest.mark.parametrize("workload", ["binary_scale", "audit_mix", "hard_two_branch"])
 def test_perfbench_smoke_run_is_correct(workload):
     # one untimed pass of the benchmark's checks: a package change that makes
@@ -170,20 +172,22 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert found and not unpassed, "never passed: " + ", ".join(unpassed)
 
 
-def private_definitions(tree: ast.Module):
-    """The private functions, classes and constants a module defines at its
-    top level, as ``(name, node)``; dunder names are not private."""
+def definitions(tree: ast.Module):
+    """The functions, classes and constants a module defines at its top
+    level, as ``(name, node)``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
-            if name.startswith("_") and not name.endswith("__"):
-                yield name, node
+            yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def private_definitions(tree: ast.Module):
+    """The private :func:`definitions`; dunder names are not private."""
+    for name, node in definitions(tree):
+        if name.startswith("_") and not name.endswith("__"):
+            yield name, node
 
 
 def reads(node: ast.AST) -> list[str]:
@@ -211,3 +215,66 @@ def test_every_private_helper_is_read_in_the_package():
             if read[name] == reads(node).count(name):
                 unread.append(f"{module}:{name}")
     assert found and not unread, "never read in the package: " + ", ".join(unread)
+
+
+def test_a_decision_reads_its_forest_once(monkeypatch):
+    # decide_cs reads the forest once and hands it to every stage; only the
+    # word search, which keeps its own input check, reads it again.  A
+    # replay reads it once
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench
+    from treeshift import decider, shift
+
+    lookups, searches = [], []
+    cached, search = shift._pattern_forest, decider.word_trace_obstruction
+    monkeypatch.setattr(shift, "_pattern_forest", lambda *key: lookups.append(1) or cached(*key))
+    monkeypatch.setattr(
+        decider, "word_trace_obstruction", lambda *a, **k: searches.append(1) or search(*a, **k)
+    )
+
+    def counted(function, seen):
+        def call(*args, **kwargs):
+            at = len(lookups), len(searches)
+            result = function(*args, **kwargs)
+            seen.append((len(lookups) - at[0], len(searches) - at[1]))
+            return result
+        return call
+
+    calls = {"decide_cs": [], "reevaluate_obstruction": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(decider, name, counted(getattr(decider, name), seen))
+    reads = {}
+    for workload in PASS_DIGESTS:
+        calls["decide_cs"].clear()
+        bench.run_pass(bench.generate(workload, 1))
+        assert all(read == 1 + searched for read, searched in calls["decide_cs"])
+        reads[workload] = sum(read for read, _searched in calls["decide_cs"])
+    assert reads == {"audit_mix": 649, "binary_scale": 12, "hard_two_branch": 63}
+    assert set(calls["reevaluate_obstruction"]) == {(1, 0)}
+
+
+
+def test_every_public_name_is_read_or_documented():
+    # a name in the package's __all__ that the package, the CLI and the
+    # benchmark never read and the README never names is an entry point
+    # only the tests keep alive; a read inside its own definition does not
+    # count
+    modules = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "treeshift").glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    read = Counter(name for tree in modules.values() for name in reads(tree))
+    read.update(name for path in PERFBENCH.glob("*.py") for name in reads(ast.parse(path.read_text())))
+    named = {
+        word
+        for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+        for word in re.findall(r"\w+", span)
+    }
+    unused = []
+    for name in treeshift.__all__:
+        home = modules[getattr(treeshift, name).__module__.rpartition(".")[2]]
+        node = dict(definitions(home))[name]
+        if name not in named and read[name] == reads(node).count(name):
+            unused.append(name)
+    assert len(treeshift.__all__) > 1 and not unused, "unused public names: " + ", ".join(unused)

@@ -12,7 +12,6 @@ from treeshift import (
     tree_from_doc,
     tree_to_doc,
     validate_tree,
-    validate_tree_data,
 )
 
 
@@ -129,33 +128,31 @@ def test_validate_clean_tree():
 
 
 def test_validate_duplicate_vertex():
-    report = validate_tree_data(["0", "1", "1"], [("0", "1")], "0")
+    report = validate_tree(DirectedTree(["0", "1", "1"], [("0", "1")], "0"))
     assert not report.ok
     assert any("duplicate" in v for v in report.violations)
 
 
 def test_validate_unknown_endpoint():
-    report = validate_tree_data(["0", "1"], [("0", "2")], "0")
+    report = validate_tree(DirectedTree(["0", "1"], [("0", "2")], "0"))
     assert not report.ok
     assert any("unknown" in v for v in report.violations)
 
 
 def test_validate_two_parents():
-    report = validate_tree_data(
-        ["0", "1", "2"], [("0", "2"), ("1", "2"), ("0", "1")], "0"
-    )
+    report = validate_tree(DirectedTree(["0", "1", "2"], [("0", "2"), ("1", "2"), ("0", "1")], "0"))
     assert not report.ok
     assert any("parent" in v for v in report.violations)
 
 
 def test_validate_unreachable_vertex():
-    report = validate_tree_data(["0", "1", "2"], [("0", "1")], "0")
+    report = validate_tree(DirectedTree(["0", "1", "2"], [("0", "1")], "0"))
     assert not report.ok
     assert any("reachable" in v for v in report.violations)
 
 
 def test_validate_root_with_parent():
-    report = validate_tree_data(["0", "1"], [("1", "0"), ("0", "1")], "0")
+    report = validate_tree(DirectedTree(["0", "1"], [("1", "0"), ("0", "1")], "0"))
     assert not report.ok
 
 
@@ -203,9 +200,8 @@ GOLDEN_VIOLATIONS = {
 @pytest.mark.parametrize("case", sorted(GOLDEN_VIOLATIONS))
 def test_validate_reports_the_golden_violations(case):
     data, violations = GOLDEN_VIOLATIONS[case]
-    report = validate_tree_data(*data)
+    report = validate_tree(DirectedTree(*data))
     assert (report.ok, report.violations) == (False, violations)
-    assert validate_tree(DirectedTree(*data)).violations == violations
 
 
 def test_search_from_the_root_steps_only_through_vertices():
