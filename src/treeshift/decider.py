@@ -1035,8 +1035,9 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     is no tree shift and a word letter other than ``"T"`` or ``"T*"``.
     """
     opts = options or DeciderOptions()
+    obstruction = obstruction if isinstance(obstruction, dict) else {}
     kind, witness = obstruction.get("kind"), obstruction.get("witness")
-    field = _WITNESS_FIELDS.get(kind)
+    field = _WITNESS_FIELDS.get(kind) if isinstance(kind, str) else None
     if field is None:
         raise ValueError(f"unknown obstruction kind {kind!r}")
     if not isinstance(witness, dict) or field not in witness:

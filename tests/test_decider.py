@@ -902,10 +902,13 @@ def test_reevaluate_unknown_kind(y_shift):
         reevaluate_obstruction(y_shift, {"kind": "nonsense", "witness": {}})
 
 
-# a missing kind, a missing or non-dict witness, and a witness without the
-# field its kind's replay reads
+# no dict, a missing or unhashable kind, a missing or non-dict witness, and a
+# witness without the field its kind's replay reads
 MALFORMED_OBSTRUCTIONS = {
+    "not_a_dict": (None, "unknown obstruction kind None"),
     "no_kind": ({"witness": {"dim": 0}}, "unknown obstruction kind None"),
+    "list_kind": ({"kind": ["structure"], "witness": {"dim": 0}},
+                  "unknown obstruction kind ['structure']"),
     "no_witness": ({"kind": "structure"}, "a structure witness needs the field 'dim'"),
     "list_witness": ({"kind": "structure", "witness": [0]},
                      "a structure witness needs the field 'dim'"),
