@@ -93,6 +93,23 @@ def test_report_bytes_are_pinned(monkeypatch):
     assert hashlib.sha256(fuzz.encode()).hexdigest() == FUZZ_DIGEST
 
 
+# sha256 of the dumped cross_validate report of the crossval defaults, 20
+# samples a cell at seed 0 and tol 1e-10: the two-branch grid (0..3, 1..4)
+# and binary kappa 2-5.  Each record embeds the decider's options doc
+CROSSVAL_DIGESTS = {
+    "two-branch": "b685bba81d0769fc3fa2e4c886d92204751e31f891a48246479bbd2aad41d3f4",
+    "binary": "a4407e47422923b54c9c53b1b6ad3b382c5f0a9ee23453f54a524d4c6d25ef2b",
+}
+
+
+@pytest.mark.parametrize("family", sorted(CROSSVAL_DIGESTS))
+def test_crossval_report_bytes_are_pinned(family):
+    cells = [(k, t) for k in range(4) for t in range(1, 5)] if family == "two-branch" else [2, 3, 4, 5]
+    report = treeshift.cross_validate(family, cells, samples=20, seed=0, tol=1e-10)
+    digest = hashlib.sha256(treeshift.dump_json(report).encode()).hexdigest()
+    assert digest == CROSSVAL_DIGESTS[family]
+
+
 def test_every_exported_name_exists():
     modules = [treeshift] + [
         importlib.import_module(f"treeshift.{info.name}")
