@@ -233,7 +233,6 @@ def cross_validate(
     seed: int = 0,
     tol: float = 1e-8,
     anchors: Optional[dict] = None,
-    max_word_len: int = DeciderOptions.max_word_len,
 ) -> dict:
     """Audit printed criteria against certified verdicts over a grid.
 
@@ -241,14 +240,14 @@ def cross_validate(
     values for the binary family; ``samples`` random instances are drawn per
     cell, half aimed at satisfying moduli and half perturbed.  ``anchors``
     optionally maps a cell to explicit weight tuples audited ahead of the
-    random draws.  ``max_word_len`` goes to the decider.  The
-    report is the deliverable: disagreement entries carry an independently
-    re-checked certificate or obstruction.
+    random draws.  The decider runs at ``tol`` and ``seed``; its word search
+    is fixed at 8 letters.  The report is the deliverable: disagreement
+    entries carry an independently re-checked certificate or obstruction.
     """
     if family not in ("two-branch", "binary"):
         raise ValueError(f"unknown family {family!r}")
     rng = np.random.default_rng(seed)
-    opts = DeciderOptions(tol=tol, seed=seed, max_word_len=max_word_len)
+    opts = DeciderOptions(tol=tol, seed=seed)
     records = []
     for cell in cells:
         if family == "two-branch":

@@ -4,9 +4,9 @@ Subcommands wrap the library: ``check`` decides complex symmetry of a
 tree+weights document, ``classify`` evaluates the printed family criteria,
 ``conjugate`` runs the explicit constructions, ``kernels`` prints kernel
 dimension tables, ``crossval`` and ``broom`` emit audit reports, and
-``generate`` produces input documents.  Every subcommand has ``--tol``,
-``--seed`` and ``--word-len`` checked by :class:`DeciderOptions` before it
-reads any input, whether it uses them or not.
+``generate`` produces input documents.  Every subcommand has ``--tol`` and
+``--seed`` checked by :class:`DeciderOptions` before it reads any input,
+whether it uses them or not.
 
 Exit codes for ``check``: 0 = complex symmetric, 1 = not, 2 = undetermined,
 3 = input error, a usage error and an input too large for memory included.
@@ -57,15 +57,6 @@ def fmt(x) -> str:
     if isinstance(x, complex):
         return f"{x.real:.17g}{x.imag:+.17g}j"
     return f"{float(x):.17g}"
-
-
-def _options(args) -> DeciderOptions:
-    """The common options, checked by :class:`DeciderOptions` before any
-    input is read."""
-    options = DeciderOptions(tol=args.tol, max_word_len=args.word_len, seed=args.seed)
-    if options.max_word_len < 2:
-        raise ValueError(f"word-len must be at least 2, got {options.max_word_len}")
-    return options
 
 
 def _emit(args, text: str | None, doc: dict | None) -> None:
@@ -235,7 +226,6 @@ def cmd_crossval(args, options: DeciderOptions) -> int:
     report = cross_validate(
         args.family, cells, samples=args.samples,
         seed=options.seed, tol=max(options.tol, 1e-12),
-        max_word_len=options.max_word_len,
     )
     summary = report["summary"]
     text = (
@@ -316,9 +306,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=DeciderOptions.tol)
     parser.add_argument("--seed", type=int, default=DeciderOptions.seed)
-    parser.add_argument(
-        "--word-len", type=int, default=DeciderOptions.max_word_len, dest="word_len"
-    )
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--out", default=None)
 
@@ -398,7 +385,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _options(args))
+        return args.func(args, DeciderOptions(tol=args.tol, seed=args.seed))
     except (ValueError, WeightError, OSError, json.JSONDecodeError, MemoryError) as exc:
         sys.stderr.write(f"error: {str(exc) or type(exc).__name__}\n")
         return EXIT_INPUT_ERROR

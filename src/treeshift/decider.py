@@ -87,13 +87,14 @@ tree shift raises depth by one, so a word with ``a`` letters ``T`` and
 every term of a diagonal entry of its product has a structurally zero
 factor, so its trace evaluates to exactly 0 (or NaN once an overflowed
 product meets a zero), as does its reversal's, and their gap exceeds no
-threshold.  So only the balanced classes are evaluated: 3 of the 225 pairs
-of words and reversals up to ``max_word_len = 8``.  The word tolerance of a
-verdict and of its replay is floored at ``6.4 (max_word_len n + n^2)
-eps``, over twelve times the rounding of a gap, so the gap rounding alone
-opens for a skipped word is never a witness, and the witness is the one a
-plain scan of every pair returns unless a class's gap lies within rounding
-of the threshold.
+threshold.  So only the balanced classes are evaluated.  The search is
+fixed at words of up to 8 letters, and of their 225 pairs of a word and its
+reversal it evaluates the 3 of :data:`_WORDS`.  The word tolerance of a
+verdict and of its replay is floored at ``6.4 (8 n + n^2) eps``, over
+twelve times the rounding of a gap, so the gap rounding alone opens for a
+skipped word is never a witness, and the witness is the one a plain scan
+of every pair returns unless a class's gap lies within rounding of the
+threshold.
 
 The Sylvester system is never formed densely, nor is a basis of ``W``.
 The equation of ``T*`` is that of ``T`` for ``M = T*``, since
@@ -146,6 +147,7 @@ from .shift import (
     Forest,
     ShiftMatrix,
     TwinReduction,
+    _as_matrix,
     _forest,
     _rank_above_cut,
     _rank_cut,
@@ -166,46 +168,38 @@ __all__ = [
 ]
 
 
+# bool is an int subclass, but True is no number here
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
+
+
 @dataclass(frozen=True)
 class DeciderOptions:
     tol: float = 1e-10
     rank_rtol: float = 1e-10
-    max_word_len: int = 8
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
-        if not (math.isfinite(self.rank_rtol) and self.rank_rtol >= 0):
-            raise ValueError(
-                f"rank_rtol must be finite and >= 0, got {self.rank_rtol!r}"
-            )
-        # bool is an int subclass, but True is no word length or seed; a
-        # numpy integer is stored as an int, so that reports serialize
-        for name in ("max_word_len", "seed"):
+        # a numpy number is stored as a float or an int, so that reports
+        # serialize
+        for name, positive in (("tol", True), ("rank_rtol", False)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            if not (_is_real(value) and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                bound = "> 0" if positive else ">= 0"
+                raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not _is_count(self.seed):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
     def to_doc(self) -> dict:
+        # max_word_len is the length of the longest word the search covers
         return {"tol": self.tol, "rank_rtol": self.rank_rtol,
-                "max_word_len": self.max_word_len, "seed": self.seed}
-
-
-def _as_matrix(t) -> np.ndarray:
-    """The matrix of ``t``, a float64 one as it is and any other as complex,
-    checked to be square, nonempty and finite."""
-    m = t.matrix if isinstance(t, ShiftMatrix) else np.asarray(t)
-    if m.dtype != np.float64:
-        m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError("expected a nonempty square matrix")
-    finite = np.isfinite(m)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise ValueError(f"matrix entry ({row}, {col}) is not finite: {m[row, col]}")
-    return m
+                "max_word_len": len(_WORDS[-1]), "seed": self.seed}
 
 
 def kernel_obstruction(t) -> Optional[dict]:
@@ -246,8 +240,10 @@ def _trace_gap(tr: complex, tr_rev: complex) -> float:
 
 
 def _checked_word(letters: Sequence[str]) -> list[str]:
-    """``letters`` as a list, or :class:`ValueError` naming the first letter
-    other than ``"T"`` or ``"T*"``."""
+    """``letters`` as a list; :class:`ValueError` when it is no list or
+    tuple, or naming the first letter other than ``"T"`` or ``"T*"``."""
+    if not isinstance(letters, (list, tuple)):
+        raise ValueError(f"a word is a list of letters, got {letters!r}")
     letters = list(letters)
     for letter in letters:
         if letter not in ("T", "T*"):
@@ -272,9 +268,22 @@ def _word_threshold(tol: float, norm: float, length: int) -> float:
         return math.inf
 
 
+# The least word of each class of up to 8 letters, as many T as T*, whose
+# reversal is no rotation of it, in search order: by length, then
+# lexicographically with T < T*.  A class is all rotations of a word and of
+# its reversal; these are the balanced binary necklaces that differ from
+# their bracelets, none below 6 letters, then 1 at 6 and 2 at 8
+_WORDS = (
+    ("T", "T", "T*", "T", "T*", "T*"),
+    ("T", "T", "T", "T*", "T", "T*", "T*", "T*"),
+    ("T", "T", "T*", "T", "T*", "T", "T*", "T*"),
+)
+
+
 def _word_tol(opts: DeciderOptions, n: int) -> float:
     """The tolerance of the verdict's word stage on an ``n x n`` matrix:
-    ``opts.tol``, floored at ``6.4 (max_word_len n + n^2) eps``.
+    ``opts.tol``, floored at ``6.4 (8 n + n^2) eps`` for the longest word,
+    of 8 letters.
 
     With unit roundoff ``u = eps / 2`` a complex matmul errs by at most
     ``sqrt(2) (n + 2) u ||A||_F ||B||_F``, and an error made anywhere in a
@@ -288,106 +297,46 @@ def _word_tol(opts: DeciderOptions, n: int) -> float:
     ``opts.tol``.
     """
     eps = np.finfo(float).eps
-    return max(opts.tol, 6.4 * (opts.max_word_len * n + n * n) * eps)
-
-
-def _least_rotations(words: np.ndarray, length: int) -> np.ndarray:
-    """The least rotation of each ``length``-bit code; ``words`` is
-    overwritten.  In place, so that the class table stays small."""
-    least = words.copy()
-    top = np.empty_like(words)
-    for _ in range(length - 1):
-        np.right_shift(words, length - 1, out=top)
-        words <<= 1
-        words &= (1 << length) - 1
-        words |= top
-        np.minimum(least, words, out=least)
-    return least
-
-
-@functools.lru_cache(maxsize=64)
-def _word_classes(length: int) -> np.ndarray:
-    """The least word of every class of ``length`` letters with as many
-    ``T`` as ``T*`` whose reversal is no rotation of itself, ascending.
-    Cached, so read-only.
-
-    A class is all rotations of a word and of its reversal.  A word is a
-    code whose bits, most significant first, are its letters (``T`` = 0),
-    so code order is search order.  These are the balanced binary necklaces
-    that differ from their bracelets: none below 6 letters, then 1 at 6 and
-    2 at 8.
-    """
-    codes = np.arange(1 << length, dtype=np.int64)
-    reverse = np.zeros_like(codes)
-    for k in range(length):
-        reverse |= ((codes >> k) & 1) << (length - 1 - k)
-    least_reverse = _least_rotations(reverse, length)
-    del reverse
-    keep = _least_rotations(codes.copy(), length) == codes
-    kept = codes[keep & (least_reverse > codes)]
-    kept = kept[2 * sum((kept >> k) & 1 for k in range(length)) == length]
-    kept.flags.writeable = False
-    return kept
-
-
-# The most memory the class table may take, and what it takes per code
-# (tracemalloc peak of _word_classes: 40 bytes, rounded up)
-_WORD_TABLE_BYTES = 1 << 30
-_WORD_TABLE_BYTES_PER_CODE = 48
+    return max(opts.tol, 6.4 * (len(_WORDS[-1]) * n + n * n) * eps)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def word_trace_obstruction(
-    t, max_len: int = 8, tol: float = 1e-10
-) -> Optional[dict]:
-    """First word (by length, then lexicographically with ``T < T*``) whose
-    trace differs from the trace of the reversed word beyond
-    ``10 * tol * max(1, ||T||_F ** len)``, among the least words of the
-    balanced classes (:func:`_word_classes`; the module docstring says why
-    the other words can be skipped).
+def word_trace_obstruction(t, tol: float = 1e-10) -> Optional[dict]:
+    """First of the words :data:`_WORDS` whose trace differs from the trace
+    of the reversed word beyond ``10 * tol * max(1, ||T||_F ** len)``; the
+    module docstring says why the other words of up to 8 letters can be
+    skipped.
 
     Each word and its reversal go through the sequential evaluator that
     :func:`word_value` and :func:`reevaluate_obstruction` share, so the
     witness replays bit for bit.  ``tol`` is taken as given; :func:`decide_cs`
     and :func:`reevaluate_obstruction` pass the one :func:`_word_tol`
-    floors, at which the witness is the one a scan of every pair returns
-    unless a class's gap lies within rounding of the threshold.  Raises
-    :class:`ValueError` for a matrix that is no tree shift, a ``tol`` that
-    is negative or NaN, and, before any table is allocated, a ``max_len``
-    whose class table would take more than 1 GiB (from 25 letters).
+    floors, at which the witness is the one a scan of every pair up to 8
+    letters returns unless a class's gap lies within rounding of the
+    threshold.  Raises :class:`ValueError` for a matrix that is no tree
+    shift and a ``tol`` that is negative or NaN.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     m = _as_matrix(t)
-    # past 64 letters no table fits, so the count stops there
-    if (1 << min(max_len, 64)) * _WORD_TABLE_BYTES_PER_CODE > _WORD_TABLE_BYTES:
-        raise ValueError(
-            f"max_word_len {max_len} is too long: the word search's class "
-            f"table would take more than 1 GiB"
-        )
     _forest(m)
     mats = _letters(m)
     norm = float(np.linalg.norm(m))
-    for length in range(1, max_len + 1):
-        threshold = _word_threshold(tol, norm, length)
+    for letters in _WORDS:
+        threshold = _word_threshold(tol, norm, len(letters))
         if not threshold < math.inf:
             continue  # no gap exceeds an infinite or NaN threshold
-        for code in _word_classes(length).tolist():
-            letters = tuple(
-                "T*" if (code >> (length - 1 - k)) & 1 else "T"
-                for k in range(length)
-            )
-            tr = _word_trace(mats, letters)
-            tr_rev = _word_trace(mats, letters[::-1])
-            margin = _trace_gap(tr, tr_rev)
-            if margin > threshold:
-                return {
-                    "word": list(letters),
-                    "trace": complex_to_pair(tr),
-                    "trace_reversed": complex_to_pair(tr_rev),
-                    "margin": float(margin),
-                    "threshold": float(threshold),
-                }
+        tr = _word_trace(mats, letters)
+        tr_rev = _word_trace(mats, letters[::-1])
+        margin = _trace_gap(tr, tr_rev)
+        if margin > threshold:
+            return {
+                "word": list(letters),
+                "trace": complex_to_pair(tr),
+                "trace_reversed": complex_to_pair(tr_rev),
+                "margin": float(margin),
+                "threshold": float(threshold),
+            }
     return None
 
 
@@ -922,8 +871,7 @@ def decide_cs(
         A tree shift's matrix or :class:`~treeshift.shift.ShiftMatrix`; any
         other matrix raises :class:`ValueError`.
     options:
-        Tolerances, word length bound, and the seed of the certificate's
-        random element.
+        Tolerances and the seed of the certificate's random element.
     basis:
         Labels for certificate serialization, one per row; inferred from a
         shift matrix.  Any other count raises :class:`ValueError` before
@@ -989,9 +937,7 @@ def decide_cs(
         if verdict is not None:
             return verdict  # else the words, then W
 
-    word = word_trace_obstruction(
-        np.abs(m), max_len=opts.max_word_len, tol=_word_tol(opts, m.shape[0])
-    )
+    word = word_trace_obstruction(np.abs(m), tol=_word_tol(opts, m.shape[0]))
     if word is not None:
         return refuted("word_trace", word, word["margin"])
 
@@ -1030,9 +976,10 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     the joint space ``W`` is solved again; the witness holds
     when ``W`` has the recorded dimension and still excludes a certificate,
     and the margin is ``1 - spread``.  Before any stage runs, an unknown
-    ``kind`` and a ``witness`` without the field its kind reads (``word``,
-    ``weights`` or ``dim``) raise :class:`ValueError`; so do a matrix that
-    is no tree shift and a word letter other than ``"T"`` or ``"T*"``.
+    ``kind`` and a ``witness`` without the well-formed field its kind reads
+    raise :class:`ValueError`: ``word``, a list or tuple of the letters
+    ``"T"`` and ``"T*"``; ``weights``, a list of finite numbers; ``dim``,
+    an integer ``>= 0``.  So does a matrix that is no tree shift.
     """
     opts = options or DeciderOptions()
     obstruction = obstruction if isinstance(obstruction, dict) else {}
@@ -1042,6 +989,15 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
         raise ValueError(f"unknown obstruction kind {kind!r}")
     if not isinstance(witness, dict) or field not in witness:
         raise ValueError(f"a {kind} witness needs the field {field!r}")
+    value = witness[field]
+    if field == "word":
+        letters = _checked_word(value)
+    elif not (
+        isinstance(value, list) and all(_is_real(x) and math.isfinite(x) for x in value)
+        if field == "weights"
+        else _is_count(value)
+    ):
+        raise ValueError(f"a {kind} witness's {field!r} is malformed: {value!r}")
     m = _as_matrix(t)
     _, work, red = _prepared(m, reduce=kind != "word_trace")
     if kind == "structure":
@@ -1049,18 +1005,17 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
         if joint is None:
             return False, 0.0
         _polar, again, excluded = joint
-        return excluded and again["dim"] == witness["dim"], 1.0 - again["spread"]
+        return excluded and again["dim"] == value, 1.0 - again["spread"]
     if kind == "chain_reversal":
         chains = None if red is None else _chains(red.parent)
         if chains is None:
             return False, 0.0
-        a = np.array(witness["weights"], dtype=float)
+        a = np.array(value, dtype=float)
         links = [red.weights[chain[1:]] for chain in chains]
         if not (a.size and any(np.array_equal(a, b) for b in links)):
             return False, 0.0
         gap = _reversal_gap(a, links, red.weights.max())
         return gap > _CHAIN_GAP * _chain_tol(opts), gap
-    letters = _checked_word(witness["word"])
     mats = _letters(np.abs(m))
     margin = _trace_gap(_word_trace(mats, letters), _word_trace(mats, letters[::-1]))
     threshold = _word_threshold(

@@ -128,12 +128,11 @@ def kernel_table(s, max_power: int) -> KernelTable:
     ``u`` is nonzero exactly when a path of ``m`` edges runs down from
     ``u``; the rank is read off that count, with no rounding and no cut.
     ``S^n = 0`` for ``n`` vertices, so :class:`ValueError` refuses a
-    ``max_power`` above ``n`` (or below 1) and a matrix that is no tree
-    shift (see :func:`_forest`).
+    ``max_power`` above ``n`` (or below 1), a matrix that is not finite
+    (see :func:`_as_matrix`) and one that is no tree shift (see
+    :func:`_forest`).
     """
-    t = s.matrix if isinstance(s, ShiftMatrix) else np.asarray(s)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError("kernel_table needs a square matrix")
+    t = _as_matrix(s)
     n = t.shape[0]
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
@@ -184,6 +183,21 @@ class Forest(NamedTuple):
     levels: tuple[np.ndarray, ...]
     height: np.ndarray
     weights: np.ndarray
+
+
+def _as_matrix(t) -> np.ndarray:
+    """The matrix of ``t``, a float64 one as it is and any other as complex,
+    checked to be square, nonempty and finite."""
+    m = t.matrix if isinstance(t, ShiftMatrix) else np.asarray(t)
+    if m.dtype != np.float64:
+        m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError("expected a nonempty square matrix")
+    finite = np.isfinite(m)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(f"matrix entry ({row}, {col}) is not finite: {m[row, col]}")
+    return m
 
 
 def _forest(m: np.ndarray) -> Forest:

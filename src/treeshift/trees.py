@@ -21,8 +21,7 @@ __all__ = [
 
 
 # The most vertices a tree may have: its dense complex shift matrix then
-# takes at most 1 GiB (8192^2 entries of 16 bytes), the budget of the word
-# search's class table
+# takes at most 1 GiB (8192^2 entries of 16 bytes)
 _MAX_VERTICES = 8192
 
 

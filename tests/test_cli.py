@@ -201,10 +201,17 @@ def test_check_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: treeshift check")
 
 
-def test_check_rejects_bad_word_len(capsys):
-    code = main(["check", "--word-len", "1", "nonexistent.json"])
-    assert code == 3
-    assert "word-len" in capsys.readouterr().err
+def test_check_rejects_bad_word_len(tmp_path, capsys):
+    # the word search is fixed at 8 letters: --word-len is a usage error,
+    # even at the length the search covers
+    path = write_doc(tmp_path, "doc.json", branching_doc())
+    with pytest.raises(SystemExit) as exited:
+        main(["check", "--word-len", "8", path])
+    assert exited.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: treeshift")
+    assert "error: unrecognized arguments: --word-len" in captured.err
 
 
 def test_classify_satisfied(capsys):
@@ -405,27 +412,25 @@ def test_crossval_deterministic(tmp_path):
 
 def test_crossval_passes_seed_and_word_len(tmp_path, capsys):
     # the trunked tree does not reduce to chains, so it reaches the words:
-    # its shortest witness has 6 letters, out of reach at --word-len 4
+    # its shortest witness has 6 letters
     path = write_doc(tmp_path, "doc.json", trunked_doc())
-    for word_len, kind in ((6, "word_trace"), (4, "structure")):
-        code = main(["check", "--word-len", str(word_len), "--json", path])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 1 and report["obstruction"]["kind"] == kind
-        if kind == "word_trace":
-            assert len(report["obstruction"]["witness"]["word"]) == 6
+    code = main(["check", "--json", path])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1 and report["obstruction"]["kind"] == "word_trace"
+    assert len(report["obstruction"]["witness"]["word"]) == 6
     code = main([
-        "crossval", "--family", "binary", "--kappa-max", "2",
-        "--seed", "8", "--word-len", "4", "--json",
+        "crossval", "--family", "binary", "--kappa-max", "2", "--seed", "8", "--json",
     ])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert doc["options"]["seed"] == 8
-    assert doc["options"]["max_word_len"] == 4
+    # the reports state the fixed length of the word search
+    assert doc["options"]["max_word_len"] == 8
     verdicts = [rec["decider"] for rec in doc["instances"]]
     assert verdicts
     for verdict in verdicts:
         assert verdict["seed"] == verdict["options"]["seed"] == 8
-        assert verdict["options"]["max_word_len"] == 4
+        assert verdict["options"]["max_word_len"] == 8
         if verdict["verdict"] == "not_cs":
             # a binary tree with equal moduli per level reduces to chains,
             # which are decided before any word
@@ -674,9 +679,8 @@ def test_common_option_defaults_are_the_decider_defaults():
     for argv in (["check", "doc.json"], ["kernels", "doc.json"],
                  ["crossval", "--family", "binary"]):
         args = build_parser().parse_args(argv)
-        assert (args.tol, args.seed, args.word_len) == (
-            opts.tol, opts.seed, opts.max_word_len
-        )
+        assert (args.tol, args.seed) == (opts.tol, opts.seed)
+        assert not hasattr(args, "word_len")
 
 
 def test_generate_broom(capsys):
@@ -770,8 +774,9 @@ MALFORMED_COMMON = {
     "tol0": (["--tol", "0"], "tol must be finite and > 0"),
     "tol-negative": (["--tol=-1e-10"], "tol must be finite and > 0"),
     "seed-1": (["--seed", "-1"], "seed must be an integer >= 0"),
-    "word-len1": (["--word-len", "1"], "word-len must be at least 2"),
-    "word-len-1": (["--word-len", "-1"], "max_word_len must be an integer >= 0"),
+    # the word length is fixed at 8 letters: --word-len is a usage error
+    "word-len1": (["--word-len", "1"], "error: unrecognized arguments: --word-len 1"),
+    "word-len-1": (["--word-len", "-1"], "error: unrecognized arguments: --word-len -1"),
 }
 
 
@@ -782,12 +787,19 @@ def test_every_subcommand_refuses_malformed_common_options(tmp_path, capsys, com
     # one validator for the common options: --tol inf used to get through on
     # every subcommand but check and crossval, and --seed -1 on all but check
     extra, message = MALFORMED_COMMON[option]
-    code = main(subcommand_argvs(tmp_path)[command] + extra)
+    argv = subcommand_argvs(tmp_path)[command] + extra
+    usage = option.startswith("word-len")
+    if usage:
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        code = exited.value.code
+    else:
+        code = main(argv)
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert "Traceback" not in captured.err
-    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.startswith("usage: " if usage else "error: ") and message in captured.err
 
 
 @pytest.mark.parametrize("command", ["classify", "conjugate", "broom"])
@@ -825,28 +837,6 @@ def test_family_parameters_outside_their_range_are_refused(capsys, command, argv
     assert code == 3
     assert captured.out == ""
     assert message in captured.err
-
-
-def test_word_screen_that_cannot_fit_exits_3_without_allocating(tmp_path):
-    # at 30 letters the word search's class table would take tens of GB; the
-    # batched screen it replaced asked for 2^24-entry tables and more, and
-    # died with a MemoryError and exit 1 (the not_cs code) under this limit
-    resource = pytest.importorskip("resource")
-    doc = {"tree": tree_to_doc(treeshift.generate_path(4)),
-           "weights": {"1": 1.0, "2": 1.0, "3": 1.0}}
-    # the path is one palindromic chain, certified before any word; the Y
-    # tree does not reduce to chains, and reaches the words
-    assert main(["check", write_doc(tmp_path, "p4.json", doc), "--word-len", "30"]) == 0
-    path = write_doc(tmp_path, "y.json", branching_doc())
-
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    run = run_cli(["check", path, "--word-len", "30"], preexec_fn=limit_address_space)
-    assert run.returncode == 3, run.stderr
-    assert run.stdout == ""
-    assert "Traceback" not in run.stderr
-    assert "max_word_len 30 is too long" in run.stderr
 
 
 def test_a_document_over_the_vertex_bound_exits_3_before_allocating(tmp_path):

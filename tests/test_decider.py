@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -51,8 +52,8 @@ from treeshift.decider import (
     _prepared,
     _scatter,
     _sylvester_nullspace,
-    _word_classes,
     _word_tol,
+    _WORDS,
 )
 from treeshift.shift import _forest, kernel_table, tree_gauge, twin_reduction
 from conftest import SQRT2, forest_matrix, random_complex
@@ -78,16 +79,28 @@ def test_options_doc_round_trip():
     assert doc["tol"] == 1e-9
     assert doc["seed"] == 3
     assert set(doc) == {"tol", "rank_rtol", "max_word_len", "seed"}
+    # the word search is fixed: the doc states the longest word it covers
+    assert doc["max_word_len"] == 8 == max(map(len, _WORDS))
+    assert [f.name for f in dataclasses.fields(DeciderOptions)] == ["tol", "rank_rtol", "seed"]
+    # a numpy float is stored as a float: dump_json of a verdict's doc raised
+    # TypeError on np.float32 after decide_cs had decided
+    opts = DeciderOptions(tol=np.float32(1e-10), rank_rtol=np.float64(0.0))
+    assert type(opts.tol) is type(opts.rank_rtol) is float
+    doc = json.loads(dump_json(decide_cs(path3_shift(1.0, 2.0), opts).to_doc()))
+    assert doc["options"]["tol"] == float(np.float32(1e-10)) and doc["options"]["rank_rtol"] == 0.0
 
 
 @pytest.mark.parametrize(
     "field, value",
     [("tol", 0.0), ("tol", -1.0), ("tol", math.nan), ("tol", math.inf),
-     ("rank_rtol", -1.0), ("rank_rtol", math.nan), ("rank_rtol", math.inf)],
+     ("rank_rtol", -1.0), ("rank_rtol", math.nan), ("rank_rtol", math.inf),
+     ("tol", True), ("rank_rtol", False), ("tol", "1e-10"), ("rank_rtol", None),
+     ("tol", 1e-10j)],
 )
 def test_options_out_of_range_are_refused(field, value):
     # tol = -1 used to decide the cs all-ones binary tree not_cs with margin
-    # 0.0, and tol = 0 almost every known-cs binary tree
+    # 0.0, and tol = 0 almost every known-cs binary tree.  tol = True was
+    # stored and reported as true, and tol = "1e-10" raised TypeError
     with pytest.raises(ValueError, match=rf"^{field} must be finite"):
         DeciderOptions(**{field: value})
     assert DeciderOptions(rank_rtol=0.0).rank_rtol == 0.0
@@ -95,17 +108,16 @@ def test_options_out_of_range_are_refused(field, value):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("seed", -1), ("seed", 1.0), ("seed", True), ("max_word_len", 2.5),
-     ("max_word_len", -2), ("max_word_len", False), ("max_word_len", "8")],
+    [("seed", -1), ("seed", 1.0), ("seed", True)],
 )
 def test_options_that_are_no_count_are_refused(field, value):
     # seed = -1 used to fail inside numpy's default_rng on the first input
-    # that reached the solve, and max_word_len = 2.5 inside the word screen
+    # that reached the solve
     with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 0"):
         DeciderOptions(**{field: value})
-    opts = DeciderOptions(seed=np.int64(3), max_word_len=np.int32(0))
-    assert type(opts.seed) is type(opts.max_word_len) is int
-    assert dump_json(opts.to_doc()) == dump_json(DeciderOptions(seed=3, max_word_len=0).to_doc())
+    opts = DeciderOptions(seed=np.int64(3))
+    assert type(opts.seed) is int
+    assert dump_json(opts.to_doc()) == dump_json(DeciderOptions(seed=3).to_doc())
 
 
 def test_word_screen_refuses_a_negative_tol():
@@ -166,6 +178,9 @@ def test_non_finite_matrices_are_rejected_up_front(bad):
         lambda: decide_cs(m),
         lambda: word_value(m, ["T", "T*"]),
         lambda: reevaluate_obstruction(m, witness),
+        # kernel_table used to return ((1, 1, 1),) here
+        lambda: kernel_table(m, 1),
+        lambda: kernel_obstruction(m),
     ):
         with pytest.raises(ValueError, match=r"entry \(1, 0\) is not finite"):
             call()
@@ -248,10 +263,13 @@ def test_word_trace_obstruction_zero_matrix():
 
 
 def test_word_trace_minimal_length():
-    # the shortest separating word for the weighted path has six letters,
-    # so capping the search below that must come back empty
+    # the shortest separating word for the weighted path has six letters: a
+    # plain scan up to five letters comes back empty, and the search's
+    # witness is its first word
     t = path3_shift(1.0, 2.0)
-    assert word_trace_obstruction(t.matrix, max_len=5) is None
+    assert sequential_word_trace_obstruction(t.matrix, max_len=5) is None
+    assert word_trace_obstruction(t.matrix)["word"] == list(_WORDS[0])
+    assert len(_WORDS[0]) == 6
 
 
 def bitwise(doc):
@@ -310,10 +328,14 @@ def class_codes_by_strings(length):
 
 
 def test_word_classes_match_a_brute_force_over_strings():
-    for length in range(1, 13):
-        assert _word_classes(length).tolist() == class_codes_by_strings(length)
-    counts = [_word_classes(length).size for length in range(1, 9)]
-    assert counts == [0] * 5 + [1, 0, 2]
+    # the search's words are the least words of the classes up to 8 letters,
+    # by length, then by code (T < T*)
+    words = [
+        tuple("T*" if bit == "1" else "T" for bit in format(code, f"0{length}b"))
+        for length in range(1, 9)
+        for code in class_codes_by_strings(length)
+    ]
+    assert words == list(_WORDS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,14 +368,13 @@ def test_a_word_class_shares_one_gap_up_to_rounding(kind, seed, length):
 @given(
     st.sampled_from(TREE_WORD_KINDS),
     st.integers(0, 2**32 - 1),
-    st.integers(1, 10),
     st.sampled_from(WORD_TOLS),
 )
-def test_word_trace_screen_matches_sequential_search(kind, seed, max_len, tol):
+def test_word_trace_screen_matches_sequential_search(kind, seed, tol):
     m = word_case(kind, seed)
-    tol = floored_word_tol(tol, max_len, m.shape[0])
-    got = word_trace_obstruction(m, max_len=max_len, tol=tol)
-    want = sequential_word_trace_obstruction(m, max_len=max_len, tol=tol)
+    tol = floored_word_tol(tol, 8, m.shape[0])
+    got = word_trace_obstruction(m, tol=tol)
+    want = sequential_word_trace_obstruction(m, max_len=8, tol=tol)
     assert bitwise(got) == bitwise(want)
 
 
@@ -417,27 +438,6 @@ def test_word_stage_survives_overflowing_powers():
         s, {"kind": "word_trace", "witness": {"word": ["T", "T", "T*", "T*"]}}
     )
     assert not ok
-
-
-def test_word_screen_that_cannot_fit_is_refused_before_allocating():
-    # the class table takes 40 bytes per code of the longest length: 30
-    # letters would ask for tens of GB, and 25, the shortest refused length,
-    # for more than 1 GiB
-    s = build_shift(generate_path(4), {"1": 1.0, "2": 1.0, "3": 1.0})
-    tracemalloc.start()
-    try:
-        for max_len in (25, 30, 10**9):
-            with pytest.raises(ValueError, match=f"^max_word_len {max_len} is too long"):
-                word_trace_obstruction(s.matrix, max_len=max_len)
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    # the path is one palindromic chain, certified before any word; a tree
-    # that does not reduce to chains reaches the words
-    assert decide_cs(s, DeciderOptions(max_word_len=30)).kind == "cs"
-    with pytest.raises(ValueError, match="max_word_len 30"):
-        decide_cs(fork(1.0, 2.0, 3.0, 4.0), DeciderOptions(max_word_len=30))
 
 
 def sylvester_case(kind: str, seed: int) -> np.ndarray:
@@ -918,6 +918,26 @@ MALFORMED_OBSTRUCTIONS = {
                    "a chain_reversal witness needs the field 'weights'"),
     "no_dim": ({"kind": "structure", "witness": {"spread": 0.0}},
                "a structure witness needs the field 'dim'"),
+    # these raised TypeError, returned (False, 0.0), or, for dim "x",
+    # returned (False, 1.0) after the whole solve
+    "int_word": ({"kind": "word_trace", "witness": {"word": 5}},
+                 "a word is a list of letters, got 5"),
+    "str_word": ({"kind": "word_trace", "witness": {"word": "TT*"}},
+                 "a word is a list of letters, got 'TT*'"),
+    "dict_weights": ({"kind": "chain_reversal", "witness": {"weights": {"a": 1}}},
+                     "a chain_reversal witness's 'weights' is malformed: {'a': 1}"),
+    "none_weights": ({"kind": "chain_reversal", "witness": {"weights": None}},
+                     "a chain_reversal witness's 'weights' is malformed: None"),
+    "nan_weight": ({"kind": "chain_reversal", "witness": {"weights": [1.0, math.nan]}},
+                   "a chain_reversal witness's 'weights' is malformed: [1.0, nan]"),
+    "bool_weight": ({"kind": "chain_reversal", "witness": {"weights": [True]}},
+                    "a chain_reversal witness's 'weights' is malformed: [True]"),
+    "str_dim": ({"kind": "structure", "witness": {"dim": "x"}},
+                "a structure witness's 'dim' is malformed: 'x'"),
+    "bool_dim": ({"kind": "structure", "witness": {"dim": True}},
+                 "a structure witness's 'dim' is malformed: True"),
+    "negative_dim": ({"kind": "structure", "witness": {"dim": -1}},
+                     "a structure witness's 'dim' is malformed: -1"),
 }
 
 
@@ -943,6 +963,13 @@ def test_replayed_word_names_a_bad_letter(y_shift, bad):
     witness = {"kind": "word_trace", "witness": {"word": word}}
     with pytest.raises(ValueError, match=re.escape(match)):
         reevaluate_obstruction(y_shift, witness)
+
+
+@pytest.mark.parametrize("word", [5, "TT*", None])
+def test_a_word_that_is_no_list_is_refused(y_shift, word):
+    # word_value(m, 5) raised TypeError, and a string was read letter by letter
+    with pytest.raises(ValueError, match=f"^a word is a list of letters, got {re.escape(repr(word))}$"):
+        word_value(y_shift.matrix, word)
 
 
 @pytest.mark.parametrize("labels", [("a", "b"), ()])
@@ -1337,10 +1364,9 @@ def test_twin_reduction_is_an_orthogonal_splitting_with_the_same_w(
     leaves=st.integers(0, 2),
     scale=st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150, None]),
     tol=st.sampled_from([1e-10, 1e-14, 0.0]),
-    max_len=st.integers(1, 10),
 )
 def test_graded_word_screen_finds_what_the_full_scan_finds(
-    seed, base, size, copies, leaves, scale, tol, max_len
+    seed, base, size, copies, leaves, scale, tol
 ):
     # a tree shift evaluates its balanced words only.  From 1e150 products
     # overflow; scale None puts ||T||_F^2 at 2^1022, near the float range
@@ -1352,9 +1378,9 @@ def test_graded_word_screen_finds_what_the_full_scan_finds(
     m = m[np.ix_(perm, perm)]
     m *= 2.0**511 / np.linalg.norm(m) if scale is None else scale
     assert _forest(m) is not None
-    tol = floored_word_tol(tol, max_len, m.shape[0])
-    got = word_trace_obstruction(m, max_len=max_len, tol=tol)
-    want = sequential_word_trace_obstruction(m, max_len=max_len, tol=tol)
+    tol = floored_word_tol(tol, 8, m.shape[0])
+    got = word_trace_obstruction(m, tol=tol)
+    want = sequential_word_trace_obstruction(m, max_len=8, tol=tol)
     assert bitwise(got) == bitwise(want)
 
 
@@ -1480,7 +1506,7 @@ def test_the_chain_decision_agrees_with_the_words_and_the_solve(seed, base, size
     assert all(a == links[0][len(links[0]) - len(a):] for a in links)
     assert decided is not None
     kind = decided[0]
-    if word_trace_obstruction(np.abs(m), opts.max_word_len, _word_tol(opts, m.shape[0])):
+    if word_trace_obstruction(np.abs(m), _word_tol(opts, m.shape[0])):
         assert kind == "not_cs"
     polar, _witness, excluded = _joint_space(red, opts.rank_rtol, opts.seed)
     if excluded:

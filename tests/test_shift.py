@@ -52,7 +52,7 @@ def test_missing_weight_rejected():
 
 
 def test_kernel_table_refuses_a_non_square_matrix_and_no_power():
-    with pytest.raises(ValueError, match="^kernel_table needs a square matrix$"):
+    with pytest.raises(ValueError, match="^expected a nonempty square matrix$"):
         kernel_table(np.zeros((2, 3)), max_power=1)
     with pytest.raises(ValueError, match="^max_power must be at least 1$"):
         kernel_table(build_shift(generate_path(3), {"1": 1.0, "2": 2.0}), max_power=0)
