@@ -39,10 +39,6 @@ class Conjugation:
     residual_unitary: float
     residual_symmetric: float
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ np.conj(np.asarray(vec, dtype=complex))
 
@@ -95,18 +91,13 @@ def conjugation_from_matrix(
 
 @dataclass(frozen=True)
 class CSymmetryReport:
+    """The outcome of :func:`verify_c_symmetry`: the residual
+    ``||T A - A T^T||_F``, whether it passed, and the label of the basis
+    vector whose column of the defect is largest."""
+
     residual: float
     passed: bool
-    tol: float
     worst_basis_vector: str
-
-    def to_doc(self) -> dict:
-        return {
-            "residual": float(self.residual),
-            "passed": bool(self.passed),
-            "tol": float(self.tol),
-            "worst_basis_vector": self.worst_basis_vector,
-        }
 
 
 def gauged_conjugation(
@@ -155,6 +146,5 @@ def verify_c_symmetry(t, conj: Conjugation, tol: float = 1e-10) -> CSymmetryRepo
     return CSymmetryReport(
         residual=residual,
         passed=bool(residual <= tol * scale < np.inf),
-        tol=tol,
         worst_basis_vector=worst,
     )

@@ -126,7 +126,6 @@ import cmath
 import functools
 import math
 import numbers
-import time
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -151,7 +150,6 @@ from .shift import (
     _forest,
     _rank_above_cut,
     _rank_cut,
-    kernel_table,
     tree_gauge,
     twin_reduction,
 )
@@ -177,43 +175,38 @@ def _is_count(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= 0
 
 
+# The relative rank cut of the solve of W (floored at the rounding noise by
+# shift._rank_cut): it fixes dim W, in a verdict and in a structure replay
+_RANK_RTOL = 1e-10
+
+
 @dataclass(frozen=True)
 class DeciderOptions:
     tol: float = 1e-10
-    rank_rtol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self) -> None:
         # a numpy number is stored as a float or an int, so that reports
         # serialize
-        for name, positive in (("tol", True), ("rank_rtol", False)):
-            value = getattr(self, name)
-            if not (_is_real(value) and math.isfinite(value) and (value > 0 if positive else value >= 0)):
-                bound = "> 0" if positive else ">= 0"
-                raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        if not (_is_real(self.tol) and math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        object.__setattr__(self, "tol", float(self.tol))
         if not _is_count(self.seed):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
 
     def to_doc(self) -> dict:
         # max_word_len is the length of the longest word the search covers
-        return {"tol": self.tol, "rank_rtol": self.rank_rtol,
+        return {"tol": self.tol, "rank_rtol": _RANK_RTOL,
                 "max_word_len": len(_WORDS[-1]), "seed": self.seed}
 
 
-def kernel_obstruction(t) -> Optional[dict]:
-    """First power where the numerical kernels of ``T^m`` and ``T*^m`` differ.
-
-    No such power exists for a finite square matrix (``rank M = rank M*``),
-    so :func:`decide_cs` does not run this check, and since
-    :func:`~treeshift.shift.kernel_table`, which takes a tree shift only,
-    reads both columns from one rank, it always returns ``None``.
-    """
-    m = _as_matrix(t)
-    for power, dk, dka in kernel_table(m, m.shape[0]).rows:
-        if dk != dka:
-            return {"power": power, "dim_ker": dk, "dim_ker_adjoint": dka}
+def kernel_obstruction(t) -> None:
+    """The first power where the kernels of ``T^m`` and ``T*^m`` differ:
+    none, as ``(T*)^m = (T^m)*`` has the rank of ``T^m``, so :func:`decide_cs`
+    runs no such check.  Returns ``None`` once ``t`` passes the input check
+    of every entry point, a finite tree shift, else raises :class:`ValueError`."""
+    _forest(_as_matrix(t))
     return None
 
 
@@ -829,9 +822,8 @@ def unitary_search(space: Sequence[np.ndarray], seed: int = 0) -> Optional[np.nd
 class Verdict:
     """Outcome of :func:`decide_cs` with its certificate or obstruction.
 
-    ``elapsed`` is wall-clock seconds and is deliberately left out of
-    :meth:`to_doc` so that serialized verdicts are reproducible byte for
-    byte.
+    It holds no timing, so that :meth:`to_doc` is reproducible byte for
+    byte; the report's ``seed`` is that of ``options``.
     """
 
     kind: str
@@ -839,9 +831,7 @@ class Verdict:
     obstruction: Optional[dict]
     residuals: dict
     diagnostics: dict
-    seed: int
     options: DeciderOptions
-    elapsed: float
 
     def to_doc(self) -> dict:
         return {
@@ -850,7 +840,7 @@ class Verdict:
             "obstruction": self.obstruction,
             "residuals": dict(self.residuals),
             "diagnostics": dict(self.diagnostics),
-            "seed": self.seed,
+            "seed": self.options.seed,
             "options": self.options.to_doc(),
         }
 
@@ -858,24 +848,18 @@ class Verdict:
 # Every stage checks its values for overflow itself: a certificate or witness
 # that is not finite is refused, so numpy's warnings would only be noise
 @np.errstate(over="ignore", invalid="ignore")
-def decide_cs(
-    t,
-    options: Optional[DeciderOptions] = None,
-    basis: Optional[Sequence[str]] = None,
-) -> Verdict:
+def decide_cs(t, options: Optional[DeciderOptions] = None) -> Verdict:
     """Decide whether ``T`` is complex symmetric.
 
     Parameters
     ----------
     t:
         A tree shift's matrix or :class:`~treeshift.shift.ShiftMatrix`; any
-        other matrix raises :class:`ValueError`.
+        other matrix raises :class:`ValueError`.  A certificate is labelled
+        by the basis of a shift matrix, and by ``"0".."n-1"`` for a bare
+        matrix.
     options:
-        Tolerances and the seed of the certificate's random element.
-    basis:
-        Labels for certificate serialization, one per row; inferred from a
-        shift matrix.  Any other count raises :class:`ValueError` before
-        any stage runs.
+        The tolerance and the seed of the certificate's random element.
 
     Returns
     -------
@@ -885,15 +869,8 @@ def decide_cs(
         obstruction, or ``undetermined`` with diagnostics.
     """
     opts = options or DeciderOptions()
-    started = time.perf_counter()
     m = _as_matrix(t)
-    if basis is None:
-        basis = t.basis if isinstance(t, ShiftMatrix) else map(str, range(m.shape[0]))
-    basis = tuple(basis)
-    if len(basis) != m.shape[0]:
-        raise ValueError(
-            f"basis has {len(basis)} labels for a matrix of size {m.shape[0]}"
-        )
+    basis = t.basis if isinstance(t, ShiftMatrix) else tuple(map(str, range(m.shape[0])))
 
     def finish(kind, certificate=None, obstruction=None, residuals=None, diag=None):
         return Verdict(
@@ -902,9 +879,7 @@ def decide_cs(
             obstruction=obstruction,
             residuals=residuals or {},
             diagnostics=diag or {},
-            seed=opts.seed,
             options=opts,
-            elapsed=time.perf_counter() - started,
         )
 
     def refuted(kind, witness, margin, diag=None):
@@ -941,7 +916,7 @@ def decide_cs(
     if word is not None:
         return refuted("word_trace", word, word["margin"])
 
-    joint = _joint_space(work if red is None else red, opts.rank_rtol, opts.seed)
+    joint = _joint_space(work if red is None else red, _RANK_RTOL, opts.seed)
     if joint is None:
         return finish("undetermined")
     polar, structure, excluded = joint
@@ -1001,7 +976,7 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     m = _as_matrix(t)
     _, work, red = _prepared(m, reduce=kind != "word_trace")
     if kind == "structure":
-        joint = _joint_space(work if red is None else red, opts.rank_rtol, opts.seed)
+        joint = _joint_space(work if red is None else red, _RANK_RTOL, opts.seed)
         if joint is None:
             return False, 0.0
         _polar, again, excluded = joint

@@ -19,9 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .conjugation import Conjugation, ConjugationError, gauged_conjugation
-from .serialize import complex_to_pair
-from .shift import ShiftMatrix, build_shift, positivize_weights
-from .trees import DirectedTree, generate_binary, generate_two_branch
+from .shift import build_shift, positivize_weights
+from .trees import DirectedTree, generate_two_branch
 
 __all__ = [
     "TwoBranchWeights",
@@ -100,9 +99,6 @@ class TwoBranchWeights:
                 w[f"{i},{j}"] = self.weight(j)
         return w
 
-    def shift(self) -> ShiftMatrix:
-        return build_shift(generate_two_branch(self.kappa, self.theta), self.to_assignment())
-
 
 @dataclass(frozen=True)
 class BinaryWeights:
@@ -133,9 +129,6 @@ class BinaryWeights:
             for l in range(1, 2**k + 1):
                 w[f"{k},{l}"] = self.weight(k)
         return w
-
-    def shift(self) -> ShiftMatrix:
-        return build_shift(generate_binary(self.kappa), self.to_assignment())
 
 
 @dataclass(frozen=True)
@@ -390,12 +383,6 @@ class BlockDecomposition:
     basis: tuple[str, ...]
     matrix: np.ndarray
     residual: float
-
-    def to_doc(self) -> dict:
-        return {
-            "chains": [[complex_to_pair(c) for c in chain] for chain in self.chains],
-            "residual": float(self.residual),
-        }
 
 
 def chains_to_matrix(chains: Sequence[Sequence[complex]]) -> np.ndarray:

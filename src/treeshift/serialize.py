@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -168,8 +168,9 @@ def _write(value, indent: int, put) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def dump_json(obj, fp: Optional[IO[str]] = None) -> Optional[str]:
-    """Serialize with a fixed layout (indent 2, keys in insertion order).
+def dump_json(obj) -> str:
+    """The text of ``obj`` in a fixed layout (indent 2, keys in insertion
+    order); the caller writes it.
 
     The text is that of ``json.dumps(obj, indent=2, allow_nan=False)`` and
     a newline, byte for byte, for documents built from ``dict`` with
@@ -181,8 +182,4 @@ def dump_json(obj, fp: Optional[IO[str]] = None) -> Optional[str]:
     chunks = []
     _write(obj, 0, chunks.append)
     chunks.append("\n")
-    text = "".join(chunks)
-    if fp is None:
-        return text
-    fp.write(text)
-    return None
+    return "".join(chunks)

@@ -49,9 +49,6 @@ class ShiftMatrix:
     def n(self) -> int:
         return len(self.basis)
 
-    def index_of(self, label: str) -> int:
-        return self.basis.index(label)
-
 
 def build_shift(tree: DirectedTree, weights: dict) -> ShiftMatrix:
     """Assemble the dense matrix of the weighted shift.

@@ -100,21 +100,14 @@ class DirectedTree:
 
     @classmethod
     def from_edges(
-        cls,
-        edges: Iterable[tuple[str, str]],
-        root: Optional[str] = None,
-        vertices: Optional[Iterable[str]] = None,
+        cls, edges: Iterable[tuple[str, str]], root: Optional[str] = None
     ) -> "DirectedTree":
+        """The tree of ``edges``, whose vertices are their ends in order of
+        first appearance.  Without ``root``, the one vertex that is no
+        edge's child is the root; :class:`ValueError` when there is not
+        exactly one."""
         edges = tuple((p, c) for p, c in edges)
-        if vertices is None:
-            seen: list[str] = []
-            for p, c in edges:
-                if p not in seen:
-                    seen.append(p)
-                if c not in seen:
-                    seen.append(c)
-            vertices = seen
-        vertices = tuple(vertices)
+        vertices = tuple(dict.fromkeys(end for edge in edges for end in edge))
         if root is None:
             has_parent = {c for _, c in edges}
             candidates = [v for v in vertices if v not in has_parent]

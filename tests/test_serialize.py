@@ -86,13 +86,6 @@ def test_dump_json_rejects_nan():
         dump_json({"x": float("nan")})
 
 
-def test_dump_json_writes_to_fp(tmp_path):
-    path = tmp_path / "out.json"
-    with open(path, "w") as fp:
-        assert dump_json({"x": 1}, fp) is None
-    assert json.loads(path.read_text()) == {"x": 1}
-
-
 # finite floats, -0.0 and subnormals included
 edge_floats = st.one_of(
     finite, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308])

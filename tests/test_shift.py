@@ -84,7 +84,7 @@ def test_nilpotency_is_exact(rng):
         n = int(rng.integers(2, 10))
         parents = [int(rng.integers(0, k)) for k in range(1, n)]
         edges = [(str(p), str(k + 1)) for k, p in enumerate(parents)]
-        tree = DirectedTree.from_edges(edges, root="0", vertices=[str(i) for i in range(n)])
+        tree = DirectedTree(vertices=[str(i) for i in range(n)], edges=edges, root="0")
         weights = {str(i): complex(rng.integers(1, 5)) for i in range(1, n)}
         s = build_shift(tree, weights)
         power = np.linalg.matrix_power(s.matrix, tree.depth + 1)
@@ -97,7 +97,7 @@ def test_kernel_table_against_exact_rank(rng):
         n = int(rng.integers(2, 11))
         parents = [int(rng.integers(0, k)) for k in range(1, n)]
         edges = [(str(p), str(k + 1)) for k, p in enumerate(parents)]
-        tree = DirectedTree.from_edges(edges, root="0", vertices=[str(i) for i in range(n)])
+        tree = DirectedTree(vertices=[str(i) for i in range(n)], edges=edges, root="0")
         weights = {str(i): Fraction(int(rng.integers(1, 7)), int(rng.integers(1, 4))) for i in range(1, n)}
         s = build_shift(tree, {k: float(v) for k, v in weights.items()})
         table = kernel_table(s, max_power=n)

@@ -125,13 +125,44 @@ def test_every_exported_name_exists():
     assert len(modules) > 1 and not missing
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is decorated ``@dataclass`` or ``@dataclass(...)``."""
+    for decorator in node.decorator_list:
+        name = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(name, ast.Name) and name.id == "dataclass":
+            return True
+    return False
+
+
+def init_fields(node: ast.ClassDef):
+    """``(name, has_default)`` for each field of a dataclass that its
+    ``__init__`` takes, in order; ``field(init=False)`` takes none."""
+    for stmt in node.body:
+        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            given = {k.arg: k.value for k in value.keywords}
+            init = given.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            yield stmt.target.id, "default" in given or "default_factory" in given
+        else:
+            yield stmt.target.id, value is not None
+
+
 def defaulted_parameters():
     """``(module, function, parameter, position, method)`` for every
-    parameter with a default in the package; ``position`` is None for a
-    keyword-only one, and ``method`` tells whether the first parameter is
+    parameter with a default in the package, a dataclass field with a
+    default counting as a parameter of its class; ``position`` is None for
+    a keyword-only one, and ``method`` tells whether the first parameter is
     ``self`` or ``cls``."""
     for path in sorted((ROOT / "src" / "treeshift").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and is_dataclass(node):
+                for k, (name, has_default) in enumerate(init_fields(node)):
+                    if has_default:
+                        yield path.name, node.name, name, k, False
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             args = node.args
@@ -144,19 +175,18 @@ def defaulted_parameters():
                     yield path.name, node.name, arg.arg, None, method
 
 
-def calls_by_name():
-    """Every call in the package, the benchmark and the tests, by the name
-    it calls (``f(...)`` or ``x.f(...)``)."""
+def calls_by_name(paths):
+    """Every call in the files ``paths``, by the name it calls (``f(...)``
+    or ``x.f(...)``)."""
     calls = {}
-    for top in ("src", "perfbench", "tests"):
-        for path in sorted((ROOT / top).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    if isinstance(func, ast.Name):
-                        calls.setdefault(func.id, []).append((node, False))
-                    elif isinstance(func, ast.Attribute):
-                        calls.setdefault(func.attr, []).append((node, True))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.setdefault(func.id, []).append((node, False))
+                elif isinstance(func, ast.Attribute):
+                    calls.setdefault(func.attr, []).append((node, True))
     return calls
 
 
@@ -175,11 +205,17 @@ def passes(call, bound, parameter, position) -> bool:
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
-    # a default no call site overrides is a setting nobody runs: make it a
-    # fixed value instead
-    calls = calls_by_name()
+    # a default that no caller overrides is a setting nobody runs: make it a
+    # fixed value instead.  The callers are the package and the benchmark;
+    # tests are none, but for the paper's acceptance criteria.  A function
+    # only tests call is an entry point whose parameters are its inputs
+    callers = sorted((ROOT / "src").rglob("*.py")) + sorted(PERFBENCH.rglob("*.py"))
+    called = calls_by_name(callers)
+    calls = calls_by_name(callers + [ROOT / "tests" / "test_acceptance.py"])
     found, unpassed = 0, []
     for module, function, parameter, position, method in defaulted_parameters():
+        if function not in called:
+            continue
         found += 1
         if not any(
             passes(call, method and attr, parameter, position)
