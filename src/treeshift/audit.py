@@ -13,7 +13,7 @@ serializing them twice yields identical bytes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -228,7 +228,7 @@ def _instance_record(
 
 def cross_validate(
     family: str,
-    cells: Sequence,
+    cells: Iterable,
     samples: int = 20,
     seed: int = 0,
     tol: float = 1e-8,
@@ -243,25 +243,30 @@ def cross_validate(
     random draws.  The decider runs at ``tol`` and ``seed``; its word search
     is fixed at 8 letters.  The report is the deliverable: disagreement
     entries carry an independently re-checked certificate or obstruction.
+
+    Every cell is checked before any is audited: :class:`ValueError`
+    refuses the first whose tree has more than :data:`MAX_VERTICES`
+    vertices, counted before the tree is built, so ``cells`` may be a lazy
+    grid of any extent.
     """
     if family not in ("two-branch", "binary"):
         raise ValueError(f"unknown family {family!r}")
-    rng = np.random.default_rng(seed)
-    opts = DeciderOptions(tol=tol, seed=seed)
-    records = []
+    grid = []
     for cell in cells:
         if family == "two-branch":
             kappa, theta = (int(cell[0]), int(cell[1]))
-            params = {"kappa": kappa, "theta": theta}
-            tree = generate_two_branch(kappa, theta)
+            params, n = {"kappa": kappa, "theta": theta}, kappa + 1 + 2 * theta
         else:
-            kappa = int(cell)
-            params = {"kappa": kappa}
-            tree = generate_binary(kappa)
-        if tree.n > MAX_VERTICES:
-            raise ValueError(
-                f"cell {params} yields a {tree.n}-vertex tree (cap {MAX_VERTICES})"
-            )
+            kappa, theta = int(cell), None
+            params, n = {"kappa": kappa}, 2 ** (kappa + 1) - 1
+        if n > MAX_VERTICES:
+            raise ValueError(f"cell {params} yields a {n}-vertex tree (cap {MAX_VERTICES})")
+        grid.append((cell, kappa, theta, params))
+    rng = np.random.default_rng(seed)
+    opts = DeciderOptions(tol=tol, seed=seed)
+    records = []
+    for cell, kappa, theta, params in grid:
+        tree = generate_binary(kappa) if theta is None else generate_two_branch(kappa, theta)
         cell_weights = []
         for anchor in (anchors or {}).get(cell, []):
             if family == "two-branch":
@@ -319,7 +324,7 @@ def cross_validate(
     }
     return {
         "family": family,
-        "cells": [list(c) if family == "two-branch" else int(c) for c in cells],
+        "cells": [list(c) if family == "two-branch" else int(c) for c, *_ in grid],
         "samples": int(samples),
         "seed": int(seed),
         "tol": float(tol),

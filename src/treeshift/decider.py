@@ -952,9 +952,10 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     when ``W`` has the recorded dimension and still excludes a certificate,
     and the margin is ``1 - spread``.  Before any stage runs, an unknown
     ``kind`` and a ``witness`` without the well-formed field its kind reads
-    raise :class:`ValueError`: ``word``, a list or tuple of the letters
-    ``"T"`` and ``"T*"``; ``weights``, a list of finite numbers; ``dim``,
-    an integer ``>= 0``.  So does a matrix that is no tree shift.
+    raise :class:`ValueError`: ``word``, a list or tuple of at most 8 of the
+    letters ``"T"`` and ``"T*"``, the longest the search emits;
+    ``weights``, a list of finite numbers; ``dim``, an integer ``>= 0``.
+    So does a matrix that is no tree shift.
     """
     opts = options or DeciderOptions()
     obstruction = obstruction if isinstance(obstruction, dict) else {}
@@ -966,6 +967,11 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
         raise ValueError(f"a {kind} witness needs the field {field!r}")
     value = witness[field]
     if field == "word":
+        # the search emits no longer word; refused before any letter is read
+        if isinstance(value, (list, tuple)) and len(value) > len(_WORDS[-1]):
+            raise ValueError(
+                f"a {kind} witness's 'word' has {len(value)} letters, over {len(_WORDS[-1])}"
+            )
         letters = _checked_word(value)
     elif not (
         isinstance(value, list) and all(_is_real(x) and math.isfinite(x) for x in value)

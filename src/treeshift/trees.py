@@ -301,11 +301,14 @@ def tree_from_doc(doc: dict) -> DirectedTree:
         raise ValueError("tree document field 'vertices' must be a list of strings")
     if not isinstance(root, str):
         raise ValueError("tree document field 'root' must be a string")
-    try:
-        edge_pairs = [(str(p), str(c)) for p, c in edges]
-    except (TypeError, ValueError) as exc:
-        raise ValueError("tree document field 'edges' must be a list of pairs") from exc
-    tree = DirectedTree(vertices, edge_pairs, root)
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)
+        for e in edges
+    ):
+        raise ValueError(
+            "tree document field 'edges' must be a list of [parent, child] string pairs"
+        )
+    tree = DirectedTree(vertices, edges, root)
     report = validate_tree(tree)
     if not report.ok:
         raise ValueError("invalid tree document: " + "; ".join(report.violations))

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from treeshift import audit
 from treeshift import (
     binary_cs_condition,
     build_shift,
@@ -144,9 +147,22 @@ def test_cross_validate_empty_grid():
         }
 
 
-def test_cross_validate_rejects_oversized_cell():
+def test_cross_validate_rejects_oversized_cell(monkeypatch):
     with pytest.raises(ValueError, match="127"):
         cross_validate("binary", [7], samples=1, seed=0)
+
+    # every cell is checked before the first is decided
+    def refused(*_args, **_kwargs):
+        raise AssertionError("no cell may be decided")
+
+    monkeypatch.setattr(audit, "decide_cs", refused)
+    for family, cells, message in (
+        ("binary", [2, 7], "cell {'kappa': 7} yields a 255-vertex tree (cap 127)"),
+        ("two-branch", [(0, 1), (0, 64)],
+         "cell {'kappa': 0, 'theta': 64} yields a 129-vertex tree (cap 127)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cross_validate(family, cells, samples=1, seed=0)
 
 
 def test_cross_validate_anchors_are_included():

@@ -593,7 +593,11 @@ def test_broom_truncates_to_a_count_within_the_weights(capsys):
     ({"tree": branching_doc()["tree"]}, "document must carry a 'weights' field"),
     ({"tree": 5, "weights": {}}, "field 'tree' must be a JSON object, got int"),
     ({"tree": [], "weights": {}}, "field 'tree' must be a JSON object, got list"),
-], ids=["not-an-object", "no-tree", "no-weights", "tree-an-int", "tree-a-list"])
+    # read as a->b->c and decided cs, exit 0
+    ({"tree": {"vertices": ["a", "b", "c"], "edges": ["ab", "bc"], "root": "a"},
+      "weights": {"b": 1.0, "c": 1.0}},
+     "tree document field 'edges' must be a list of [parent, child] string pairs"),
+], ids=["not-an-object", "no-tree", "no-weights", "tree-an-int", "tree-a-list", "edges-strings"])
 @pytest.mark.parametrize("command", ["check", "kernels"])
 def test_documents_without_tree_or_weights_are_refused(tmp_path, capsys, command, doc, message):
     code = main([command, write_doc(tmp_path, "doc.json", doc)])
@@ -720,6 +724,20 @@ def test_crossval_refuses_an_empty_grid(capsys, argv, option):
     assert code == 3
     assert captured.out == ""
     assert option in captured.err
+
+
+@pytest.mark.parametrize("argv, cell, n", [
+    (["--family", "binary", "--kappa-max", "9"], "{'kappa': 7}", 255),
+    (["--family", "two-branch", "--kappa-max", "0", "--theta-max", "70"],
+     "{'kappa': 0, 'theta': 64}", 129),
+], ids=["binary", "two-branch"])
+def test_crossval_refuses_a_grid_over_the_vertex_cap(capsys, argv, cell, n):
+    # these used to audit the cells under the cap, drop the rest and exit 0
+    code = main(["crossval"] + argv + ["--samples", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"cell {cell} yields a {n}-vertex tree (cap 127)" in captured.err
 
 
 def binary_equal_moduli_doc(capsys):

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -928,6 +929,12 @@ MALFORMED_OBSTRUCTIONS = {
                  "a word is a list of letters, got 5"),
     "str_word": ({"kind": "word_trace", "witness": {"word": "TT*"}},
                  "a word is a list of letters, got 'TT*'"),
+    # the search emits no word over 8 letters; the length is read before
+    # the letters, and a 100 000-letter word took 0.41 s to replay
+    "long_word": ({"kind": "word_trace", "witness": {"word": ["T"] * 9 + ["X"]}},
+                  "a word_trace witness's 'word' has 10 letters, over 8"),
+    "huge_word": ({"kind": "word_trace", "witness": {"word": ["T", "T*"] * 50_000}},
+                  "a word_trace witness's 'word' has 100000 letters, over 8"),
     "dict_weights": ({"kind": "chain_reversal", "witness": {"weights": {"a": 1}}},
                      "a chain_reversal witness's 'weights' is malformed: {'a': 1}"),
     "none_weights": ({"kind": "chain_reversal", "witness": {"weights": None}},
@@ -954,8 +961,10 @@ def test_a_malformed_witness_is_refused_before_any_stage_runs(case, y_shift, mon
 
     for stage in ("_prepared", "_joint_space", "_sylvester_nullspace", "twin_reduction"):
         monkeypatch.setattr(decider, stage, refused)
+    started = time.perf_counter()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         reevaluate_obstruction(y_shift, obstruction)
+    assert time.perf_counter() - started < 0.01
 
 
 @pytest.mark.parametrize("bad", ["X", "t", "T**", None, ["T"]])

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -229,6 +231,19 @@ def test_doc_rejects_missing_field():
 def test_doc_rejects_a_document_that_is_no_object(doc, kind):
     # an int used to escape as a TypeError from the first field lookup
     with pytest.raises(ValueError, match=f"^field 'tree' must be a JSON object, got {kind}$"):
+        tree_from_doc(doc)
+
+
+@pytest.mark.parametrize("edges", [
+    ["ab", "bc"], {"ab": 0}, [[1, 2]], [["a", "b", "c"]], [("a", "b")], "ab", None,
+], ids=["strings", "dict", "ints", "triple", "tuple", "string", "none"])
+def test_doc_rejects_edges_that_are_no_string_pairs(edges):
+    # the first three were read as a->b->c, by the dict's keys, and as the
+    # vertices "1" and "2", and accepted
+    vertices = ["1", "2"] if edges == [[1, 2]] else ["a", "b", "c"]
+    doc = {"vertices": vertices, "edges": edges, "root": vertices[0]}
+    message = "tree document field 'edges' must be a list of [parent, child] string pairs"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         tree_from_doc(doc)
 
 
