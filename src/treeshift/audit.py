@@ -245,9 +245,9 @@ def cross_validate(
     entries carry an independently re-checked certificate or obstruction.
 
     Every cell is checked before any is audited: :class:`ValueError`
-    refuses the first whose tree has more than :data:`MAX_VERTICES`
-    vertices, counted before the tree is built, so ``cells`` may be a lazy
-    grid of any extent.
+    refuses the first that names no tree or whose tree has more than
+    :data:`MAX_VERTICES` vertices, counted before the tree is built, so
+    ``cells`` may be a lazy grid of any extent.
     """
     if family not in ("two-branch", "binary"):
         raise ValueError(f"unknown family {family!r}")
@@ -261,12 +261,12 @@ def cross_validate(
             params, n = {"kappa": kappa}, 2 ** (kappa + 1) - 1
         if n > MAX_VERTICES:
             raise ValueError(f"cell {params} yields a {n}-vertex tree (cap {MAX_VERTICES})")
-        grid.append((cell, kappa, theta, params))
+        tree = generate_binary(kappa) if theta is None else generate_two_branch(kappa, theta)
+        grid.append((cell, kappa, theta, params, tree))
     rng = np.random.default_rng(seed)
     opts = DeciderOptions(tol=tol, seed=seed)
     records = []
-    for cell, kappa, theta, params in grid:
-        tree = generate_binary(kappa) if theta is None else generate_two_branch(kappa, theta)
+    for cell, kappa, theta, params, tree in grid:
         cell_weights = []
         for anchor in (anchors or {}).get(cell, []):
             if family == "two-branch":

@@ -160,6 +160,7 @@ def test_cross_validate_rejects_oversized_cell(monkeypatch):
         ("binary", [2, 7], "cell {'kappa': 7} yields a 255-vertex tree (cap 127)"),
         ("two-branch", [(0, 1), (0, 64)],
          "cell {'kappa': 0, 'theta': 64} yields a 129-vertex tree (cap 127)"),
+        ("two-branch", [(0, 1), (-1, 2)], "two-branch tree needs kappa >= 0 and theta >= 1"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cross_validate(family, cells, samples=1, seed=0)
