@@ -3,8 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from treeshift import audit
 from treeshift import (
+    audit,
     binary_cs_condition,
     build_shift,
     cross_validate,
