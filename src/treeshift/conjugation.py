@@ -58,7 +58,8 @@ class Conjugation:
 
 
 def _default_basis(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(n))
+    """The labels ``"0".."n-1"`` of a bare matrix's basis."""
+    return tuple(map(str, range(n)))
 
 
 def _residuals(a: np.ndarray) -> tuple[float, float]:
@@ -101,13 +102,14 @@ class CSymmetryReport:
 
 
 def gauged_conjugation(
-    a: np.ndarray, d: np.ndarray, t, basis: Sequence[str], tol: float
+    a: np.ndarray, d: np.ndarray, t, basis: Optional[Sequence[str]], tol: float
 ) -> tuple[Conjugation, CSymmetryReport]:
     """Gauge a conjugation found for ``D* t D`` back to ``t``, and verify it.
 
     With ``D = diag(d)`` unitary (the phases of a tree shift's gauge),
     ``a`` intertwines ``D* t D`` with its transpose exactly when ``D a D^T``
-    intertwines ``t``.  Returns the conjugation of ``t`` and its
+    intertwines ``t``.  ``basis`` labels the conjugation, ``None`` by
+    ``"0".."n-1"``.  Returns the conjugation of ``t`` and its
     :class:`CSymmetryReport`, or raises :class:`ConjugationError` when the
     candidate is not a symmetric unitary or fails the intertwining check.
     """

@@ -3,9 +3,9 @@ rooted tree, or forest.
 
 Every entry point takes a tree shift only, which
 :func:`~treeshift.shift._forest` checks; any other matrix raises
-:class:`ValueError`.  A call reads the forest once (:func:`_prepared`) and
-hands it to every stage but the words.  The pipeline has three steps, and
-each can decide:
+:class:`ValueError`.  A call reads the forest once and hands it, through
+:func:`_prepared`, to every stage but the words.  The pipeline has three
+steps, and each can decide:
 
 1. the twin reduction
    (:func:`~treeshift.shift.twin_reduction`), which splits ``|T|`` into an
@@ -661,14 +661,13 @@ def _polar_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u @ vh, s
 
 
-def _prepared(m: np.ndarray, reduce: bool) -> tuple[Forest, Forest, Optional[TwinReduction]]:
-    """The forest of the tree shift ``m``, read once per call; that of
-    ``|m|``, which the stages run on with no phase read; and with ``reduce``
-    its twin reduction, ``None`` when a merged weight overflows.  Raises
-    :class:`ValueError` for a matrix that is no tree shift."""
-    forest = _forest(m)
+def _prepared(forest: Forest, reduce: bool) -> tuple[Forest, Optional[TwinReduction]]:
+    """From the forest of a tree shift ``m``, read once per call by
+    :func:`~treeshift.shift._forest`: the forest of ``|m|``, which the
+    stages run on with no phase read; and with ``reduce`` its twin
+    reduction, ``None`` when a merged weight overflows."""
     work = forest._replace(weights=np.abs(forest.weights))
-    return forest, work, twin_reduction(work) if reduce else None
+    return work, twin_reduction(work) if reduce else None
 
 
 def _chains(parent: np.ndarray) -> Optional[list[list[int]]]:
@@ -726,23 +725,29 @@ def _chain_decision(red: TwinReduction, tol: float) -> Optional[tuple[str, objec
     on exact weights, as the reduction matches twins.  The witness is the
     first distinct chain, in root order, whose reversal lies over ``1e3
     tol`` times the largest weight from every chain of its length.
+
+    The links are read as Python floats, whose subtraction, ``abs`` and
+    comparison are numpy's, and, being finite and positive, are equal
+    exactly when their bits are; the witness's gap is computed in numpy.
     """
     chains = _chains(red.parent)
     if chains is None:
         return None
-    w = red.weights
-    scale = w.max(initial=0.0)
-    links = [w[chain[1:]] for chain in chains]
+    w = red.weights.tolist()
+    scale = max(w)  # the roots' 0.0 is the least weight
+    links = [tuple(map(w.__getitem__, chain[1:])) for chain in chains]
     # a chain of one vertex has no links; it is a palindrome
-    distinct = list({a.tobytes(): a for a in links if a.size}.values())
-    if not any(np.any(np.abs(a - a[::-1]) > tol * scale) for a in distinct):
+    distinct = [a for a in dict.fromkeys(links) if a]
+    cut = tol * scale
+    if not any(abs(x - y) > cut for a in distinct for x, y in zip(a, reversed(a))):
         order = [v for chain in chains for v in chain]
-        flip = np.arange(w.size)
+        flip = np.arange(len(w))
         flip[order] = [v for chain in chains for v in reversed(chain)]
-        copies = Counter(a.tobytes() for a in links).values()
+        copies = Counter(links).values()
         return "cs", (flip, sum(k * (k + 1) // 2 for k in copies))
-    for a in distinct:
-        gap = _reversal_gap(a, distinct, scale)
+    arrays = [np.array(a) for a in distinct]
+    for a in arrays:
+        gap = _reversal_gap(a, arrays, scale)
         if gap > _CHAIN_GAP * tol:
             return "not_cs", {"weights": a.tolist(), "gap": gap, "threshold": _CHAIN_GAP * tol}
     return None
@@ -870,7 +875,7 @@ def decide_cs(t, options: Optional[DeciderOptions] = None) -> Verdict:
     """
     opts = options or DeciderOptions()
     m = _as_matrix(t)
-    basis = t.basis if isinstance(t, ShiftMatrix) else tuple(map(str, range(m.shape[0])))
+    basis = t.basis if isinstance(t, ShiftMatrix) else None
 
     def finish(kind, certificate=None, obstruction=None, residuals=None, diag=None):
         return Verdict(
@@ -902,7 +907,8 @@ def decide_cs(t, options: Optional[DeciderOptions] = None) -> Verdict:
         }
         return finish("cs", certificate=cert, residuals=residuals, diag=diag)
 
-    forest, work, red = _prepared(m, reduce=True)
+    forest = _forest(m)
+    work, red = _prepared(forest, reduce=True)
     chain = _chain_decision(red, _chain_tol(opts)) if red is not None else None
     if chain is not None and chain[0] == "not_cs":
         return refuted("chain_reversal", chain[1], chain[1]["gap"])
@@ -954,8 +960,10 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     ``kind`` and a ``witness`` without the well-formed field its kind reads
     raise :class:`ValueError`: ``word``, a list or tuple of at most 8 of the
     letters ``"T"`` and ``"T*"``, the longest the search emits;
-    ``weights``, a list of finite numbers; ``dim``, an integer ``>= 0``.
-    So does a matrix that is no tree shift.
+    ``weights``, a list of at most ``n - 1`` finite numbers, the most links
+    a chain of ``R`` has; ``dim``, an integer ``>= 0``.  A list over its
+    bound is refused by its length before any item is read.  So does a
+    matrix that is no tree shift.
     """
     opts = options or DeciderOptions()
     obstruction = obstruction if isinstance(obstruction, dict) else {}
@@ -966,12 +974,15 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     if not isinstance(witness, dict) or field not in witness:
         raise ValueError(f"a {kind} witness needs the field {field!r}")
     value = witness[field]
+    m = _as_matrix(t)
+    forest = _forest(m)  # read before the witness: its size bounds a chain
+    # the search emits no longer word, and a chain of R has at most n - 1
+    # links; a longer list is refused before any item is read
+    bound = {"word": len(_WORDS[-1]), "weights": m.shape[0] - 1}.get(field)
+    if isinstance(value, (list, tuple)) and bound is not None and len(value) > bound:
+        unit = "letters" if field == "word" else "weights"
+        raise ValueError(f"a {kind} witness's {field!r} has {len(value)} {unit}, over {bound}")
     if field == "word":
-        # the search emits no longer word; refused before any letter is read
-        if isinstance(value, (list, tuple)) and len(value) > len(_WORDS[-1]):
-            raise ValueError(
-                f"a {kind} witness's 'word' has {len(value)} letters, over {len(_WORDS[-1])}"
-            )
         letters = _checked_word(value)
     elif not (
         isinstance(value, list) and all(_is_real(x) and math.isfinite(x) for x in value)
@@ -979,8 +990,7 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
         else _is_count(value)
     ):
         raise ValueError(f"a {kind} witness's {field!r} is malformed: {value!r}")
-    m = _as_matrix(t)
-    _, work, red = _prepared(m, reduce=kind != "word_trace")
+    work, red = _prepared(forest, reduce=kind != "word_trace")
     if kind == "structure":
         joint = _joint_space(work if red is None else red, _RANK_RTOL, opts.seed)
         if joint is None:

@@ -9,6 +9,7 @@ basis vectors of its children: column ``u`` of the matrix has entry
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -64,7 +65,7 @@ def build_shift(tree: DirectedTree, weights: dict) -> ShiftMatrix:
     for v in sorted(nonroot):
         if v not in weights:
             raise WeightError(f"missing weight for vertex {v}")
-        if not np.isfinite(complex(weights[v])):
+        if not cmath.isfinite(complex(weights[v])):
             raise WeightError(f"non-finite weight {weights[v]!r} for vertex {v}")
     if tree.root in weights:
         raise WeightError(f"weight supplied for root {tree.root}")
@@ -287,7 +288,9 @@ class TwinReduction:
     is formed.  ``split`` counts the copies split off.  ``q``, real
     orthogonal, is built on first use by replaying ``merges``, the
     Householder products of the walk in its order; at ``split = 0`` it is
-    the identity.
+    the identity.  The reflectors of all merges with one copy count come
+    from one :func:`_reflectors` call, whose rows are computed
+    independently, so ``q`` is the one a call per merge group gives.
     """
 
     parent: np.ndarray
@@ -297,10 +300,18 @@ class TwinReduction:
 
     @functools.cached_property
     def q(self) -> np.ndarray:
+        units_of: dict = {}  # copy count -> the units of its merges, in walk order
+        for _cols, units in self.merges:
+            units_of.setdefault(len(units[0]), []).extend(units)
+        reflectors = {r: _reflectors(np.array(units)) for r, units in units_of.items()}
+        taken = dict.fromkeys(reflectors, 0)  # the rows used so far
         q = np.eye(self.parent.size)
         for cols, units in self.merges:
+            r = len(units[0])
+            h = reflectors[r][taken[r] : taken[r] + len(units)]
+            taken[r] += len(units)
             cols = np.array(cols).transpose(0, 2, 1)
-            q[:, cols] = q[:, cols] @ _reflectors(np.array(units))
+            q[:, cols] = q[:, cols] @ h
         return q
 
 

@@ -363,3 +363,25 @@ def sequential_word_trace_obstruction(m, max_len=8, tol=1e-10):
                     "threshold": float(threshold),
                 }
     return None
+
+
+def per_group_twin_q(n, merges):
+    """``Q`` of a twin reduction of ``n`` vertices from its ``merges``
+    (``TwinReduction.merges``), with one Householder construction per merge
+    group, applied in walk order: the loop ``TwinReduction.q`` ran before it
+    built the reflectors once per copy count.  Each reflector is
+    ``I - 2 v v^T / v^T v`` with ``v = a - e_1`` and its first entry formed
+    without cancellation, the arithmetic of ``shift._reflectors``, so the
+    two agree bit for bit."""
+    q = np.eye(n)
+    for cols, units in merges:
+        a = np.array(units)
+        tail = np.einsum("gi,gi->g", a[:, 1:], a[:, 1:])
+        v = a.copy()
+        v[:, 0] = np.where(a[:, 0] <= 0, a[:, 0] - 1.0, -tail / (1.0 + np.abs(a[:, 0])))
+        vv = v[:, 0] ** 2 + tail
+        scale = np.divide(2.0, vv, out=np.zeros_like(vv), where=vv > 0)
+        h = np.eye(a.shape[1]) - scale[:, None, None] * v[:, :, None] * v[:, None, :]
+        cols = np.array(cols).transpose(0, 2, 1)
+        q[:, cols] = q[:, cols] @ h
+    return q

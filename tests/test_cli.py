@@ -119,7 +119,9 @@ def test_check_missing_weight_exits_3(tmp_path, capsys):
     assert "error:" in err and "2,2" in err
 
 
-@pytest.mark.parametrize("literal", ["true", "[NaN, 0]", "[1, Infinity]"])
+@pytest.mark.parametrize(
+    "literal", ["true", "[NaN, 0]", "[1, Infinity]", '["1.5", "0"]', '[" 2 ", "1e3"]']
+)
 def test_check_malformed_weight_exits_3_naming_vertex(tmp_path, capsys, literal):
     # dump_json refuses NaN, so the document is written by hand
     text = dump_json(branching_doc()).replace('"2,2": 1.4142135623730951', f'"2,2": {literal}')
@@ -741,8 +743,10 @@ def test_crossval_refuses_a_grid_over_the_vertex_cap(capsys, argv, cell, n):
 
 
 def binary_equal_moduli_doc(capsys):
-    assert main(["generate", "--family", "binary", "--kappa", "3",
-                 "--weights", "1.5,1.5,1.5"]) == 0
+    # kappa 5: 63 vertices, so the certificate grid holds 63 * 63 * 2 floats,
+    # over the writer's gate for one repr per distinct bit pattern
+    assert main(["generate", "--family", "binary", "--kappa", "5",
+                 "--weights", "1.5,1.5,1.5,1.5,1.5"]) == 0
     return json.loads(capsys.readouterr().out)
 
 
@@ -756,7 +760,7 @@ def test_check_json_is_the_json_module_layout(tmp_path, capsys, case):
     assert out == json.dumps(report, indent=2, allow_nan=False) + "\n"
     if case == "binary_cs":
         assert code == 0 and report["verdict"] == "cs"
-        assert len(report["certificate"]["matrix"]) == 15
+        assert len(report["certificate"]["matrix"]) == 63
     else:
         assert code == 1 and report["obstruction"]["kind"] == "word_trace"
 

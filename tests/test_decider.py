@@ -967,6 +967,36 @@ def test_a_malformed_witness_is_refused_before_any_stage_runs(case, y_shift, mon
     assert time.perf_counter() - started < 0.01
 
 
+def test_a_chain_witness_longer_than_any_chain_is_refused_unread(monkeypatch):
+    # a chain of R has at most n - 1 links: on the all-ones two-branch (1, 3)
+    # tree (n = 8) n - 1 weights are read, and more are refused by their
+    # count before any is; 10^6 weights took 0.46 s to return (False, 0.0)
+    tree = generate_two_branch(1, 3)
+    s = build_shift(tree, {v: 1.0 for v in tree.nonroot_vertices()})
+
+    def chain(weights):
+        return {"kind": "chain_reversal", "witness": {"weights": weights}}
+
+    assert reevaluate_obstruction(s, chain([1.0] * 7)) == (False, 0.0)
+    read = [1.0] * 6 + [math.nan]
+    with pytest.raises(ValueError, match=re.escape(f"'weights' is malformed: {read!r}")):
+        reevaluate_obstruction(s, chain(read))
+
+    def refused(*_args, **_kwargs):
+        raise AssertionError("no stage may run")
+
+    monkeypatch.setattr(decider, "_prepared", refused)
+    for count in (8, 10**6):
+        weights = [math.nan] * count  # a weight that is read is malformed
+        started = time.perf_counter()
+        with pytest.raises(
+            ValueError,
+            match=f"^a chain_reversal witness's 'weights' has {count} weights, over 7$",
+        ):
+            reevaluate_obstruction(s, chain(weights))
+        assert time.perf_counter() - started < 0.01
+
+
 @pytest.mark.parametrize("bad", ["X", "t", "T**", None, ["T"]])
 def test_replayed_word_names_a_bad_letter(y_shift, bad):
     word = ["T", bad, "T*"]
@@ -1142,7 +1172,7 @@ def structure_obstruction(m):
     """The structure witness of the solve of ``W`` on the twin reduction of
     ``m``, which :func:`decide_cs` reaches when the chain decision does not
     settle ``m``; ``None`` when ``W`` does not exclude a certificate."""
-    _forest_m, _work, red = _prepared(m, reduce=True)
+    _work, red = _prepared(_forest(m), reduce=True)
     _polar, witness, excluded = _joint_space(red, 1e-10, 0)
     return {"kind": "structure", "witness": witness} if excluded else None
 
@@ -1421,7 +1451,7 @@ def test_a_reduction_that_leaves_no_chain_certifies_through_the_solve():
     m = np.zeros((5, 5), dtype=complex)
     m[1, 0], m[2, 0], m[3, 0] = 0.6j, -0.8, np.exp(1j)
     m[4, 3] = SQRT2 * np.exp(2j)
-    _forest_m, _work, red = _prepared(m, reduce=True)
+    _work, red = _prepared(_forest(m), reduce=True)
     assert red.split == 1 and _chains(red.parent) is None
     assert _chain_decision(red, 1e-10) is None
     verdict = decide_cs(m)
@@ -1493,7 +1523,7 @@ def certifies(m, candidate) -> bool:
 def test_the_chain_decision_agrees_with_the_words_and_the_solve(seed, base, size, copies):
     m = equal_weight_twin_matrix(seed, base, size, copies)
     opts = DeciderOptions()
-    _forest_m, _work, red = _prepared(m, reduce=True)
+    _work, red = _prepared(_forest(m), reduce=True)
     chains = _chains(red.parent)
     decided = _chain_decision(red, _chain_tol(opts))
     if chains is None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from treeshift import dump_json, weights_from_doc, weights_to_doc
 from treeshift.serialize import (
+    _DISTINCT_GATE,
     complex_to_pair,
     matrix_to_pairs,
     pair_to_complex,
@@ -38,14 +39,16 @@ def test_pair_rejects_bad_shape():
 @pytest.mark.parametrize(
     "value",
     [True, False, [True, 0.0], [1.0, False], math.nan, [math.nan, 0.0],
-     [0.0, -math.inf], math.inf, [None, 0.0], pytest.param(10**400, id="huge-int")],
+     [0.0, -math.inf], math.inf, [None, 0.0], pytest.param(10**400, id="huge-int"),
+     # a JSON string is no number, inside a pair as well as bare
+     "1.5", ["1.5", "0"], [" 2 ", "1e3"], [1.0, "0"], ["nan", 0.0]],
 )
 def test_pair_rejects_booleans_and_non_finite_parts(value):
     with pytest.raises(ValueError):
         pair_to_complex(value)
 
 
-@pytest.mark.parametrize("value", [True, [math.nan, 0.0], [1.0, math.inf]])
+@pytest.mark.parametrize("value", [True, [math.nan, 0.0], [1.0, math.inf], ["1.5", "0"]])
 def test_weights_doc_error_names_the_vertex(value):
     with pytest.raises(ValueError, match="weight for vertex 2,1"):
         weights_from_doc({"1,1": 1.0, "2,1": value})
@@ -218,4 +221,51 @@ def test_dump_json_rejects_non_finite_floats_anywhere(bad, place):
 )
 def test_dump_json_rejects_types_reports_never_hold(doc):
     with pytest.raises(TypeError):
+        dump_json(doc)
+
+
+# grids at or over the gate, where each distinct bit pattern is written
+# once: values from a small pool, so that they repeat, with both signed
+# zeros planted in every grid
+GRID_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 0.1, 0.5, -0.7071067811865476,
+             1 / 3, 2.2250738585072014e-308, 1.7976931348623157e308]
+large_shapes = st.sampled_from(
+    [(256,), (300,), (16, 16), (12, 12, 2), (31, 31, 2), (3, 5, 7, 3)]
+)
+
+
+@st.composite
+def large_grids(draw):
+    shape = draw(large_shapes)
+    size = math.prod(shape)
+    flat = draw(st.lists(st.sampled_from(GRID_POOL), min_size=size, max_size=size))
+    plus, minus = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+    flat[plus], flat[minus] = 0.0, -0.0
+    return shape, flat
+
+
+def nest(shape, flat):
+    return np.array(flat).reshape(shape).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_grids(), st.integers(0, 2))
+def test_a_grid_over_the_gate_is_written_as_json_dumps_writes_it(grid, depth):
+    shape, flat = grid
+    assert len(flat) >= _DISTINCT_GATE
+    doc = nest(shape, flat)
+    for _ in range(depth):
+        doc = {"certificate": {"matrix": doc, "basis": ["0"]}}
+    assert dump_json(doc) == json_reference(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(large_grids(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_a_grid_over_the_gate_refuses_non_finite_floats_anywhere(grid, bad, data):
+    shape, flat = grid
+    flat[data.draw(st.integers(0, len(flat) - 1))] = bad
+    doc = {"m": nest(shape, flat)}
+    with pytest.raises(ValueError):
+        json.dumps(doc, allow_nan=False)
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
         dump_json(doc)

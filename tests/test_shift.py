@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeshift import (
     DirectedTree,
@@ -18,7 +20,7 @@ from treeshift import (
 from treeshift.shift import _forest, tree_gauge, twin_reduction
 
 from conftest import forest_matrix
-from oracles import exact_kernel_dim, shift_matrix_fraction
+from oracles import exact_kernel_dim, per_group_twin_q, shift_matrix_fraction
 
 SQRT2 = math.sqrt(2.0)
 
@@ -196,6 +198,58 @@ def test_twin_reduction_without_twins_is_the_identity():
     red = twin_reduction(_forest(m))
     assert red.split == 0
     assert np.array_equal(red.q, np.eye(4)) and np.array_equal(forest_matrix(red), m)
+
+
+def nested_twin_matrix(seed, copies, leaves, roots):
+    """A real forest of ``roots`` equal-shaped trees.  Below each root,
+    level ``d`` holds a group of ``copies[d]`` equal subtrees (the block of
+    the next level) beside ``leaves[d]`` sibling leaves, every edge with
+    its own random weight, so twins differ in their edge weights only."""
+    rng = np.random.default_rng(seed)
+
+    def block(depth):
+        # (edges as (parent, child, weight) on local indices, size)
+        if depth == len(copies):
+            return [], 1
+        inner, size = block(depth + 1)
+        edges, n = [], 1
+        for _copy in range(copies[depth]):
+            edges.append((0, n, rng.uniform(0.5, 2.0)))
+            edges += [(n + p, n + c, w) for p, c, w in inner]
+            n += size
+        for _leaf in range(leaves[depth]):
+            edges.append((0, n, rng.uniform(0.5, 2.0)))
+            n += 1
+        return edges, n
+
+    edges, size = block(0)
+    m = np.zeros((roots * size, roots * size))
+    for k in range(roots):
+        for p, c, w in edges:
+            m[k * size + c, k * size + p] = w
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.integers(1, 3).flatmap(
+        lambda depth: st.tuples(
+            st.lists(st.integers(2, 3), min_size=depth, max_size=depth),
+            st.lists(st.integers(0, 3), min_size=depth, max_size=depth),
+        )
+    ),
+    roots=st.integers(1, 2),
+)
+def test_q_builds_the_reflectors_of_a_copy_count_at_once_bit_for_bit(seed, shape, roots):
+    copies, leaves = shape
+    m = nested_twin_matrix(seed, copies, leaves, roots)
+    red = twin_reduction(_forest(m))
+    # the deepest copies are leaves, twins of the leaves beside them
+    groups = {*copies[:-1], copies[-1] + leaves[-1], *(k for k in leaves[:-1] if k > 1)}
+    assert {len(units[0]) for _cols, units in red.merges} == groups
+    want = per_group_twin_q(m.shape[0], red.merges)
+    assert red.q.tobytes() == want.tobytes()
 
 
 def test_twin_reduction_needs_a_real_tree_shift():
