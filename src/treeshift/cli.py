@@ -125,6 +125,17 @@ def cmd_check(args, options: DeciderOptions) -> int:
     if args.dump_matrix:
         doc["matrix"] = matrix_to_pairs(s.matrix)
         doc["basis"] = list(s.basis)
+    # the text is written only without --json and --out
+    text = None if args.json or args.out is not None else _verdict_text(verdict)
+    _emit(args, text, doc)
+    if verdict.kind == "cs":
+        return EXIT_CS
+    if verdict.kind == "not_cs":
+        return EXIT_NOT_CS
+    return EXIT_UNDETERMINED
+
+
+def _verdict_text(verdict) -> str:
     lines = [f"verdict: {verdict.kind}"]
     for key, value in verdict.residuals.items():
         lines.append(f"{key}: {fmt(value)}")
@@ -138,12 +149,7 @@ def cmd_check(args, options: DeciderOptions) -> int:
         for key in ("trace", "trace_reversed", "dim", "spread", "gap", "threshold"):
             if key in witness:
                 lines.append(f"  {key}: {fmt(complex(*witness[key]) if isinstance(witness[key], list) else witness[key])}")
-    _emit(args, "\n".join(lines), doc)
-    if verdict.kind == "cs":
-        return EXIT_CS
-    if verdict.kind == "not_cs":
-        return EXIT_NOT_CS
-    return EXIT_UNDETERMINED
+    return "\n".join(lines)
 
 
 def cmd_classify(args, options: DeciderOptions) -> int:

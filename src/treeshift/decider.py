@@ -1,10 +1,14 @@
 """Decision pipeline for complex symmetry of a weighted shift on a finite
 rooted tree, or forest.
 
-Every entry point takes a tree shift only, which
-:func:`~treeshift.shift._forest` checks; any other matrix raises
-:class:`ValueError`.  A call reads the forest once and hands it, through
-:func:`_prepared`, to every stage but the words.  The pipeline has three
+Every entry point takes a tree shift only: a
+:class:`~treeshift.shift.ShiftMatrix`, whose forest is read from its
+parents, or a matrix, which :func:`~treeshift.shift._forest` checks; any
+other matrix raises :class:`ValueError`.  A call reads the forest once and
+hands it, through :func:`_prepared`, to every stage but the words.  The
+chain decision and the ``chain_reversal`` replay need no ``n x n`` array,
+so a tree above the vertex bound of :mod:`~treeshift.trees` is refused only
+after them, before the first step that needs one.  The pipeline has three
 steps, and each can decide:
 
 1. the twin reduction
@@ -126,6 +130,7 @@ import cmath
 import functools
 import math
 import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -153,6 +158,7 @@ from .shift import (
     tree_gauge,
     twin_reduction,
 )
+from .trees import _check_size
 
 __all__ = [
     "DeciderOptions",
@@ -676,16 +682,19 @@ def _chains(parent: np.ndarray) -> Optional[list[list[int]]]:
     vertex has two children); else ``None``."""
     up = parent.tolist()
     below = [-1] * len(up)
+    roots = []
     for v, p in enumerate(up):
-        if p >= 0:
-            if below[p] >= 0:
-                return None
+        if p < 0:
+            roots.append(v)
+        elif below[p] >= 0:
+            return None
+        else:
             below[p] = v
     out = []
-    for root in [v for v, p in enumerate(up) if p < 0]:
-        chain = [root]
-        while below[chain[-1]] >= 0:
-            chain.append(below[chain[-1]])
+    for v in roots:
+        chain = [v]
+        while (v := below[v]) >= 0:
+            chain.append(v)
         out.append(chain)
     return out
 
@@ -704,11 +713,16 @@ def _chain_tol(opts: DeciderOptions) -> float:
     return max(opts.tol, 16.0 * np.finfo(float).eps)
 
 
-def _reversal_gap(a: np.ndarray, links: Sequence[np.ndarray], scale: float) -> float:
+def _reversal_gap(a: tuple, links: Sequence[tuple], scale: float) -> float:
     """How far the reversal of the chain weights ``a`` lies from the nearest
-    of ``links`` of its length, in the largest difference, over ``scale``."""
-    same = np.array([b for b in links if b.size == a.size]).reshape(-1, a.size)
-    return float(np.abs(same - a[::-1]).max(axis=1, initial=0.0).min() / scale)
+    of ``links`` of its length, one of them ``a``, in the largest
+    difference, over ``scale``; Python floats, whose subtraction, ``abs``,
+    ``max`` and division are IEEE's, as numpy's are."""
+    rev = a[::-1]
+    return min(
+        max(map(abs, map(operator.sub, b, rev)), default=0.0)
+        for b in links if len(b) == len(a)
+    ) / scale
 
 
 def _chain_decision(red: TwinReduction, tol: float) -> Optional[tuple[str, object]]:
@@ -728,7 +742,7 @@ def _chain_decision(red: TwinReduction, tol: float) -> Optional[tuple[str, objec
 
     The links are read as Python floats, whose subtraction, ``abs`` and
     comparison are numpy's, and, being finite and positive, are equal
-    exactly when their bits are; the witness's gap is computed in numpy.
+    exactly when their bits are.
     """
     chains = _chains(red.parent)
     if chains is None:
@@ -739,17 +753,16 @@ def _chain_decision(red: TwinReduction, tol: float) -> Optional[tuple[str, objec
     # a chain of one vertex has no links; it is a palindrome
     distinct = [a for a in dict.fromkeys(links) if a]
     cut = tol * scale
-    if not any(abs(x - y) > cut for a in distinct for x, y in zip(a, reversed(a))):
+    if all(max(map(abs, map(operator.sub, a, a[::-1]))) <= cut for a in distinct):
         order = [v for chain in chains for v in chain]
         flip = np.arange(len(w))
         flip[order] = [v for chain in chains for v in reversed(chain)]
         copies = Counter(links).values()
         return "cs", (flip, sum(k * (k + 1) // 2 for k in copies))
-    arrays = [np.array(a) for a in distinct]
-    for a in arrays:
-        gap = _reversal_gap(a, arrays, scale)
+    for a in distinct:
+        gap = _reversal_gap(a, distinct, scale)
         if gap > _CHAIN_GAP * tol:
-            return "not_cs", {"weights": a.tolist(), "gap": gap, "threshold": _CHAIN_GAP * tol}
+            return "not_cs", {"weights": list(a), "gap": gap, "threshold": _CHAIN_GAP * tol}
     return None
 
 
@@ -862,7 +875,9 @@ def decide_cs(t, options: Optional[DeciderOptions] = None) -> Verdict:
         A tree shift's matrix or :class:`~treeshift.shift.ShiftMatrix`; any
         other matrix raises :class:`ValueError`.  A certificate is labelled
         by the basis of a shift matrix, and by ``"0".."n-1"`` for a bare
-        matrix.
+        matrix.  A ``chain_reversal`` verdict reads no ``n x n`` array;
+        any other step needs one and first refuses a tree above the vertex
+        bound (:class:`ValueError`).
     options:
         The tolerance and the seed of the certificate's random element.
 
@@ -874,8 +889,9 @@ def decide_cs(t, options: Optional[DeciderOptions] = None) -> Verdict:
         obstruction, or ``undetermined`` with diagnostics.
     """
     opts = options or DeciderOptions()
-    m = _as_matrix(t)
-    basis = t.basis if isinstance(t, ShiftMatrix) else None
+    is_shift = isinstance(t, ShiftMatrix)
+    m = None if is_shift else _as_matrix(t)
+    basis = t.basis if is_shift else None
 
     def finish(kind, certificate=None, obstruction=None, residuals=None, diag=None):
         return Verdict(
@@ -907,11 +923,15 @@ def decide_cs(t, options: Optional[DeciderOptions] = None) -> Verdict:
         }
         return finish("cs", certificate=cert, residuals=residuals, diag=diag)
 
-    forest = _forest(m)
+    forest = t.forest if is_shift else _forest(m)
     work, red = _prepared(forest, reduce=True)
     chain = _chain_decision(red, _chain_tol(opts)) if red is not None else None
     if chain is not None and chain[0] == "not_cs":
         return refuted("chain_reversal", chain[1], chain[1]["gap"])
+    # every step from here on needs an n x n array
+    _check_size(forest.parent.size)
+    if m is None:
+        m = t.matrix
     if chain is not None:
         flip, dim = chain[1]
         verdict = certified(red.q[:, flip] @ red.q.T, {"sylvester_dim": dim, "spread": 1.0})
@@ -974,11 +994,14 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     if not isinstance(witness, dict) or field not in witness:
         raise ValueError(f"a {kind} witness needs the field {field!r}")
     value = witness[field]
-    m = _as_matrix(t)
-    forest = _forest(m)  # read before the witness: its size bounds a chain
+    is_shift = isinstance(t, ShiftMatrix)
+    m = None if is_shift else _as_matrix(t)
+    # read before the witness: its size bounds a chain
+    forest = t.forest if is_shift else _forest(m)
+    n = forest.parent.size
     # the search emits no longer word, and a chain of R has at most n - 1
     # links; a longer list is refused before any item is read
-    bound = {"word": len(_WORDS[-1]), "weights": m.shape[0] - 1}.get(field)
+    bound = {"word": len(_WORDS[-1]), "weights": n - 1}.get(field)
     if isinstance(value, (list, tuple)) and bound is not None and len(value) > bound:
         unit = "letters" if field == "word" else "weights"
         raise ValueError(f"a {kind} witness's {field!r} has {len(value)} {unit}, over {bound}")
@@ -991,25 +1014,28 @@ def reevaluate_obstruction(t, obstruction: dict, options: Optional[DeciderOption
     ):
         raise ValueError(f"a {kind} witness's {field!r} is malformed: {value!r}")
     work, red = _prepared(forest, reduce=kind != "word_trace")
+    if kind == "chain_reversal":
+        chains = None if red is None else _chains(red.parent)
+        if chains is None:
+            return False, 0.0
+        a = tuple(map(float, value))
+        w = red.weights.tolist()
+        links = [tuple(map(w.__getitem__, chain[1:])) for chain in chains]
+        if not (a and a in links):
+            return False, 0.0
+        gap = _reversal_gap(a, links, max(w))
+        return gap > _CHAIN_GAP * _chain_tol(opts), gap
+    # the solve and the words need n x n arrays
+    _check_size(n)
     if kind == "structure":
         joint = _joint_space(work if red is None else red, _RANK_RTOL, opts.seed)
         if joint is None:
             return False, 0.0
         _polar, again, excluded = joint
         return excluded and again["dim"] == value, 1.0 - again["spread"]
-    if kind == "chain_reversal":
-        chains = None if red is None else _chains(red.parent)
-        if chains is None:
-            return False, 0.0
-        a = np.array(value, dtype=float)
-        links = [red.weights[chain[1:]] for chain in chains]
-        if not (a.size and any(np.array_equal(a, b) for b in links)):
-            return False, 0.0
-        gap = _reversal_gap(a, links, red.weights.max())
-        return gap > _CHAIN_GAP * _chain_tol(opts), gap
-    mats = _letters(np.abs(m))
+    mats = _letters(np.abs(t.matrix if m is None else m))
     margin = _trace_gap(_word_trace(mats, letters), _word_trace(mats, letters[::-1]))
     threshold = _word_threshold(
-        _word_tol(opts, m.shape[0]), float(np.linalg.norm(mats["T"])), len(letters)
+        _word_tol(opts, n), float(np.linalg.norm(mats["T"])), len(letters)
     )
     return margin > threshold, float(margin)

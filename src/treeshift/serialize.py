@@ -12,7 +12,8 @@ the layout around them.  Below
 :data:`_DISTINCT_GATE` floats each float goes through ``float.__repr__``;
 at or above it, ``float.__repr__`` runs once per distinct float64 bit
 pattern (so ``0.0`` and ``-0.0`` stay apart) and the texts are scattered
-back, since a certificate repeats few values many times.  Strings go
+back, since a certificate repeats few values many times, unless nearly
+every float is distinct, as in a long chain's weights.  Strings go
 through the json module's C ``encode_basestring_ascii``.
 """
 
@@ -86,6 +87,13 @@ def weights_from_doc(doc: dict) -> dict[str, complex]:
         raise ValueError("weights document must be an object mapping labels to values")
     weights = {}
     for label, value in doc.items():
+        # an [re, im] pair of floats, the form weights_to_doc writes, is
+        # read directly; any other value is checked by pair_to_complex
+        if type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is float:
+            z = complex(*value)
+            if cmath.isfinite(z):
+                weights[str(label)] = z
+                continue
         try:
             weights[str(label)] = pair_to_complex(value)
         except ValueError as exc:
@@ -100,6 +108,13 @@ def weights_from_doc(doc: dict) -> dict[str, complex]:
 # and 7% at 1922 (one core, x86-64).  Below the gate each float is written
 # directly.
 _DISTINCT_GATE = 256
+
+# The share of distinct bit patterns above which a grid at the gate or over
+# is written directly after all: the scatter back costs about a sixth of a
+# ``repr`` per float, so the two ways break even near 0.8 distinct (10^5
+# floats: 83 ms through the distinct patterns and 68 ms directly when all
+# differ, 48 against 65 ms at 0.55 distinct; one core, x86-64).
+_DISTINCT_SHARE = 0.8
 
 
 def _float_repr(x: float) -> str:
@@ -142,8 +157,9 @@ def _float_grid(value: list) -> Optional[tuple[tuple[int, ...], list]]:
 
 def _grid_reprs(floats: list) -> Sequence[str]:
     """``float.__repr__`` of each of ``floats``, in order, through one call
-    per distinct bit pattern from :data:`_DISTINCT_GATE` floats on;
-    :class:`ValueError` names the first NaN or infinite one."""
+    per distinct bit pattern from :data:`_DISTINCT_GATE` floats on, unless
+    over :data:`_DISTINCT_SHARE` of them are distinct; :class:`ValueError`
+    names the first NaN or infinite one."""
     if len(floats) < _DISTINCT_GATE:
         reprs = tuple(map(float.__repr__, floats))
         finite = "n" not in "".join(reprs)  # nan, inf, -inf
@@ -152,7 +168,9 @@ def _grid_reprs(floats: list) -> Sequence[str]:
         distinct, places = np.unique(bits, return_inverse=True)
         values = distinct.view(float)
         finite = bool(np.isfinite(values).all())
-        if finite:
+        if finite and values.size > _DISTINCT_SHARE * len(floats):
+            reprs = tuple(map(float.__repr__, floats))
+        elif finite:
             texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
             reprs = texts[places].tolist()
     if not finite:

@@ -1,4 +1,5 @@
-"""Dense matrix realizations of weighted shifts on rooted trees.
+"""Weighted shifts on rooted trees, held as parents and weights, and their
+dense matrices, built only when a step needs one.
 
 A weight assignment puts one complex number on every non-root vertex.  The
 shift sends the basis vector of a vertex ``u`` to the weighted sum of the
@@ -13,6 +14,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -40,27 +42,88 @@ class WeightError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ShiftMatrix:
-    """A shift realized as a dense complex matrix over a fixed basis order."""
+    """A weighted shift on ``tree`` over the basis order ``basis``, held as
+    its forest: ``parent[v]``, the index of the parent of vertex ``v``, and
+    ``weights[v]``, the complex weight of the edge into ``v`` (0 at the
+    root).  A zero weight leaves a zero row, which the matrix cannot tell
+    from a root, so its vertex has parent -1, as :func:`_forest` reads it.
+
+    The dense ``n x n`` :attr:`matrix` is built on first use, and refused
+    above the vertex bound of :mod:`~treeshift.trees` (8192); :attr:`forest`
+    needs nothing of size ``n^2``.
+    """
 
     tree: DirectedTree
     basis: tuple[str, ...]
-    matrix: np.ndarray
+    parent: np.ndarray
+    weights: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.basis)
 
+    @property
+    def forest(self) -> "Forest":
+        """The :class:`Forest` that :func:`_forest` reads off :attr:`matrix`,
+        read from the parents instead."""
+        parent, levels, height = _pattern_forest(self.parent.tobytes())
+        return Forest(parent, levels, height, np.where(parent >= 0, self.weights, 0))
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix: ``weights[v]`` at row ``v`` and the column of
+        ``v``'s parent in the tree; :class:`ValueError` above the vertex
+        bound, before anything is allocated."""
+        n = self.n
+        _check_size(n)
+        m = np.zeros((n, n), dtype=complex)
+        child = np.flatnonzero(self.parent >= 0)
+        m[child, self.parent[child]] = self.weights[child]
+        # a zero weight of negative sign has no parent in the forest; it is
+        # written at its tree edge, as every other weight is
+        w = self.weights
+        for v in np.flatnonzero((self.parent < 0) & (np.signbit(w.real) | np.signbit(w.imag))):
+            m[v, self.tree.index_of(self.tree.parent_of(self.basis[v]))] = w[v]
+        return m
+
 
 def build_shift(tree: DirectedTree, weights: dict) -> ShiftMatrix:
-    """Assemble the dense matrix of the weighted shift.
+    """The weighted shift of ``weights`` on ``tree``, as parents and weights.
 
-    Raises :class:`ValueError` for a tree above the vertex bound of
-    :mod:`~treeshift.trees` (8192), before anything is allocated, and
-    :class:`WeightError` if a non-root vertex has no weight or a non-finite
-    one, if the root is given one, or if a weight references an unknown
-    vertex.
+    Allocates nothing of size ``n^2``; the dense matrix is built on first
+    use of :attr:`ShiftMatrix.matrix`, which refuses a tree above the vertex
+    bound.  Raises :class:`WeightError` if a non-root vertex has no weight
+    or a non-finite one, if the root is given one, or if a weight
+    references an unknown vertex; the first such vertex in label order is
+    named.
     """
-    _check_size(tree.n)
+    vertices, root, index = tree.vertices, tree.root, tree._index
+    n = len(vertices)
+    # the weights name exactly the non-root vertices: only then are they
+    # read in vertex order; any other assignment is checked label by label
+    if not (len(weights) == n - 1 and root not in weights and weights.keys() <= index.keys()):
+        _check_weights(tree, weights)
+    values = list(map(weights.get, vertices))
+    if root in index:
+        values[index[root]] = 0.0
+    values = list(map(complex, values))
+    # a NaN or an infinity makes the sum so; an overflowing sum of finite
+    # weights only sends them through the check, which passes
+    if not cmath.isfinite(sum(values)):
+        _check_weights(tree, weights)
+    w = np.array(values, dtype=complex)
+    parent = np.array(
+        list(map(index.get, map(tree._parent.get, vertices), repeat(-1))), dtype=np.intp
+    )
+    if 0 in values:
+        parent[w == 0] = -1
+    return ShiftMatrix(tree=tree, basis=vertices, parent=parent, weights=w)
+
+
+def _check_weights(tree: DirectedTree, weights: dict) -> None:
+    """Raise the :class:`WeightError` of :func:`build_shift` for the first
+    vertex, in label order, whose weight is missing or not finite, then
+    for a weighted root, then for the first unknown label."""
     nonroot = set(tree.nonroot_vertices())
     for v in sorted(nonroot):
         if v not in weights:
@@ -72,12 +135,6 @@ def build_shift(tree: DirectedTree, weights: dict) -> ShiftMatrix:
     for label in sorted(weights):
         if label not in nonroot:
             raise WeightError(f"weight supplied for unknown vertex {label}")
-    n = tree.n
-    m = np.zeros((n, n), dtype=complex)
-    for v in nonroot:
-        p = tree.parent_of(v)
-        m[tree.index_of(v), tree.index_of(p)] = complex(weights[v])
-    return ShiftMatrix(tree=tree, basis=tuple(tree.vertices), matrix=m)
 
 
 def _rank_cut(size: int, rtol: float, sigma_ref: float) -> float:
@@ -128,18 +185,21 @@ def kernel_table(s, max_power: int) -> KernelTable:
     ``S^n = 0`` for ``n`` vertices, so :class:`ValueError` refuses a
     ``max_power`` above ``n`` (or below 1), a matrix that is not finite
     (see :func:`_as_matrix`) and one that is no tree shift (see
-    :func:`_forest`).
+    :func:`_forest`).  A :class:`ShiftMatrix` is read from its parents, with
+    no ``n x n`` array.
     """
-    t = _as_matrix(s)
-    n = t.shape[0]
+    is_shift = isinstance(s, ShiftMatrix)
+    t = None if is_shift else _as_matrix(s)
+    n = s.n if is_shift else t.shape[0]
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
     if max_power > n:
         raise ValueError(f"max_power must be at most the size {n}: S^{n} = 0")
-    height = _forest(t).height
+    height = (s.forest if is_shift else _forest(t)).height
+    # ranks[m] counts the vertices of height at least m
+    ranks = np.bincount(height, minlength=max_power + 1)[::-1].cumsum()[::-1].tolist()
     powers = range(1, max_power + 1)
-    ranks = [int(np.count_nonzero(height >= m)) for m in powers]
-    return KernelTable(rows=tuple((m, n - k, n - k) for m, k in zip(powers, ranks)))
+    return KernelTable(rows=tuple((m, n - ranks[m], n - ranks[m]) for m in powers))
 
 
 def positivize_weights(
@@ -175,7 +235,8 @@ def positivize_weights(
 
 
 class Forest(NamedTuple):
-    """The forest of a tree-shift matrix, read by :func:`_forest`."""
+    """The forest of a tree shift, read off its matrix by :func:`_forest` or
+    from the parents of a :class:`ShiftMatrix`."""
 
     parent: np.ndarray
     levels: tuple[np.ndarray, ...]
@@ -200,36 +261,42 @@ def _as_matrix(t) -> np.ndarray:
 
 def _forest(m: np.ndarray) -> Forest:
     """The :class:`Forest` of a tree-shift matrix, the package's one check
-    of a tree shift.
+    of a matrix as a tree shift.
 
     ``m`` is the matrix of a tree shift (a forest, in general) when each row
     has at most one nonzero, in the column of the row's parent, and the
     parent pointers close no cycle; a nonzero diagonal entry is a cycle of
     length one; else :class:`ValueError` names a row with two nonzeros or a
     vertex on a cycle.  ``parent[v]`` is the row's nonzero column, -1 at a
-    zero row (a root), ``levels[d]`` holds the vertices at depth ``d``,
-    roots first, each level in ascending order, ``height[v]`` is the length
-    of the longest path down from ``v``, and ``weights[v] = m[v,
-    parent[v]]``, 0 at a root.  All but the weights depend on the nonzero
-    pattern alone and are cached by the full bytes of ``m != 0``, so they
-    are read-only.
+    zero row (a root), and ``weights[v] = m[v, parent[v]]``, 0 at a root;
+    the rest is read from the parents by :func:`_pattern_forest`, as for a
+    :class:`ShiftMatrix`.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"not a tree shift: shape {m.shape} is not square and nonempty")
-    parent, levels, height = _pattern_forest(m.shape, (m != 0).tobytes())
+    nonzero = m != 0
+    count = np.count_nonzero(nonzero, axis=1)
+    if count.max(initial=0) > 1:
+        raise ValueError(f"not a tree shift: row {count.argmax()} has more than one nonzero")
+    parent = np.where(count > 0, nonzero.argmax(axis=1), -1).astype(np.intp)
+    parent, levels, height = _pattern_forest(parent.tobytes())
     weights = np.where(parent >= 0, m[np.arange(parent.size), parent], 0)
     return Forest(parent, levels, height, weights)
 
 
 @functools.lru_cache(maxsize=64)
 def _pattern_forest(
-    shape: tuple[int, ...], pattern: bytes
+    parents: bytes,
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-    nonzero = np.frombuffer(pattern, dtype=bool).reshape(shape)
-    count = np.count_nonzero(nonzero, axis=1)
-    if count.max(initial=0) > 1:
-        raise ValueError(f"not a tree shift: row {count.argmax()} has more than one nonzero")
-    parent = np.where(count > 0, nonzero.argmax(axis=1), -1)
+    """The parent pointers with the bytes ``parents`` (``intp``, -1 at a
+    root), ``levels[d]``, the vertices at depth ``d``, roots first, each
+    level in ascending order, and ``height[v]``, the length of the longest
+    path down from ``v``; :class:`ValueError` names a vertex on a cycle.
+
+    Cached by the parents' ``8 n`` bytes, as :func:`~treeshift.decider._plan`
+    is, so the arrays are read-only.
+    """
+    parent = np.frombuffer(parents, dtype=np.intp)
     up = parent.tolist()
     depth = [-1] * len(up)  # -2 marks the vertices of the walk in progress
     for v, p in enumerate(up):
@@ -247,17 +314,18 @@ def _pattern_forest(
         for u in reversed(walk):
             d += 1
             depth[u] = d
-    rows: list[list[int]] = [[] for _ in range(max(depth, default=0) + 1)]
-    for v, d in enumerate(depth):
-        rows[d].append(v)
+    # the vertices by depth, each level ascending; a level is a view of it
+    order = np.argsort(np.array(depth, dtype=np.intp), kind="stable")
+    order.flags.writeable = False
+    stops = np.cumsum(np.bincount(depth, minlength=1)).tolist()
+    levels = tuple(order[a:b] for a, b in zip([0, *stops[:-1]], stops))
     height = [0] * len(up)
-    for row in reversed(rows[1:]):
-        for v in row:
-            height[up[v]] = max(height[up[v]], height[v] + 1)
-    levels = tuple(np.array(row, dtype=np.intp) for row in rows)
+    for v in reversed(order.tolist()):  # children before their parents
+        p = up[v]
+        if p >= 0 and height[p] <= height[v]:
+            height[p] = height[v] + 1
     height = np.array(height, dtype=np.intp)
-    for a in (parent, *levels, height):
-        a.flags.writeable = False
+    height.flags.writeable = False
     return parent, levels, height
 
 
@@ -327,6 +395,23 @@ def _reflectors(a: np.ndarray) -> np.ndarray:
     return np.eye(a.shape[1]) - scale[:, None, None] * v[:, :, None] * v[:, None, :]
 
 
+def _preorder(v: int, kept: list) -> list[int]:
+    """The vertices of ``v``'s subtree in canonical preorder: ``v``, then
+    the subtree of each of its ``kept`` children in turn."""
+    out, stack = [], [v]
+    while stack:
+        v = stack.pop()
+        while True:  # down the first children, the later ones stacked
+            out.append(v)
+            children = kept[v]
+            if not children:
+                break
+            if len(children) > 1:
+                stack += children[:0:-1]
+            v = children[0]
+    return out
+
+
 def twin_reduction(forest: Forest) -> Optional[TwinReduction]:
     """Split a real tree shift ``M``, given by its :class:`Forest`, into
     smaller tree shifts at its twins.
@@ -347,7 +432,10 @@ def twin_reduction(forest: Forest) -> Optional[TwinReduction]:
 
     The walk yields the reduced parents and weights and records each merge:
     the columns of its copies' vertices and its unit ``lambda``, grouped per
-    level by shape, since the merges of a level touch disjoint columns.
+    level by shape, since the merges of a level touch disjoint columns.  A
+    copy's columns, its subtree in canonical preorder (children by key), are
+    listed only when a merge records them, so the walk takes time linear in
+    the vertices and the recorded columns, not in depth times size.
     ``Q`` is the identity times one product per group, in walk order, and
     is formed only when asked for.  Returns ``None`` when a merged weight
     overflows.  Raises :class:`ValueError` when the weights are complex.
@@ -356,24 +444,39 @@ def twin_reduction(forest: Forest) -> Optional[TwinReduction]:
     if np.iscomplexobj(w):
         raise ValueError("twin_reduction needs real weights, such as those of |T|")
     n = parent.size
-    has = np.flatnonzero(parent >= 0)
     # the reduced forest, as lists while the loop reads and writes entries
-    up, w = parent.tolist(), w.astype(float).tolist()
+    up, w = parent.tolist(), np.asarray(w, dtype=float).tolist()
     kids: list[list[int]] = [[] for _ in range(n)]
-    for v in has.tolist():
-        kids[up[v]].append(v)
+    for v, p in enumerate(up):
+        if p >= 0:
+            kids[p].append(v)
     split = 0
-    merges: list = []  # (copies' columns, units) per shape and level
     ids: dict = {}  # subtree shape -> its key
     key = [0] * n  # the key of each vertex's subtree below its edge
-    nodes: list = [None] * n  # that subtree's vertices, in canonical preorder
-    for level in reversed(levels):
-        shapes: dict = {}  # (copies, vertices per copy) -> ([columns], [unit])
-        for u in level.tolist():
+    kept = kids[:]  # each vertex's children left in place, in canonical order
+    # (depth, copies, vertices per copy) -> ([columns], [unit]), bottom-up
+    shapes: dict = {}
+    # the stem, a lone root and its line of only children, comes last in the
+    # walk and has no siblings: its keys would be compared with none, and
+    # every shape below it is numbered first, so the walk stops at its
+    # lowest vertex
+    top = 0
+    while top + 1 < len(levels) and levels[top].size == levels[top + 1].size == 1:
+        top += 1
+    for depth in range(len(levels) - 1, top - 1, -1):
+        for u in levels[depth].tolist():
+            children = kids[u]
+            if not children:
+                key[u] = ids.setdefault((), len(ids))
+                continue
+            if len(children) == 1:  # one child: no twins, no groups
+                c = children[0]
+                key[u] = ids.setdefault(((w[c], key[c]),), len(ids))
+                continue
             groups: dict = {}
-            for c in kids[u]:
+            for c in children:
                 groups.setdefault(key[c], []).append(c)
-            shape, below = [], [u]
+            shape, first = [], []
             # twins are merged, so the kept children have distinct keys and
             # their order by key is canonical
             for k in sorted(groups):
@@ -382,20 +485,22 @@ def twin_reduction(forest: Forest) -> Optional[TwinReduction]:
                 if len(twins) > 1:
                     lam = [w[t] for t in twins]
                     w[c] = math.hypot(*lam)
-                    cols, units = shapes.setdefault((len(twins), len(nodes[c])), ([], []))
-                    cols.append([nodes[t] for t in twins])
+                    copies = [_preorder(t, kept) for t in twins]
+                    cols, units = shapes.setdefault(
+                        (depth, len(twins), len(copies[0])), ([], [])
+                    )
+                    cols.append(copies)
                     units.append([x / w[c] for x in lam])
                     for t in twins[1:]:
                         w[t], up[t] = 0.0, -1
                     split += len(twins) - 1
                 shape.append((w[c], k))
-                below += nodes[c]
+                first.append(c)
             key[u] = ids.setdefault(tuple(shape), len(ids))
-            nodes[u] = below
-            for c in kids[u]:
-                nodes[c] = None
-        merges += shapes.values()
+            kept[u] = first
     w = np.array(w)
     if not np.isfinite(w).all():
         return None
-    return TwinReduction(parent=np.array(up), weights=w, split=split, merges=tuple(merges))
+    return TwinReduction(
+        parent=np.array(up), weights=w, split=split, merges=tuple(shapes.values())
+    )

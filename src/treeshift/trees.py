@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Optional
 
 __all__ = [
@@ -43,12 +45,54 @@ def _label_key(label: str):
         return (1, tuple(label.split(",")))
 
 
+def _depths(vertices, edges, root: str, index: dict, parent: dict) -> dict[str, int]:
+    """The depth of each vertex a search from ``root`` reaches, stepping
+    along edges into vertices only.
+
+    When each child ends one edge and every parent comes before its
+    children in vertex order, the usual case, each depth is read as its
+    parent's plus one; otherwise the search runs level by level."""
+    depth: dict[str, int] = {}
+    if root not in index:
+        return depth
+    depth[root] = 0
+    if len(parent) == len(edges):
+        for v in vertices:
+            if v not in depth:
+                d = depth.get(parent.get(v))
+                if d is None:
+                    break
+                depth[v] = d + 1
+        else:
+            return depth
+        depth = {root: 0}
+    kids: dict[str, list[str]] = {}
+    for p, c in edges:
+        kids.setdefault(p, []).append(c)
+    frontier, d = [root], 0
+    while frontier:
+        d += 1
+        nxt = []
+        for v in frontier:
+            for c in kids.get(v, ()):
+                if c in index and c not in depth:
+                    depth[c] = d
+                    nxt.append(c)
+        frontier = nxt
+    return depth
+
+
 @dataclass(frozen=True)
 class DirectedTree:
     """A finite rooted directed tree with a fixed vertex order.
 
     ``vertices`` fixes the deterministic ordering used as the basis order by
-    every matrix builder downstream.  Children lists are sorted by label.
+    every shift builder downstream.  The constructor builds only what
+    :func:`validate_tree` and :func:`~treeshift.shift.build_shift` read: the
+    vertex index, each child's first parent, and the depths of a search
+    from the root.  The levels, and the children lists sorted by label, are
+    built on first use; neither depths nor levels depend on the children's
+    order.
     The constructor is tolerant of malformed data; use :func:`validate_tree`
     to obtain a violation report before trusting a tree from the outside.
     """
@@ -57,46 +101,36 @@ class DirectedTree:
     edges: tuple[tuple[str, str], ...]
     root: str
     _parent: dict = field(init=False, repr=False, compare=False)
-    _children: dict = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
     _depth: dict = field(init=False, repr=False, compare=False)
-    _levels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((p, c) for p, c in self.edges))
-        parent: dict[str, str] = {}
-        children: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for p, c in self.edges:
-            children.setdefault(p, []).append(c)
-            parent.setdefault(c, p)
-        sorted_children = {
-            v: tuple(sorted(kids, key=_label_key)) for v, kids in children.items()
-        }
-        index = {v: i for i, v in enumerate(self.vertices)}
-        depth: dict[str, int] = {}
-        if self.root in index:
-            depth[self.root] = 0
-            frontier = [self.root]
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for c in sorted_children.get(v, ()):
-                        if c in index and c not in depth:
-                            depth[c] = depth[v] + 1
-                            nxt.append(c)
-                frontier = nxt
+        vertices = tuple(self.vertices)
+        edges = tuple(map(tuple, self.edges))
+        index = dict(zip(vertices, range(len(vertices))))
+        parent = {c: p for p, c in reversed(edges)}  # each child's first parent
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_depth", _depths(vertices, edges, self.root, index, parent))
+
+    @functools.cached_property
+    def _levels(self) -> tuple[tuple[str, ...], ...]:
         # levels[d] holds the vertices at depth d, in vertex order
-        n_levels = max(depth.values(), default=-1) + 1
-        levels: list[list[str]] = [[] for _ in range(n_levels)]
+        depth = self._depth
+        levels: list[list[str]] = [[] for _ in range(max(depth.values(), default=-1) + 1)]
         for v in self.vertices:
             if v in depth:
                 levels[depth[v]].append(v)
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_children", sorted_children)
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_depth", depth)
-        object.__setattr__(self, "_levels", tuple(tuple(level) for level in levels))
+        return tuple(map(tuple, levels))
+
+    @functools.cached_property
+    def _children(self) -> dict[str, tuple[str, ...]]:
+        children: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for p, c in self.edges:
+            children.setdefault(p, []).append(c)
+        return {v: tuple(sorted(kids, key=_label_key)) for v, kids in children.items()}
 
     @classmethod
     def from_edges(
@@ -172,9 +206,21 @@ def validate_tree(tree: DirectedTree) -> TreeValidation:
     Reads the maps the constructor built: a label is a vertex when the index
     holds it, and a vertex is reachable when the constructor's search from
     the root, which steps only through vertices, gave it a depth.  That one
-    sweep catches cycles and disconnected pieces.
+    sweep catches cycles and disconnected pieces.  A tree whose ``n``
+    vertices are distinct and all reached, with ``n - 1`` edges into
+    distinct children none of which is the root, breaks no axiom: each
+    non-root vertex is then the child of exactly one edge, through which the
+    search reached it from a vertex.  Any other tree is checked clause by
+    clause.
     """
     vertices, index = tree.vertices, tree._index
+    n = len(vertices)
+    if (
+        len(index) == len(tree._depth) == n
+        and len(tree.edges) == len(tree._parent) == n - 1
+        and tree.root not in tree._parent
+    ):
+        return TreeValidation(ok=True, violations=())
     violations: list[str] = []
     if len(index) != len(vertices):
         dupes = sorted({v for v in vertices if vertices.count(v) > 1})
@@ -297,13 +343,15 @@ def tree_from_doc(doc: dict) -> DirectedTree:
     vertices = doc["vertices"]
     edges = doc["edges"]
     root = doc["root"]
-    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+    if not isinstance(vertices, list) or not all(map(isinstance, vertices, repeat(str))):
         raise ValueError("tree document field 'vertices' must be a list of strings")
     if not isinstance(root, str):
         raise ValueError("tree document field 'root' must be a string")
-    if not isinstance(edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)
-        for e in edges
+    if not (
+        isinstance(edges, list)
+        and all(map(isinstance, edges, repeat(list)))
+        and all(map((2).__eq__, map(len, edges)))
+        and all(map(isinstance, chain.from_iterable(edges), repeat(str)))
     ):
         raise ValueError(
             "tree document field 'edges' must be a list of [parent, child] string pairs"

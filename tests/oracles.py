@@ -385,3 +385,56 @@ def per_group_twin_q(n, merges):
         cols = np.array(cols).transpose(0, 2, 1)
         q[:, cols] = q[:, cols] @ h
     return q
+
+
+def reference_twin_walk(parent, levels, weights):
+    """The twin reduction's walk as it first ran: every vertex keeps the
+    list of its subtree's vertices in canonical preorder, copied into its
+    parent's list level by level.  Takes the parents, levels and real
+    weights of a forest and returns ``(parent, weights, split, merges)`` as
+    lists, in the layout of ``TwinReduction``."""
+    n = len(parent)
+    up, w = list(parent), [float(x) for x in weights]
+    kids = [[] for _ in range(n)]
+    for v, p in enumerate(up):
+        if p >= 0:
+            kids[p].append(v)
+    split, merges, ids = 0, [], {}
+    key, nodes = [0] * n, [None] * n
+    for level in reversed(levels):
+        shapes = {}
+        for u in level:
+            groups = {}
+            for c in kids[u]:
+                groups.setdefault(key[c], []).append(c)
+            shape, below = [], [u]
+            for k in sorted(groups):
+                twins = groups[k]
+                c = twins[0]
+                if len(twins) > 1:
+                    lam = [w[t] for t in twins]
+                    w[c] = math.hypot(*lam)
+                    cols, units = shapes.setdefault((len(twins), len(nodes[c])), ([], []))
+                    cols.append([nodes[t] for t in twins])
+                    units.append([x / w[c] for x in lam])
+                    for t in twins[1:]:
+                        w[t], up[t] = 0.0, -1
+                    split += len(twins) - 1
+                shape.append((w[c], k))
+                below += nodes[c]
+            key[u] = ids.setdefault(tuple(shape), len(ids))
+            nodes[u] = below
+        merges += shapes.values()
+    return up, w, split, merges
+
+
+def dense_shift_fill(tree, weights):
+    """The dense complex shift matrix as it was first filled, one entry per
+    non-root vertex: ``complex(weights[v])`` at row ``v`` and the column of
+    ``v``'s parent, in ``tree.vertices`` order."""
+    n = len(tree.vertices)
+    m = np.zeros((n, n), dtype=complex)
+    for v in tree.vertices:
+        if v != tree.root:
+            m[tree.index_of(v), tree.index_of(tree.parent_of(v))] = complex(weights[v])
+    return m

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -880,6 +881,38 @@ def test_a_document_over_the_vertex_bound_exits_3_before_allocating(tmp_path):
     assert run.stdout == ""
     assert "Traceback" not in run.stderr
     assert "a tree of 8193 vertices is too large: the bound is 8192" in run.stderr
+
+
+def test_a_long_path_decides_chain_reversal_without_a_dense_matrix(tmp_path):
+    # 10^5 vertices, over the vertex bound: the chain decision and the
+    # kernel table read parents and weights only, so neither allocates an
+    # n x n array, which would take 149 GiB.  The weights rise along the
+    # path, so the one chain is no palindrome and its witness lists 10^5
+    # distinct floats
+    resource = pytest.importorskip("resource")
+    n = 100_000
+    labels = [str(v) for v in range(n)]
+    doc = {"tree": {"vertices": labels, "root": "0",
+                    "edges": [list(edge) for edge in zip(labels, labels[1:])]},
+           "weights": {v: 1.0 + int(v) / n for v in labels[1:]}}
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    started = time.perf_counter()
+    run = run_cli(["check", "--json", str(path)], preexec_fn=limit_address_space)
+    elapsed = time.perf_counter() - started
+    assert run.returncode == 1, run.stderr
+    report = json.loads(run.stdout)
+    assert report["obstruction"]["kind"] == "chain_reversal"
+    assert len(report["obstruction"]["witness"]["weights"]) == n - 1
+    assert elapsed < 2.0
+    run = run_cli(["kernels", "--json", str(path)], preexec_fn=limit_address_space)
+    assert run.returncode == 0, run.stderr
+    rows = json.loads(run.stdout)["rows"]
+    assert len(rows) == n and rows[0]["dim_ker"] == 1 and rows[-1]["dim_ker"] == n
 
 
 def test_running_out_of_memory_exits_3_not_the_not_cs_code(tmp_path, capsys, monkeypatch):

@@ -39,8 +39,10 @@ from treeshift import (
     random_weights,
     reevaluate_obstruction,
     sample_binary_weights,
+    tree_from_doc,
     unitary_search,
     verify_c_symmetry,
+    weights_from_doc,
     word_trace_obstruction,
     word_value,
 )
@@ -1712,3 +1714,37 @@ def test_polar_factor_falls_back_to_qr_when_the_svd_fails(rng):
     assert len(calls) == 2  # the failed SVD of a, then the SVD of r
     assert np.abs(polar - direct).max() <= 1e-12
     assert np.abs(s - sigma).max() <= 1e-12
+
+
+def test_chain_reversal_verdicts_and_replays_need_no_dense_matrix(monkeypatch):
+    # a ShiftMatrix builds its n x n matrix only on first use: with that use
+    # refused, every chain_reversal verdict of the three benchmark workloads
+    # at seed 1 comes out byte for byte as before, and replays alike
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import generate
+
+    def shift_of(inst):
+        doc = json.loads(inst.doc)
+        return build_shift(tree_from_doc(doc["tree"]), weights_from_doc(doc["weights"]))
+
+    picked = {}
+    for workload in ("audit_mix", "binary_scale", "hard_two_branch"):
+        for inst in generate(workload, 1):
+            verdict = decide_cs(shift_of(inst))
+            if (verdict.obstruction or {}).get("kind") == "chain_reversal":
+                picked.setdefault(workload, []).append((inst, verdict))
+    assert {w: len(v) for w, v in picked.items()} == {"audit_mix": 200, "hard_two_branch": 57}
+
+    def refused(_self):
+        raise AssertionError("the dense matrix is not to be built")
+
+    monkeypatch.setattr(shift.ShiftMatrix, "matrix", property(refused))
+    for cases in picked.values():
+        for inst, verdict in cases:
+            s = shift_of(inst)
+            assert dump_json(decide_cs(s).to_doc()) == dump_json(verdict.to_doc())
+            ok, margin = reevaluate_obstruction(s, verdict.obstruction, verdict.options)
+            assert ok and margin == verdict.residuals["witness_margin"]
+    # a cs verdict does need it, for the certificate's check
+    with pytest.raises(AssertionError, match="not to be built"):
+        decide_cs(shift_of(generate("binary_scale", 1)[0]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,9 @@ from treeshift import (
     DirectedTree,
     WeightError,
     build_shift,
+    decide_cs,
+    dump_json,
+    generate_binary,
     generate_broom,
     generate_path,
     generate_two_branch,
@@ -17,10 +21,17 @@ from treeshift import (
     numerical_rank,
     positivize_weights,
 )
+from treeshift import shift
 from treeshift.shift import _forest, tree_gauge, twin_reduction
 
 from conftest import forest_matrix
-from oracles import exact_kernel_dim, per_group_twin_q, shift_matrix_fraction
+from oracles import (
+    dense_shift_fill,
+    exact_kernel_dim,
+    per_group_twin_q,
+    reference_twin_walk,
+    shift_matrix_fraction,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -340,3 +351,122 @@ def test_tree_gauge_starts_afresh_below_a_zero_weight():
 def test_tree_gauge_rejects_what_is_no_tree_shift(m):
     with pytest.raises(ValueError, match="^not a tree shift: "):
         tree_gauge(_forest(m))
+
+
+def planted_forest(seed):
+    """Parent pointers and real weights of a random forest with planted twin
+    groups: under random vertices, 2 or 3 copies of one random subtree (equal
+    weights inside, unequal weights on the edges into the copies), long
+    chains, and a few roots beside the first; vertices are numbered in a
+    random order."""
+    rng = np.random.default_rng(seed)
+    up, w = [-1], [0.0]
+
+    def grow(p, weight):
+        up.append(p)
+        w.append(weight)
+        return len(up) - 1
+
+    def copy_subtree(shape, p, weight):
+        # shape: (weights of the children, their shapes)
+        v = grow(p, weight)
+        for child_weight, child in shape:
+            copy_subtree(child, v, child_weight)
+
+    def random_shape(size):
+        kids, left = [], size - 1
+        while left > 0:
+            take = int(rng.integers(1, left + 1))
+            kids.append((float(rng.choice([1.0, 1.5, 2.0])), random_shape(take)))
+            left -= take
+        return tuple(kids)
+
+    for _ in range(int(rng.integers(1, 6))):
+        kind = rng.integers(4)
+        p = int(rng.integers(len(up)))
+        if kind == 0:  # a twin group of 2 or 3 copies
+            shape = random_shape(int(rng.integers(1, 6)))
+            for _copy in range(int(rng.integers(2, 4))):
+                copy_subtree(shape, p, float(rng.choice([0.5, 1.0, 1.5, 2.0])))
+        elif kind == 1:  # a long chain
+            for _step in range(int(rng.integers(5, 40))):
+                p = grow(p, float(rng.choice([1.0, 2.0])))
+        elif kind == 2:  # a random subtree
+            copy_subtree(random_shape(int(rng.integers(1, 8))), p, float(rng.uniform(0.5, 2.0)))
+        else:  # another root
+            grow(-1, 0.0)
+    order = rng.permutation(len(up))  # old vertex -> new number
+    parent = np.full(len(up), -1, dtype=np.intp)
+    weights = np.zeros(len(up))
+    for v, p in enumerate(up):
+        parent[order[v]] = order[p] if p >= 0 else -1
+        weights[order[v]] = w[v]
+    return parent, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_twin_reduction_walks_as_the_reference_walk(seed):
+    # the walk lists a copy's columns only at its merge; its reduction is
+    # the one of the walk that copied every subtree's list level by level
+    parent, weights = planted_forest(seed)
+    _parent, levels, height = shift._pattern_forest(parent.tobytes())
+    red = twin_reduction(shift.Forest(_parent, levels, height, weights))
+    up, w, split, merges = reference_twin_walk(parent.tolist(), [l.tolist() for l in levels], weights)
+    assert red.parent.tolist() == up
+    assert red.weights.tobytes() == np.array(w).tobytes()
+    assert red.split == split
+    assert list(red.merges) == merges
+
+
+LABELS = ("-2", "1,3", "a", "0", "10", "2", "b,c", "-1,4", "x", "3", "1,10", "7")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_shift_reads_its_forest_as_its_matrix_does(seed):
+    # a ShiftMatrix holds parents and weights: its forest is the one read
+    # off its matrix, the matrix is the entry-by-entry fill it replaced, bit
+    # for bit (zero weights of either sign included), and a decision on it
+    # is the one on the matrix, up to the certificate's labels
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, len(LABELS) + 1))
+    labels = [str(x) for x in rng.permutation(LABELS)[:n]]
+    edges = [(labels[int(rng.integers(v))], labels[v]) for v in range(1, n)]
+    order = rng.permutation(n)
+    tree = DirectedTree(tuple(labels[i] for i in order), tuple(edges), labels[0])
+    equal = rng.random() < 0.5  # equal moduli: cs verdicts too
+    weights = {}
+    for v in tree.nonroot_vertices():
+        modulus = 1.0 if equal else float(rng.uniform(0.5, 2.0))
+        weights[v] = complex(modulus * np.exp(2j * np.pi * rng.random()))
+        if rng.random() < 0.15:
+            weights[v] = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)][rng.integers(4)]
+    s = build_shift(tree, weights)
+    m = s.matrix
+    assert m.tobytes() == dense_shift_fill(tree, weights).tobytes()
+    ours, theirs = s.forest, _forest(m)
+    for a, b in zip(ours, theirs):
+        if isinstance(a, tuple):
+            assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+        else:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    doc, bare = decide_cs(s).to_doc(), decide_cs(m).to_doc()
+    if doc["certificate"] is not None:
+        assert doc["certificate"]["basis"] == list(s.basis)
+        doc["certificate"]["basis"] = bare["certificate"]["basis"]
+    assert dump_json(doc) == dump_json(bare)
+
+
+def test_build_shift_of_binary_kappa_12_allocates_no_dense_matrix():
+    # 8191 vertices: a dense complex matrix would take 1 GiB
+    tree = generate_binary(12)
+    weights = dict.fromkeys(tree.nonroot_vertices(), 1.0)
+    tracemalloc.start()
+    try:
+        s = build_shift(tree, weights)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert s.n == 8191 and kernel_table(s, 12).rows[-1] == (12, 8190, 8190)

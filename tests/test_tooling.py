@@ -271,25 +271,28 @@ def test_every_private_helper_is_read_in_the_package():
 
 
 def test_a_decision_reads_its_forest_once(monkeypatch):
-    # decide_cs reads the forest once and hands it to every stage; only the
-    # word search, which keeps its own input check, reads it again.  A
+    # decide_cs reads the forest once, keyed on the parents of its input,
+    # and hands it to every stage; only the word search, which keeps its own
+    # input check of |T|, whose parents are the same, reads it again.  A
     # replay reads it once
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import bench
     from treeshift import decider, shift
 
-    lookups, searches = [], []
+    keys, searches = [], []
     cached, search = shift._pattern_forest, decider.word_trace_obstruction
-    monkeypatch.setattr(shift, "_pattern_forest", lambda *key: lookups.append(1) or cached(*key))
+    monkeypatch.setattr(shift, "_pattern_forest", lambda key: keys.append(key) or cached(key))
     monkeypatch.setattr(
         decider, "word_trace_obstruction", lambda *a, **k: searches.append(1) or search(*a, **k)
     )
 
     def counted(function, seen):
-        def call(*args, **kwargs):
-            at = len(lookups), len(searches)
-            result = function(*args, **kwargs)
-            seen.append((len(lookups) - at[0], len(searches) - at[1]))
+        def call(s, *args, **kwargs):
+            at = len(keys), len(searches)
+            result = function(s, *args, **kwargs)
+            parents = s.parent.tobytes()
+            seen.append((keys[at[0]:] == [parents] * (len(keys) - at[0]),
+                         len(keys) - at[0], len(searches) - at[1]))
             return result
         return call
 
@@ -300,11 +303,11 @@ def test_a_decision_reads_its_forest_once(monkeypatch):
     for workload in PASS_DIGESTS:
         calls["decide_cs"].clear()
         bench.run_pass(bench.generate(workload, 1))
-        assert all(read == 1 + searched for read, searched in calls["decide_cs"])
-        reads[workload] = sum(read for read, _searched in calls["decide_cs"])
+        assert all(by_parents and read == 1 + searched
+                   for by_parents, read, searched in calls["decide_cs"])
+        reads[workload] = sum(read for _by_parents, read, _searched in calls["decide_cs"])
     assert reads == {"audit_mix": 649, "binary_scale": 12, "hard_two_branch": 63}
-    assert set(calls["reevaluate_obstruction"]) == {(1, 0)}
-
+    assert set(calls["reevaluate_obstruction"]) == {(True, 1, 0)}
 
 
 def test_every_public_name_is_read_or_documented():

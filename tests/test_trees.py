@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -281,3 +282,23 @@ def test_generators_refuse_a_tree_over_the_vertex_bound():
     sizes = [generate_path(8192).n, generate_two_branch(1, 4095).n, generate_binary(12).n,
              generate_broom(8191).n, generate_two_level_broom(4095).n]
     assert sizes == [8192, 8192, 8191, 8192, 8191]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_depths_and_levels_do_not_depend_on_the_vertex_order(seed):
+    # depths are read off the parents when every parent comes first in
+    # vertex order, and found by a search from the root otherwise; both
+    # give each vertex the length of its path from the root
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    edges = [(str(int(rng.integers(v))), str(v)) for v in range(1, n)]
+    labels = [str(v) for v in range(n)]
+    for order in (labels, [labels[i] for i in rng.permutation(n)]):
+        t = DirectedTree(tuple(order), tuple(edges), "0")
+        assert validate_tree(t).ok
+        depth = {v: len(t.path_from_root(v)) - 1 for v in order}
+        assert {v: t.depth_of(v) for v in order} == depth
+        assert [list(t.at_depth(d)) for d in range(t.depth + 1)] == [
+            [v for v in order if depth[v] == d] for d in range(max(depth.values()) + 1)
+        ]
