@@ -37,9 +37,7 @@ from .decider import (
     DeciderOptions,
     Verdict,
     decide_cs,
-    kernel_obstruction,
     reevaluate_obstruction,
-    unitary_search,
     word_trace_obstruction,
     word_value,
 )
@@ -50,7 +48,6 @@ from .families import (
     FamilyConditionError,
     TwoBranchWeights,
     binary_cs_condition,
-    binary_pairing_moduli,
     chains_to_matrix,
     classify_tree_family,
     decompose_equal_weight_tree,
@@ -67,7 +64,6 @@ from .shift import (
     WeightError,
     build_shift,
     kernel_table,
-    numerical_rank,
     positivize_weights,
 )
 from .trees import (
@@ -106,7 +102,6 @@ __all__ = [
     "Verdict",
     "WeightError",
     "binary_cs_condition",
-    "binary_pairing_moduli",
     "build_broom_conjugation",
     "build_shift",
     "chains_to_matrix",
@@ -122,9 +117,7 @@ __all__ = [
     "generate_two_branch",
     "generate_two_level_broom",
     "is_palindromic",
-    "kernel_obstruction",
     "kernel_table",
-    "numerical_rank",
     "positivize_weights",
     "random_tree",
     "random_weights",
@@ -141,7 +134,6 @@ __all__ = [
     "two_branch_mirror_classes",
     "two_branch_phase_sequences",
     "two_level_kernel_structure",
-    "unitary_search",
     "validate_tree",
     "verify_c_symmetry",
     "weights_from_doc",

@@ -20,6 +20,7 @@ import numpy as np
 from .conjugation import verify_c_symmetry
 from .decider import DeciderOptions, decide_cs, reevaluate_obstruction
 from .families import (
+    SQRT2,
     BinaryWeights,
     TwoBranchWeights,
     _generation_values,
@@ -43,7 +44,6 @@ __all__ = [
     "soundness_fuzz",
 ]
 
-SQRT2 = float(np.sqrt(2.0))
 # Largest tree a cross-validation cell may yield (a depth-6 binary tree).
 MAX_VERTICES = 127
 

@@ -98,10 +98,6 @@ class HSequence:
     def n(self) -> int:
         return self.schedule.n
 
-    def vector(self, i: int) -> np.ndarray:
-        """Coordinates of h_i (1-based) over f_1..f_N."""
-        return self.coords[i - 1].copy()
-
     def gram_offdiag_residual(self) -> float:
         """max_{i != j} |<h_i, h_j> + 1| computed from the coordinates."""
         if self.n == 1:
@@ -338,7 +334,7 @@ def two_level_kernel_structure(
     f_1 = normalized sum of level1[j] e_{1,j} plus H_2.  Both statements are
     verified as subspace distances to the predicted spans.  All three
     subspaces are read off one SVD of S, cut at ``tol`` by the rank rule of
-    :func:`~treeshift.shift.numerical_rank`.
+    :func:`~treeshift.shift._rank_cut`.
     """
     level1 = [complex(x) for x in level1]
     level2 = [complex(x) for x in level2]

@@ -39,9 +39,6 @@ class Conjugation:
     residual_unitary: float
     residual_symmetric: float
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.conj(np.asarray(vec, dtype=complex))
-
     def to_doc(self) -> dict:
         return {
             "basis": list(self.basis),
@@ -93,12 +90,10 @@ def conjugation_from_matrix(
 @dataclass(frozen=True)
 class CSymmetryReport:
     """The outcome of :func:`verify_c_symmetry`: the residual
-    ``||T A - A T^T||_F``, whether it passed, and the label of the basis
-    vector whose column of the defect is largest."""
+    ``||T A - A T^T||_F`` and whether it passed."""
 
     residual: float
     passed: bool
-    worst_basis_vector: str
 
 
 def gauged_conjugation(
@@ -134,7 +129,6 @@ def verify_c_symmetry(t, conj: Conjugation, tol: float = 1e-10) -> CSymmetryRepo
     it is one.
     """
     m = t.matrix if isinstance(t, ShiftMatrix) else np.asarray(t, dtype=complex)
-    basis = conj.basis
     if m.shape != conj.matrix.shape:
         raise ConjugationError(
             f"dimension mismatch: operator is {m.shape[0]}x{m.shape[1]}, "
@@ -142,11 +136,5 @@ def verify_c_symmetry(t, conj: Conjugation, tol: float = 1e-10) -> CSymmetryRepo
         )
     defect = m @ conj.matrix - conj.matrix @ m.T
     residual = float(np.linalg.norm(defect))
-    column_norms = np.linalg.norm(defect, axis=0)
-    worst = basis[int(np.argmax(column_norms))] if len(basis) else ""
     scale = float(np.linalg.norm(m))
-    return CSymmetryReport(
-        residual=residual,
-        passed=bool(residual <= tol * scale < np.inf),
-        worst_basis_vector=worst,
-    )
+    return CSymmetryReport(residual=residual, passed=bool(residual <= tol * scale < np.inf))

@@ -115,7 +115,7 @@ parents' bytes) and reused, by the replay of a ``structure`` witness and
 by every matrix of one tree with the same twins.  The numeric pass
 gathers the edge weights, one scatter fills the blocks of a shape, one
 stacked SVD solves them, and all are cut by the rank rule of
-:func:`~treeshift.shift.numerical_rank`.  The solver keeps each block's
+:func:`~treeshift.shift._rank_cut`.  The solver keeps each block's
 null vectors, and the generic element of ``W`` is scattered from them
 straight into one ``n x n`` matrix.
 
@@ -164,10 +164,8 @@ __all__ = [
     "DeciderOptions",
     "Verdict",
     "decide_cs",
-    "kernel_obstruction",
     "word_trace_obstruction",
     "word_value",
-    "unitary_search",
     "reevaluate_obstruction",
 ]
 
@@ -207,6 +205,7 @@ class DeciderOptions:
                 "max_word_len": len(_WORDS[-1]), "seed": self.seed}
 
 
+# not exported; kept while perfbench/bench.py's TRACED names it
 def kernel_obstruction(t) -> None:
     """The first power where the kernels of ``T^m`` and ``T*^m`` differ:
     none, as ``(T*)^m = (T^m)*`` has the rank of ``T^m``, so :func:`decide_cs`
@@ -381,7 +380,7 @@ def _sylvester_nullspace(tree, rtol: float):
     the edge weights into the entries, fills each shape group with one
     scatter and solves it with one stacked SVD, so only one group's cells
     are held at a time.  All blocks are cut by the rank rule of
-    :func:`~treeshift.shift.numerical_rank` for the whole system of
+    :func:`~treeshift.shift._rank_cut` for the whole system of
     ``size = 2 n^2`` rows, ``max(rtol, size eps)`` times the largest
     singular value of any block, which is the cut a dense SVD applies; the
     ranks of all blocks come from one comparison of the singular values
@@ -766,6 +765,7 @@ def _chain_decision(red: TwinReduction, tol: float) -> Optional[tuple[str, objec
     return None
 
 
+# not exported: a test reference, kept while perfbench/bench.py's TRACED names it
 def unitary_search(space: Sequence[np.ndarray], seed: int = 0) -> Optional[np.ndarray]:
     """Search the given subspace for a unitary element.
 

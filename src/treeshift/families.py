@@ -31,7 +31,6 @@ __all__ = [
     "two_branch_phase_sequences",
     "two_branch_conjugation",
     "binary_cs_condition",
-    "binary_pairing_moduli",
     "is_palindromic",
     "classify_tree_family",
     "BlockDecomposition",
@@ -227,20 +226,6 @@ def binary_cs_condition(w: BinaryWeights) -> ConditionReport:
     for l in range(0, w.kappa + 1):
         criterion.compare("rita2", l, l + 1, w.kappa - l, factor=2.0)
     return criterion.report()
-
-
-def binary_pairing_moduli(kappa: int) -> list[dict]:
-    """Norm bookkeeping for the aggregate-vector pairing ``C(C f_{kappa-l}) = C f_l``:
-    the scalar mapping ``f_{kappa-l}`` to ``f_l`` must have modulus
-    ``norm(f_l)/norm(f_{kappa-l}) = sqrt(2^(2l-kappa))``.  A reference table
-    for the printed binary construction; neither the audit nor the oracles
-    read it."""
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
-    return [
-        {"l": l, "modulus": float(np.sqrt(2.0 ** (2 * l - kappa)))}
-        for l in range(0, kappa + 1)
-    ]
 
 
 def is_palindromic(chain: Sequence[complex]) -> bool:

@@ -20,6 +20,8 @@ through the json module's C ``encode_basestring_ascii``.
 from __future__ import annotations
 
 import cmath
+import io
+import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
@@ -87,9 +89,14 @@ def weights_from_doc(doc: dict) -> dict[str, complex]:
         raise ValueError("weights document must be an object mapping labels to values")
     weights = {}
     for label, value in doc.items():
-        # an [re, im] pair of floats, the form weights_to_doc writes, is
-        # read directly; any other value is checked by pair_to_complex
-        if type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is float:
+        # a finite float, or an [re, im] pair of floats, the form
+        # weights_to_doc writes, is read directly; any other value is
+        # checked by pair_to_complex
+        if type(value) is float:
+            if math.isfinite(value):
+                weights[str(label)] = complex(value)
+                continue
+        elif type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is float:
             z = complex(*value)
             if cmath.isfinite(z):
                 weights[str(label)] = z
@@ -180,10 +187,10 @@ def _grid_reprs(floats: list) -> Sequence[str]:
 
 
 def _write(value, indent: int, put) -> None:
-    """Append the text of ``value``, whose first line sits at ``indent``,
-    to a chunk list through its ``put``.  A module-level function: a
-    nested one that calls itself is a reference cycle, which would keep
-    each document's chunks alive until the next garbage collection."""
+    """Write the text of ``value``, whose first line sits at ``indent``,
+    through ``put``.  A module-level function: a nested one that calls
+    itself is a reference cycle, which would keep each document's buffer
+    alive until the next garbage collection."""
     kind = type(value)
     if kind is str:
         put(encode_basestring_ascii(value))
@@ -240,7 +247,9 @@ def dump_json(obj) -> str:
     other type, tuples and non-string keys included, raises
     :class:`TypeError`.
     """
-    chunks = []
-    _write(obj, 0, chunks.append)
-    chunks.append("\n")
-    return "".join(chunks)
+    # one buffer, not chunks joined at the end: a chunk list holds a string
+    # object per chunk, several times the text for a report of small dicts
+    buf = io.StringIO()
+    _write(obj, 0, buf.write)
+    buf.write("\n")
+    return buf.getvalue()

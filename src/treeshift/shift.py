@@ -27,7 +27,6 @@ __all__ = [
     "build_shift",
     "KernelTable",
     "kernel_table",
-    "numerical_rank",
     "positivize_weights",
     "tree_gauge",
     "TwinReduction",
@@ -148,16 +147,6 @@ def _rank_cut(size: int, rtol: float, sigma_ref: float) -> float:
 def _rank_above_cut(sigma: np.ndarray, size: int, rtol: float, sigma_ref: float) -> int:
     """The one rank rule: the count of ``sigma`` above :func:`_rank_cut`."""
     return int(np.count_nonzero(sigma > _rank_cut(size, rtol, sigma_ref)))
-
-
-def numerical_rank(m: np.ndarray, rtol: float = 1e-10) -> int:
-    """Rank by SVD with the relative threshold ``rtol * sigma_max``, floored
-    at the rounding noise ``max(rows, cols) * eps``."""
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0
-    sigma = np.linalg.svd(m, compute_uv=False)
-    return _rank_above_cut(sigma, max(m.shape), rtol, sigma[0])
 
 
 @dataclass(frozen=True)

@@ -175,23 +175,8 @@ class DirectedTree:
     def nonroot_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if v != self.root)
 
-    def leaves(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if not self.children_of(v))
-
-    def branching_vertices(self) -> tuple[str, ...]:
-        return tuple(v for v in self.vertices if len(self.children_of(v)) >= 2)
-
     def at_depth(self, d: int) -> tuple[str, ...]:
         return self._levels[d] if 0 <= d < len(self._levels) else ()
-
-    def path_from_root(self, v: str) -> tuple[str, ...]:
-        path = [v]
-        while path[-1] != self.root:
-            p = self.parent_of(path[-1])
-            if p is None:
-                break
-            path.append(p)
-        return tuple(reversed(path))
 
 
 @dataclass(frozen=True)

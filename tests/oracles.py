@@ -78,6 +78,18 @@ def exact_kernel_dim(a, m):
     return n - exact_rank(exact_power(a, m))
 
 
+def numerical_rank(m, rtol=1e-10):
+    """Rank by one dense SVD: the count of singular values above
+    ``max(rtol, max(rows, cols) * eps) * sigma_max``, the rank rule of
+    ``treeshift.shift._rank_cut``."""
+    m = np.asarray(m, dtype=complex)
+    if m.size == 0:
+        return 0
+    sigma = np.linalg.svd(m, compute_uv=False)
+    cut = max(rtol, max(m.shape) * np.finfo(float).eps) * sigma[0]
+    return int(np.count_nonzero(sigma > cut))
+
+
 def complex_matmul(a, b):
     n, k, p = len(a), len(b), len(b[0]) if b else 0
     return [

@@ -44,7 +44,7 @@ def test_two_step_closed_form():
 def test_vectors_solve_the_pairwise_constraints():
     lambdas = (0.5, 0.25, 0.125)
     h = solve_h_sequence(BroomSchedule(lambdas=lambdas))
-    vecs = [h.vector(i) for i in range(1, 4)]
+    vecs = [h.coords[i - 1] for i in range(1, 4)]
     for i, lam_i in enumerate(lambdas):
         norm_sq = float(np.vdot(vecs[i], vecs[i]).real)
         assert norm_sq == pytest.approx((1 - lam_i**2) / lam_i**2, rel=1e-12)

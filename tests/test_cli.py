@@ -121,7 +121,9 @@ def test_check_missing_weight_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "literal", ["true", "[NaN, 0]", "[1, Infinity]", '["1.5", "0"]', '[" 2 ", "1e3"]']
+    "literal",
+    ["true", "[NaN, 0]", "[1, Infinity]", '["1.5", "0"]', '[" 2 ", "1e3"]',
+     "NaN", "Infinity", "-Infinity", '"1.0"'],
 )
 def test_check_malformed_weight_exits_3_naming_vertex(tmp_path, capsys, literal):
     # dump_json refuses NaN, so the document is written by hand

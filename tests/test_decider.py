@@ -32,15 +32,12 @@ from treeshift import (
     generate_broom,
     generate_path,
     generate_two_branch,
-    kernel_obstruction,
-    numerical_rank,
     positivize_weights,
     random_tree,
     random_weights,
     reevaluate_obstruction,
     sample_binary_weights,
     tree_from_doc,
-    unitary_search,
     verify_c_symmetry,
     weights_from_doc,
     word_trace_obstruction,
@@ -58,6 +55,8 @@ from treeshift.decider import (
     _sylvester_nullspace,
     _word_tol,
     _WORDS,
+    kernel_obstruction,
+    unitary_search,
 )
 from treeshift.shift import _forest, kernel_table, tree_gauge, twin_reduction
 from conftest import SQRT2, forest_matrix, random_complex
@@ -66,6 +65,7 @@ from oracles import (
     dense_sylvester_nullspace,
     exact_joint_sylvester_space,
     exact_rank,
+    numerical_rank,
     reference_sylvester_nullspace,
     sequential_word_trace_obstruction,
 )

@@ -10,7 +10,6 @@ from treeshift import (
     FamilyConditionError,
     TwoBranchWeights,
     binary_cs_condition,
-    binary_pairing_moduli,
     build_shift,
     chains_to_matrix,
     classify_tree_family,
@@ -114,22 +113,6 @@ def test_binary_condition_unsatisfiable_for_deep_trees(rng):
         levels = tuple(float(rng.uniform(0.5, 2.0)) for _ in range(kappa))
         report = binary_cs_condition(BinaryWeights(kappa=kappa, levels=levels))
         assert not report.satisfied
-
-
-def test_binary_pairing_moduli():
-    rows = binary_pairing_moduli(2)
-    assert [row["l"] for row in rows] == [0, 1, 2]
-    assert [row["modulus"] for row in rows] == pytest.approx([0.5, 1.0, 2.0])
-    rows = binary_pairing_moduli(3)
-    assert [row["modulus"] for row in rows] == pytest.approx(
-        [2.0 ** (-1.5), 2.0 ** (-0.5), 2.0 ** 0.5, 2.0 ** 1.5]
-    )
-
-
-@pytest.mark.parametrize("kappa", [0, -1])
-def test_binary_pairing_moduli_needs_a_generation(kappa):
-    with pytest.raises(ValueError, match="^kappa must be at least 1$"):
-        binary_pairing_moduli(kappa)
 
 
 def test_is_palindromic():

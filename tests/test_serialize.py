@@ -1,12 +1,14 @@
 import json
 import math
+import timeit
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeshift import dump_json, weights_from_doc, weights_to_doc
+from treeshift import KernelTable, dump_json, weights_from_doc, weights_to_doc
 from treeshift.serialize import (
     _DISTINCT_GATE,
     complex_to_pair,
@@ -48,7 +50,10 @@ def test_pair_rejects_booleans_and_non_finite_parts(value):
         pair_to_complex(value)
 
 
-@pytest.mark.parametrize("value", [True, [math.nan, 0.0], [1.0, math.inf], ["1.5", "0"]])
+@pytest.mark.parametrize(
+    "value",
+    [True, [math.nan, 0.0], [1.0, math.inf], ["1.5", "0"], math.nan, math.inf, -math.inf, "1.0"],
+)
 def test_weights_doc_error_names_the_vertex(value):
     with pytest.raises(ValueError, match="weight for vertex 2,1"):
         weights_from_doc({"1,1": 1.0, "2,1": value})
@@ -71,6 +76,40 @@ def test_weights_round_trip():
 
 def test_weights_doc_plain_reals_accepted():
     assert weights_from_doc({"1": 2}) == {"1": 2 + 0j}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(finite, max_size=20))
+def test_plain_real_weights_read_as_their_pairs_bit_for_bit(values):
+    values += [-0.0, 0.0, 5e-324, -5e-324, 1.0]
+    plain = weights_from_doc({str(k): x for k, x in enumerate(values)})
+    pairs = weights_from_doc({str(k): [x, 0.0] for k, x in enumerate(values)})
+    assert list(plain) == list(pairs)
+    bits = [np.array(list(w.values())).view(np.int64).tolist() for w in (plain, pairs)]
+    assert bits[0] == bits[1]
+
+
+def test_plain_real_weights_read_no_slower_than_pairs():
+    # min of 5 by timeit, which holds the garbage collector off while it
+    # times, so a collection of other tests' garbage lands on neither side
+    values = np.random.default_rng(0).uniform(0.5, 2.0, 20_000).tolist()
+    docs = {str(k): x for k, x in enumerate(values)}, {str(k): [x, 0.0] for k, x in enumerate(values)}
+    plain, pairs = (min(timeit.repeat(lambda: weights_from_doc(doc), number=1, repeat=5)) for doc in docs)
+    assert plain <= pairs
+
+
+def test_dump_json_peak_memory_is_a_small_multiple_of_its_text():
+    # the kernel table of a path of 10^5 vertices, 9 MB of small dicts: the
+    # dump holds one growing buffer, not one string per chunk
+    doc = KernelTable(rows=tuple((m, m, m) for m in range(1, 100_001))).to_doc()
+    tracemalloc.start()
+    try:
+        text = dump_json(doc)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
 
 
 def test_dump_json_deterministic_and_exact():

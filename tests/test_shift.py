@@ -18,7 +18,6 @@ from treeshift import (
     generate_path,
     generate_two_branch,
     kernel_table,
-    numerical_rank,
     positivize_weights,
 )
 from treeshift import shift
@@ -28,6 +27,7 @@ from conftest import forest_matrix
 from oracles import (
     dense_shift_fill,
     exact_kernel_dim,
+    numerical_rank,
     per_group_twin_q,
     reference_twin_walk,
     shift_matrix_fraction,
@@ -181,6 +181,8 @@ def noisy_nilpotents(count):
 def test_rank_cuts_below_the_noise_are_floored(rtol):
     for t in noisy_nilpotents(20):
         assert numerical_rank(t, rtol) == t.shape[0] - 1
+        sigma = np.linalg.svd(t, compute_uv=False)
+        assert shift._rank_above_cut(sigma, t.shape[0], rtol, sigma[0]) == t.shape[0] - 1
 
 
 def test_kernel_table_of_a_tree_shift_reads_no_rounding():

@@ -310,23 +310,39 @@ def test_a_decision_reads_its_forest_once(monkeypatch):
     assert set(calls["reevaluate_obstruction"]) == {(True, 1, 0)}
 
 
+def package_modules() -> dict[str, ast.Module]:
+    """The parsed modules of the package but its ``__init__``, by name."""
+    return {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted((ROOT / "src" / "treeshift").glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def reads_outside_tests(modules: dict[str, ast.Module]) -> Counter:
+    """How often each name is read in ``modules`` and the benchmark."""
+    read = Counter(name for tree in modules.values() for name in reads(tree))
+    read.update(name for path in PERFBENCH.glob("*.py") for name in reads(ast.parse(path.read_text())))
+    return read
+
+
+def readme_names() -> set[str]:
+    """Every word inside a backtick span of the README."""
+    return {
+        word
+        for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+        for word in re.findall(r"\w+", span)
+    }
+
+
 def test_every_public_name_is_read_or_documented():
     # a name in the package's __all__ that the package, the CLI and the
     # benchmark never read and the README never names is an entry point
     # only the tests keep alive; a read inside its own definition does not
     # count
-    modules = {
-        path.stem: ast.parse(path.read_text())
-        for path in sorted((ROOT / "src" / "treeshift").glob("*.py"))
-        if path.name != "__init__.py"
-    }
-    read = Counter(name for tree in modules.values() for name in reads(tree))
-    read.update(name for path in PERFBENCH.glob("*.py") for name in reads(ast.parse(path.read_text())))
-    named = {
-        word
-        for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
-        for word in re.findall(r"\w+", span)
-    }
+    modules = package_modules()
+    read = reads_outside_tests(modules)
+    named = readme_names()
     unused = []
     for name in treeshift.__all__:
         home = modules[getattr(treeshift, name).__module__.rpartition(".")[2]]
@@ -334,3 +350,25 @@ def test_every_public_name_is_read_or_documented():
         if name not in named and read[name] == reads(node).count(name):
             unused.append(name)
     assert len(treeshift.__all__) > 1 and not unused, "unused public names: " + ", ".join(unused)
+
+
+def test_every_public_member_is_read_or_documented():
+    # the same rule for the public methods and properties of each class in
+    # a module's __all__: one that the package, the CLI and the benchmark
+    # never read and the README never names is kept alive by tests alone
+    modules = package_modules()
+    read = reads_outside_tests(modules)
+    named = readme_names()
+    found, unused = 0, []
+    for module, tree in modules.items():
+        exported = set(getattr(importlib.import_module(f"treeshift.{module}"), "__all__", ()))
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef) and cls.name in exported):
+                continue
+            for member in cls.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    found += 1
+                    name = member.name
+                    if name not in named and read[name] == reads(member).count(name):
+                        unused.append(f"{cls.name}.{name}")
+    assert found and not unused, "unused public members: " + ", ".join(unused)

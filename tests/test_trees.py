@@ -18,21 +18,36 @@ from treeshift import (
 )
 
 
+def leaves(t):
+    return tuple(v for v in t.vertices if not t.children_of(v))
+
+
+def branching(t):
+    return tuple(v for v in t.vertices if len(t.children_of(v)) >= 2)
+
+
+def steps_to_root(t, v):
+    steps = 0
+    while (v := t.parent_of(v)) is not None:
+        steps += 1
+    return steps
+
+
 def test_path_shape():
     t = generate_path(4)
     assert t.vertices == ("0", "1", "2", "3")
     assert t.root == "0"
     assert t.depth == 3
     assert t.parent_of("3") == "2"
-    assert t.leaves() == ("3",)
-    assert t.branching_vertices() == ()
+    assert leaves(t) == ("3",)
+    assert branching(t) == ()
 
 
 def test_path_single_vertex():
     t = generate_path(1)
     assert t.n == 1
     assert t.depth == 0
-    assert t.leaves() == ("0",)
+    assert leaves(t) == ("0",)
 
 
 def test_two_branch_shape():
@@ -44,8 +59,8 @@ def test_two_branch_shape():
     assert t.parent_of("1,2") == "1,1"
     assert t.parent_of("2,2") == "2,1"
     assert t.depth == 3
-    assert t.branching_vertices() == ("0",)
-    assert sorted(t.leaves()) == ["1,2", "2,2"]
+    assert branching(t) == ("0",)
+    assert sorted(leaves(t)) == ["1,2", "2,2"]
 
 
 def test_two_branch_no_trunk():
@@ -69,7 +84,7 @@ def test_binary_shape():
     assert t.children_of("0,1") == ("1,1", "1,2")
     assert t.children_of("1,2") == ("2,3", "2,4")
     assert t.depth == 2
-    assert len(t.leaves()) == 4
+    assert len(leaves(t)) == 4
     assert len(t.at_depth(1)) == 2
     assert len(t.at_depth(2)) == 4
 
@@ -78,7 +93,7 @@ def test_binary_counts():
     for kappa in range(2, 5):
         t = generate_binary(kappa)
         assert t.n == 2 ** (kappa + 1) - 1
-        assert len(t.leaves()) == 2 ** kappa
+        assert len(leaves(t)) == 2 ** kappa
     with pytest.raises(ValueError):
         generate_binary(1)
 
@@ -104,12 +119,6 @@ def test_child_order_is_numeric_not_lexicographic():
     t = generate_broom(12)
     kids = t.children_of("0")
     assert kids == tuple(str(i) for i in range(1, 13))
-
-
-def test_path_from_root():
-    t = generate_two_branch(1, 2)
-    assert t.path_from_root("2,2") == ("-1", "0", "2,1", "2,2")
-    assert t.path_from_root("-1") == ("-1",)
 
 
 def test_from_edges_infers_root_and_order():
@@ -297,7 +306,7 @@ def test_depths_and_levels_do_not_depend_on_the_vertex_order(seed):
     for order in (labels, [labels[i] for i in rng.permutation(n)]):
         t = DirectedTree(tuple(order), tuple(edges), "0")
         assert validate_tree(t).ok
-        depth = {v: len(t.path_from_root(v)) - 1 for v in order}
+        depth = {v: steps_to_root(t, v) for v in order}
         assert {v: t.depth_of(v) for v in order} == depth
         assert [list(t.at_depth(d)) for d in range(t.depth + 1)] == [
             [v for v in order if depth[v] == d] for d in range(max(depth.values()) + 1)
